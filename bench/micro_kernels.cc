@@ -171,12 +171,12 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
 {
     // A scheduling epoch's worth of placement decisions with the full
     // engine-side fast path wired up: epoch arena for decision-local
-    // scratch, prediction cache (placement/penalty memos + the
-    // feasibility ladder), precomputed row map, and the exact-DVFS
-    // prune. Unlike BM_SchedulerDecision this measures the amortized
-    // per-decision cost the simulator actually pays when several jobs
-    // land in one epoch; the cache epoch is bumped between batches
-    // exactly as thermalStep does.
+    // scratch, prediction cache (placement/penalty memos, feasibility
+    // thresholds and the penalty snapshot), precomputed row map and
+    // per-row idle counts. Unlike BM_SchedulerDecision this measures
+    // the amortized per-decision cost the simulator actually pays when
+    // several jobs land in one epoch; the cache epoch is bumped
+    // between batches exactly as thermalStep does.
     constexpr std::size_t kBatch = 8;
     const char *names[] = {"CF", "Predictive", "CP"};
     const char *name = names[state.range(0)];
@@ -197,13 +197,17 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
     std::vector<std::uint8_t> busy(n, 0);
     std::vector<std::size_t> pstates(n, 0), idle;
     std::vector<int> rows(n, 0);
-    for (std::size_t s = 0; s < n; ++s)
+    std::vector<int> idlePerRow(static_cast<std::size_t>(topo.numRows()),
+                                0);
+    std::vector<const HeatSink *> sinks(n);
+    for (std::size_t s = 0; s < n; ++s) {
         rows[s] = topo.rowOf(s);
+        sinks[s] = &topo.sinkOf(s);
+    }
     for (std::size_t s = 0; s < n; ++s) {
         if (s % 2 == 0) {
-            // The exact-DVFS prune's contract: each busy socket's
-            // P-state really was chosen at its current ambient, so
-            // starting the downstream search there is sound.
+            // The penalty snapshot's premise: each busy socket's
+            // P-state really was chosen at its current ambient.
             busy[s] = true;
             const DvfsDecision d = pm.chooseAtAmbientCapped(
                 freqCurveFor(sets[s]), leak, Celsius(amb[s]),
@@ -213,23 +217,19 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
             power[s] = d.power.value();
         } else {
             idle.push_back(s);
+            ++idlePerRow[static_cast<std::size_t>(rows[s])];
             chip[s] = 30.0 + static_cast<double>(s % 17);
         }
     }
 
     Arena arena(64 * 1024);
     PredictionCache cache;
-    cache.reset(n, table.size());
-    for (std::size_t i = 0; i < table.size(); ++i)
-        cache.stateFreqMhz[i] = table.at(i).freqMhz;
-    cache.pstate = pstates.data();
-    cache.exactDvfs = true;
-    // Busy sockets start with no fast-path snapshot (the engine only
-    // installs one at setSocketRate), so force the slow path there.
+    cache.feas.build(pm, leak, sinks);
+    cache.reset(n);
+    cache.snapshot = true;
     for (std::size_t s = 0; s < n; ++s)
         if (busy[s])
-            cache.fastFeasC[s] =
-                -std::numeric_limits<double>::infinity();
+            cache.snapshotBusy(s, pstates[s], sets[s]);
 
     SchedContext ctx;
     ctx.topo = &topo;
@@ -238,6 +238,7 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
     ctx.leak = &leak;
     ctx.inletC = 18.0;
     ctx.idle = &idle;
+    ctx.idlePerRow = idlePerRow.data();
     ctx.nSockets = n;
     ctx.chipTempC = chip.data();
     ctx.histTempC = hist.data();
@@ -313,36 +314,6 @@ BENCHMARK(BM_FleetServerSecond)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
-
-void
-BM_PowerManageRedecision(benchmark::State &state)
-{
-    // Quantized-memo sweep configuration: most powerManage epochs
-    // confirm last epoch's DVFS decision, which is exactly the case
-    // the pmDecisionPrune fast path elides (counted by
-    // dvfs.redecisionsPruned). The quantized memo is used because at
-    // the exact default (dvfsMemoQuantC = 0) a bitwise-equal ambient
-    // across thermal steps is vanishingly rare and the prune is a
-    // structural no-op. Arg(0) re-runs the decision every epoch,
-    // Arg(1) prunes; the bench_diff.py delta between the two rows is
-    // the datapoint pinning the optimization.
-    for (auto _ : state) {
-        SimConfig config;
-        config.load = 0.7;
-        config.simTimeS = 1.0;
-        config.warmupS = 0.2;
-        config.socketTauS = 3.0;
-        config.dvfsMemoQuantC = 0.25;
-        config.pmDecisionPrune = state.range(0) != 0;
-        DenseServerSim sim(config, makeScheduler("CP"));
-        auto metrics = sim.run();
-        benchmark::DoNotOptimize(metrics);
-    }
-}
-BENCHMARK(BM_PowerManageRedecision)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 // --- observability overhead (DESIGN.md Sec. 10) ---------------------
 // Two benches pin the disabled-overhead policy: the always-compiled

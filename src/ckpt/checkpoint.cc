@@ -1,5 +1,6 @@
 #include "ckpt/checkpoint.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -971,20 +972,14 @@ CkptAccess::applyFault(DenseServerSim &sim, Reader r)
     r.expectEnd("fault");
 }
 
-// --- SCHED: DVFS memo and prediction cache ----------------------------
+// --- SCHED: prediction memos ------------------------------------------
+// The feasibility thresholds are construction-derived and the penalty
+// snapshot a pure function of the restored socket state, so both are
+// rebuilt (constructor, finalizeRestore) rather than carried.
 
 void
 CkptAccess::writeSched(Writer &w, const DenseServerSim &sim)
 {
-    w.size(sim.dvfsMemo_.entries_.size());
-    for (const DvfsMemoTable::Entry &e : sim.dvfsMemo_.entries_) {
-        w.boolean(e.valid);
-        w.u8(static_cast<std::uint8_t>(e.set));
-        w.size(e.cap);
-        w.f64(e.ambientC);
-        writeDecision(w, e.d);
-    }
-
     const PredictionCache &pc = sim.predCache_;
     w.u64(pc.epoch);
     w.size(pc.place.size());
@@ -999,16 +994,6 @@ CkptAccess::writeSched(Writer &w, const DenseServerSim &sim)
         w.f64(e.extra);
         w.f64(e.mhz);
     }
-    w.size(pc.npstates);
-    w.size(pc.feasSet.size());
-    for (const WorkloadSet set : pc.feasSet)
-        w.u8(static_cast<std::uint8_t>(set));
-    w.vecU8(pc.feasSetValid);
-    w.vecF64(pc.feasLoC);
-    w.vecF64(pc.feasHiC);
-    w.vecF64(pc.feasMhzPerC);
-    w.vecF64(pc.fastFeasC);
-    w.vecF64(pc.fastSlope);
 }
 
 void
@@ -1018,24 +1003,6 @@ CkptAccess::applySched(DenseServerSim &sim, Reader r)
     const std::size_t np = sim.pm_.pstates().size();
     const auto maxSet =
         static_cast<std::uint8_t>(WorkloadSet::GeneralPurpose);
-
-    if (r.size() != n)
-        badField("dvfs memo", "entry count != socket count");
-    for (std::size_t s = 0; s < n; ++s) {
-        DvfsMemoTable::Entry &e = sim.dvfsMemo_.entries_[s];
-        e.valid = r.boolean();
-        const std::uint8_t set = r.u8();
-        if (set > maxSet)
-            badField("dvfs memo", "workload set " +
-                                      std::to_string(int(set)));
-        e.set = static_cast<WorkloadSet>(set);
-        e.cap = r.size();
-        if (e.cap >= np)
-            badField("dvfs memo", "boost cap " +
-                                      std::to_string(e.cap));
-        e.ambientC = r.f64();
-        e.d = readDecision(r, np, "dvfs memo decision");
-    }
 
     PredictionCache &pc = sim.predCache_;
     pc.epoch = r.u64();
@@ -1059,25 +1026,6 @@ CkptAccess::applySched(DenseServerSim &sim, Reader r)
         e.extra = r.f64();
         e.mhz = r.f64();
     }
-    if (r.size() != np)
-        badField("prediction cache", "P-state count != table size");
-    {
-        if (r.size() != n)
-            badField("prediction cache", "feasSet length");
-        for (std::size_t s = 0; s < n; ++s) {
-            const std::uint8_t set = r.u8();
-            if (set > maxSet)
-                badField("prediction cache",
-                         "feasSet value " + std::to_string(int(set)));
-            pc.feasSet[s] = static_cast<WorkloadSet>(set);
-        }
-    }
-    pc.feasSetValid = readU8Array(r, n, 1, "feasSetValid");
-    pc.feasLoC = readF64Array(r, n * np, "feasLoC");
-    pc.feasHiC = readF64Array(r, n * np, "feasHiC");
-    pc.feasMhzPerC = readF64Array(r, n, "feasMhzPerC");
-    pc.fastFeasC = readF64Array(r, n, "fastFeasC");
-    pc.fastSlope = readF64Array(r, n, "fastSlope");
     r.expectEnd("sched");
 }
 
@@ -1162,8 +1110,13 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
                      "non-finite temperature on socket " +
                          std::to_string(s));
 
-    // Pointer rebinds: the restored pstate_ vector reallocated.
-    sim.predCache_.pstate = sim.pstate_.data();
+    // Derived state: the per-row idle counts and the penalty snapshot
+    // are pure functions of the restored idle list and socket banks.
+    std::fill(sim.rowIdle_.begin(), sim.rowIdle_.end(), 0);
+    for (const std::size_t s : sim.idleList_)
+        ++sim.rowIdle_[static_cast<std::size_t>(sim.rowCache_[s])];
+    for (std::size_t s = 0; s < n; ++s)
+        sim.refreshPenaltySnapshot(s);
 
     // Re-wire the trace sink exactly as beginRun does.
     if (!sim.config_.obsTracePath.empty()) {

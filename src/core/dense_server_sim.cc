@@ -116,7 +116,7 @@ DenseServerSim::DenseServerSim(const SimConfig &sim_config,
         freqByPstate_[p] = table.at(p).freqMhz;
         boostByPstate_[p] = table.at(p).boost ? 1 : 0;
     }
-    fastestMhz_ = table.fastest().freqMhz;
+    predCache_.feas.build(pm_, leak_, sinkCache_);
 
     faultsEnabled_ = config_.fault.enabled();
     faultState_.configure(config_.fault, config_.tLimit());
@@ -135,10 +135,6 @@ DenseServerSim::registerObs()
     count_.migrations = &obsRegistry_.counter("engine.migrations");
     count_.schedDecisions =
         &obsRegistry_.counter("engine.schedDecisions");
-    count_.dvfsMemoHits = &obsRegistry_.counter("dvfs.memoHits");
-    count_.dvfsMemoMisses = &obsRegistry_.counter("dvfs.memoMisses");
-    count_.dvfsRedecisionsPruned =
-        &obsRegistry_.counter("dvfs.redecisionsPruned");
     count_.ambientRefreshes =
         &obsRegistry_.counter("thermal.ambientRefreshes");
     count_.ambientDeltas =
@@ -236,6 +232,8 @@ DenseServerSim::resetState()
     idleList_.resize(n);
     for (std::size_t s = 0; s < n; ++s)
         idleList_[s] = s;
+    rowIdle_.assign(static_cast<std::size_t>(topo_.numRows()),
+                    topo_.socketsPerRow());
 
     ambTargets_ = amb0;
     targetPowerW_ = powerW_;
@@ -243,7 +241,6 @@ DenseServerSim::resetState()
     dirtySockets_.clear();
     epochsSinceAmbientRefresh_ = 0;
 
-    dvfsMemo_.reset(n, &PStateTable::x2150());
     rateCache_.assign(n, 0.0);
     relFreqCache_.assign(n, 0.0);
     inBusySums_.assign(n, 0);
@@ -252,16 +249,13 @@ DenseServerSim::resetState()
     contribBoost_.assign(n, 0);
 
     // Pre-reserve the per-epoch scratch arena: one n-double thermal
-    // target frame plus CP's decision-local candidate lists, with
-    // headroom. checkEpochInvariants asserts it never grows past this
+    // target frame plus policies' decision-local scratch
+    // (SchedContext::scratch), with headroom. checkEpochInvariants
+    // asserts it never grows past this
     // reserve — the zero-heap-per-epoch contract.
     arena_.reserve(32 * n + 256);
-    predCache_.reset(n, pm_.pstates().size());
-    for (std::size_t i = 0; i < pm_.pstates().size(); ++i)
-        predCache_.stateFreqMhz[i] = pm_.pstates().at(i).freqMhz;
-    predCache_.pstate = pstate_.data();
-    predCache_.exactDvfs =
-        !faultsEnabled_ && config_.dvfsMemoQuantC == 0.0;
+    predCache_.reset(n);
+    predCache_.snapshot = !faultsEnabled_;
     ambientBatchMin_ =
         config_.ambientBatchFrac <= 0.0
             ? 0
@@ -675,25 +669,17 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
         ambient_c = faultState_.dvfsAmbientC(socket, Celsius(ambient_c),
                                              faultRng_);
     }
-    const Celsius ambient{ambient_c};
-    if (const DvfsDecision *hit = dvfsMemo_.lookup(
-            socket, set, cap, ambient, config_.dvfsMemoQuantC)) {
-        count_.dvfsMemoHits->inc();
-        return *hit;
-    }
-    count_.dvfsMemoMisses->inc();
-    // The learned feasibility ladder lets the descending search skip
-    // states already known infeasible at this ambient. Valid even
-    // under faults or memo quantization: fan derates and sensor
-    // faults perturb the ambient *input*, never the sink/curve/leak
-    // feasibility function the bounds describe, and the chosen
-    // state's decision fields are always computed exactly.
-    predCache_.touchLadder(socket, set);
-    const DvfsDecision d = pm_.chooseAtAmbientBounded(
-        freqCurveFor(set), leak_, ambient, *sinkCache_[socket], cap,
-        predCache_.ladderLo(socket), predCache_.ladderHi(socket));
-    dvfsMemo_.store(socket, set, cap, ambient, d);
-    return d;
+    // The thresholds stay exact under faults too: fan derates and
+    // sensor faults perturb the ambient *input*, never the sink,
+    // curve and leakage the thresholds describe.
+    const FreqCurve &curve = freqCurveFor(set);
+    const HeatSink &sink = *sinkCache_[socket];
+    if (!config_.schedPredictionCache)
+        return pm_.chooseAtAmbientCapped(curve, leak_, Celsius(ambient_c),
+                                         sink, cap);
+    return pm_.chooseAtAmbientLimited(curve, leak_, Celsius(ambient_c),
+                                      sink, cap,
+                                      predCache_.feas.row(socket, set));
 }
 
 void
@@ -701,36 +687,10 @@ DenseServerSim::powerManage(double now)
 {
     DENSIM_OBS_PHASE(profiler_, obs::Phase::PowerManage);
     const std::size_t n = topo_.numSockets();
-    // With faults armed chooseDvfs consumes fault RNG draws (sensor
-    // perturbation), so the decision must be re-run even when every
-    // clean input matches — the prune would desynchronize the stream.
-    const bool prune = config_.pmDecisionPrune && !faultsEnabled_;
     for (std::size_t s = 0; s < n; ++s) {
         if (!busyFlag_[s])
             continue;
         syncProgress(s, now);
-        if (prune) {
-            const DvfsDecision *hit = dvfsMemo_.lookup(
-                s, runningSet_[s], dvfsCap(s),
-                Celsius(ambientC_[s]), config_.dvfsMemoQuantC);
-            if (hit != nullptr && hit->pstate == pstate_[s] &&
-                hit->power.value() == powerW_[s]) {
-                // The memo would hand back this exact decision and
-                // every field setSocketRate derives from it (rate,
-                // relative frequency, boost flag, frequency) is a
-                // pure function of the unchanged P-state and
-                // workload set — already applied bitwise. Only the
-                // completion time depends on `now`; recompute it
-                // exactly as setSocketRate would. The prediction
-                // fast-path snapshot is left stale, which is
-                // conservative, never wrong (sched/prediction.hh).
-                count_.dvfsRedecisionsPruned->inc();
-                completionS_[s] =
-                    now + jobRemainingS_[s] / rateCache_[s];
-                completionHeap_.upsert(s, completionS_[s]);
-                continue;
-            }
-        }
         const DvfsDecision d =
             chooseDvfs(s, runningSet_[s], dvfsCap(s));
         setSocketRate(s, d.pstate, d.power.value(), now);
@@ -798,11 +758,8 @@ DenseServerSim::clearJobState(std::size_t socket)
     completionS_[socket] = 0.0;
     pstate_[socket] = 0;
     boostFlag_[socket] = 0;
-    // Idle sockets contribute nothing downstream: the penalty fast
-    // path accepts any probe with zero slope.
-    predCache_.fastFeasC[socket] =
-        std::numeric_limits<double>::infinity();
-    predCache_.fastSlope[socket] = 0.0;
+    // Idle sockets contribute nothing downstream.
+    predCache_.parkIdle(socket);
 }
 
 void
@@ -849,26 +806,19 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
         busySumsAdd(socket);
     if (busyFlag_[socket])
         completionHeap_.upsert(socket, completionS_[socket]);
-    // Refresh the downstream-penalty fast path (prediction.hh): the
-    // socket's rate just changed, so recompute the known-feasible
-    // ambient for its (possibly new) P-state and its penalty slope.
-    // Only meaningful when pruned predictions are exact.
-    if (predCache_.exactDvfs) {
-        predCache_.touchLadder(socket, runningSet_[socket]);
-        const double mpc = predCache_.feasMhzPerC[socket];
-        const bool sub_fastest =
-            freqMhz_[socket] < fastestMhz_ - 1e-9;
-        if (sub_fastest && mpc <= 0.0) {
-            // Penalty slope not learned yet: force the slow path
-            // until a probe computes mhzPerCelsius for this socket.
-            predCache_.fastFeasC[socket] =
-                -std::numeric_limits<double>::infinity();
-        } else {
-            predCache_.fastFeasC[socket] =
-                predCache_.ladderLo(socket)[new_pstate];
-            predCache_.fastSlope[socket] = sub_fastest ? mpc : 0.0;
-        }
-    }
+    refreshPenaltySnapshot(socket);
+}
+
+void
+DenseServerSim::refreshPenaltySnapshot(std::size_t socket)
+{
+    // A pure function of the socket's busy flag, P-state and workload
+    // set, so a restored engine re-derives it (ckpt finalizeRestore).
+    if (predCache_.snapshot && busyFlag_[socket])
+        predCache_.snapshotBusy(socket, pstate_[socket],
+                                runningSet_[socket]);
+    else
+        predCache_.parkIdle(socket);
 }
 
 void
@@ -884,12 +834,8 @@ DenseServerSim::setIdlePower(std::size_t socket)
     freqMhz_[socket] = 0.0;
     rateCache_[socket] = 0.0;
     relFreqCache_[socket] = 0.0;
-    // An idle socket contributes nothing to downstream penalties:
-    // park the fast-path snapshot at (+inf, 0) so any probe passes
-    // with zero charge (subsuming the busy check).
-    predCache_.fastFeasC[socket] =
-        std::numeric_limits<double>::infinity();
-    predCache_.fastSlope[socket] = 0.0;
+    // An idle socket contributes nothing to downstream penalties.
+    predCache_.parkIdle(socket);
 }
 
 SchedContext
@@ -903,6 +849,7 @@ DenseServerSim::makeSchedContext() const
     ctx.leak = &leak_;
     ctx.inletC = config_.topo.inletC;
     ctx.idle = &idleList_;
+    ctx.idlePerRow = rowIdle_.data();
     ctx.nSockets = topo_.numSockets();
     ctx.chipTempC = sensedTempC_.data();
     ctx.histTempC = histTempC_.data();
@@ -939,6 +886,7 @@ DenseServerSim::idleInsert(std::size_t socket)
     const auto it =
         std::lower_bound(idleList_.begin(), idleList_.end(), socket);
     idleList_.insert(it, socket);
+    ++rowIdle_[static_cast<std::size_t>(rowCache_[socket])];
 }
 
 void
@@ -949,6 +897,7 @@ DenseServerSim::idleRemove(std::size_t socket)
     if (it == idleList_.end() || *it != socket)
         panic("socket ", socket, " missing from the idle list");
     idleList_.erase(it);
+    --rowIdle_[static_cast<std::size_t>(rowCache_[socket])];
 }
 
 void
@@ -1207,6 +1156,23 @@ DenseServerSim::checkEpochInvariants() const
                          "offline socket ", s, " is running a job");
         }
     }
+    // rowIdle_ counts the idle list's row spans (CP locates its
+    // candidate span by them).
+    std::size_t idle_at = 0;
+    for (std::size_t r = 0; r < rowIdle_.size(); ++r) {
+        std::size_t run = 0;
+        while (idle_at < idleList_.size() &&
+               static_cast<std::size_t>(rowCache_[idleList_[idle_at]]) ==
+                   r) {
+            ++idle_at;
+            ++run;
+        }
+        DENSIM_CHECK(run == static_cast<std::size_t>(rowIdle_[r]), "row ",
+                     r, " holds ", run, " idle sockets, rowIdle_ says ",
+                     rowIdle_[r]);
+    }
+    DENSIM_CHECK(idle_at == idleList_.size(),
+                 "idle list is not row-major ascending");
     DENSIM_CHECK(completionHeap_.topKey() >= tCursor_,
                  "next completion ", completionHeap_.topKey(),
                  " s lies before the integration cursor ", tCursor_,

@@ -34,8 +34,9 @@
  * idle-socket list and the piecewise-integration sums are maintained
  * by delta updates, the ambient-target field is updated through
  * CouplingMap::applyPowerDelta for the sockets whose power actually
- * changed, and per-socket DVFS decisions are memoized on (workload
- * set, boost cap, ambient).
+ * changed, and every DVFS search reads its P-state off exact
+ * per-(sink, workload set, P-state) feasibility thresholds computed
+ * once at construction.
  */
 
 #ifndef DENSIM_CORE_DENSE_SERVER_SIM_HH
@@ -45,7 +46,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/dvfs_memo.hh"
 #include "core/effects.hh"
 #include "core/event_heap.hh"
 #include "core/metrics.hh"
@@ -253,9 +253,16 @@ class DenseServerSim
     /** Read-only policy view over the current idle list. */
     SchedContext makeSchedContext() const;
 
-    /** Memoizing wrapper around PowerManager::chooseAtAmbientCapped. */
+    /**
+     * The DVFS decision for @p socket running @p set under @p cap:
+     * chooseAtAmbientCapped's result, answered from the feasibility
+     * thresholds (the full search when schedPredictionCache is off).
+     */
     DvfsDecision chooseDvfs(std::size_t socket, WorkloadSet set,
                             std::size_t cap);
+
+    /** Re-derive predCache_'s penalty snapshot of @p socket. */
+    void refreshPenaltySnapshot(std::size_t socket);
 
     /** Record that powerW_[socket] diverged from the target field. */
     DENSIM_ALLOCATES(
@@ -277,7 +284,8 @@ class DenseServerSim
      */
     void checkEpochInvariants() const;
 
-    /** Keep idleList_ sorted ascending under O(log n) lookup. */
+    /** Keep idleList_ sorted ascending under O(log n) lookup, and
+     *  rowIdle_ counting its entries per row. */
     DENSIM_ALLOCATES(
         "idle list capacity reaches socket count during warmup; the "
         "sorted insert then shifts within capacity")
@@ -351,9 +359,6 @@ class DenseServerSim
         obs::Counter *jobsCompleted = nullptr;
         obs::Counter *migrations = nullptr;
         obs::Counter *schedDecisions = nullptr;
-        obs::Counter *dvfsMemoHits = nullptr;
-        obs::Counter *dvfsMemoMisses = nullptr;
-        obs::Counter *dvfsRedecisionsPruned = nullptr;
         obs::Counter *ambientRefreshes = nullptr;
         obs::Counter *ambientDeltas = nullptr;
         obs::Counter *timelineSamples = nullptr;
@@ -374,6 +379,7 @@ class DenseServerSim
     // --- incremental engine state ------------------------------------
     EventHeap completionHeap_; //!< Busy sockets keyed on completionS.
     std::vector<std::size_t> idleList_; //!< Idle sockets, ascending.
+    std::vector<int> rowIdle_; //!< idleList_ entries per row.
 
     std::vector<double> ambTargets_; //!< Coupling-map ambient targets.
     std::vector<double> targetPowerW_; //!< Powers ambTargets_ is for.
@@ -381,23 +387,22 @@ class DenseServerSim
     std::vector<std::size_t> dirtySockets_;
     std::size_t epochsSinceAmbientRefresh_ = 0;
 
-    /** Last DVFS decision per socket and the inputs it was made for. */
-    DvfsMemoTable dvfsMemo_;
-
     /**
-     * Per-epoch scratch arena (thermal kernel targets, CP candidate
-     * lists). Pre-reserved in resetState; checkEpochInvariants asserts
-     * it never grows in steady state — the zero-heap-per-epoch
-     * contract of DESIGN.md Sec. 12.
+     * Per-epoch scratch arena (thermal kernel targets, policies'
+     * decision-local scratch). Pre-reserved in resetState;
+     * checkEpochInvariants asserts it never grows in steady state —
+     * the zero-heap-per-epoch contract of DESIGN.md Sec. 12.
      */
     Arena arena_;
 
     /**
-     * Scheduler prediction memo (sched/prediction.hh). Epoch-bumped
-     * after every thermal and power-management step, surgically
-     * invalidated along coupling_.upstream() edges on job placement /
-     * completion / migration / fault transitions. Handed to policies
-     * only when config_.schedPredictionCache is on.
+     * Prediction state (sched/prediction.hh): the feasibility
+     * thresholds (built at construction), the placement and penalty
+     * memos — epoch-bumped after every thermal and power-management
+     * step, surgically invalidated along coupling_.upstream() edges
+     * on job placement / completion / migration / fault transitions —
+     * and the per-socket penalty snapshot kept by setSocketRate.
+     * Handed to policies only when config_.schedPredictionCache is on.
      */
     PredictionCache predCache_;
 
@@ -419,7 +424,6 @@ class DenseServerSim
     std::vector<double> relFreqByPstate_;
     std::vector<double> freqByPstate_;       //!< table.at(p).freqMhz.
     std::vector<std::uint8_t> boostByPstate_; //!< table.at(p).boost.
-    double fastestMhz_ = 0.0; //!< table.fastest().freqMhz.
     std::size_t sustainedIdx_ = 0;
     std::size_t boostCap_ = 0; //!< Highest P-state index.
 

@@ -121,8 +121,8 @@ struct SimConfig
     double fanPowerW = 0.0;
 
     // Engine performance knobs. The event-heap completion queue and
-    // the incremental idle list are exact and always on; these two
-    // control the remaining hot-path strategies.
+    // the incremental idle list are exact and always on; the knobs
+    // below control the remaining hot-path strategies.
     /**
      * Maintain the socket ambient-target field by applying per-socket
      * power deltas through the coupling map (O(changed x downstream)
@@ -135,22 +135,15 @@ struct SimConfig
      */
     bool incrementalThermal = true;
     /**
-     * Ambient quantization step (C) for the per-socket DVFS memo.
-     * At 0 (default) the memo only reuses a decision when (workload
-     * set, boost cap, ambient) match exactly — bit-exact. A positive
-     * step coarsens the ambient key so near-steady sockets skip the
-     * P-state search entirely, introducing a bounded approximation
-     * (power error <= step x leakage slope per socket); useful for
-     * large design-space sweeps.
-     */
-    double dvfsMemoQuantC = 0.0;
-    /**
-     * Hand schedulers the per-socket prediction memo
+     * Answer DVFS searches from the engine's exact feasibility
+     * thresholds and hand schedulers the prediction state
      * (sched/prediction.hh): placement and downstream-penalty results
      * are reused within an epoch and dropped the moment any input
-     * moves. Decisions are bit-identical either way (pinned by the
-     * perf-equivalence bank); the knob exists so the differential
-     * tests can run the pristine uncached arithmetic.
+     * moves, and the penalty snapshot prices most downstream probes
+     * in a compare or two. Decisions are bit-identical either way
+     * (pinned by the perf-equivalence bank); off, every search runs
+     * PowerManager::chooseAtAmbientCapped in full — the reference
+     * the differential tests compare against.
      */
     bool schedPredictionCache = true;
     /**
@@ -176,26 +169,6 @@ struct SimConfig
      * bank). The knob exists for the differential test.
      */
     bool busySumSkip = true;
-    /**
-     * Prune redundant powerManage re-decisions: when the DVFS memo
-     * already holds this socket's decision for the exact (workload
-     * set, boost cap, ambient) inputs AND the applied state (P-state,
-     * socket power) bitwise-equals that decision, skip chooseDvfs and
-     * setSocketRate entirely — only the progress sync and the
-     * completion-time recompute (which depend on `now`) still run.
-     * Exact by construction: every field setSocketRate would write is
-     * a pure function of inputs that did not move, and the piecewise
-     * sums are rebuilt from scratch at the end of the epoch
-     * (rebuildScalars). At the exact memo default (dvfsMemoQuantC =
-     * 0) the prune only fires at a bitwise thermal fixed point; its
-     * payoff is the quantized-memo design-space sweeps, where most
-     * epochs confirm the previous decision. Auto-disabled while
-     * faults are armed, where chooseDvfs consumes fault RNG draws
-     * that must not be skipped.
-     * Bit-identical either way (pinned by the perf-equivalence bank);
-     * the knob exists for the differential test.
-     */
-    bool pmDecisionPrune = true;
 
     /**
      * Fault injection and graceful degradation (src/fault, DESIGN.md

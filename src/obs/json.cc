@@ -1,6 +1,7 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -13,9 +14,12 @@ appendNumber(std::string &out, double v)
         out += "null";
         return;
     }
+    // Shortest form that parses back to the same double; 32 bytes
+    // hold the longest ("-2.2250738585072014e-308" is 24).
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
 }
 
 void

@@ -26,9 +26,10 @@
 namespace densim::obs::json {
 
 /**
- * Append @p v to @p out as a strict-JSON number with round-trip
- * precision (%.10g, matching densim's historical exporters); NaN and
- * +/-infinity become `null`.
+ * Append @p v to @p out as a strict-JSON number in the shortest form
+ * that parses back to exactly @p v (std::to_chars), so emitted
+ * metrics compare at full precision; NaN and +/-infinity become
+ * `null`.
  */
 void appendNumber(std::string &out, double v);
 

@@ -1,6 +1,7 @@
 #include "power/power_manager.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
@@ -71,6 +72,22 @@ PowerManager::chooseAtAmbient(const FreqCurve &curve,
                                  table_.size() - 1);
 }
 
+PowerManager::TwoPass
+PowerManager::twoPassPeakC(const FreqCurve &curve,
+                           const LeakageModel &leak, Celsius ambient,
+                           const HeatSink &sink, std::size_t idx) const
+{
+    // Two-pass leakage compensation: estimate the peak at the 90 C-
+    // characterized power, correct leakage for the estimated
+    // temperature, and re-estimate.
+    const double p90 = curve.totalPowerAt90C[idx];
+    const double t1 = peak_.peak(ambient, Watts(p90), sink).value();
+    const double p2 = dynamicPower(curve, leak, idx).value() +
+                      leak.at(Celsius(t1)).value();
+    const double t2 = peak_.peak(ambient, Watts(p2), sink).value();
+    return {p2, t2};
+}
+
 DvfsDecision
 PowerManager::searchDownFrom(const FreqCurve &curve,
                              const LeakageModel &leak, Celsius ambient,
@@ -79,22 +96,13 @@ PowerManager::searchDownFrom(const FreqCurve &curve,
 {
     DvfsDecision decision{};
     for (std::size_t idx = first + 1; idx-- > 0;) {
-        // Two-pass leakage compensation: estimate the peak at the
-        // 90 C-characterized power, correct leakage for the estimated
-        // temperature, and re-estimate.
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 =
-            peak_.peak(ambient, Watts(p90), sink).value();
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 =
-            peak_.peak(ambient, Watts(p2), sink).value();
-        if (t2 <= tLimitC_ || idx == 0) {
+        const TwoPass est = twoPassPeakC(curve, leak, ambient, sink, idx);
+        if (est.peakC <= tLimitC_ || idx == 0) {
             decision.pstate = idx;
             decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
+            decision.power = Watts(est.powerW);
+            decision.predictedPeak = Celsius(est.peakC);
+            decision.feasible = est.peakC <= tLimitC_;
             return decision;
         }
     }
@@ -116,78 +124,101 @@ PowerManager::chooseAtAmbientCapped(const FreqCurve &curve,
     return searchDownFrom(curve, leak, ambient, sink, max_pstate);
 }
 
-DvfsDecision
-PowerManager::chooseAtAmbientFrom(const FreqCurve &curve,
-                                  const LeakageModel &leak,
-                                  Celsius ambient, const HeatSink &sink,
-                                  std::size_t max_pstate,
-                                  std::size_t start_pstate) const
-{
-    checkCurve(curve);
-    countSearch();
-    if (max_pstate >= table_.size())
-        panic("chooseAtAmbientFrom: max P-state ", max_pstate,
-              " out of range");
-    return searchDownFrom(curve, leak, ambient, sink,
-                          std::min(start_pstate, max_pstate));
-}
-
 bool
 PowerManager::feasibleAt(const FreqCurve &curve,
                          const LeakageModel &leak, Celsius ambient,
                          const HeatSink &sink, std::size_t pstate) const
 {
-    const double p90 = curve.totalPowerAt90C[pstate];
-    const double t1 = peak_.peak(ambient, Watts(p90), sink).value();
-    const double p2 = dynamicPower(curve, leak, pstate).value() +
-                      leak.at(Celsius(t1)).value();
-    const double t2 = peak_.peak(ambient, Watts(p2), sink).value();
-    return t2 <= tLimitC_;
+    return twoPassPeakC(curve, leak, ambient, sink, pstate).peakC <=
+           tLimitC_;
+}
+
+Celsius
+PowerManager::feasibilityLimit(const FreqCurve &curve,
+                               const LeakageModel &leak,
+                               const HeatSink &sink,
+                               std::size_t pstate) const
+{
+    checkCurve(curve);
+    if (pstate >= table_.size())
+        panic("feasibilityLimit: P-state ", pstate, " out of range");
+    auto peak_at = [&](double amb) {
+        return twoPassPeakC(curve, leak, Celsius(amb), sink, pstate)
+            .peakC;
+    };
+    auto feasible = [&](double amb) { return peak_at(amb) <= tLimitC_; };
+
+    // In real arithmetic the two-pass peak is affine in ambient
+    // wherever leakage is above its floor, which holds near the edge
+    // (the chip runs at the limit there). A unit-slope step back from
+    // an ambient at the limit, then one secant step, land on the edge
+    // to within rounding (~1e-14 C). Bracket that guess by ~1e-12
+    // relative, widening geometrically should the guess miss, then
+    // bisect down to adjacent doubles: about 18 evaluations in all.
+    const double a1 = tLimitC_;
+    const double p1 = peak_at(a1);
+    const double a0 = a1 - (p1 - tLimitC_);
+    const double p0 = peak_at(a0);
+    double guess = a0 + (tLimitC_ - p0) * (a1 - a0) / (p1 - p0);
+    if (!std::isfinite(guess))
+        guess = a0;
+    double width = 1e-12 * std::max(1.0, std::fabs(guess));
+    double lo = guess - width;
+    double hi = guess + width;
+    while (!feasible(lo)) {
+        hi = lo;
+        width *= 2.0;
+        lo -= width;
+    }
+    while (feasible(hi)) {
+        lo = hi;
+        width *= 2.0;
+        hi += width;
+    }
+    if (!std::isfinite(lo) || !std::isfinite(hi))
+        panic("feasibilityLimit: no finite feasibility edge for state ",
+              pstate);
+    // Invariant: feasible(lo), !feasible(hi), lo < hi.
+    for (;;) {
+        const double mid = lo + 0.5 * (hi - lo);
+        if (mid <= lo || mid >= hi)
+            break;
+        if (feasible(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return Celsius(lo);
+}
+
+std::size_t
+PowerManager::highestFeasible(const double *limit_c, Celsius ambient,
+                              std::size_t max_pstate)
+{
+    const double amb_c = ambient.value();
+    std::size_t idx = max_pstate;
+    while (idx > 0 && amb_c > limit_c[idx])
+        --idx;
+    return idx;
 }
 
 DvfsDecision
-PowerManager::chooseAtAmbientBounded(const FreqCurve &curve,
+PowerManager::chooseAtAmbientLimited(const FreqCurve &curve,
                                      const LeakageModel &leak,
                                      Celsius ambient,
                                      const HeatSink &sink,
                                      std::size_t max_pstate,
-                                     double *max_feas_c,
-                                     double *min_infeas_c) const
+                                     const double *limit_c) const
 {
     checkCurve(curve);
     countSearch();
     if (max_pstate >= table_.size())
-        panic("chooseAtAmbientBounded: max P-state ", max_pstate,
+        panic("chooseAtAmbientLimited: max P-state ", max_pstate,
               " out of range");
-    const double amb_c = ambient.value();
-    DvfsDecision decision{};
-    for (std::size_t idx = max_pstate + 1; idx-- > 0;) {
-        if (idx > 0 && amb_c >= min_infeas_c[idx])
-            continue; // Known infeasible at a cooler-or-equal probe.
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 =
-            peak_.peak(ambient, Watts(p90), sink).value();
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 =
-            peak_.peak(ambient, Watts(p2), sink).value();
-        const bool ok = t2 <= tLimitC_;
-        if (ok) {
-            if (amb_c > max_feas_c[idx])
-                max_feas_c[idx] = amb_c;
-        } else if (amb_c < min_infeas_c[idx]) {
-            min_infeas_c[idx] = amb_c;
-        }
-        if (ok || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = ok;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
+    // The chosen state is feasible (or the slowest), so the descending
+    // scan started there stops at its first evaluation.
+    return searchDownFrom(curve, leak, ambient, sink,
+                          highestFeasible(limit_c, ambient, max_pstate));
 }
 
 DvfsDecision

@@ -93,59 +93,58 @@ class PowerManager
                                        std::size_t max_pstate) const;
 
     /**
-     * chooseAtAmbientCapped with the descending feasibility search
-     * started at min(@p start_pstate, @p max_pstate) instead of
-     * @p max_pstate. Returns the identical decision *provided* every
-     * state above the start point is already known infeasible at this
-     * (curve, ambient, sink) — which holds when @p start_pstate is the
-     * state a previous capped search chose for the same curve and cap
-     * at an ambient no hotter than @p ambient (feasibility regions
-     * only shrink as ambient rises). The scheduler's downstream-
-     * penalty prediction uses this to prune its per-candidate P-state
-     * searches down from each downstream socket's current state.
-     */
-    DvfsDecision chooseAtAmbientFrom(const FreqCurve &curve,
-                                     const LeakageModel &leak,
-                                     Celsius ambient,
-                                     const HeatSink &sink,
-                                     std::size_t max_pstate,
-                                     std::size_t start_pstate) const;
-
-    /**
      * Exactly the per-state feasibility test searchDownFrom applies:
      * two-pass leakage-compensated peak at @p ambient for P-state
      * @p pstate, compared against the junction limit. The test is
      * monotone in ambient — Eq. (1) is affine in ambient with unit
      * slope and leakage is non-decreasing in temperature — so a
      * `true` at some ambient implies `true` at every cooler one and
-     * a `false` implies `false` at every hotter one. Callers exploit
-     * this to memoize feasibility as two per-state ambient bounds
-     * (see chooseAtAmbientBounded and PredictionCache).
+     * a `false` implies `false` at every hotter one. That makes the
+     * whole test one number per state: see feasibilityLimit.
      */
     bool feasibleAt(const FreqCurve &curve, const LeakageModel &leak,
                     Celsius ambient, const HeatSink &sink,
                     std::size_t pstate) const;
 
     /**
-     * chooseAtAmbientCapped accelerated by learned feasibility
-     * bounds. @p max_feas_c / @p min_infeas_c are caller-owned
-     * per-state arrays (indexed by P-state, at least table().size()
-     * entries) holding the hottest ambient each state is known
-     * feasible at and the coolest it is known infeasible at, for
-     * this exact (curve, sink) pair; initialize to -inf / +inf.
-     * States with ambient >= min_infeas_c[i] are skipped without
-     * evaluation (provably infeasible by monotonicity); every state
-     * actually evaluated tightens its bounds. The chosen state's
-     * decision fields are always computed exactly, so the returned
-     * decision is bit-identical to chooseAtAmbientCapped.
+     * The hottest ambient (as a double, to the last bit) at which
+     * feasibleAt(@p curve, @p leak, ambient, @p sink, @p pstate)
+     * holds: feasibleAt is true there and false at the next double
+     * up. Found by bisection over doubles inside a narrow bracket
+     * around the root of the two-pass chain's affine form, so a call
+     * costs a few dozen feasibleAt evaluations. The value is
+     * time-invariant for a (sink, curve, state), so engines compute
+     * it once.
      */
-    DvfsDecision chooseAtAmbientBounded(const FreqCurve &curve,
+    Celsius feasibilityLimit(const FreqCurve &curve,
+                             const LeakageModel &leak,
+                             const HeatSink &sink,
+                             std::size_t pstate) const;
+
+    /**
+     * The P-state chooseAtAmbientCapped picks at @p ambient, read off
+     * @p limit_c (per-state feasibilityLimit values for the curve and
+     * sink in question, at least @p max_pstate + 1 entries): the
+     * highest state at or below @p max_pstate whose limit is not
+     * below @p ambient, or 0 when none is. Compares only.
+     */
+    static std::size_t highestFeasible(const double *limit_c,
+                                       Celsius ambient,
+                                       std::size_t max_pstate);
+
+    /**
+     * chooseAtAmbientCapped answered from precomputed limits: the
+     * state comes from highestFeasible, and only that state's
+     * decision fields are evaluated, with the same arithmetic as the
+     * full search. Bit-identical to chooseAtAmbientCapped whenever
+     * @p limit_c holds feasibilityLimit of this (curve, sink).
+     */
+    DvfsDecision chooseAtAmbientLimited(const FreqCurve &curve,
                                         const LeakageModel &leak,
                                         Celsius ambient,
                                         const HeatSink &sink,
                                         std::size_t max_pstate,
-                                        double *max_feas_c,
-                                        double *min_infeas_c) const;
+                                        const double *limit_c) const;
 
     /**
      * Pick the highest P-state whose *instantaneous* peak stays under
@@ -210,7 +209,8 @@ class PowerManager
 
     /**
      * Register this power manager's instruments into @p registry
-     * ("power.dvfsSearches": full P-state searches executed). The
+     * ("power.dvfsSearches": DVFS decisions made, one per choose*
+     * call whichever way the state is found). The
      * registry must outlive the manager; without a registry attached
      * the choose* paths skip accounting entirely.
      */
@@ -219,13 +219,25 @@ class PowerManager
   private:
     void checkCurve(const FreqCurve &curve) const;
 
+    /** Leakage-compensated power and peak of one P-state. */
+    struct TwoPass
+    {
+        double powerW; //!< Second-pass (leakage-corrected) power.
+        double peakC;  //!< Second-pass Eq. (1) peak.
+    };
+
+    /** The two-pass estimate every feasibility decision rests on. */
+    TwoPass twoPassPeakC(const FreqCurve &curve, const LeakageModel &leak,
+                         Celsius ambient, const HeatSink &sink,
+                         std::size_t idx) const;
+
     /** Shared descending feasibility scan from state @p first down. */
     DvfsDecision searchDownFrom(const FreqCurve &curve,
                                 const LeakageModel &leak,
                                 Celsius ambient, const HeatSink &sink,
                                 std::size_t first) const;
 
-    /** One per choose* call — a full (possibly capped) state search. */
+    /** One per choose* call, i.e. per DVFS decision. */
     void
     countSearch() const
     {

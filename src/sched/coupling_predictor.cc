@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "sched/prediction.hh"
-#include "util/arena.hh"
 #include "util/logging.hh"
 
 namespace densim {
@@ -65,45 +64,39 @@ CouplingPredictor::pick(const Job &job, const SchedContext &ctx)
                           ctx.idle->size());
 
     // Paper mechanics: choose a row with idle sockets at random, then
-    // evaluate only that row's idle sockets. Idle ids ascend, so each
-    // row's sockets are one contiguous span of the idle list: one
-    // pass records the span boundaries and the chosen row's
+    // evaluate only that row's idle sockets. Idle ids ascend and are
+    // row-major, so each row's idle sockets are one contiguous span of
+    // the idle list, located from the per-row idle counts alone: the
     // candidates are a pointer range into the idle array itself — no
-    // copy. The boundary scratch lives in the per-epoch arena (zero
-    // heap in steady state); the owned vector is only a fallback for
-    // hand-built test contexts with no arena.
+    // scan, no copy. Hand-built contexts without engine counts get a
+    // tally of the idle list.
     const auto &idle = *ctx.idle;
-    Arena *arena = ctx.scratch;
-    const Arena::Marker marker =
-        arena != nullptr ? arena->mark() : Arena::Marker{};
-    std::size_t *starts;
-    if (arena != nullptr) {
-        starts = arena->alloc<std::size_t>(idle.size() + 1);
-    } else {
-        startsFallback_.resize(idle.size() + 1);
-        starts = startsFallback_.data();
+    const auto rows = static_cast<std::size_t>(ctx.topo->numRows());
+    const int *per_row = ctx.idlePerRow;
+    if (per_row == nullptr) {
+        rowCountsFallback_.assign(rows, 0);
+        for (const std::size_t s : idle)
+            ++rowCountsFallback_[static_cast<std::size_t>(
+                ctx.socketRow != nullptr ? ctx.socketRow[s]
+                                         : ctx.topo->rowOf(s))];
+        per_row = rowCountsFallback_.data();
     }
-
-    const int *row_of = ctx.socketRow;
     std::size_t n_rows = 0;
-    int last_row = -1;
-    for (std::size_t k = 0; k < idle.size(); ++k) {
-        const int row = row_of != nullptr
-                            ? row_of[idle[k]]
-                            : ctx.topo->rowOf(idle[k]);
-        if (row != last_row) {
-            starts[n_rows++] = k;
-            last_row = row;
-        }
+    for (std::size_t r = 0; r < rows; ++r)
+        n_rows += per_row[r] != 0 ? 1 : 0;
+    std::size_t skip = ctx.rng->nextBounded(n_rows);
+    std::size_t start = 0;
+    std::size_t r = 0;
+    for (;; ++r) {
+        if (per_row[r] == 0)
+            continue;
+        if (skip == 0)
+            break;
+        --skip;
+        start += static_cast<std::size_t>(per_row[r]);
     }
-    starts[n_rows] = idle.size();
-    const std::size_t pick_at = ctx.rng->nextBounded(n_rows);
-    const std::size_t best =
-        pickWithin(job, ctx, idle.data() + starts[pick_at],
-                   starts[pick_at + 1] - starts[pick_at]);
-    if (arena != nullptr)
-        arena->release(marker);
-    return best;
+    return pickWithin(job, ctx, idle.data() + start,
+                      static_cast<std::size_t>(per_row[r]));
 }
 
 } // namespace densim

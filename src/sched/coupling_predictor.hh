@@ -46,8 +46,8 @@ class CouplingPredictor : public Scheduler
 
     const char *name() const override { return "CP"; }
     DENSIM_ALLOCATES(
-        "arena-miss fallback scratch resized to the idle count; the "
-        "arena fast path allocates nothing")
+        "row-tally fallback for contexts without engine row counts; "
+        "the engine path allocates nothing")
     std::size_t pick(const Job &job, const SchedContext &ctx) override;
 
     double downstreamWeight() const { return downstreamWeight_; }
@@ -60,9 +60,9 @@ class CouplingPredictor : public Scheduler
 
     double downstreamWeight_;
     bool globalSearch_;
-    // Decision-local buffer used only when the context carries no
-    // arena (hand-built test contexts).
-    std::vector<std::size_t> startsFallback_;
+    // Per-row idle tally used only when the context carries no
+    // engine row counts (hand-built test contexts).
+    std::vector<int> rowCountsFallback_;
 };
 
 } // namespace densim

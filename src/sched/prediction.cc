@@ -7,6 +7,45 @@
 
 namespace densim {
 
+void
+FeasibilityTable::build(const PowerManager &pm, const LeakageModel &leak,
+                        const std::vector<const HeatSink *> &socket_sinks)
+{
+    const std::vector<WorkloadSet> &sets = allWorkloadSets();
+    const PStateTable &table = pm.pstates();
+    npstates_ = table.size();
+    freqMhz_.resize(npstates_);
+    for (std::size_t i = 0; i < npstates_; ++i)
+        freqMhz_[i] = table.at(i).freqMhz;
+
+    // Distinct sinks in first-use order; rows are (sink, set) pairs.
+    std::vector<const HeatSink *> sinks;
+    rowBase_.resize(socket_sinks.size());
+    for (std::size_t s = 0; s < socket_sinks.size(); ++s) {
+        const auto it =
+            std::find(sinks.begin(), sinks.end(), socket_sinks[s]);
+        const auto k = static_cast<std::size_t>(it - sinks.begin());
+        if (it == sinks.end())
+            sinks.push_back(socket_sinks[s]);
+        rowBase_[s] = k * sets.size();
+    }
+    limitC_.resize(sinks.size() * sets.size() * npstates_);
+    mhzPerC_.resize(sinks.size() * sets.size());
+    for (std::size_t k = 0; k < sinks.size(); ++k) {
+        for (const WorkloadSet set : sets) {
+            const std::size_t r =
+                k * sets.size() + static_cast<std::size_t>(set);
+            mhzPerC_[r] = mhzPerCelsius(pm, set, *sinks[k]);
+            for (std::size_t i = 0; i < npstates_; ++i) {
+                limitC_[r * npstates_ + i] =
+                    pm.feasibilityLimit(freqCurveFor(set), leak,
+                                        *sinks[k], i)
+                        .value();
+            }
+        }
+    }
+}
+
 DvfsDecision
 predictPlacement(const SchedContext &ctx, std::size_t socket,
                  WorkloadSet set)
@@ -16,7 +55,7 @@ predictPlacement(const SchedContext &ctx, std::size_t socket,
     // job's future temperature is Eq. (1) evaluated at the *current*
     // ambient — exactly the paper's "estimate an initial chip
     // temperature using equation 1" step. Leakage compensation is the
-    // second pass inside chooseAtAmbient.
+    // second pass inside the P-state search.
     PredictionCache *cache = ctx.cache;
     if (cache != nullptr) {
         const PredictionCache::PlaceEntry &e = cache->place[socket];
@@ -27,29 +66,33 @@ predictPlacement(const SchedContext &ctx, std::size_t socket,
     const std::size_t cap = ctx.boostCreditS[socket] > 0.0
                                 ? table.size() - 1
                                 : table.highestSustainedIndex();
-    const DvfsDecision decision = ctx.pm->chooseAtAmbientCapped(
-        freqCurveFor(set), *ctx.leak, Celsius(ctx.ambientC[socket]),
-        ctx.topo->sinkOf(socket), cap);
-    if (cache != nullptr)
-        cache->place[socket] =
-            PredictionCache::PlaceEntry{cache->epoch, set, decision};
+    const Celsius ambient(ctx.ambientC[socket]);
+    const HeatSink &sink = ctx.topo->sinkOf(socket);
+    if (cache == nullptr)
+        return ctx.pm->chooseAtAmbientCapped(freqCurveFor(set),
+                                             *ctx.leak, ambient, sink,
+                                             cap);
+    const DvfsDecision decision = ctx.pm->chooseAtAmbientLimited(
+        freqCurveFor(set), *ctx.leak, ambient, sink, cap,
+        cache->feas.row(socket, set));
+    cache->place[socket] =
+        PredictionCache::PlaceEntry{cache->epoch, set, decision};
     return decision;
 }
 
 double
-mhzPerCelsius(const SchedContext &ctx, WorkloadSet set,
+mhzPerCelsius(const PowerManager &pm, WorkloadSet set,
               const HeatSink &sink)
 {
     // Consecutive P-state feasibility edges in ambient space are
     // separated by dP * (R_int + R_ext); crossing one costs 200 MHz.
-    const auto &table = ctx.pm->pstates();
+    const auto &table = pm.pstates();
     const auto &curve = freqCurveFor(set);
     const double p_span =
         curve.totalPowerAt90C.back() - curve.totalPowerAt90C.front();
     const double f_span =
         table.fastest().freqMhz - table.slowest().freqMhz;
-    const double r_total =
-        (ctx.pm->peakModel().rInt() + sink.rExt).value();
+    const double r_total = (pm.peakModel().rInt() + sink.rExt).value();
     return f_span / (p_span * r_total);
 }
 
@@ -77,7 +120,7 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
     const std::size_t boost_cap = table.size() - 1;
     const std::size_t sustained_cap = table.highestSustainedIndex();
     const double fastest_mhz = table.fastest().freqMhz;
-    const bool prune = cache != nullptr && cache->exactDvfs;
+    const bool snapshot = cache != nullptr && cache->snapshot;
 
     double penalty = 0.0;
     const std::size_t count = ctx.coupling->downstreamCount(socket);
@@ -90,70 +133,36 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
         // the field settles.
         const double dt = coeffs[k] * extra;
         const double amb_new = ctx.ambientC[d] + dt;
-        if (prune && amb_new <= cache->fastFeasC[d]) {
-            // Common case: the perturbed ambient stays inside the
-            // socket's known-feasible region, so its P-state (and
-            // frequency) provably survive; the charge reduces to
-            // the precomputed linear slope. Idle sockets sit at
-            // (+inf, 0), passing here with zero charge.
-            penalty += dt * cache->fastSlope[d];
-            continue;
+        if (snapshot) {
+            // Most probes keep the socket's state or drop it by one;
+            // the snapshot prices both exactly (PredictionCache).
+            if (amb_new <= cache->keepC[d]) {
+                penalty += dt * cache->keepSlope[d];
+                continue;
+            }
+            if (amb_new <= cache->dropC[d]) {
+                penalty += cache->dropMhz[d];
+                continue;
+            }
         }
         if (ctx.busy[d] == 0)
             continue;
         const WorkloadSet set = ctx.runningSet[d];
         const std::size_t cap =
             ctx.boostCreditS[d] > 0.0 ? boost_cap : sustained_cap;
-        double decision_mhz;
-        if (prune) {
-            // The engine guarantees the socket's current P-state was
-            // chosen this epoch at an ambient no hotter than amb_new
-            // with the same cap, so every faster state is already
-            // infeasible and the descending search can start at the
-            // current state. Only the decision *frequency* is needed
-            // here, and frequency is a pure function of the P-state,
-            // so the search reduces to a walk down the cached
-            // feasibility ladder: states known infeasible at amb_new
-            // are skipped, a state known feasible is chosen, and
-            // only probes inside a ladder gap evaluate the thermal
-            // model (tightening the gap for every later probe, in
-            // this epoch or any other).
-            cache->touchLadder(d, set);
-            double *lo = cache->ladderLo(d);
-            double *hi = cache->ladderHi(d);
-            const std::size_t start =
-                std::min(cache->pstate[d], cap);
-            std::size_t chosen = 0;
-            for (std::size_t idx = start + 1; idx-- > 0;) {
-                if (idx == 0) {
-                    chosen = 0; // Slowest state is chosen regardless.
-                    break;
-                }
-                if (amb_new >= hi[idx])
-                    continue;
-                if (amb_new <= lo[idx]) {
-                    chosen = idx;
-                    break;
-                }
-                if (ctx.pm->feasibleAt(freqCurveFor(set), *ctx.leak,
-                                       Celsius(amb_new),
-                                       ctx.topo->sinkOf(d), idx)) {
-                    lo[idx] = amb_new;
-                    chosen = idx;
-                    break;
-                }
-                hi[idx] = amb_new;
-            }
-            decision_mhz = cache->stateFreqMhz[chosen];
-        } else {
-            decision_mhz =
-                ctx.pm
-                    ->chooseAtAmbientCapped(freqCurveFor(set),
-                                            *ctx.leak,
-                                            Celsius(amb_new),
-                                            ctx.topo->sinkOf(d), cap)
-                    .freqMhz;
-        }
+        // Only the decision *frequency* is needed, a pure function of
+        // the chosen state, so the cached path reads the state off the
+        // exact feasibility thresholds without evaluating it.
+        const double decision_mhz =
+            cache != nullptr
+                ? cache->feas.freqMhz(PowerManager::highestFeasible(
+                      cache->feas.row(d, set), Celsius(amb_new), cap))
+                : ctx.pm
+                      ->chooseAtAmbientCapped(freqCurveFor(set),
+                                              *ctx.leak,
+                                              Celsius(amb_new),
+                                              ctx.topo->sinkOf(d), cap)
+                      .freqMhz;
         const double discrete =
             std::max(0.0, ctx.freqMhz[d] - decision_mhz);
         if (discrete > 0.0) {
@@ -164,15 +173,10 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
             // time-averaged expectation so upstream heat always has
             // a price. Sockets still boosting after the added heat
             // have genuine headroom and cost nothing.
-            if (prune) {
-                if (cache->feasMhzPerC[d] <= 0.0)
-                    cache->feasMhzPerC[d] = mhzPerCelsius(
-                        ctx, set, ctx.topo->sinkOf(d));
-                penalty += dt * cache->feasMhzPerC[d];
-            } else {
-                penalty +=
-                    dt * mhzPerCelsius(ctx, set, ctx.topo->sinkOf(d));
-            }
+            penalty += dt * (cache != nullptr
+                                 ? cache->feas.mhzPerC(d, set)
+                                 : mhzPerCelsius(*ctx.pm, set,
+                                                 ctx.topo->sinkOf(d)));
         }
     }
     if (cache != nullptr)

@@ -22,10 +22,65 @@
 namespace densim {
 
 /**
- * Engine-owned memo for the prediction helpers below. Within one
- * scheduling epoch every input of predictPlacement(s, set) — the
- * candidate's ambient and boost credit plus immutable tables — is
- * constant, and downstreamPenaltyMhz(s, p) is fully determined by
+ * Exact P-state feasibility thresholds of one engine. For every
+ * (heat sink, workload set, P-state) the table holds the hottest
+ * ambient at which the state is feasible
+ * (PowerManager::feasibilityLimit). Feasibility depends only on the
+ * sink, the workload's power curve, the leakage model and the probed
+ * ambient. None of these change during a run: fan derates move the
+ * ambient field, not the sinks. So one table built at engine
+ * construction answers every DVFS search of every run with compares
+ * (PowerManager::highestFeasible); only the chosen state is then
+ * evaluated, with the full search's arithmetic. Rows are keyed by the
+ * sink each socket actually uses, so sink overrides are honoured.
+ */
+class FeasibilityTable
+{
+  public:
+    /**
+     * Build the rows of every distinct sink in @p socket_sinks (one
+     * entry per socket) for every workload set.
+     */
+    void build(const PowerManager &pm, const LeakageModel &leak,
+               const std::vector<const HeatSink *> &socket_sinks);
+
+    /** Per-P-state limits of socket @p s running @p set, C. */
+    const double *
+    row(std::size_t s, WorkloadSet set) const
+    {
+        return &limitC_[(rowBase_[s] + static_cast<std::size_t>(set)) *
+                        npstates_];
+    }
+
+    /** mhzPerCelsius for @p set on socket @p s's sink. */
+    double
+    mhzPerC(std::size_t s, WorkloadSet set) const
+    {
+        return mhzPerC_[rowBase_[s] + static_cast<std::size_t>(set)];
+    }
+
+    /** Frequency of P-state @p i (unchecked copy of the table). */
+    double freqMhz(std::size_t i) const { return freqMhz_[i]; }
+
+    /** Number of P-states per row. */
+    std::size_t size() const { return npstates_; }
+
+  private:
+    std::size_t npstates_ = 0;
+    std::vector<std::size_t> rowBase_; //!< Sink index x set count.
+    std::vector<double> limitC_;
+    std::vector<double> mhzPerC_;
+    std::vector<double> freqMhz_;
+};
+
+/**
+ * Engine-owned state for the prediction helpers below, handed to
+ * policies only when the schedPredictionCache knob is on.
+ *
+ * The placement and penalty memos: within one scheduling epoch every
+ * input of predictPlacement(s, set) — the candidate's ambient and
+ * boost credit plus immutable tables — is constant, and
+ * downstreamPenaltyMhz(s, p) is fully determined by
  * (s, p - powerW[s]) plus the busy/frequency/ambient state of s's
  * downstream sockets. The engine therefore:
  *
@@ -37,17 +92,12 @@ namespace densim {
  *    the set of candidates whose penalty sums read the changed
  *    socket's state).
  *
- * Cached values are returned verbatim, so the cached path is
- * bit-identical to recomputation — tested by running with the
- * schedPredictionCache knob off (ctx.cache == nullptr) and comparing
+ * Cached values are returned verbatim and every DVFS search is
+ * answered exactly from `feas`, so the cached path is bit-identical
+ * to the full searches — tested by running with the
+ * schedPredictionCache knob off (ctx.cache == nullptr, every search
+ * through PowerManager::chooseAtAmbientCapped) and comparing
  * SimMetrics with EXPECT_EQ.
- *
- * When `exactDvfs` is set (no faults, no DVFS memo quantization) the
- * penalty loop additionally prunes each downstream P-state search to
- * start at the socket's current state via `pstate`
- * (PowerManager::chooseAtAmbientFrom): the current state was chosen
- * this epoch at an ambient no hotter than the perturbed one, so every
- * faster state is already known infeasible.
  */
 struct PredictionCache
 {
@@ -69,100 +119,67 @@ struct PredictionCache
     std::vector<PlaceEntry> place;
     std::vector<PenaltyEntry> penalty;
 
-    /**
-     * Per-socket, per-P-state two-sided ambient feasibility ladder:
-     * `feasLoC[s * npstates + i]` is the hottest ambient at which
-     * P-state i running `feasSet[s]` is *known* feasible on socket
-     * s, `feasHiC[...]` the coolest at which it is known infeasible.
-     * PowerManager::feasibleAt is monotone in ambient, so a probe at
-     * or below the low bound is provably feasible and one at or
-     * above the high bound provably infeasible — only probes landing
-     * in the (shrinking) gap ever evaluate the thermal model.
-     *
-     * Unlike the memo entries above, the ladder carries no epoch
-     * stamp: feasibility is a time-invariant property of the
-     * socket's heat sink, the workload's power curve, the leakage
-     * model, and the probed ambient — none of which change within a
-     * run (fan derates move the *ambient field*, not the sinks) —
-     * so bounds learned in one epoch stay valid in every later
-     * epoch. Each socket's row is keyed by workload set and wiped
-     * when a different set lands on it.
-     */
-    std::size_t npstates = 0;
-    std::vector<WorkloadSet> feasSet;
-    std::vector<std::uint8_t> feasSetValid;
-    std::vector<double> feasLoC;
-    std::vector<double> feasHiC;
-    //! Cached mhzPerCelsius(feasSet[s], sink-of-s); <= 0 = unset.
-    std::vector<double> feasMhzPerC;
-    //! Frequency of each P-state (copy of the engine's table) so the
-    //! ladder walk resolves state -> MHz without a bounds-checked
-    //! table lookup per probe.
-    std::vector<double> stateFreqMhz;
+    /** Exact feasibility thresholds; built once per engine. */
+    FeasibilityTable feas;
 
     /**
-     * Engine-maintained per-socket fast path for the penalty loop's
-     * common case. `fastFeasC[s]` is the hottest ambient at which
-     * socket s's *current* P-state is known feasible (the ladder's
-     * low bound at the state chosen by the last setSocketRate), and
-     * `fastSlope[s]` the penalty charged per degree of ambient rise
-     * there (mhzPerCelsius when below the fastest state, 0 when
-     * boosting). A probe at or below `fastFeasC[s]` provably keeps
-     * the state, so its penalty is `dt * fastSlope[s]` with no
-     * ladder walk at all — the exact value the walk would produce.
-     * Idle sockets hold (+inf, 0): any probe passes, charging
-     * nothing, which also subsumes the busy check. Sockets whose
-     * penalty slope is not learned yet hold -inf, forcing the slow
-     * path until a probe computes it. Refreshed on every rate change
-     * (setSocketRate) and on job clear; the ladder's low bound can
-     * only rise in between, so a stale snapshot is conservative,
-     * never wrong.
+     * Per-socket penalty snapshot, kept by the engine while `snapshot`
+     * is set. It rests on one premise: a busy socket's current state
+     * was chosen this epoch, with the cap a probe would use, at an
+     * ambient no hotter than any probe (a probe only adds heat). Every
+     * state above the current one is then infeasible at the probe, so
+     *  - at or below `keepC[s]` (the current state's limit) the socket
+     *    keeps its state and the probe charges `dt * keepSlope[s]`
+     *    (mhzPerCelsius below the fastest state, 0 at it);
+     *  - at or below `dropC[s]` (the next state down's limit) it drops
+     *    exactly one state and the probe charges `dropMhz[s]`.
+     * Both are the values the full search yields. Idle sockets hold
+     * keepC = +inf and keepSlope = 0, which subsumes the busy check.
+     * Faulted DVFS inputs break the premise, so the engine clears
+     * `snapshot` while faults are armed and every probe walks `feas`.
      */
-    std::vector<double> fastFeasC;
-    std::vector<double> fastSlope;
+    std::vector<double> keepC;
+    std::vector<double> keepSlope;
+    std::vector<double> dropC;
+    std::vector<double> dropMhz;
+    bool snapshot = false;
 
-    /** Engine's live per-socket P-state array (for pruned searches). */
-    const std::size_t *pstate = nullptr;
-    /** True when pruned downstream searches are provably exact. */
-    bool exactDvfs = false;
-
-    /** Size for @p n sockets / @p n_pstates states; drop everything. */
-    void reset(std::size_t n, std::size_t n_pstates)
+    /** Size for @p n sockets; drop every memo entry, park all. */
+    void reset(std::size_t n)
     {
         epoch = 1;
         place.assign(n, {});
         penalty.assign(n, {});
-        npstates = n_pstates;
-        feasSet.assign(n, {});
-        feasSetValid.assign(n, 0);
-        feasLoC.assign(n * n_pstates, 0.0);
-        feasHiC.assign(n * n_pstates, 0.0);
-        feasMhzPerC.assign(n, 0.0);
-        stateFreqMhz.assign(n_pstates, 0.0);
-        fastFeasC.assign(
-            n, std::numeric_limits<double>::infinity());
-        fastSlope.assign(n, 0.0);
+        keepC.assign(n, std::numeric_limits<double>::infinity());
+        keepSlope.assign(n, 0.0);
+        dropC.assign(n, std::numeric_limits<double>::infinity());
+        dropMhz.assign(n, 0.0);
     }
 
-    double *ladderLo(std::size_t s) { return &feasLoC[s * npstates]; }
-    double *ladderHi(std::size_t s) { return &feasHiC[s * npstates]; }
+    /** Snapshot of an idle socket: every probe passes, free. */
+    void parkIdle(std::size_t s)
+    {
+        keepC[s] = std::numeric_limits<double>::infinity();
+        keepSlope[s] = 0.0;
+    }
 
     /**
-     * Point socket @p s's ladder row at workload @p set, wiping the
-     * bounds if a different set (or nothing) was keyed there.
+     * Snapshot of socket @p s running @p set at P-state @p p. The
+     * slowest state is chosen whether feasible or not, so at p == 0
+     * every probe keeps the state and the drop pair is never read.
      */
-    void touchLadder(std::size_t s, WorkloadSet set)
+    void snapshotBusy(std::size_t s, std::size_t p, WorkloadSet set)
     {
-        if (feasSetValid[s] && feasSet[s] == set)
-            return;
-        feasSet[s] = set;
-        feasSetValid[s] = 1;
-        feasMhzPerC[s] = 0.0;
-        double *lo = ladderLo(s);
-        double *hi = ladderHi(s);
-        for (std::size_t i = 0; i < npstates; ++i) {
-            lo[i] = -std::numeric_limits<double>::infinity();
-            hi[i] = std::numeric_limits<double>::infinity();
+        const double inf = std::numeric_limits<double>::infinity();
+        const double *limit = feas.row(s, set);
+        const double mhz = feas.freqMhz(p);
+        keepC[s] = p == 0 ? inf : limit[p];
+        keepSlope[s] = mhz < feas.freqMhz(feas.size() - 1) - 1e-9
+                           ? feas.mhzPerC(s, set)
+                           : 0.0;
+        if (p > 0) {
+            dropC[s] = p == 1 ? inf : limit[p - 1];
+            dropMhz[s] = mhz - feas.freqMhz(p - 1);
         }
     }
 
@@ -203,7 +220,7 @@ double downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
  * running workload @p set: MHz lost per degree of ambient rise,
  * averaged across the P-state ladder.
  */
-double mhzPerCelsius(const SchedContext &ctx, WorkloadSet set,
+double mhzPerCelsius(const PowerManager &pm, WorkloadSet set,
                      const HeatSink &sink);
 
 } // namespace densim

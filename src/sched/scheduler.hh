@@ -61,6 +61,15 @@ struct SchedContext
     /** Idle sockets, ascending ids; never empty during pick(). */
     const std::vector<std::size_t> *idle;
 
+    /**
+     * Idle sockets per row (topo->numRows() entries), kept by the
+     * engine next to *idle, or null in hand-built test contexts
+     * (policies then tally *idle themselves). Socket ids are
+     * row-major, so row r's idle sockets are the contiguous span of
+     * *idle after the rows before it.
+     */
+    const int *idlePerRow = nullptr;
+
     std::size_t nSockets = 0;      //!< Length of every array below.
     const double *chipTempC;       //!< Instantaneous chip T (sensed).
     const double *histTempC;       //!< Exponentially averaged.

@@ -63,9 +63,10 @@ TEST(Invariant, ReducedWorkloadRunsWithChecksEnabled)
 
 TEST(Invariant, ChecksRunWithMigrationAndQuantizedMemo)
 {
+    // The name predates the DVFS memo's removal; the migration run,
+    // which moves jobs between threshold rows, is what remains.
     SimConfig config = reducedConfig();
     config.migrationEnabled = true;
-    config.dvfsMemoQuantC = 0.25;
     DenseServerSim sim(config, makeScheduler("CP"));
     const SimMetrics m = sim.run();
     EXPECT_GT(m.jobsCompleted, 0u);

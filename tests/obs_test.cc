@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -68,6 +69,23 @@ TEST(ObsJson, NumbersAreStrict)
     obs::json::appendNumber(out,
                             -std::numeric_limits<double>::infinity());
     EXPECT_EQ(out, "null");
+
+    // Finite values print in the shortest form that round-trips, so
+    // a last-bit difference between two runs shows in their JSON.
+    out.clear();
+    obs::json::appendNumber(out, 0.1 + 0.2);
+    EXPECT_EQ(out, "0.30000000000000004");
+    const double subnormal =
+        std::numeric_limits<double>::denorm_min() * 3;
+    ASSERT_EQ(std::fpclassify(subnormal), FP_SUBNORMAL);
+    const double pow53_plus_1 =
+        static_cast<double>((std::uint64_t{1} << 53) + 1);
+    for (const double v : {0.1 + 0.2, 1e-300, subnormal, pow53_plus_1}) {
+        out.clear();
+        obs::json::appendNumber(out, v);
+        EXPECT_TRUE(obs::json::validate(out)) << out;
+        EXPECT_EQ(std::strtod(out.c_str(), nullptr), v) << out;
+    }
 }
 
 TEST(ObsJson, StringsAreEscaped)
@@ -406,7 +424,6 @@ TEST(ObsEngine, CountersResetBetweenRunsAndMatchMetrics)
     EXPECT_GT(byName["engine.jobsPlaced"], 0u);
     EXPECT_GT(byName["sched.CP.picks"], 0u);
     EXPECT_GT(byName["power.dvfsSearches"], 0u);
-    EXPECT_GT(byName["dvfs.memoHits"] + byName["dvfs.memoMisses"], 0u);
     (void)m2;
 }
 

@@ -2,11 +2,14 @@
  * @file
  * Differential tests for the incremental engine hot paths: the
  * event-heap completion queue, the delta-maintained ambient-target
- * field, and the DVFS memo must leave simulation results equivalent
- * to the recompute-from-scratch reference paths.
+ * field, and the threshold-answered DVFS searches must leave
+ * simulation results equivalent to the recompute-from-scratch
+ * reference paths.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,8 @@
 #include "core/dense_server_sim.hh"
 #include "core/event_heap.hh"
 #include "sched/factory.hh"
+#include "workload/benchmark.hh"
+#include "workload/job_generator.hh"
 
 namespace densim {
 namespace {
@@ -65,6 +70,30 @@ expectEquivalent(const SimMetrics &a, const SimMetrics &b)
     expectNearRel(a.even.workDone, b.even.workDone, "even work");
 }
 
+/** Every SimMetrics field the goldens pin, EXPECT_EQ on doubles. */
+void
+expectBitIdentical(const SimMetrics &a, const SimMetrics &b)
+{
+    EXPECT_EQ(a.jobsArrived, b.jobsArrived);
+    EXPECT_EQ(a.jobsCompleted, b.jobsCompleted);
+    EXPECT_EQ(a.jobsUnfinished, b.jobsUnfinished);
+    EXPECT_EQ(a.migrations, b.migrations);
+    EXPECT_EQ(a.energyJ, b.energyJ);
+    EXPECT_EQ(a.makespanS, b.makespanS);
+    EXPECT_EQ(a.totalWork, b.totalWork);
+    EXPECT_EQ(a.totalBusyTime, b.totalBusyTime);
+    EXPECT_EQ(a.totalFreqTime, b.totalFreqTime);
+    EXPECT_EQ(a.boostTimeS, b.boostTimeS);
+    EXPECT_EQ(a.maxChipTempC, b.maxChipTempC);
+    EXPECT_EQ(a.runtimeExpansion.mean(), b.runtimeExpansion.mean());
+    EXPECT_EQ(a.serviceExpansion.mean(), b.serviceExpansion.mean());
+    EXPECT_EQ(a.queueDelayS.mean(), b.queueDelayS.mean());
+    EXPECT_EQ(a.chipTempC.mean(), b.chipTempC.mean());
+    EXPECT_EQ(a.front.workDone, b.front.workDone);
+    EXPECT_EQ(a.back.workDone, b.back.workDone);
+    EXPECT_EQ(a.even.workDone, b.even.workDone);
+}
+
 TEST(PerfEquivalence, IncrementalThermalMatchesReference)
 {
     for (const char *name : {"CF", "CP", "Predictive"}) {
@@ -94,25 +123,6 @@ TEST(PerfEquivalence, IncrementalThermalMatchesWithMigration)
     expectEquivalent(a.run(), b.run());
 }
 
-TEST(PerfEquivalence, QuantizedDvfsMemoStaysClose)
-{
-    // The quantized memo is a documented approximation: results may
-    // differ from the exact path, but only within the bound set by
-    // the quantization step's effect on the P-state search.
-    SimConfig exact = diffConfig();
-    SimConfig quant = diffConfig();
-    quant.dvfsMemoQuantC = 0.25;
-
-    DenseServerSim a(exact, makeScheduler("CP"));
-    DenseServerSim b(quant, makeScheduler("CP"));
-    const SimMetrics ma = a.run();
-    const SimMetrics mb = b.run();
-    EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-    EXPECT_NEAR(ma.runtimeExpansion.mean(), mb.runtimeExpansion.mean(),
-                0.05 * ma.runtimeExpansion.mean());
-    EXPECT_NEAR(ma.energyJ, mb.energyJ, 0.05 * ma.energyJ);
-}
-
 TEST(PerfEquivalence, ObservabilityIsBitIdentical)
 {
     // The disabled-overhead contract (DESIGN.md Sec. 10) is stronger
@@ -131,26 +141,7 @@ TEST(PerfEquivalence, ObservabilityIsBitIdentical)
 
     DenseServerSim a(plain, makeScheduler("CP"));
     DenseServerSim b(observed, makeScheduler("CP"));
-    const SimMetrics ma = a.run();
-    const SimMetrics mb = b.run();
-
-    EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-    EXPECT_EQ(ma.jobsCompleted, mb.jobsCompleted);
-    EXPECT_EQ(ma.jobsUnfinished, mb.jobsUnfinished);
-    EXPECT_EQ(ma.energyJ, mb.energyJ);
-    EXPECT_EQ(ma.makespanS, mb.makespanS);
-    EXPECT_EQ(ma.totalWork, mb.totalWork);
-    EXPECT_EQ(ma.totalBusyTime, mb.totalBusyTime);
-    EXPECT_EQ(ma.totalFreqTime, mb.totalFreqTime);
-    EXPECT_EQ(ma.boostTimeS, mb.boostTimeS);
-    EXPECT_EQ(ma.maxChipTempC, mb.maxChipTempC);
-    EXPECT_EQ(ma.runtimeExpansion.mean(), mb.runtimeExpansion.mean());
-    EXPECT_EQ(ma.serviceExpansion.mean(), mb.serviceExpansion.mean());
-    EXPECT_EQ(ma.queueDelayS.mean(), mb.queueDelayS.mean());
-    EXPECT_EQ(ma.chipTempC.mean(), mb.chipTempC.mean());
-    EXPECT_EQ(ma.front.workDone, mb.front.workDone);
-    EXPECT_EQ(ma.back.workDone, mb.back.workDone);
-    EXPECT_EQ(ma.even.workDone, mb.even.workDone);
+    expectBitIdentical(a.run(), b.run());
 }
 
 // ----------------------------------------------------- golden seeds
@@ -158,11 +149,11 @@ TEST(PerfEquivalence, ObservabilityIsBitIdentical)
 /**
  * Pre-SoA-refactor SimMetrics captured from the seed engine (hex
  * float literals, so the expected values round-trip exactly). The
- * SoA hot paths — flat state arrays, the feasibility ladder, the
- * fused scoring context, the epoch arena — are all claimed to be
+ * SoA hot paths — flat state arrays, the feasibility thresholds,
+ * the fused scoring context, the epoch arena — are all claimed to be
  * *exact* rewrites, so the refactored engine must reproduce these
- * numbers for every scheduler, with faults armed, and with
- * migration on.
+ * numbers to the last bit (EXPECT_EQ on doubles) for every
+ * scheduler, with faults armed, and with migration on.
  */
 struct GoldenRow
 {
@@ -295,20 +286,17 @@ TEST(PerfEquivalence, GoldenMetricsMatchPreRefactorSeed)
         EXPECT_EQ(m.jobsCompleted, g.jobsCompleted);
         EXPECT_EQ(m.jobsUnfinished, g.jobsUnfinished);
         EXPECT_EQ(m.migrations, g.migrations);
-        expectNearRel(m.energyJ, g.energyJ, "energy");
-        expectNearRel(m.makespanS, g.makespanS, "makespan");
-        expectNearRel(m.totalWork, g.totalWork, "total work");
-        expectNearRel(m.totalBusyTime, g.totalBusyTime, "busy time");
-        expectNearRel(m.totalFreqTime, g.totalFreqTime, "freq time");
-        expectNearRel(m.boostTimeS, g.boostTimeS, "boost time");
-        expectNearRel(m.maxChipTempC, g.maxChipTempC, "max chip temp");
-        expectNearRel(m.runtimeExpansion.mean(), g.runtimeExpansion,
-                      "runtime expansion");
-        expectNearRel(m.serviceExpansion.mean(), g.serviceExpansion,
-                      "service expansion");
-        expectNearRel(m.queueDelayS.mean(), g.queueDelayS,
-                      "queue delay");
-        expectNearRel(m.chipTempC.mean(), g.chipTempC, "chip temp");
+        EXPECT_EQ(m.energyJ, g.energyJ);
+        EXPECT_EQ(m.makespanS, g.makespanS);
+        EXPECT_EQ(m.totalWork, g.totalWork);
+        EXPECT_EQ(m.totalBusyTime, g.totalBusyTime);
+        EXPECT_EQ(m.totalFreqTime, g.totalFreqTime);
+        EXPECT_EQ(m.boostTimeS, g.boostTimeS);
+        EXPECT_EQ(m.maxChipTempC, g.maxChipTempC);
+        EXPECT_EQ(m.runtimeExpansion.mean(), g.runtimeExpansion);
+        EXPECT_EQ(m.serviceExpansion.mean(), g.serviceExpansion);
+        EXPECT_EQ(m.queueDelayS.mean(), g.queueDelayS);
+        EXPECT_EQ(m.chipTempC.mean(), g.chipTempC);
     }
 }
 
@@ -333,10 +321,12 @@ TEST(PerfEquivalence, SparsePowerDeltaPrunesNothingOnSutCalibration)
 TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
 {
     // The prediction cache (placement/penalty memos, the feasibility
-    // ladder, and the fast-path snapshot) returns cached values
-    // verbatim, so disabling it must change nothing at all —
-    // EXPECT_EQ on doubles, including with faults armed (where the
-    // exact-DVFS prune turns itself off) and with migration on.
+    // thresholds and the penalty snapshot) returns cached values
+    // verbatim and reads every P-state off exact thresholds, so
+    // disabling it — every DVFS search then runs chooseAtAmbientCapped
+    // in full — must change nothing at all: EXPECT_EQ on doubles,
+    // including with faults armed (where the snapshot turns itself
+    // off) and with migration on.
     for (const GoldenRow &g : kGoldens) {
         if (std::string(g.name).rfind("CP", 0) != 0)
             continue; // Only CP exercises the penalty paths.
@@ -347,24 +337,45 @@ TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
 
         DenseServerSim a(cached, makeScheduler("CP"));
         DenseServerSim b(uncached, makeScheduler("CP"));
-        const SimMetrics ma = a.run();
-        const SimMetrics mb = b.run();
-        EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-        EXPECT_EQ(ma.jobsCompleted, mb.jobsCompleted);
-        EXPECT_EQ(ma.migrations, mb.migrations);
-        EXPECT_EQ(ma.energyJ, mb.energyJ);
-        EXPECT_EQ(ma.makespanS, mb.makespanS);
-        EXPECT_EQ(ma.totalWork, mb.totalWork);
-        EXPECT_EQ(ma.totalBusyTime, mb.totalBusyTime);
-        EXPECT_EQ(ma.totalFreqTime, mb.totalFreqTime);
-        EXPECT_EQ(ma.boostTimeS, mb.boostTimeS);
-        EXPECT_EQ(ma.maxChipTempC, mb.maxChipTempC);
-        EXPECT_EQ(ma.runtimeExpansion.mean(),
-                  mb.runtimeExpansion.mean());
-        EXPECT_EQ(ma.serviceExpansion.mean(),
-                  mb.serviceExpansion.mean());
-        EXPECT_EQ(ma.queueDelayS.mean(), mb.queueDelayS.mean());
-        EXPECT_EQ(ma.chipTempC.mean(), mb.chipTempC.mean());
+        expectBitIdentical(a.run(), b.run());
+    }
+}
+
+TEST(PerfEquivalence, PredictionCacheIsBitIdenticalOnMixedSets)
+{
+    // Every other scenario runs one workload set, so a socket never
+    // switches threshold rows. Interleave all three sets' arrivals
+    // (a third of the load each) so sockets change sets between jobs
+    // under CP, and compare the cached engine with the full searches.
+    const SimConfig base = diffConfig();
+    const auto sockets = static_cast<int>(
+        ServerTopology(base.topo).numSockets());
+    std::vector<Job> jobs;
+    std::uint64_t seed = base.seed;
+    for (const WorkloadSet set : allWorkloadSets()) {
+        JobGenerator gen(set, base.load / 3.0, sockets, ++seed);
+        std::vector<Job> part = gen.generateUntil(base.simTimeS);
+        std::vector<Job> merged;
+        std::merge(jobs.begin(), jobs.end(), part.begin(), part.end(),
+                   std::back_inserter(merged),
+                   [](const Job &x, const Job &y) {
+                       return x.arrivalS < y.arrivalS;
+                   });
+        jobs = std::move(merged);
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        jobs[i].id = i;
+
+    for (const char *name : {"CP", "CP+faults", "CP+migration"}) {
+        SCOPED_TRACE(name);
+        SimConfig cached = goldenConfig(name);
+        SimConfig uncached = cached;
+        uncached.schedPredictionCache = false;
+        DenseServerSim a(cached, makeScheduler("CP"));
+        DenseServerSim b(uncached, makeScheduler("CP"));
+        const SimMetrics ma = a.run(jobs);
+        EXPECT_GT(ma.jobsCompleted, 0u);
+        expectBitIdentical(ma, b.run(jobs));
     }
 }
 
@@ -386,93 +397,17 @@ TEST(PerfEquivalence, BusySumSkipIsBitIdentical)
 
         DenseServerSim a(skip, makeScheduler(goldenScheduler(g.name)));
         DenseServerSim b(resum, makeScheduler(goldenScheduler(g.name)));
-        const SimMetrics ma = a.run();
-        const SimMetrics mb = b.run();
-        EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-        EXPECT_EQ(ma.jobsCompleted, mb.jobsCompleted);
-        EXPECT_EQ(ma.jobsUnfinished, mb.jobsUnfinished);
-        EXPECT_EQ(ma.migrations, mb.migrations);
-        EXPECT_EQ(ma.energyJ, mb.energyJ);
-        EXPECT_EQ(ma.makespanS, mb.makespanS);
-        EXPECT_EQ(ma.totalWork, mb.totalWork);
-        EXPECT_EQ(ma.totalBusyTime, mb.totalBusyTime);
-        EXPECT_EQ(ma.totalFreqTime, mb.totalFreqTime);
-        EXPECT_EQ(ma.boostTimeS, mb.boostTimeS);
-        EXPECT_EQ(ma.maxChipTempC, mb.maxChipTempC);
-        EXPECT_EQ(ma.runtimeExpansion.mean(),
-                  mb.runtimeExpansion.mean());
-        EXPECT_EQ(ma.serviceExpansion.mean(),
-                  mb.serviceExpansion.mean());
-        EXPECT_EQ(ma.queueDelayS.mean(), mb.queueDelayS.mean());
-        EXPECT_EQ(ma.chipTempC.mean(), mb.chipTempC.mean());
-        EXPECT_EQ(ma.front.workDone, mb.front.workDone);
-        EXPECT_EQ(ma.back.workDone, mb.back.workDone);
-        EXPECT_EQ(ma.even.workDone, mb.even.workDone);
-    }
-}
-
-TEST(PerfEquivalence, PmDecisionPruneIsBitIdentical)
-{
-    // powerManage skips chooseDvfs + setSocketRate for a socket whose
-    // memoized decision matches the memo-predicate inputs AND is
-    // already applied bitwise. The skip must be *exact* relative to
-    // the same memo setting: everything setSocketRate would write is
-    // a pure function of inputs that did not move, the completion
-    // time is recomputed with the same expression, and the busy sums
-    // are rebuilt from scratch at the end of the epoch. The quantized
-    // pass is the one where the prune actually fires (at quant 0 a
-    // bitwise-equal ambient across thermal steps is vanishingly
-    // rare); the exact pass pins that it stays inert there. With
-    // faults armed the prune turns itself off (chooseDvfs consumes
-    // fault RNG draws), so those goldens pin the auto-disable path.
-    // Every metric must match EXPECT_EQ on doubles.
-    for (const GoldenRow &g : kGoldens) {
-    for (const double quant : {0.0, 0.25}) {
-        SCOPED_TRACE(std::string(g.name) + " quant=" +
-                     std::to_string(quant));
-        SimConfig pruned = goldenConfig(g.name);
-        pruned.dvfsMemoQuantC = quant;
-        SimConfig redecide = goldenConfig(g.name);
-        redecide.dvfsMemoQuantC = quant;
-        redecide.pmDecisionPrune = false;
-
-        DenseServerSim a(pruned,
-                         makeScheduler(goldenScheduler(g.name)));
-        DenseServerSim b(redecide,
-                         makeScheduler(goldenScheduler(g.name)));
-        const SimMetrics ma = a.run();
-        const SimMetrics mb = b.run();
-        EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-        EXPECT_EQ(ma.jobsCompleted, mb.jobsCompleted);
-        EXPECT_EQ(ma.jobsUnfinished, mb.jobsUnfinished);
-        EXPECT_EQ(ma.migrations, mb.migrations);
-        EXPECT_EQ(ma.energyJ, mb.energyJ);
-        EXPECT_EQ(ma.makespanS, mb.makespanS);
-        EXPECT_EQ(ma.totalWork, mb.totalWork);
-        EXPECT_EQ(ma.totalBusyTime, mb.totalBusyTime);
-        EXPECT_EQ(ma.totalFreqTime, mb.totalFreqTime);
-        EXPECT_EQ(ma.boostTimeS, mb.boostTimeS);
-        EXPECT_EQ(ma.maxChipTempC, mb.maxChipTempC);
-        EXPECT_EQ(ma.runtimeExpansion.mean(),
-                  mb.runtimeExpansion.mean());
-        EXPECT_EQ(ma.serviceExpansion.mean(),
-                  mb.serviceExpansion.mean());
-        EXPECT_EQ(ma.queueDelayS.mean(), mb.queueDelayS.mean());
-        EXPECT_EQ(ma.chipTempC.mean(), mb.chipTempC.mean());
-        EXPECT_EQ(ma.front.workDone, mb.front.workDone);
-        EXPECT_EQ(ma.back.workDone, mb.back.workDone);
-        EXPECT_EQ(ma.even.workDone, mb.even.workDone);
-    }
+        expectBitIdentical(a.run(), b.run());
     }
 }
 
 TEST(PerfEquivalence, AmbientBatchCrossoverStaysClose)
 {
     // The batched ambient-target refresh is a documented tolerance
-    // mode (like the quantized DVFS memo): when enough sockets are
-    // dirty it recomputes the whole field from busy sums instead of
-    // applying per-socket deltas, reordering float accumulation.
-    // Results must stay close, not identical.
+    // mode: when enough sockets are dirty it recomputes the whole
+    // field from busy sums instead of applying per-socket deltas,
+    // reordering float accumulation. Results must stay close, not
+    // identical.
     SimConfig exact = diffConfig();
     SimConfig batched = diffConfig();
     batched.ambientBatchFrac = 0.05; // Batch aggressively.

@@ -2,14 +2,20 @@
  * @file
  * Unit tests for the power substrate: P-state table, leakage model,
  * and the DVFS decisions of the power manager (steady, responsive,
- * capped/boost-dwell variants).
+ * capped/boost-dwell variants, and the exact feasibility limits the
+ * engine answers its searches from).
  */
+
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "power/leakage.hh"
 #include "power/power_manager.hh"
 #include "power/pstate.hh"
+#include "workload/benchmark.hh"
 #include "workload/curves.hh"
 
 namespace densim {
@@ -285,6 +291,106 @@ TEST_F(PowerManagerTest, WrongCurveSizePanics)
     EXPECT_DEATH(pm_.chooseAtAmbient(bad, leak_, Celsius(30.0),
                                      HeatSink::fin18()),
                  "P-states");
+}
+
+/** Every (sink, workload set) pair the engine builds limits for. */
+struct LimitRow
+{
+    const HeatSink *sink;
+    WorkloadSet set;
+};
+
+std::vector<LimitRow>
+limitRows()
+{
+    std::vector<LimitRow> rows;
+    for (const HeatSink *sink : {&HeatSink::fin18(), &HeatSink::fin30()})
+        for (const WorkloadSet set : allWorkloadSets())
+            rows.push_back({sink, set});
+    return rows;
+}
+
+TEST_F(PowerManagerTest, FeasibilityLimitIsTheLastFeasibleDouble)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const LimitRow &row : limitRows()) {
+        const FreqCurve &curve = freqCurveFor(row.set);
+        for (std::size_t i = 0; i < pm_.pstates().size(); ++i) {
+            SCOPED_TRACE(row.sink->name + " " +
+                         workloadSetName(row.set) + " state " +
+                         std::to_string(i));
+            const double limit =
+                pm_.feasibilityLimit(curve, leak_, *row.sink, i).value();
+            ASSERT_TRUE(std::isfinite(limit));
+            EXPECT_TRUE(pm_.feasibleAt(curve, leak_, Celsius(limit),
+                                       *row.sink, i));
+            EXPECT_FALSE(pm_.feasibleAt(curve, leak_,
+                                        Celsius(std::nextafter(limit, inf)),
+                                        *row.sink, i));
+            // Monotone around the edge, bit by bit: the limit splits
+            // feasible from infeasible, not just two neighbours.
+            double below = limit;
+            double above = limit;
+            for (int k = 0; k < 64; ++k) {
+                below = std::nextafter(below, -inf);
+                above = std::nextafter(above, inf);
+                EXPECT_TRUE(pm_.feasibleAt(curve, leak_, Celsius(below),
+                                           *row.sink, i));
+                EXPECT_FALSE(pm_.feasibleAt(curve, leak_, Celsius(above),
+                                            *row.sink, i));
+            }
+        }
+    }
+}
+
+TEST_F(PowerManagerTest, LimitWalkMatchesCappedSearch)
+{
+    const std::size_t caps[] = {pm_.pstates().highestSustainedIndex(),
+                                pm_.pstates().size() - 1};
+    for (const LimitRow &row : limitRows()) {
+        const FreqCurve &curve = freqCurveFor(row.set);
+        std::vector<double> limits(pm_.pstates().size());
+        for (std::size_t i = 0; i < limits.size(); ++i)
+            limits[i] =
+                pm_.feasibilityLimit(curve, leak_, *row.sink, i).value();
+        // A fine ambient sweep plus every limit and its neighbours,
+        // where an off-by-one-bit walk would first disagree.
+        const double inf = std::numeric_limits<double>::infinity();
+        std::vector<double> ambients;
+        for (int k = 0; k <= 7500; ++k)
+            ambients.push_back(20.0 + 0.01 * k);
+        for (const double limit : limits) {
+            double below = limit;
+            double above = limit;
+            for (int k = 0; k < 3; ++k) {
+                ambients.push_back(below);
+                ambients.push_back(above);
+                below = std::nextafter(below, -inf);
+                above = std::nextafter(above, inf);
+            }
+        }
+        for (const std::size_t cap : caps) {
+            SCOPED_TRACE(row.sink->name + " " + workloadSetName(row.set) +
+                         " cap " + std::to_string(cap));
+            for (const double amb : ambients) {
+                const DvfsDecision ref = pm_.chooseAtAmbientCapped(
+                    curve, leak_, Celsius(amb), *row.sink, cap);
+                const DvfsDecision got = pm_.chooseAtAmbientLimited(
+                    curve, leak_, Celsius(amb), *row.sink, cap,
+                    limits.data());
+                ASSERT_EQ(PowerManager::highestFeasible(
+                              limits.data(), Celsius(amb), cap),
+                          ref.pstate)
+                    << "ambient " << amb;
+                EXPECT_EQ(got.pstate, ref.pstate);
+                EXPECT_EQ(got.freqMhz, ref.freqMhz);
+                EXPECT_EQ(got.power.value(), ref.power.value());
+                EXPECT_EQ(got.predictedPeak.value(),
+                          ref.predictedPeak.value());
+                EXPECT_EQ(got.feasible, ref.feasible);
+            }
+        }
+    }
 }
 
 } // namespace

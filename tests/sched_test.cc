@@ -283,17 +283,16 @@ TEST_F(SchedFixture, PredictionRespectsBoostCredit)
 
 TEST_F(SchedFixture, MhzPerCelsiusMatchesLadderGeometry)
 {
-    auto ctx = context();
     // Edges in ambient space are (P_hi - P_lo) * (R_int + R_ext)
     // apart per 200 MHz; the slope is their ratio.
     const double slope18 = mhzPerCelsius(
-        ctx, WorkloadSet::Computation, HeatSink::fin18());
+        pm_, WorkloadSet::Computation, HeatSink::fin18());
     EXPECT_NEAR(slope18, 800.0 / ((18.0 - 9.8) * (0.205 + 1.578)),
                 1e-9);
     // The better sink packs the edges closer together in ambient
     // space, so each degree costs more MHz.
     const double slope30 = mhzPerCelsius(
-        ctx, WorkloadSet::Computation, HeatSink::fin30());
+        pm_, WorkloadSet::Computation, HeatSink::fin30());
     EXPECT_GT(slope30, slope18);
 }
 
@@ -413,6 +412,42 @@ TEST_F(SchedFixture, CouplingPredictorStaysInOneRow)
     auto ctx = context();
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(topo_.rowOf(cp.pick(job(), ctx)), 7);
+}
+
+TEST_F(SchedFixture, CouplingPredictorRowCountsMatchIdleTally)
+{
+    // The engine hands CP per-row idle counts; without them CP tallies
+    // the idle list itself. Both must pick the same socket and consume
+    // the same RNG draws, on idle lists spread unevenly over rows.
+    Rng layout(11);
+    for (int trial = 0; trial < 20; ++trial) {
+        for (std::size_t s = 0; s < topo_.numSockets(); ++s) {
+            busy_[s] = layout.nextBounded(4) != 0;
+            freq_[s] = busy_[s] ? 1500.0 : 0.0;
+            power_[s] = busy_[s] ? 13.6 : 2.2;
+        }
+        busy_[layout.nextBounded(topo_.numSockets())] = false;
+        allIdle();
+        std::vector<int> per_row(static_cast<std::size_t>(topo_.numRows()),
+                                 0);
+        for (const std::size_t s : idle_)
+            ++per_row[static_cast<std::size_t>(topo_.rowOf(s))];
+
+        Rng with_rng(100 + trial);
+        Rng without_rng(100 + trial);
+        SchedContext with = context();
+        with.idlePerRow = per_row.data();
+        with.rng = &with_rng;
+        SchedContext without = context();
+        without.rng = &without_rng;
+        CouplingPredictor a;
+        CouplingPredictor b;
+        for (int k = 0; k < 4; ++k)
+            EXPECT_EQ(a.pick(job(), with), b.pick(job(), without))
+                << "trial " << trial;
+        EXPECT_EQ(with_rng.nextU64(), without_rng.nextU64())
+            << "trial " << trial;
+    }
 }
 
 TEST_F(SchedFixture, PickHelpersTieBreakDeterministically)

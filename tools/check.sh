@@ -45,6 +45,12 @@
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
 #             run mid-flight, resume it, and byte-compare the final
 #             JSON against the uninterrupted run (DESIGN.md Sec. 16)
+#   perfbench the benchmark (perfbench/, BENCHMARK.json): build it
+#             and run `perfbench/run.py --selftest`, which checks its
+#             metric names against BENCHMARK.json and that every output
+#             check fires. The benchmark calls engine, power-manager and
+#             scheduler APIs directly, so an API change that breaks it
+#             fails here; no timing is gated
 #   bench     opt-in (never in the default matrix): Release build,
 #             one short pass of micro_kernels with JSON output, and a
 #             strict parse of that JSON — rot protection for the
@@ -70,7 +76,7 @@ TSAN_FILTER='Parallel|Experiment|PerfEquivalence|Fleet|Streamed'
 # Paranoid stage: the reduced workloads of the differential suite and
 # the invariant tests themselves (full integration workloads would
 # re-derive the reference field every epoch for 180 sockets).
-PARANOID_FILTER='Invariant|PerfEquivalence|EventHeap|DvfsMemo|Experiment|Parallel'
+PARANOID_FILTER='Invariant|PerfEquivalence|EventHeap|Experiment|Parallel'
 
 configure() { # dir, extra cmake args...
     local dir="$1"
@@ -261,6 +267,11 @@ stage_ckpt() {
     echo "ckpt smoke: SIGTERM at exit $rc, resume byte-identical"
 }
 
+stage_perfbench() {
+    # Builds into .bench_build/ (Release) from this checkout's src/.
+    python3 perfbench/run.py --selftest
+}
+
 stage_bench() {
     # Opt-in rot protection for the microbenchmarks (not in the
     # default matrix): Release build, one short pass of every bench,
@@ -346,12 +357,13 @@ stage_tidy() {
 if [ "$#" -gt 0 ]; then
     stages=("$@")
 else
-    stages=(plain asan tsan paranoid obs fault fleet ckpt lint tidy)
+    stages=(plain asan tsan paranoid obs fault fleet ckpt perfbench lint
+            tidy)
 fi
 
 for stage in "${stages[@]}"; do
     case "$stage" in
-        plain|asan|tsan|paranoid|obs|fault|fleet|ckpt|lint|tidy|bench) ;;
+        plain|asan|tsan|paranoid|obs|fault|fleet|ckpt|perfbench|lint|tidy|bench) ;;
         *)
             echo "check.sh: unknown stage '$stage'" >&2
             exit 2
