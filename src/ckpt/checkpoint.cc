@@ -1,14 +1,19 @@
 #include "ckpt/checkpoint.hh"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,14 +35,8 @@ using ckpt::RestoreMode;
 using ckpt::SnapshotKind;
 using ckpt::Writer;
 
-// Engine section ids; a fleet file holds kSecFleet plus one
-// kSecShardBase + s section per shard.
-constexpr std::uint32_t kSecCore = 1;
-constexpr std::uint32_t kSecRng = 2;
-constexpr std::uint32_t kSecMetrics = 3;
-constexpr std::uint32_t kSecObs = 4;
-constexpr std::uint32_t kSecFault = 5;
-constexpr std::uint32_t kSecSched = 6;
+// A fleet file holds kSecFleet plus one kSecShardBase + s section per
+// shard; the engine section ids live in CkptAccess's section table.
 constexpr std::uint32_t kSecFleet = 10;
 constexpr std::uint32_t kSecShardBase = 100;
 
@@ -57,187 +56,307 @@ badField(const char *what, const std::string &detail)
                     detail);
 }
 
-// --- primitive field helpers -----------------------------------------
+// --- the two directions of one transfer function ---------------------
+//
+// Every section is one function template over the direction
+// (CkptAccess below). Instantiated with a Saver over a const object,
+// each field operation writes the field; with a Loader over a mutable
+// one, the same operation reads it back and validates it before the
+// next field is read. Saver and Loader implement the same primitive
+// operations; Archive composes the compound ones from them.
 
-void
-writeSnapshot(Writer &w, const Rng::Snapshot &snap)
+template <class Ar>
+class Archive
 {
-    for (const std::uint64_t word : snap.state)
-        w.u64(word);
-    w.boolean(snap.hasSpare);
-    w.f64(snap.spare);
-}
-
-Rng::Snapshot
-readSnapshot(Reader &r, const char *what)
-{
-    Rng::Snapshot snap{};
-    std::uint64_t any = 0;
-    for (std::uint64_t &word : snap.state) {
-        word = r.u64();
-        any |= word;
+  public:
+    /** A count the loader must find equal to @p n. */
+    void length(std::size_t n, const char *what)
+    {
+        std::size_t got = n;
+        self().u64(got);
+        self().require(got == n, what, "length disagrees with this run");
     }
-    snap.hasSpare = r.boolean();
-    snap.spare = r.f64();
-    // The all-zero state is xoshiro's single degenerate orbit — no
-    // legitimate save can contain it (satellite audit: RNG positions
-    // must be consistent).
-    if (any == 0)
-        badField(what, "all-zero generator state");
-    return snap;
-}
 
-void
-writeStats(Writer &w, const RunningStats &stats)
+    template <class F>
+    void finite(F &v, const char *what)
+    {
+        self().f64(v);
+        self().require(std::isfinite(v), what, "non-finite value");
+    }
+
+    template <class U>
+    void index(U &v, std::size_t bound, const char *what)
+    {
+        self().u64(v);
+        self().require(v < bound, what, "index out of range");
+    }
+
+    /** A non-negative int, at most @p bound. */
+    template <class I>
+    void count(I &v, std::size_t bound, const char *what)
+    {
+        auto x = static_cast<std::uint64_t>(v);
+        self().u64(x);
+        self().require(x <= bound, what, "count out of range");
+        if constexpr (Ar::kLoading)
+            v = static_cast<int>(x);
+    }
+
+    /** An int, sign-extended to 8 bytes. */
+    template <class I>
+    void integer(I &v, const char *what)
+    {
+        auto x = static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+        self().u64(x);
+        const auto wide = static_cast<std::int64_t>(x);
+        self().require(wide >= INT_MIN && wide <= INT_MAX, what,
+                       "value outside int");
+        if constexpr (Ar::kLoading)
+            v = static_cast<int>(wide);
+    }
+
+    /** Exactly @p n doubles. */
+    template <class V>
+    void f64s(V &v, std::size_t n, const char *what)
+    {
+        self().each(v, n, what, [this](auto &x) { self().f64(x); });
+    }
+
+    /** Exactly @p n byte-wide values (flags, enums), each <= @p max. */
+    template <class V>
+    void bytes(V &v, std::size_t n, typename V::value_type max,
+               const char *what)
+    {
+        self().each(v, n, what,
+                    [&](auto &x) { self().u8(x, max, what); });
+    }
+
+    /** Exactly @p n indices, each below @p bound. */
+    template <class V>
+    void indices(V &v, std::size_t n, std::size_t bound,
+                 const char *what)
+    {
+        self().each(v, n, what,
+                    [&](auto &x) { index(x, bound, what); });
+    }
+
+    /** At most @p n socket ids below @p n, strictly ascending if asked. */
+    template <class V>
+    void sockets(V &v, std::size_t n, bool ascending, const char *what)
+    {
+        self().seq(v, 8, what, [&](auto &s) { index(s, n, what); });
+        self().require(v.size() <= n, what, "more entries than sockets");
+        self().require(!ascending ||
+                           std::adjacent_find(v.begin(), v.end(),
+                                              std::greater_equal<>()) ==
+                               v.end(),
+                       what, "not strictly ascending");
+    }
+
+    template <class J>
+    void job(J &j, const char *what)
+    {
+        self().u64(j.id);
+        index(j.benchmark, pcmarkCatalog().size(), what);
+        self().u8(j.set, WorkloadSet::GeneralPurpose, what);
+        self().f64(j.arrivalS);
+        self().f64(j.nominalS);
+    }
+
+    template <class D>
+    void decision(D &d, std::size_t npstates, const char *what)
+    {
+        index(d.pstate, npstates, what);
+        self().f64(d.freqMhz);
+        self().f64(d.power);
+        self().f64(d.predictedPeak);
+        self().boolean(d.feasible);
+    }
+
+    /** A generator's full stream position, Gaussian spare included. */
+    template <class G>
+    void rng(G &g, const char *what)
+    {
+        Rng::Snapshot snap = g.snapshot();
+        std::uint64_t any = 0;
+        for (std::uint64_t &word : snap.state) {
+            self().u64(word);
+            any |= word;
+        }
+        self().boolean(snap.hasSpare);
+        self().f64(snap.spare);
+        // The all-zero state is xoshiro's single degenerate orbit: no
+        // legitimate save can contain it.
+        self().require(any != 0, what, "all-zero generator state");
+        if constexpr (Ar::kLoading)
+            g.restore(snap);
+    }
+
+    /** RunningStats as its raw accumulator words. */
+    template <class S>
+    void stats(S &s)
+    {
+        RunningStats::Snapshot snap = s.snapshot();
+        self().u64(snap.count);
+        self().f64(snap.mean);
+        self().f64(snap.m2);
+        self().f64(snap.min);
+        self().f64(snap.max);
+        if constexpr (Ar::kLoading)
+            s.restore(snap);
+    }
+
+  private:
+    Ar &self() { return static_cast<Ar &>(*this); }
+};
+
+/** Writes each field: every size as 8 bytes, doubles as raw bits. */
+class Saver : public Archive<Saver>
 {
-    const RunningStats::Snapshot snap = stats.snapshot();
-    w.size(snap.count);
-    w.f64(snap.mean);
-    w.f64(snap.m2);
-    w.f64(snap.min);
-    w.f64(snap.max);
-}
+  public:
+    static constexpr bool kLoading = false;
 
-void
-readStats(Reader &r, RunningStats &stats)
+    /** The bytes written so far; the saver starts over empty. */
+    std::string take() { return w_.take(); }
+
+    template <class U>
+    void u64(const U &v)
+    {
+        static_assert(std::is_unsigned_v<U>);
+        w_.u64(static_cast<std::uint64_t>(v));
+    }
+
+    void u32(std::uint32_t v) { w_.u32(v); }
+    void boolean(bool v) { w_.boolean(v); }
+    void f64(double v) { w_.f64(v); }
+
+    /** A typed quantity (Watts, Celsius) as its raw double. */
+    template <class Q>
+        requires requires(const Q &q) { q.value(); }
+    void f64(const Q &q)
+    {
+        w_.f64(q.value());
+    }
+
+    void str(const std::string &s) { w_.str(s); }
+
+    template <class T>
+    void u8(const T &v, std::type_identity_t<T>, const char *)
+    {
+        w_.u8(static_cast<std::uint8_t>(v));
+    }
+
+    void require(bool, const char *, const char *) {}
+
+    /** A fixed-length sequence: its length, then each element. */
+    template <class C, class F>
+    void each(const C &c, std::size_t, const char *what, F &&field)
+    {
+        length(c.size(), what);
+        for (const auto &e : c)
+            field(e);
+    }
+
+    /**
+     * A variable-length sequence of the elements from index @p from
+     * on; each takes at least @p min_bytes on the wire.
+     */
+    template <class C, class F>
+    void seq(const C &c, std::size_t /*min_bytes*/, const char *,
+             F &&field, std::size_t from = 0)
+    {
+        w_.size(c.size() - from);
+        for (auto it = c.begin() + static_cast<std::ptrdiff_t>(from);
+             it != c.end(); ++it)
+            field(*it);
+    }
+
+  private:
+    Writer w_;
+};
+
+/** Reads each field back, validating it before the next is read. */
+class Loader : public Archive<Loader>
 {
-    RunningStats::Snapshot snap{};
-    snap.count = r.size();
-    snap.mean = r.f64();
-    snap.m2 = r.f64();
-    snap.min = r.f64();
-    snap.max = r.f64();
-    stats.restore(snap);
-}
+  public:
+    static constexpr bool kLoading = true;
 
-void
-writeJob(Writer &w, const Job &job)
-{
-    w.u64(job.id);
-    w.size(job.benchmark);
-    w.u8(static_cast<std::uint8_t>(job.set));
-    w.f64(job.arrivalS);
-    w.f64(job.nominalS);
-}
+    explicit Loader(std::string_view payload) : r_(payload) {}
 
-Job
-readJob(Reader &r, const char *what)
-{
-    Job job{};
-    job.id = r.u64();
-    job.benchmark = r.size();
-    if (job.benchmark >= pcmarkCatalog().size())
-        badField(what, "benchmark index " +
-                           std::to_string(job.benchmark) +
-                           " outside the catalog");
-    const std::uint8_t set = r.u8();
-    if (set > static_cast<std::uint8_t>(WorkloadSet::GeneralPurpose))
-        badField(what, "workload set " + std::to_string(int(set)));
-    job.set = static_cast<WorkloadSet>(set);
-    job.arrivalS = r.f64();
-    job.nominalS = r.f64();
-    return job;
-}
+    /** The whole payload must have been read. */
+    void expectEnd(const char *what) const { r_.expectEnd(what); }
 
-void
-writeDecision(Writer &w, const DvfsDecision &d)
-{
-    w.size(d.pstate);
-    w.f64(d.freqMhz);
-    w.f64(d.power.value());
-    w.f64(d.predictedPeak.value());
-    w.boolean(d.feasible);
-}
+    template <class U>
+    void u64(U &v)
+    {
+        static_assert(std::is_unsigned_v<U>);
+        const std::uint64_t x = r_.u64();
+        if constexpr (sizeof(U) < sizeof(std::uint64_t))
+            require(x <= std::numeric_limits<U>::max(), "word",
+                    "value overflows its field");
+        v = static_cast<U>(x);
+    }
 
-DvfsDecision
-readDecision(Reader &r, std::size_t npstates, const char *what)
-{
-    const std::size_t pstate = r.size();
-    if (pstate >= npstates)
-        badField(what, "P-state index " + std::to_string(pstate) +
-                           " of " + std::to_string(npstates));
-    const double freq = r.f64();
-    const Watts power{r.f64()};
-    const Celsius peak{r.f64()};
-    const bool feasible = r.boolean();
-    return DvfsDecision{pstate, freq, power, peak, feasible};
-}
+    void u32(std::uint32_t &v) { v = r_.u32(); }
+    void boolean(bool &v) { v = r_.boolean(); }
+    void f64(double &v) { v = r_.f64(); }
 
-void
-writeCharVec(Writer &w, const std::vector<char> &v)
-{
-    w.size(v.size());
-    for (const char c : v)
-        w.u8(static_cast<std::uint8_t>(c));
-}
+    template <class Q>
+        requires requires(const Q &q) { q.value(); }
+    void f64(Q &q)
+    {
+        q = Q(r_.f64());
+    }
 
-// --- length/range-validated array readers ----------------------------
+    void str(std::string &s) { s = r_.str(); }
 
-std::vector<double>
-readF64Array(Reader &r, std::size_t n, const char *what)
-{
-    std::vector<double> v = r.vecF64();
-    if (v.size() != n)
-        badField(what, "length " + std::to_string(v.size()) +
-                           " != expected " + std::to_string(n));
-    return v;
-}
+    template <class T>
+    void u8(T &v, std::type_identity_t<T> max, const char *what)
+    {
+        const std::uint8_t b = r_.u8();
+        require(b <= static_cast<std::uint8_t>(max), what,
+                "value out of range");
+        v = static_cast<T>(b);
+    }
 
-std::vector<std::uint8_t>
-readU8Array(Reader &r, std::size_t n, std::uint8_t max_value,
-            const char *what)
-{
-    std::vector<std::uint8_t> v = r.vecU8();
-    if (v.size() != n)
-        badField(what, "length " + std::to_string(v.size()) +
-                           " != expected " + std::to_string(n));
-    for (const std::uint8_t b : v)
-        if (b > max_value)
-            badField(what, "value " + std::to_string(int(b)) +
-                               " > " + std::to_string(int(max_value)));
-    return v;
-}
+    void require(bool ok, const char *what, const char *detail)
+    {
+        if (!ok)
+            badField(what, detail);
+    }
 
-std::vector<char>
-readCharVec(Reader &r, std::size_t n, const char *what)
-{
-    const std::vector<std::uint8_t> raw = readU8Array(r, n, 1, what);
-    return std::vector<char>(raw.begin(), raw.end());
-}
+    template <class C, class F>
+    void each(C &c, std::size_t n, const char *what, F &&field)
+    {
+        length(n, what);
+        c.resize(n);
+        for (auto &e : c)
+            field(e);
+    }
 
-std::vector<std::size_t>
-readSizeArray(Reader &r, std::size_t n, std::size_t bound,
-              const char *what)
-{
-    std::vector<std::size_t> v = r.vecSize();
-    if (v.size() != n)
-        badField(what, "length " + std::to_string(v.size()) +
-                           " != expected " + std::to_string(n));
-    for (const std::size_t x : v)
-        if (x >= bound)
-            badField(what, "index " + std::to_string(x) +
-                               " >= bound " + std::to_string(bound));
-    return v;
-}
+    /** Replaces the whole container; @p from only shapes the save. */
+    template <class C, class F>
+    void seq(C &c, std::size_t min_bytes, const char *what, F &&field,
+             std::size_t /*from*/ = 0)
+    {
+        // The count is bounded by the bytes left before anything is
+        // allocated for it.
+        const std::uint64_t n = r_.u64();
+        require(n <= r_.remaining() / min_bytes, what,
+                "count overruns the section");
+        c.clear();
+        if constexpr (requires { c.reserve(n); })
+            c.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            typename C::value_type e{};
+            field(e);
+            c.push_back(std::move(e));
+        }
+    }
 
-int
-readCount(Reader &r, std::size_t bound, const char *what)
-{
-    const std::uint64_t v = r.u64();
-    if (v > bound)
-        badField(what, "count " + std::to_string(v) + " > " +
-                           std::to_string(bound));
-    return static_cast<int>(v);
-}
-
-double
-readFinite(Reader &r, const char *what)
-{
-    const double v = r.f64();
-    if (!std::isfinite(v))
-        badField(what, "non-finite value");
-    return v;
-}
+  private:
+    Reader r_;
+};
 
 // --- file framing -----------------------------------------------------
 
@@ -354,36 +473,6 @@ section(const std::map<std::uint32_t, std::string> &sections,
 class CkptAccess
 {
   public:
-    struct EngineImage
-    {
-        std::string core, rng, metrics, obs, fault, sched;
-    };
-
-    static bool engineOpen(const DenseServerSim &sim)
-    {
-        return sim.streamOpen_;
-    }
-
-    static bool fleetOpen(const FleetSim &fleet)
-    {
-        return fleet.fleetOpen_;
-    }
-
-    static const char *policyName(const DenseServerSim &sim)
-    {
-        return sim.policy_->name();
-    }
-
-    static const char *fleetPolicyName(const FleetSim &fleet)
-    {
-        return fleet.shards_.front()->policy_->name();
-    }
-
-    static const SimConfig &fleetConfig(const FleetSim &fleet)
-    {
-        return fleet.base_;
-    }
-
     static void flush(DenseServerSim &sim) { sim.writeObsOutputs(); }
 
     static void flushFleet(FleetSim &fleet)
@@ -392,38 +481,70 @@ class CkptAccess
             shard->writeObsOutputs();
     }
 
-    static EngineImage captureEngine(const DenseServerSim &sim);
-    static void applyEngine(DenseServerSim &sim,
-                            const EngineImage &image, RestoreMode mode,
-                            std::uint64_t fork_id);
-
-    static std::string saveFleetImage(const FleetSim &fleet);
-    static void restoreFleetImage(FleetSim &fleet,
+    static std::string saveEngineFile(const DenseServerSim &sim);
+    static void restoreEngineFile(DenseServerSim &sim,
                                   std::string_view image,
                                   RestoreMode mode,
                                   std::uint64_t fork_id);
+    static std::string saveFleetFile(const FleetSim &fleet);
+    static void restoreFleetFile(FleetSim &fleet, std::string_view image,
+                                 RestoreMode mode,
+                                 std::uint64_t fork_id);
 
   private:
-    // One writer/reader pair per engine section. Readers validate
-    // every length and index before touching the field they fill;
-    // cross-section consistency is audited in finalizeRestore.
-    static void writeCore(Writer &w, const DenseServerSim &sim);
-    static void applyCore(DenseServerSim &sim, Reader r);
-    static void writeRng(Writer &w, const DenseServerSim &sim);
-    static void applyRng(DenseServerSim &sim, Reader r,
-                         RestoreMode mode, std::uint64_t fork_id);
-    static void writeMetrics(Writer &w, const DenseServerSim &sim);
-    static void applyMetrics(DenseServerSim &sim, Reader r);
-    static void writeObs(Writer &w, const DenseServerSim &sim);
-    static void applyObs(DenseServerSim &sim, Reader r);
-    static void writeFault(Writer &w, const DenseServerSim &sim);
-    static void applyFault(DenseServerSim &sim, Reader r);
-    static void writeSched(Writer &w, const DenseServerSim &sim);
-    static void applySched(DenseServerSim &sim, Reader r);
-    static void finalizeRestore(DenseServerSim &sim);
+    // One transfer function per section, over the direction: Sim is
+    // const DenseServerSim when saving. Each validates every length
+    // and index as it loads; cross-section consistency is audited in
+    // finalizeRestore.
+    template <class Ar, class Sim>
+    static void core(Ar &ar, Sim &sim);
+    template <class Ar, class Sim>
+    static void rngs(Ar &ar, Sim &sim);
+    template <class Ar, class Sim>
+    static void metrics(Ar &ar, Sim &sim);
+    template <class Ar, class Sim>
+    static void obs(Ar &ar, Sim &sim);
+    template <class Ar, class Sim>
+    static void fault(Ar &ar, Sim &sim);
+    template <class Ar, class Sim>
+    static void sched(Ar &ar, Sim &sim);
+    template <class Ar, class Registry>
+    static void registry(Ar &ar, Registry &registry);
+    template <class Ar, class Fleet>
+    static void fleetCore(Ar &ar, Fleet &fleet);
 
-    static void applyRegistry(obs::Registry &registry, Reader &r);
-    static void writeRegistry(Writer &w, const obs::Registry &registry);
+    template <class Ar, class Sim>
+    struct Section
+    {
+        std::uint32_t id;
+        const char *name;
+        void (*transfer)(Ar &, Sim &);
+    };
+
+    /**
+     * The engine sections in file order: the one list engine and
+     * fleet files, saves and restores all walk. A fleet shard section
+     * holds the same payloads as length-prefixed strings, in this
+     * order, without their ids.
+     */
+    template <class Ar, class Sim>
+    static constexpr std::array<Section<Ar, Sim>, 6> kEngineSections{{
+        {1, "core", &core<Ar, Sim>},
+        {2, "rng", &rngs<Ar, Sim>},
+        {3, "metrics", &metrics<Ar, Sim>},
+        {4, "obs", &obs<Ar, Sim>},
+        {5, "fault", &fault<Ar, Sim>},
+        {6, "sched", &sched<Ar, Sim>},
+    }};
+
+    /** Section payloads of one engine, in table order. */
+    using EngineImage = std::array<std::string, 6>;
+
+    static EngineImage saveSections(const DenseServerSim &sim);
+    static void loadSections(DenseServerSim &sim,
+                             const EngineImage &image, RestoreMode mode,
+                             std::uint64_t fork_id);
+    static void finalizeRestore(DenseServerSim &sim);
 };
 
 namespace obs {
@@ -432,54 +553,23 @@ namespace obs {
 class TraceCkptAccess
 {
   public:
+    template <class Ar, class Sink>
     static void
-    save(ckpt::Writer &w, const TraceSink &trace)
+    transfer(Ar &ar, Sink &trace)
     {
-        w.size(trace.dropped_);
-        w.size(trace.events_.size());
-        for (const TraceSink::Event &e : trace.events_) {
-            w.u8(static_cast<std::uint8_t>(e.kind));
-            w.u64(static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(e.tid)));
-            w.f64(e.tsUs);
-            w.f64(e.durUs);
-            w.f64(e.value);
-            w.str(e.name);
-            w.str(e.cat);
-        }
-    }
-
-    static void
-    apply(ckpt::Reader &r, TraceSink &trace)
-    {
-        trace.dropped_ = r.size();
-        const std::size_t count = r.size();
+        ar.u64(trace.dropped_);
         // Minimum wire size of one event: kind + tid + 3 doubles +
         // two empty strings = 49 bytes.
-        if (count > r.remaining() / 49)
-            throw ckpt::CkptError(
-                "checkpoint: oversized trace event count " +
-                std::to_string(count));
-        trace.events_.clear();
-        trace.events_.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint8_t kind = r.u8();
-            if (kind > static_cast<std::uint8_t>(
-                           TraceSink::Kind::CounterSample))
-                throw ckpt::CkptError(
-                    "checkpoint: bad trace event kind " +
-                    std::to_string(int(kind)));
-            TraceSink::Event e;
-            e.kind = static_cast<TraceSink::Kind>(kind);
-            e.tid = static_cast<int>(
-                static_cast<std::int64_t>(r.u64()));
-            e.tsUs = r.f64();
-            e.durUs = r.f64();
-            e.value = r.f64();
-            e.name = r.str();
-            e.cat = r.str();
-            trace.events_.push_back(std::move(e));
-        }
+        ar.seq(trace.events_, 49, "trace events", [&](auto &e) {
+            ar.u8(e.kind, TraceSink::Kind::CounterSample,
+                  "trace event kind");
+            ar.integer(e.tid, "trace event tid");
+            ar.f64(e.tsUs);
+            ar.f64(e.durUs);
+            ar.f64(e.value);
+            ar.str(e.name);
+            ar.str(e.cat);
+        });
     }
 };
 
@@ -487,489 +577,237 @@ class TraceCkptAccess
 
 // --- CORE: stream position, backlog, queue, SoA socket banks ----------
 
+template <class Ar, class Sim>
 void
-CkptAccess::writeCore(Writer &w, const DenseServerSim &sim)
-{
-    const std::size_t n = sim.topo_.numSockets();
-    w.size(n);
-    w.f64(sim.streamNowS_);
-    w.f64(sim.streamHardStopS_);
-    w.boolean(sim.arrivalsClosed_);
-
-    // Only the unconsumed backlog tail: the consumed prefix can never
-    // be read again, and submitJobs' periodic compaction proves the
-    // representation is behavior-free.
-    w.size(sim.streamJobs_.size() - sim.streamNext_);
-    for (std::size_t i = sim.streamNext_; i < sim.streamJobs_.size();
-         ++i)
-        writeJob(w, sim.streamJobs_[i]);
-    w.size(sim.queue_.size());
-    for (const Job &job : sim.queue_)
-        writeJob(w, job);
-
-    w.vecF64(sim.powerW_);
-    w.vecF64(sim.freqMhz_);
-    w.vecF64(sim.chipTempC_);
-    w.vecF64(sim.sensedTempC_);
-    w.vecF64(sim.histTempC_);
-    w.size(sim.runningSet_.size());
-    for (const WorkloadSet set : sim.runningSet_)
-        w.u8(static_cast<std::uint8_t>(set));
-    w.vecU8(sim.busyFlag_);
-    w.vecF64(sim.ambientC_);
-    w.vecF64(sim.chipRiseC_);
-    w.vecF64(sim.boostCreditS_);
-
-    w.vecSize(sim.jobBenchmark_);
-    w.vecF64(sim.jobArrivalS_);
-    w.vecF64(sim.jobStartS_);
-    w.vecF64(sim.jobNominalS_);
-    w.vecF64(sim.jobRemainingS_);
-    w.vecF64(sim.lastSyncS_);
-    w.vecF64(sim.completionS_);
-    w.vecSize(sim.pstate_);
-    w.vecU8(sim.boostFlag_);
-
-    w.vecSize(sim.idleList_);
-    w.vecF64(sim.ambTargets_);
-    w.vecF64(sim.targetPowerW_);
-    writeCharVec(w, sim.powerDirty_);
-    w.vecSize(sim.dirtySockets_);
-    w.size(sim.epochsSinceAmbientRefresh_);
-
-    w.vecF64(sim.rateCache_);
-    w.vecF64(sim.relFreqCache_);
-    writeCharVec(w, sim.inBusySums_);
-    w.vecF64(sim.contribRate_);
-    w.vecF64(sim.contribRel_);
-    writeCharVec(w, sim.contribBoost_);
-
-    w.f64(sim.tCursor_);
-    w.f64(sim.totalPowerW_);
-    w.f64(sim.workRateTotal_);
-    w.f64(sim.workRateFront_);
-    w.f64(sim.workRateBack_);
-    w.f64(sim.workRateEven_);
-    w.f64(sim.relFreqSumTotal_);
-    w.f64(sim.relFreqSumFront_);
-    w.f64(sim.relFreqSumBack_);
-    w.f64(sim.relFreqSumEven_);
-    w.u64(static_cast<std::uint64_t>(sim.busyTotal_));
-    w.u64(static_cast<std::uint64_t>(sim.busyFront_));
-    w.u64(static_cast<std::uint64_t>(sim.busyBack_));
-    w.u64(static_cast<std::uint64_t>(sim.busyEven_));
-    w.u64(static_cast<std::uint64_t>(sim.busyBoost_));
-    w.size(sim.decisions_);
-}
-
-void
-CkptAccess::applyCore(DenseServerSim &sim, Reader r)
+CkptAccess::core(Ar &ar, Sim &sim)
 {
     const std::size_t n = sim.topo_.numSockets();
     const std::size_t np = sim.pm_.pstates().size();
-    const std::size_t fileN = r.size();
-    if (fileN != n)
-        throw CkptError("checkpoint: snapshot of " +
-                        std::to_string(fileN) +
-                        " sockets, this engine has " +
-                        std::to_string(n));
-    sim.streamNowS_ = readFinite(r, "stream position");
-    sim.streamHardStopS_ = readFinite(r, "stream hard stop");
-    sim.arrivalsClosed_ = r.boolean();
+    ar.length(n, "socket count");
+    ar.finite(sim.streamNowS_, "stream position");
+    ar.finite(sim.streamHardStopS_, "stream hard stop");
+    ar.boolean(sim.arrivalsClosed_);
 
-    const std::size_t backlog =
-        static_cast<std::size_t>(readCount(
-            r, r.remaining() / 33, "arrival backlog"));
-    sim.streamJobs_.clear();
-    sim.streamJobs_.reserve(backlog);
-    for (std::size_t i = 0; i < backlog; ++i)
-        sim.streamJobs_.push_back(readJob(r, "backlog job"));
-    sim.streamNext_ = 0;
-    const std::size_t queued = static_cast<std::size_t>(
-        readCount(r, r.remaining() / 33, "job queue"));
-    sim.queue_.clear();
-    for (std::size_t i = 0; i < queued; ++i)
-        sim.queue_.push_back(readJob(r, "queued job"));
+    // Only the unconsumed backlog tail: the consumed prefix can never
+    // be read again, and submitJobs' periodic compaction proves the
+    // representation is behavior-free. A restored backlog is all tail.
+    const auto job = [&](auto &j) { ar.job(j, "job"); };
+    ar.seq(sim.streamJobs_, 33, "arrival backlog", job,
+           sim.streamNext_);
+    if constexpr (Ar::kLoading)
+        sim.streamNext_ = 0;
+    ar.seq(sim.queue_, 33, "job queue", job);
 
-    sim.powerW_ = readF64Array(r, n, "powerW");
-    sim.freqMhz_ = readF64Array(r, n, "freqMhz");
-    sim.chipTempC_ = readF64Array(r, n, "chipTempC");
-    sim.sensedTempC_ = readF64Array(r, n, "sensedTempC");
-    sim.histTempC_ = readF64Array(r, n, "histTempC");
-    {
-        const std::vector<std::uint8_t> sets = readU8Array(
-            r, n,
-            static_cast<std::uint8_t>(WorkloadSet::GeneralPurpose),
-            "runningSet");
-        sim.runningSet_.resize(n);
-        for (std::size_t s = 0; s < n; ++s)
-            sim.runningSet_[s] = static_cast<WorkloadSet>(sets[s]);
-    }
-    sim.busyFlag_ = readU8Array(r, n, 1, "busyFlag");
-    sim.ambientC_ = readF64Array(r, n, "ambientC");
-    sim.chipRiseC_ = readF64Array(r, n, "chipRiseC");
-    sim.boostCreditS_ = readF64Array(r, n, "boostCreditS");
+    ar.f64s(sim.powerW_, n, "powerW");
+    ar.f64s(sim.freqMhz_, n, "freqMhz");
+    ar.f64s(sim.chipTempC_, n, "chipTempC");
+    ar.f64s(sim.sensedTempC_, n, "sensedTempC");
+    ar.f64s(sim.histTempC_, n, "histTempC");
+    ar.bytes(sim.runningSet_, n, WorkloadSet::GeneralPurpose,
+             "runningSet");
+    ar.bytes(sim.busyFlag_, n, 1, "busyFlag");
+    ar.f64s(sim.ambientC_, n, "ambientC");
+    ar.f64s(sim.chipRiseC_, n, "chipRiseC");
+    ar.f64s(sim.boostCreditS_, n, "boostCreditS");
 
-    sim.jobBenchmark_ =
-        readSizeArray(r, n, pcmarkCatalog().size(), "jobBenchmark");
-    sim.jobArrivalS_ = readF64Array(r, n, "jobArrivalS");
-    sim.jobStartS_ = readF64Array(r, n, "jobStartS");
-    sim.jobNominalS_ = readF64Array(r, n, "jobNominalS");
-    sim.jobRemainingS_ = readF64Array(r, n, "jobRemainingS");
-    sim.lastSyncS_ = readF64Array(r, n, "lastSyncS");
-    sim.completionS_ = readF64Array(r, n, "completionS");
-    sim.pstate_ = readSizeArray(r, n, np, "pstate");
-    sim.boostFlag_ = readU8Array(r, n, 1, "boostFlag");
+    ar.indices(sim.jobBenchmark_, n, pcmarkCatalog().size(),
+               "jobBenchmark");
+    ar.f64s(sim.jobArrivalS_, n, "jobArrivalS");
+    ar.f64s(sim.jobStartS_, n, "jobStartS");
+    ar.f64s(sim.jobNominalS_, n, "jobNominalS");
+    ar.f64s(sim.jobRemainingS_, n, "jobRemainingS");
+    ar.f64s(sim.lastSyncS_, n, "lastSyncS");
+    ar.f64s(sim.completionS_, n, "completionS");
+    ar.indices(sim.pstate_, n, np, "pstate");
+    ar.bytes(sim.boostFlag_, n, 1, "boostFlag");
 
-    {
-        std::vector<std::size_t> idle = r.vecSize();
-        if (idle.size() > n)
-            badField("idleList", "more idle sockets than sockets");
-        for (std::size_t i = 0; i < idle.size(); ++i) {
-            if (idle[i] >= n)
-                badField("idleList", "socket " +
-                                         std::to_string(idle[i]) +
-                                         " out of range");
-            if (i > 0 && idle[i] <= idle[i - 1])
-                badField("idleList", "not strictly ascending");
-        }
-        sim.idleList_ = std::move(idle);
-    }
-    sim.ambTargets_ = readF64Array(r, n, "ambTargets");
-    sim.targetPowerW_ = readF64Array(r, n, "targetPowerW");
-    sim.powerDirty_ = readCharVec(r, n, "powerDirty");
-    {
-        std::vector<std::size_t> dirty = r.vecSize();
-        if (dirty.size() > n)
-            badField("dirtySockets", "more entries than sockets");
-        for (const std::size_t s : dirty)
-            if (s >= n)
-                badField("dirtySockets", "socket " +
-                                             std::to_string(s) +
-                                             " out of range");
-        sim.dirtySockets_ = std::move(dirty);
-    }
-    sim.epochsSinceAmbientRefresh_ = r.size();
+    ar.sockets(sim.idleList_, n, true, "idleList");
+    ar.f64s(sim.ambTargets_, n, "ambTargets");
+    ar.f64s(sim.targetPowerW_, n, "targetPowerW");
+    ar.bytes(sim.powerDirty_, n, 1, "powerDirty");
+    ar.sockets(sim.dirtySockets_, n, false, "dirtySockets");
+    ar.u64(sim.epochsSinceAmbientRefresh_);
 
-    sim.rateCache_ = readF64Array(r, n, "rateCache");
-    sim.relFreqCache_ = readF64Array(r, n, "relFreqCache");
-    sim.inBusySums_ = readCharVec(r, n, "inBusySums");
-    sim.contribRate_ = readF64Array(r, n, "contribRate");
-    sim.contribRel_ = readF64Array(r, n, "contribRel");
-    sim.contribBoost_ = readCharVec(r, n, "contribBoost");
+    ar.f64s(sim.rateCache_, n, "rateCache");
+    ar.f64s(sim.relFreqCache_, n, "relFreqCache");
+    ar.bytes(sim.inBusySums_, n, 1, "inBusySums");
+    ar.f64s(sim.contribRate_, n, "contribRate");
+    ar.f64s(sim.contribRel_, n, "contribRel");
+    ar.bytes(sim.contribBoost_, n, 1, "contribBoost");
 
-    sim.tCursor_ = readFinite(r, "tCursor");
-    sim.totalPowerW_ = r.f64();
-    sim.workRateTotal_ = r.f64();
-    sim.workRateFront_ = r.f64();
-    sim.workRateBack_ = r.f64();
-    sim.workRateEven_ = r.f64();
-    sim.relFreqSumTotal_ = r.f64();
-    sim.relFreqSumFront_ = r.f64();
-    sim.relFreqSumBack_ = r.f64();
-    sim.relFreqSumEven_ = r.f64();
-    sim.busyTotal_ = readCount(r, n, "busyTotal");
-    sim.busyFront_ = readCount(r, n, "busyFront");
-    sim.busyBack_ = readCount(r, n, "busyBack");
-    sim.busyEven_ = readCount(r, n, "busyEven");
-    sim.busyBoost_ = readCount(r, n, "busyBoost");
-    sim.decisions_ = r.size();
-    r.expectEnd("core");
+    ar.finite(sim.tCursor_, "tCursor");
+    ar.f64(sim.totalPowerW_);
+    ar.f64(sim.workRateTotal_);
+    ar.f64(sim.workRateFront_);
+    ar.f64(sim.workRateBack_);
+    ar.f64(sim.workRateEven_);
+    ar.f64(sim.relFreqSumTotal_);
+    ar.f64(sim.relFreqSumFront_);
+    ar.f64(sim.relFreqSumBack_);
+    ar.f64(sim.relFreqSumEven_);
+    ar.count(sim.busyTotal_, n, "busyTotal");
+    ar.count(sim.busyFront_, n, "busyFront");
+    ar.count(sim.busyBack_, n, "busyBack");
+    ar.count(sim.busyEven_, n, "busyEven");
+    ar.count(sim.busyBoost_, n, "busyBoost");
+    ar.u64(sim.decisions_);
 }
 
 // --- RNG: every stochastic stream position ----------------------------
 
+template <class Ar, class Sim>
 void
-CkptAccess::writeRng(Writer &w, const DenseServerSim &sim)
+CkptAccess::rngs(Ar &ar, Sim &sim)
 {
-    writeSnapshot(w, sim.policyRng_.snapshot());
-    writeSnapshot(w, sim.sensorRng_.snapshot());
-    writeSnapshot(w, sim.faultRng_.snapshot());
-}
-
-void
-CkptAccess::applyRng(DenseServerSim &sim, Reader r, RestoreMode mode,
-                     std::uint64_t fork_id)
-{
-    const Rng::Snapshot policy = readSnapshot(r, "policy rng");
-    const Rng::Snapshot sensor = readSnapshot(r, "sensor rng");
-    const Rng::Snapshot fault = readSnapshot(r, "fault rng");
-    r.expectEnd("rng");
-    if (mode == RestoreMode::Exact) {
-        sim.policyRng_.restore(policy);
-        sim.sensorRng_.restore(sensor);
-        sim.faultRng_.restore(fault);
-        return;
-    }
-    // Fork: identical state, divergent future — every stream reseeded
-    // through the avalanched domain-separation chain.
-    sim.policyRng_ = Rng(domainSeed(sim.config_.seed, fork_id,
-                                    ckpt::ckpt_stream::kForkPolicy));
-    sim.sensorRng_ = Rng(domainSeed(sim.config_.seed, fork_id,
-                                    ckpt::ckpt_stream::kForkSensor));
-    sim.faultRng_ = Rng(domainSeed(
-        sim.config_.fault.effectiveSeed(sim.config_.seed), fork_id,
-        ckpt::ckpt_stream::kForkFault));
+    ar.rng(sim.policyRng_, "policy rng");
+    ar.rng(sim.sensorRng_, "sensor rng");
+    ar.rng(sim.faultRng_, "fault rng");
 }
 
 // --- METRICS: every SimMetrics accumulator, raw FP words --------------
 
+template <class Ar, class Sim>
 void
-CkptAccess::writeMetrics(Writer &w, const DenseServerSim &sim)
+CkptAccess::metrics(Ar &ar, Sim &sim)
 {
-    const SimMetrics &m = sim.metrics_;
-    w.size(m.jobsArrived);
-    w.size(m.jobsCompleted);
-    w.size(m.jobsUnfinished);
-    w.size(m.migrations);
-    writeStats(w, m.runtimeExpansion);
-    writeStats(w, m.serviceExpansion);
-    writeStats(w, m.queueDelayS);
-    w.f64(m.energyJ);
-    w.f64(m.measuredS);
-    w.f64(m.makespanS);
-    for (const RegionMetrics *region : {&m.front, &m.back, &m.even}) {
-        w.f64(region->busyTimeS);
-        w.f64(region->freqTime);
-        w.f64(region->workDone);
+    auto &m = sim.metrics_;
+    ar.u64(m.jobsArrived);
+    ar.u64(m.jobsCompleted);
+    ar.u64(m.jobsUnfinished);
+    ar.u64(m.migrations);
+    ar.stats(m.runtimeExpansion);
+    ar.stats(m.serviceExpansion);
+    ar.stats(m.queueDelayS);
+    ar.f64(m.energyJ);
+    ar.f64(m.measuredS);
+    ar.f64(m.makespanS);
+    for (auto *region : {&m.front, &m.back, &m.even}) {
+        ar.f64(region->busyTimeS);
+        ar.f64(region->freqTime);
+        ar.f64(region->workDone);
     }
-    w.f64(m.totalWork);
-    w.f64(m.totalBusyTime);
-    w.f64(m.totalFreqTime);
-    w.vecF64(m.timelineS);
-    w.size(m.zoneAmbientC.size());
-    for (const std::vector<double> &row : m.zoneAmbientC)
-        w.vecF64(row);
-    writeStats(w, m.chipTempC);
-    w.f64(m.maxChipTempC);
-    w.f64(m.boostTimeS);
-}
-
-void
-CkptAccess::applyMetrics(DenseServerSim &sim, Reader r)
-{
-    SimMetrics &m = sim.metrics_;
-    m.jobsArrived = r.size();
-    m.jobsCompleted = r.size();
-    m.jobsUnfinished = r.size();
-    m.migrations = r.size();
-    readStats(r, m.runtimeExpansion);
-    readStats(r, m.serviceExpansion);
-    readStats(r, m.queueDelayS);
-    m.energyJ = r.f64();
-    m.measuredS = r.f64();
-    m.makespanS = r.f64();
-    for (RegionMetrics *region : {&m.front, &m.back, &m.even}) {
-        region->busyTimeS = r.f64();
-        region->freqTime = r.f64();
-        region->workDone = r.f64();
-    }
-    m.totalWork = r.f64();
-    m.totalBusyTime = r.f64();
-    m.totalFreqTime = r.f64();
-    m.timelineS = r.vecF64();
-    const std::size_t rows = static_cast<std::size_t>(
-        readCount(r, r.remaining() / 8, "timeline rows"));
-    if (rows != m.timelineS.size())
-        badField("timeline", std::to_string(rows) +
-                                 " ambient rows for " +
-                                 std::to_string(m.timelineS.size()) +
-                                 " sample times");
-    m.zoneAmbientC.clear();
-    m.zoneAmbientC.reserve(rows);
-    for (std::size_t i = 0; i < rows; ++i)
-        m.zoneAmbientC.push_back(readF64Array(
-            r, sim.zoneSockets_.size(), "timeline zone row"));
-    readStats(r, m.chipTempC);
-    m.maxChipTempC = r.f64();
-    m.boostTimeS = r.f64();
-    r.expectEnd("metrics");
+    ar.f64(m.totalWork);
+    ar.f64(m.totalBusyTime);
+    ar.f64(m.totalFreqTime);
+    ar.seq(m.timelineS, 8, "timeline", [&](auto &t) { ar.f64(t); });
+    ar.each(m.zoneAmbientC, m.timelineS.size(), "timeline rows",
+            [&](auto &row) {
+                ar.f64s(row, sim.zoneSockets_.size(),
+                        "timeline zone row");
+            });
+    ar.stats(m.chipTempC);
+    ar.f64(m.maxChipTempC);
+    ar.f64(m.boostTimeS);
 }
 
 // --- OBS: registry values, timeline cursor, trace buffer --------------
 
+template <class Ar, class Registry>
 void
-CkptAccess::writeRegistry(Writer &w, const obs::Registry &registry)
+CkptAccess::registry(Ar &ar, Registry &registry)
 {
-    const std::vector<obs::CounterSample> counters =
-        registry.counters();
-    w.size(counters.size());
-    for (const obs::CounterSample &c : counters) {
-        w.str(c.name);
-        w.u64(c.value);
+    std::vector<obs::CounterSample> counters;
+    std::vector<obs::GaugeSample> gauges;
+    if constexpr (!Ar::kLoading) {
+        counters = registry.counters();
+        gauges = registry.gauges();
     }
-    const std::vector<obs::GaugeSample> gauges = registry.gauges();
-    w.size(gauges.size());
-    for (const obs::GaugeSample &g : gauges) {
-        w.str(g.name);
-        w.str(g.unit);
-        w.f64(g.value);
-    }
-}
-
-void
-CkptAccess::applyRegistry(obs::Registry &registry, Reader &r)
-{
-    // Registry::counter()/gauge() create on first use; a hostile file
-    // must not be able to inject instruments, so every name is
-    // validated against the already-registered set (identical across
-    // save/restore because construction registers them and the digest
-    // pins config + policy).
-    std::set<std::string> knownCounters;
-    for (const obs::CounterSample &c : registry.counters())
-        knownCounters.insert(c.name);
-    std::map<std::string, std::string> knownGauges;
-    for (const obs::GaugeSample &g : registry.gauges())
-        knownGauges.emplace(g.name, g.unit);
-
-    const std::size_t ncounters = static_cast<std::size_t>(
-        readCount(r, r.remaining() / 16, "counter table"));
-    for (std::size_t i = 0; i < ncounters; ++i) {
-        const std::string name = r.str();
-        const std::uint64_t value = r.u64();
-        if (knownCounters.find(name) == knownCounters.end())
-            badField("counter table",
-                     "unknown counter '" + name + "'");
-        obs::Counter &counter = registry.counter(name);
-        counter.reset();
-        counter.inc(value);
-    }
-    const std::size_t ngauges = static_cast<std::size_t>(
-        readCount(r, r.remaining() / 24, "gauge table"));
-    for (std::size_t i = 0; i < ngauges; ++i) {
-        const std::string name = r.str();
-        const std::string unit = r.str();
-        const double value = r.f64();
-        const auto it = knownGauges.find(name);
-        if (it == knownGauges.end())
-            badField("gauge table", "unknown gauge '" + name + "'");
-        if (it->second != unit)
-            badField("gauge table", "gauge '" + name + "' unit '" +
-                                        unit + "' != registered '" +
-                                        it->second + "'");
-        registry.gauge(name).set(value);
+    ar.seq(counters, 16, "counter table", [&](auto &c) {
+        ar.str(c.name);
+        ar.u64(c.value);
+    });
+    ar.seq(gauges, 24, "gauge table", [&](auto &g) {
+        ar.str(g.name);
+        ar.str(g.unit);
+        ar.f64(g.value);
+    });
+    if constexpr (Ar::kLoading) {
+        // Registry::counter()/gauge() create on first use; a hostile
+        // file must not be able to inject instruments, so every name
+        // is validated against the already-registered set (identical
+        // across save/restore because construction registers them and
+        // the digest pins config + policy).
+        std::set<std::string> knownCounters;
+        for (const obs::CounterSample &c : registry.counters())
+            knownCounters.insert(c.name);
+        std::set<std::pair<std::string, std::string>> knownGauges;
+        for (const obs::GaugeSample &g : registry.gauges())
+            knownGauges.emplace(g.name, g.unit);
+        for (const obs::CounterSample &c : counters) {
+            if (knownCounters.find(c.name) == knownCounters.end())
+                badField("counter table",
+                         "unknown counter '" + c.name + "'");
+            obs::Counter &counter = registry.counter(c.name);
+            counter.reset();
+            counter.inc(c.value);
+        }
+        for (const obs::GaugeSample &g : gauges) {
+            if (knownGauges.find({g.name, g.unit}) == knownGauges.end())
+                badField("gauge table", "no gauge '" + g.name +
+                                            "' registered in unit '" +
+                                            g.unit + "'");
+            registry.gauge(g.name).set(g.value);
+        }
     }
 }
 
+template <class Ar, class Sim>
 void
-CkptAccess::writeObs(Writer &w, const DenseServerSim &sim)
+CkptAccess::obs(Ar &ar, Sim &sim)
 {
-    writeRegistry(w, sim.obsRegistry_);
-    w.u64(sim.sampler_.nextGridIndex());
-    obs::TraceCkptAccess::save(w, sim.trace_);
-}
-
-void
-CkptAccess::applyObs(DenseServerSim &sim, Reader r)
-{
-    applyRegistry(sim.obsRegistry_, r);
-    sim.sampler_.resumeAt(r.u64());
-    obs::TraceCkptAccess::apply(r, sim.trace_);
-    r.expectEnd("obs");
+    registry(ar, sim.obsRegistry_);
+    std::uint64_t grid = sim.sampler_.nextGridIndex();
+    ar.u64(grid);
+    if constexpr (Ar::kLoading)
+        sim.sampler_.resumeAt(grid);
+    obs::TraceCkptAccess::transfer(ar, sim.trace_);
 }
 
 // --- FAULT: timeline cursor, log, sensor/offline/ladder state ---------
 
+template <class Ar, class Sim>
 void
-CkptAccess::writeFault(Writer &w, const DenseServerSim &sim)
-{
-    w.boolean(sim.faultsEnabled_);
-    w.size(sim.nextFaultEvent_);
-    w.size(sim.faultLog_.size());
-    for (const FaultEvent &e : sim.faultLog_) {
-        w.f64(e.timeS);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.u32(e.socket);
-        w.f64(e.value);
-    }
-    w.f64(sim.fanPowerW_);
-    w.boolean(sim.couplingDerated_);
-    w.u64(sim.couplingEpoch_);
-
-    const FaultState &fs = sim.faultState_;
-    w.size(fs.sensorMode_.size());
-    for (const SensorMode mode : fs.sensorMode_)
-        w.u8(static_cast<std::uint8_t>(mode));
-    w.vecF64(fs.stuckAmbientC_);
-    w.vecF64(fs.stuckChipC_);
-    w.vecF64(fs.noiseSigmaC_);
-    w.vecF64(fs.lastGoodAmbientC_);
-    w.vecU8(fs.offline_);
-    w.size(fs.offlineCount_);
-    w.vecU8(fs.escStage_);
-    w.vecF64(fs.overTripSinceS_);
-    w.f64(fs.flowFrac_);
-}
-
-void
-CkptAccess::applyFault(DenseServerSim &sim, Reader r)
+CkptAccess::fault(Ar &ar, Sim &sim)
 {
     const std::size_t n = sim.topo_.numSockets();
-    const bool enabled = r.boolean();
-    if (enabled != sim.faultsEnabled_)
-        badField("fault section",
-                 "fault arming disagrees with this configuration");
-    const std::size_t cursor = r.size();
-    if (cursor > sim.faultTimeline_.events().size())
-        badField("fault timeline cursor",
-                 std::to_string(cursor) + " past the " +
-                     std::to_string(sim.faultTimeline_.events().size()) +
-                     "-event timeline");
-    sim.nextFaultEvent_ = cursor;
-    const std::size_t logged = static_cast<std::size_t>(
-        readCount(r, r.remaining() / 21, "fault log"));
-    sim.faultLog_.clear();
-    sim.faultLog_.reserve(logged);
-    for (std::size_t i = 0; i < logged; ++i) {
-        FaultEvent e{};
-        e.timeS = r.f64();
-        const std::uint8_t kind = r.u8();
-        if (kind > static_cast<std::uint8_t>(FaultKind::JobRequeue))
-            badField("fault log", "fault kind " +
-                                      std::to_string(int(kind)));
-        e.kind = static_cast<FaultKind>(kind);
-        e.socket = r.u32();
-        e.value = r.f64();
-        sim.faultLog_.push_back(e);
-    }
-    sim.fanPowerW_ = readFinite(r, "fan power");
-    sim.couplingDerated_ = r.boolean();
-    sim.couplingEpoch_ = r.u64();
+    bool enabled = sim.faultsEnabled_;
+    ar.boolean(enabled);
+    ar.require(enabled == sim.faultsEnabled_, "fault section",
+               "fault arming disagrees with this configuration");
+    ar.index(sim.nextFaultEvent_, sim.faultTimeline_.events().size() + 1,
+             "fault timeline cursor");
+    ar.seq(sim.faultLog_, 21, "fault log", [&](auto &e) {
+        ar.f64(e.timeS);
+        ar.u8(e.kind, FaultKind::JobRequeue, "fault log kind");
+        ar.u32(e.socket);
+        ar.f64(e.value);
+    });
+    ar.finite(sim.fanPowerW_, "fan power");
+    ar.boolean(sim.couplingDerated_);
+    ar.u64(sim.couplingEpoch_);
 
-    FaultState &fs = sim.faultState_;
-    {
-        const std::vector<std::uint8_t> modes = readU8Array(
-            r, n, static_cast<std::uint8_t>(SensorMode::Dropout),
-            "sensorMode");
-        fs.sensorMode_.resize(n);
-        for (std::size_t s = 0; s < n; ++s)
-            fs.sensorMode_[s] = static_cast<SensorMode>(modes[s]);
-    }
-    fs.stuckAmbientC_ = readF64Array(r, n, "stuckAmbientC");
-    fs.stuckChipC_ = readF64Array(r, n, "stuckChipC");
-    fs.noiseSigmaC_ = readF64Array(r, n, "noiseSigmaC");
-    fs.lastGoodAmbientC_ = readF64Array(r, n, "lastGoodAmbientC");
-    fs.offline_ = readU8Array(r, n, 2, "offline");
-    const std::size_t offlineCount = r.size();
-    std::size_t actual = 0;
-    for (const std::uint8_t o : fs.offline_)
-        actual += o != 0 ? 1 : 0;
-    if (offlineCount != actual)
-        badField("offline count",
-                 std::to_string(offlineCount) + " recorded, " +
-                     std::to_string(actual) + " sockets marked");
-    fs.offlineCount_ = offlineCount;
-    fs.escStage_ = readU8Array(r, n, 1, "escStage");
-    fs.overTripSinceS_ = readF64Array(r, n, "overTripSinceS");
-    const double flowFrac = r.f64();
-    if (!std::isfinite(flowFrac) || flowFrac <= 0.0 ||
-        flowFrac > 1.0)
-        badField("fan flow fraction", "outside (0, 1]");
-    if (sim.couplingDerated_ != (flowFrac != 1.0))
-        badField("fan flow fraction",
-                 "disagrees with the coupling-derated flag");
-    fs.flowFrac_ = flowFrac;
-    r.expectEnd("fault");
+    auto &fs = sim.faultState_;
+    ar.bytes(fs.sensorMode_, n, SensorMode::Dropout, "sensorMode");
+    ar.f64s(fs.stuckAmbientC_, n, "stuckAmbientC");
+    ar.f64s(fs.stuckChipC_, n, "stuckChipC");
+    ar.f64s(fs.noiseSigmaC_, n, "noiseSigmaC");
+    ar.f64s(fs.lastGoodAmbientC_, n, "lastGoodAmbientC");
+    ar.bytes(fs.offline_, n, 2, "offline");
+    ar.u64(fs.offlineCount_);
+    ar.require(fs.offlineCount_ ==
+                   static_cast<std::size_t>(std::count_if(
+                       fs.offline_.begin(), fs.offline_.end(),
+                       [](std::uint8_t o) { return o != 0; })),
+               "offline count", "disagrees with the sockets marked");
+    ar.bytes(fs.escStage_, n, 1, "escStage");
+    ar.f64s(fs.overTripSinceS_, n, "overTripSinceS");
+    ar.f64(fs.flowFrac_);
+    ar.require(std::isfinite(fs.flowFrac_) && fs.flowFrac_ > 0.0 &&
+                   fs.flowFrac_ <= 1.0,
+               "fan flow fraction", "outside (0, 1]");
+    ar.require(sim.couplingDerated_ == (fs.flowFrac_ != 1.0),
+               "fan flow fraction",
+               "disagrees with the coupling-derated flag");
 }
 
 // --- SCHED: prediction memos ------------------------------------------
@@ -977,79 +815,71 @@ CkptAccess::applyFault(DenseServerSim &sim, Reader r)
 // snapshot a pure function of the restored socket state, so both are
 // rebuilt (constructor, finalizeRestore) rather than carried.
 
+template <class Ar, class Sim>
 void
-CkptAccess::writeSched(Writer &w, const DenseServerSim &sim)
-{
-    const PredictionCache &pc = sim.predCache_;
-    w.u64(pc.epoch);
-    w.size(pc.place.size());
-    for (const PredictionCache::PlaceEntry &e : pc.place) {
-        w.u64(e.stamp);
-        w.u8(static_cast<std::uint8_t>(e.set));
-        writeDecision(w, e.decision);
-    }
-    w.size(pc.penalty.size());
-    for (const PredictionCache::PenaltyEntry &e : pc.penalty) {
-        w.u64(e.stamp);
-        w.f64(e.extra);
-        w.f64(e.mhz);
-    }
-}
-
-void
-CkptAccess::applySched(DenseServerSim &sim, Reader r)
+CkptAccess::sched(Ar &ar, Sim &sim)
 {
     const std::size_t n = sim.topo_.numSockets();
     const std::size_t np = sim.pm_.pstates().size();
-    const auto maxSet =
-        static_cast<std::uint8_t>(WorkloadSet::GeneralPurpose);
-
-    PredictionCache &pc = sim.predCache_;
-    pc.epoch = r.u64();
-    if (r.size() != n)
-        badField("prediction cache", "place entry count");
-    for (std::size_t s = 0; s < n; ++s) {
-        PredictionCache::PlaceEntry &e = pc.place[s];
-        e.stamp = r.u64();
-        const std::uint8_t set = r.u8();
-        if (set > maxSet)
-            badField("prediction cache", "workload set " +
-                                             std::to_string(int(set)));
-        e.set = static_cast<WorkloadSet>(set);
-        e.decision = readDecision(r, np, "placement decision");
-    }
-    if (r.size() != n)
-        badField("prediction cache", "penalty entry count");
-    for (std::size_t s = 0; s < n; ++s) {
-        PredictionCache::PenaltyEntry &e = pc.penalty[s];
-        e.stamp = r.u64();
-        e.extra = r.f64();
-        e.mhz = r.f64();
-    }
-    r.expectEnd("sched");
+    auto &pc = sim.predCache_;
+    ar.u64(pc.epoch);
+    ar.each(pc.place, n, "placement memo", [&](auto &e) {
+        ar.u64(e.stamp);
+        ar.u8(e.set, WorkloadSet::GeneralPurpose, "placement memo set");
+        ar.decision(e.decision, np, "placement decision");
+    });
+    ar.each(pc.penalty, n, "penalty memo", [&](auto &e) {
+        ar.u64(e.stamp);
+        ar.f64(e.extra);
+        ar.f64(e.mhz);
+    });
 }
 
-// --- capture / apply --------------------------------------------------
+// --- FLEET core: window, dispatcher cursor, arrival lookahead ---------
+
+template <class Ar, class Fleet>
+void
+CkptAccess::fleetCore(Ar &ar, Fleet &fleet)
+{
+    const std::size_t n = fleet.shards_.size();
+    ar.length(n, "fleet chassis count");
+    ar.u64(fleet.window_);
+    ar.boolean(fleet.arrivalsOpen_);
+    std::uint64_t cursor = fleet.dispatcher_->cursor();
+    ar.u64(cursor);
+    if constexpr (Ar::kLoading)
+        fleet.dispatcher_->setCursor(cursor);
+    // A stateless dispatcher keeps no cursor: a nonzero one must fail
+    // here rather than vanish from the next save.
+    ar.require(fleet.dispatcher_->cursor() == cursor, "dispatcher cursor",
+               "this dispatcher keeps no such cursor");
+    auto &arrivals = *fleet.arrivals_;
+    ar.rng(arrivals.rng_, "arrival rng");
+    ar.finite(arrivals.clockS_, "arrival clock");
+    ar.u64(arrivals.nextId_);
+    ar.boolean(arrivals.hasPending_);
+    ar.job(arrivals.pending_, "arrival lookahead");
+    ar.u64(fleet.metrics_.jobsArrived);
+    ar.u64(fleet.metrics_.jobsDispatched);
+    ar.each(fleet.metrics_.dispatchedPerShard, n, "dispatch counts",
+            [&](auto &d) { ar.u64(d); });
+    registry(ar, fleet.registry_);
+}
+
+// --- engine save / restore --------------------------------------------
 
 CkptAccess::EngineImage
-CkptAccess::captureEngine(const DenseServerSim &sim)
+CkptAccess::saveSections(const DenseServerSim &sim)
 {
     if (!sim.streamOpen_)
         fatal("ckpt: cannot checkpoint a closed run (beginRun?)");
     EngineImage image;
-    Writer w;
-    writeCore(w, sim);
-    image.core = w.take();
-    writeRng(w, sim);
-    image.rng = w.take();
-    writeMetrics(w, sim);
-    image.metrics = w.take();
-    writeObs(w, sim);
-    image.obs = w.take();
-    writeFault(w, sim);
-    image.fault = w.take();
-    writeSched(w, sim);
-    image.sched = w.take();
+    Saver ar;
+    const auto &table = kEngineSections<Saver, const DenseServerSim>;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        table[i].transfer(ar, sim);
+        image[i] = ar.take();
+    }
     return image;
 }
 
@@ -1135,80 +965,108 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
 }
 
 void
-CkptAccess::applyEngine(DenseServerSim &sim, const EngineImage &image,
-                        RestoreMode mode, std::uint64_t fork_id)
+CkptAccess::loadSections(DenseServerSim &sim, const EngineImage &image,
+                         RestoreMode mode, std::uint64_t fork_id)
 {
     // A failed earlier fleet restore can leave a shard open; reset
-    // handles either state (restoreEngine/restoreFleet hold the
+    // handles either state (the public restore functions hold the
     // user-facing open-run guards).
     sim.streamOpen_ = false;
     sim.resetState();
-    applyCore(sim, Reader(image.core));
-    applyRng(sim, Reader(image.rng), mode, fork_id);
-    applyMetrics(sim, Reader(image.metrics));
-    applyObs(sim, Reader(image.obs));
-    applyFault(sim, Reader(image.fault));
-    applySched(sim, Reader(image.sched));
+    const auto &table = kEngineSections<Loader, DenseServerSim>;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        Loader ar(image[i]);
+        table[i].transfer(ar, sim);
+        ar.expectEnd(table[i].name);
+    }
+    if (mode == RestoreMode::Fork) {
+        // Identical state, divergent future: every stream reseeded
+        // through the avalanched domain-separation chain.
+        sim.policyRng_ = Rng(domainSeed(sim.config_.seed, fork_id,
+                                        ckpt::ckpt_stream::kForkPolicy));
+        sim.sensorRng_ = Rng(domainSeed(sim.config_.seed, fork_id,
+                                        ckpt::ckpt_stream::kForkSensor));
+        sim.faultRng_ = Rng(domainSeed(
+            sim.config_.fault.effectiveSeed(sim.config_.seed), fork_id,
+            ckpt::ckpt_stream::kForkFault));
+    }
     finalizeRestore(sim);
+}
+
+std::string
+CkptAccess::saveEngineFile(const DenseServerSim &sim)
+{
+    EngineImage image = saveSections(sim);
+    const auto &table = kEngineSections<Saver, const DenseServerSim>;
+    std::vector<std::pair<std::uint32_t, std::string>> sections;
+    for (std::size_t i = 0; i < table.size(); ++i)
+        sections.emplace_back(table[i].id, std::move(image[i]));
+    return buildFile(SnapshotKind::Engine,
+                     ckpt::stateDigest(sim.policy_->name(), sim.config_),
+                     sections);
+}
+
+void
+CkptAccess::restoreEngineFile(DenseServerSim &sim,
+                              std::string_view image, RestoreMode mode,
+                              std::uint64_t fork_id)
+{
+    if (sim.streamOpen_)
+        fatal("ckpt: restore into an open run — finishRun() first "
+              "(double restore?)");
+    const auto sections =
+        parseFile(image, SnapshotKind::Engine,
+                  ckpt::stateDigest(sim.policy_->name(), sim.config_));
+    const auto &table = kEngineSections<Loader, DenseServerSim>;
+    if (sections.size() != table.size())
+        throw CkptError("checkpoint: engine file has " +
+                        std::to_string(sections.size()) +
+                        " sections, expected " +
+                        std::to_string(table.size()));
+    EngineImage payloads;
+    for (std::size_t i = 0; i < table.size(); ++i)
+        payloads[i] = section(sections, table[i].id);
+    loadSections(sim, payloads, mode, fork_id);
 }
 
 // --- fleet ------------------------------------------------------------
 
 std::string
-CkptAccess::saveFleetImage(const FleetSim &fleet)
+CkptAccess::saveFleetFile(const FleetSim &fleet)
 {
     if (!fleet.fleetOpen_)
         fatal("ckpt: cannot checkpoint a closed fleet run "
               "(beginRun?)");
     std::vector<std::pair<std::uint32_t, std::string>> sections;
-
-    Writer w;
-    const std::size_t n = fleet.shards_.size();
-    w.size(n);
-    w.size(fleet.window_);
-    w.boolean(fleet.arrivalsOpen_);
-    w.u64(fleet.dispatcher_->cursor());
-    const JobGenerator &arrivals = *fleet.arrivals_;
-    writeSnapshot(w, arrivals.rng_.snapshot());
-    w.f64(arrivals.clockS_);
-    w.u64(arrivals.nextId_);
-    w.boolean(arrivals.hasPending_);
-    writeJob(w, arrivals.pending_);
-    w.u64(fleet.metrics_.jobsArrived);
-    w.u64(fleet.metrics_.jobsDispatched);
-    w.size(fleet.metrics_.dispatchedPerShard.size());
-    for (const std::uint64_t d : fleet.metrics_.dispatchedPerShard)
-        w.u64(d);
-    writeRegistry(w, fleet.registry_);
-    sections.emplace_back(kSecFleet, w.take());
-
-    for (std::size_t s = 0; s < n; ++s) {
-        const EngineImage image = captureEngine(*fleet.shards_[s]);
-        Writer shard;
-        shard.str(image.core);
-        shard.str(image.rng);
-        shard.str(image.metrics);
-        shard.str(image.obs);
-        shard.str(image.fault);
-        shard.str(image.sched);
+    Saver ar;
+    fleetCore(ar, fleet);
+    sections.emplace_back(kSecFleet, ar.take());
+    for (std::size_t s = 0; s < fleet.shards_.size(); ++s) {
+        for (const std::string &payload :
+             saveSections(*fleet.shards_[s]))
+            ar.str(payload);
         sections.emplace_back(
-            kSecShardBase + static_cast<std::uint32_t>(s),
-            shard.take());
+            kSecShardBase + static_cast<std::uint32_t>(s), ar.take());
     }
-    return buildFile(SnapshotKind::Fleet,
-                     ckpt::stateDigest(fleetPolicyName(fleet),
-                                       fleet.base_),
-                     sections);
+    return buildFile(
+        SnapshotKind::Fleet,
+        ckpt::stateDigest(fleet.shards_.front()->policy_->name(),
+                          fleet.base_),
+        sections);
 }
 
 void
-CkptAccess::restoreFleetImage(FleetSim &fleet, std::string_view image,
-                              RestoreMode mode, std::uint64_t fork_id)
+CkptAccess::restoreFleetFile(FleetSim &fleet, std::string_view image,
+                             RestoreMode mode, std::uint64_t fork_id)
 {
+    if (fleet.fleetOpen_)
+        fatal("ckpt: restore into an open fleet run — finishRun() "
+              "first (double restore?)");
     const std::size_t n = fleet.shards_.size();
     const auto sections = parseFile(
         image, SnapshotKind::Fleet,
-        ckpt::stateDigest(fleetPolicyName(fleet), fleet.base_));
+        ckpt::stateDigest(fleet.shards_.front()->policy_->name(),
+                          fleet.base_));
     if (sections.size() != n + 1)
         throw CkptError("checkpoint: fleet file has " +
                         std::to_string(sections.size()) +
@@ -1235,52 +1093,22 @@ CkptAccess::restoreFleetImage(FleetSim &fleet, std::string_view image,
     fleet.metrics_.dispatchedPerShard.assign(n, 0);
     fleet.batches_.assign(n, {});
 
-    Reader r(core);
-    if (r.size() != n)
-        throw CkptError("checkpoint: fleet snapshot chassis count "
-                        "!= this fleet's " +
-                        std::to_string(n));
-    fleet.window_ = r.size();
-    fleet.arrivalsOpen_ = r.boolean();
-    fleet.dispatcher_->setCursor(r.u64());
-    {
-        JobGenerator &arrivals = *fleet.arrivals_;
-        const Rng::Snapshot snap = readSnapshot(r, "arrival rng");
-        if (mode == RestoreMode::Exact)
-            arrivals.rng_.restore(snap);
-        else
-            arrivals.rng_ =
-                Rng(domainSeed(fleet.fleetSeed_, fork_id,
-                               ckpt::ckpt_stream::kForkArrivals));
-        arrivals.clockS_ = readFinite(r, "arrival clock");
-        arrivals.nextId_ = r.u64();
-        arrivals.hasPending_ = r.boolean();
-        arrivals.pending_ = readJob(r, "arrival lookahead");
-    }
-    fleet.metrics_.jobsArrived = r.u64();
-    fleet.metrics_.jobsDispatched = r.u64();
-    {
-        const std::size_t count = r.size();
-        if (count != n)
-            badField("dispatch counts", "length != chassis count");
-        for (std::size_t s = 0; s < n; ++s)
-            fleet.metrics_.dispatchedPerShard[s] = r.u64();
-    }
-    applyRegistry(fleet.registry_, r);
-    r.expectEnd("fleet");
+    Loader ar(core);
+    fleetCore(ar, fleet);
+    ar.expectEnd("fleet");
+    if (mode == RestoreMode::Fork)
+        fleet.arrivals_->rng_ =
+            Rng(domainSeed(fleet.fleetSeed_, fork_id,
+                           ckpt::ckpt_stream::kForkArrivals));
 
     for (std::size_t s = 0; s < n; ++s) {
         Reader shard(section(
             sections, kSecShardBase + static_cast<std::uint32_t>(s)));
-        EngineImage shard_image;
-        shard_image.core = shard.str();
-        shard_image.rng = shard.str();
-        shard_image.metrics = shard.str();
-        shard_image.obs = shard.str();
-        shard_image.fault = shard.str();
-        shard_image.sched = shard.str();
+        EngineImage payloads;
+        for (std::string &payload : payloads)
+            payload = shard.str();
         shard.expectEnd("shard");
-        applyEngine(*fleet.shards_[s], shard_image, mode, fork_id);
+        loadSections(*fleet.shards_[s], payloads, mode, fork_id);
     }
     fleet.fleetOpen_ = true;
 }
@@ -1303,57 +1131,27 @@ stateDigest(const std::string &policy, const SimConfig &config)
 std::string
 saveEngine(const DenseServerSim &sim)
 {
-    const CkptAccess::EngineImage image =
-        CkptAccess::captureEngine(sim);
-    return buildFile(
-        SnapshotKind::Engine,
-        stateDigest(CkptAccess::policyName(sim), sim.config()),
-        {{kSecCore, image.core},
-         {kSecRng, image.rng},
-         {kSecMetrics, image.metrics},
-         {kSecObs, image.obs},
-         {kSecFault, image.fault},
-         {kSecSched, image.sched}});
+    return CkptAccess::saveEngineFile(sim);
 }
 
 void
 restoreEngine(DenseServerSim &sim, std::string_view image,
               RestoreMode mode, std::uint64_t fork_id)
 {
-    if (CkptAccess::engineOpen(sim))
-        fatal("ckpt: restore into an open run — finishRun() first "
-              "(double restore?)");
-    const auto sections = parseFile(
-        image, SnapshotKind::Engine,
-        stateDigest(CkptAccess::policyName(sim), sim.config()));
-    if (sections.size() != 6)
-        throw CkptError("checkpoint: engine file has " +
-                        std::to_string(sections.size()) +
-                        " sections, expected 6");
-    CkptAccess::EngineImage img;
-    img.core = section(sections, kSecCore);
-    img.rng = section(sections, kSecRng);
-    img.metrics = section(sections, kSecMetrics);
-    img.obs = section(sections, kSecObs);
-    img.fault = section(sections, kSecFault);
-    img.sched = section(sections, kSecSched);
-    CkptAccess::applyEngine(sim, img, mode, fork_id);
+    CkptAccess::restoreEngineFile(sim, image, mode, fork_id);
 }
 
 std::string
 saveFleet(const FleetSim &fleet)
 {
-    return CkptAccess::saveFleetImage(fleet);
+    return CkptAccess::saveFleetFile(fleet);
 }
 
 void
 restoreFleet(FleetSim &fleet, std::string_view image,
              RestoreMode mode, std::uint64_t fork_id)
 {
-    if (CkptAccess::fleetOpen(fleet))
-        fatal("ckpt: restore into an open fleet run — finishRun() "
-              "first (double restore?)");
-    CkptAccess::restoreFleetImage(fleet, image, mode, fork_id);
+    CkptAccess::restoreFleetFile(fleet, image, mode, fork_id);
 }
 
 void

@@ -30,7 +30,7 @@
  *
  * Loaders validate the header, every section length and every CRC
  * into an in-memory section map *before* mutating any engine state,
- * and every apply-time range check throws ckpt::CkptError — so a
+ * and every load-time field check throws ckpt::CkptError — so a
  * truncated, corrupted or hostile file yields a one-line actionable
  * error, never UB and never a partially-restored engine (the engine
  * stays closed; beginRun() fully re-initializes it).

@@ -19,7 +19,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/effects.hh"
 #include "util/digest.hh"
@@ -51,10 +50,13 @@ class Writer
             u8(static_cast<std::uint8_t>(v >> (8 * i)));
     }
 
+    /** One 8-byte append, not eight pushes: most of an image is words. */
     void u64(std::uint64_t v)
     {
+        char bytes[8];
         for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+            bytes[i] = static_cast<char>(v >> (8 * i));
+        buf_.append(bytes, sizeof bytes);
     }
 
     /**
@@ -91,29 +93,6 @@ class Writer
         buf_.append(s.data(), s.size());
     }
 
-    void vecF64(const std::vector<double> &v)
-    {
-        size(v.size());
-        for (const double x : v)
-            f64(x);
-    }
-
-    void vecU8(const std::vector<std::uint8_t> &v)
-    {
-        size(v.size());
-        for (const std::uint8_t x : v)
-            u8(x);
-    }
-
-    void vecSize(const std::vector<std::size_t> &v)
-    {
-        size(v.size());
-        for (const std::size_t x : v)
-            size(x);
-    }
-
-    const std::string &data() const { return buf_; }
-
     /** Move the buffer out, leaving the writer empty and reusable. */
     std::string take()
     {
@@ -127,10 +106,11 @@ class Writer
 };
 
 /**
- * Bounds-checked little-endian reader over a borrowed buffer. All
- * element counts read from the wire are validated against the bytes
- * actually remaining before any allocation, so a hostile length
- * cannot trigger a multi-gigabyte vector reserve.
+ * Bounds-checked little-endian reader over a borrowed buffer. A
+ * string length read from the wire is validated against the bytes
+ * actually remaining before any allocation (the checkpoint loader
+ * does the same for every sequence count), so a hostile length
+ * cannot trigger a multi-gigabyte reserve.
  */
 class Reader
 {
@@ -217,36 +197,6 @@ class Reader
         need(n, "raw bytes");
         std::string_view out = data_.substr(pos_, n);
         pos_ += n;
-        return out;
-    }
-
-    std::vector<double> vecF64()
-    {
-        const std::size_t n = counted(8, "f64 vector");
-        std::vector<double> out;
-        out.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(f64());
-        return out;
-    }
-
-    std::vector<std::uint8_t> vecU8()
-    {
-        const std::size_t n = counted(1, "u8 vector");
-        std::vector<std::uint8_t> out;
-        out.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(u8());
-        return out;
-    }
-
-    std::vector<std::size_t> vecSize()
-    {
-        const std::size_t n = counted(8, "size vector");
-        std::vector<std::size_t> out;
-        out.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(size());
         return out;
     }
 

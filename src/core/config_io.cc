@@ -255,8 +255,6 @@ keyTable()
         {"incrementalThermal", boolf(&SimConfig::incrementalThermal)},
         {"schedPredictionCache",
          boolf(&SimConfig::schedPredictionCache)},
-        {"ambientBatchFrac", dbl(&SimConfig::ambientBatchFrac)},
-        {"busySumSkip", boolf(&SimConfig::busySumSkip)},
         {"warmStart", boolf(&SimConfig::warmStart)},
         {"seed",
          {[](SimConfig &c, const std::string &k, const std::string &v) {

@@ -256,13 +256,6 @@ DenseServerSim::resetState()
     arena_.reserve(32 * n + 256);
     predCache_.reset(n);
     predCache_.snapshot = !faultsEnabled_;
-    ambientBatchMin_ =
-        config_.ambientBatchFrac <= 0.0
-            ? 0
-            : std::max<std::size_t>(
-                  1, static_cast<std::size_t>(
-                         std::ceil(config_.ambientBatchFrac *
-                                   static_cast<double>(n))));
 
     queue_.clear();
     metrics_ = SimMetrics{};
@@ -552,25 +545,14 @@ DenseServerSim::thermalStep(double dt)
         ++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs) {
         refreshAmbientTargets();
     } else if (!dirtySockets_.empty()) {
-        if (ambientBatchMin_ != 0 &&
-            dirtySockets_.size() >= ambientBatchMin_) {
-            // Crossover heuristic: enough sockets changed power this
-            // epoch that one flat batched pass beats the per-socket
-            // delta scatter. The refresh re-derives the field exactly,
-            // but it changes *when* accumulated rounding is flushed —
-            // tolerance mode, off by default (ambientBatchFrac = 0).
-            refreshAmbientTargets();
-        } else {
-            count_.ambientDeltas->inc(dirtySockets_.size());
-            for (std::size_t s : dirtySockets_) {
-                coupling_.applyPowerDelta(ambTargets_, s,
-                                          targetPowerW_[s],
-                                          powerW_[s]);
-                targetPowerW_[s] = powerW_[s];
-                powerDirty_[s] = 0;
-            }
-            dirtySockets_.clear();
+        count_.ambientDeltas->inc(dirtySockets_.size());
+        for (std::size_t s : dirtySockets_) {
+            coupling_.applyPowerDelta(ambTargets_, s, targetPowerW_[s],
+                                      powerW_[s]);
+            targetPowerW_[s] = powerW_[s];
+            powerDirty_[s] = 0;
         }
+        dirtySockets_.clear();
     }
     const std::size_t n = topo_.numSockets();
     const bool measure = tCursor_ >= config_.warmupS;
@@ -693,11 +675,11 @@ DenseServerSim::powerManage(double now)
         syncProgress(s, now);
         const DvfsDecision d =
             chooseDvfs(s, runningSet_[s], dvfsCap(s));
-        setSocketRate(s, d.pstate, d.power.value(), now);
+        applyRate(s, d.pstate, d.power.value(), now);
     }
-    // Re-derive the piecewise sums once per epoch: cheap with the
-    // cached rates, and it pins any incremental floating-point drift
-    // to at most one epoch's worth of delta updates.
+    // The loop leaves the busy sums alone (nothing reads them in it):
+    // re-derive them once here, which also pins any incremental
+    // floating-point drift to at most one epoch's worth of updates.
     rebuildScalars();
     // Frequencies and powers were refreshed wholesale.
     predCache_.invalidate();
@@ -766,6 +748,15 @@ void
 DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
                               double power_w, double now)
 {
+    busySumsRemove(socket);
+    applyRate(socket, new_pstate, power_w, now);
+    busySumsAdd(socket);
+}
+
+void
+DenseServerSim::applyRate(std::size_t socket, std::size_t new_pstate,
+                          double power_w, double now)
+{
     // Progress is measured in nominal (highest-sustained-frequency)
     // seconds: boost states advance a job faster than 1x. This is the
     // design point of the SUT — 100% load is exactly sustainable at
@@ -775,21 +766,6 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
         curve.perfRel[new_pstate] / curve.perfRel[sustainedIdx_];
     if (rate <= 0.0)
         panic("socket ", socket, " has non-positive progress rate");
-    const double rel = relFreqByPstate_[new_pstate];
-    const char boost = boostByPstate_[new_pstate] ? 1 : 0;
-    // Skip the busy-sum remove/add round-trip when the socket is
-    // already summed with bitwise-identical contributions — the
-    // common case of powerManage confirming last epoch's decision.
-    // Exact because the skip can only trigger inside powerManage
-    // (every other caller places onto a socket that is not yet in the
-    // sums), and powerManage rebuilds the sums from scratch before
-    // they are next read (rebuildScalars).
-    const bool resum = !(config_.busySumSkip && inBusySums_[socket] &&
-                         contribRate_[socket] == rate &&
-                         contribRel_[socket] == rel &&
-                         contribBoost_[socket] == boost);
-    if (resum)
-        busySumsRemove(socket);
     pstate_[socket] = new_pstate;
     boostFlag_[socket] = boostByPstate_[new_pstate];
     freqMhz_[socket] = freqByPstate_[new_pstate];
@@ -800,10 +776,8 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
         markPowerDirty(socket);
     }
     rateCache_[socket] = rate;
-    relFreqCache_[socket] = rel;
+    relFreqCache_[socket] = relFreqByPstate_[new_pstate];
     completionS_[socket] = now + jobRemainingS_[socket] / rate;
-    if (resum)
-        busySumsAdd(socket);
     if (busyFlag_[socket])
         completionHeap_.upsert(socket, completionS_[socket]);
     refreshPenaltySnapshot(socket);

@@ -244,8 +244,15 @@ class DenseServerSim
     void syncProgress(std::size_t socket, double now);
     /** Zero the running-job arrays of a socket going idle. */
     void clearJobState(std::size_t socket);
+    /** applyRate() with the busy sums kept up to date around it. */
     void setSocketRate(std::size_t socket, std::size_t pstate,
                        double power_w, double now);
+    /**
+     * Move a socket to @p pstate at @p power_w, leaving the busy sums
+     * to the caller (powerManage rebuilds them after its loop).
+     */
+    void applyRate(std::size_t socket, std::size_t pstate,
+                   double power_w, double now);
     void setIdlePower(std::size_t socket);
     void accumulate(double to);
     void rebuildScalars();
@@ -408,15 +415,6 @@ class DenseServerSim
 
     /** Drop cached penalties of sockets upstream of @p socket. */
     void invalidatePenaltyAround(std::size_t socket);
-
-    /**
-     * Crossover threshold of the batched coupling-field refresh: when
-     * at least this many sockets are power-dirty in one epoch, the
-     * incremental delta path switches to one flat ambientTempsInto
-     * pass. 0 = disabled (exact default); derived from
-     * config_.ambientBatchFrac in resetState.
-     */
-    std::size_t ambientBatchMin_ = 0;
 
     // Construction-time lookups for the per-epoch loops.
     std::vector<const HeatSink *> sinkCache_; //!< topo_.sinkOf(s).

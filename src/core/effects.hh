@@ -5,8 +5,7 @@
  * The per-epoch hot loop must stay heap-free, exception-free and
  * deterministic on *every* path, not just the paths the test matrix
  * happens to execute. The densim-hot-effects analyzer
- * (tools/tidy/run_densim_tidy.py, clang-tidy plugin form in
- * tools/tidy/HotEffectsCheck.cc) proves that statically: it builds an
+ * (tools/tidy/run_densim_tidy.py) proves that statically: it builds an
  * interprocedural call graph, computes a per-function summary over
  * the effect lattice {allocates, throws, does-IO, ambient-entropy,
  * unordered-iteration-with-escape}, and propagates summaries bottom
@@ -37,12 +36,11 @@
  *    reach its hot callers' summaries.
  *
  * Under clang the markers expand to [[clang::annotate]] attributes so
- * the clang-tidy plugin sees them in the AST; everywhere else they
- * expand to nothing and cost zero codegen — the portable driver reads
- * the marker tokens straight from the source, so both frontends see
- * the same contract. The dynamic `arena_.stats().growths == 0` check
- * (core/invariant.hh) remains as the runtime backstop of this static
- * proof.
+ * they survive into the AST; everywhere else they expand to nothing
+ * and cost zero codegen — the portable driver reads the marker tokens
+ * straight from the source, so both frontends see the same contract.
+ * The dynamic `arena_.stats().growths == 0` check (core/invariant.hh)
+ * remains as the runtime backstop of this static proof.
  */
 
 #ifndef DENSIM_CORE_EFFECTS_HH

@@ -1,6 +1,5 @@
 #include "core/metrics_io.hh"
 
-#include <iomanip>
 #include <sstream>
 
 #include "obs/json.hh"
@@ -141,16 +140,28 @@ metricsToCsvRow(const std::string &scheduler,
                 const std::string &workload, double load,
                 const SimMetrics &m)
 {
-    std::ostringstream os;
-    os << std::setprecision(10) << scheduler << "," << workload << ","
-       << load << "," << m.jobsCompleted << ","
-       << m.runtimeExpansion.mean() << "," << m.serviceExpansion.mean()
-       << "," << m.energyJ << "," << m.ed2() << "," << m.avgRelFreq()
-       << "," << m.boostFraction() << "," << m.workFraction(m.front)
-       << "," << m.workFraction(m.even) << "," << m.front.avgRelFreq()
-       << "," << m.back.avgRelFreq() << "," << m.maxChipTempC << ","
-       << m.migrations;
-    return os.str();
+    // Doubles in the shortest form that parses back exactly, as in
+    // the JSON exporters.
+    std::string row = scheduler;
+    const auto cell = [&row](const std::string &text) {
+        row += ',';
+        row += text;
+    };
+    const auto number = [&row](double v) {
+        row += ',';
+        obs::json::appendNumber(row, v);
+    };
+    cell(workload);
+    number(load);
+    cell(std::to_string(m.jobsCompleted));
+    for (const double v :
+         {m.runtimeExpansion.mean(), m.serviceExpansion.mean(),
+          m.energyJ, m.ed2(), m.avgRelFreq(), m.boostFraction(),
+          m.workFraction(m.front), m.workFraction(m.even),
+          m.front.avgRelFreq(), m.back.avgRelFreq(), m.maxChipTempC})
+        number(v);
+    cell(std::to_string(m.migrations));
+    return row;
 }
 
 } // namespace densim

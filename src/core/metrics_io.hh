@@ -43,7 +43,9 @@ std::string metricsCsvHeader();
 
 /**
  * One CSV row of the headline metrics, prefixed by the given
- * scheduler/workload/load identification columns.
+ * scheduler/workload/load identification columns. Doubles print as
+ * obs::json::appendNumber does: the shortest form that parses back
+ * exactly, `null` when non-finite.
  */
 std::string metricsToCsvRow(const std::string &scheduler,
                             const std::string &workload, double load,

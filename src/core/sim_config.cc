@@ -57,9 +57,6 @@ SimConfig::validate() const
         migrationMinRemainingS < 0.0 || migrationMaxPerPass < 0) {
         fatal("SimConfig: invalid migration parameters");
     }
-    if (ambientBatchFrac < 0.0 || ambientBatchFrac > 1.0)
-        fatal("SimConfig: ambient batch crossover fraction must lie "
-              "in [0, 1]");
     if (timelineSampleS < 0.0)
         fatal("SimConfig: timeline sample period must be "
               "non-negative");

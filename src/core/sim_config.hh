@@ -146,29 +146,6 @@ struct SimConfig
      * the differential tests compare against.
      */
     bool schedPredictionCache = true;
-    /**
-     * Crossover fraction for the batched ambient-target refresh: when
-     * more than this fraction of sockets changed power in one epoch,
-     * the incremental delta scatter is replaced by one flat
-     * coupling-field pass. 0 (default) disables the heuristic — the
-     * exact mode; a positive fraction only changes when accumulated
-     * delta rounding (~1e-12 C) is flushed, so metrics may differ in
-     * the last bits (tolerance mode, bounded by the perf-equivalence
-     * crossover test).
-     */
-    double ambientBatchFrac = 0.0;
-    /**
-     * Skip the busy-sum remove/add round-trip in setSocketRate when a
-     * socket's contributions (progress rate, relative frequency,
-     * boost flag) are bitwise unchanged — the common case of a
-     * powerManage epoch confirming last epoch's DVFS decision. Exact:
-     * the skip can only trigger on already-summed sockets inside
-     * powerManage, whose piecewise sums are rebuilt from scratch
-     * before the next read (rebuildScalars), so metrics are
-     * bit-identical either way (pinned by the perf-equivalence
-     * bank). The knob exists for the differential test.
-     */
-    bool busySumSkip = true;
 
     /**
      * Fault injection and graceful degradation (src/fault, DESIGN.md

@@ -118,31 +118,6 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
             dsAmb_.push_back(row[to]);
         }
     }
-
-    // Filtered CSR for the incremental delta scatter: drop rows whose
-    // coefficient is at or below the drift tolerance the engine's
-    // periodic refresh flushes anyway, preserving relative order so
-    // an unpruned topology (the SUT calibration prunes nothing)
-    // accumulates bit-identically to the full walk.
-    dfOff_.assign(n + 1, 0);
-    for (std::size_t from = 0; from < n; ++from) {
-        std::size_t kept = 0;
-        for (std::size_t k = dsOff_[from]; k < dsOff_[from + 1]; ++k) {
-            if (dsAmb_[k] > kDeltaCoeffTolerance)
-                ++kept;
-        }
-        dfOff_[from + 1] = dfOff_[from] + kept;
-    }
-    dfIdx_.reserve(dfOff_[n]);
-    dfAmb_.reserve(dfOff_[n]);
-    for (std::size_t from = 0; from < n; ++from) {
-        for (std::size_t k = dsOff_[from]; k < dsOff_[from + 1]; ++k) {
-            if (dsAmb_[k] > kDeltaCoeffTolerance) {
-                dfIdx_.push_back(dsIdx_[k]);
-                dfAmb_.push_back(dsAmb_[k]);
-            }
-        }
-    }
 }
 
 void
@@ -310,11 +285,9 @@ CouplingMap::applyPowerDelta(std::vector<double> &temps,
     const double dp = new_p - old_p;
     if (dp == 0.0)
         return;
-    const std::size_t *idx = dfIdx_.data() + dfOff_[socket];
-    const double *amb = dfAmb_.data() + dfOff_[socket];
-    const std::size_t count = dfOff_[socket + 1] - dfOff_[socket];
-    for (std::size_t k = 0; k < count; ++k)
-        temps[idx[k]] += amb[k] * dp;
+    const std::size_t end = dsOff_[socket + 1];
+    for (std::size_t k = dsOff_[socket]; k < end; ++k)
+        temps[dsIdx_[k]] += dsAmb_[k] * dp;
     temps[socket] += params_.kappaLocal * dp;
 }
 

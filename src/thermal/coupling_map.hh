@@ -169,38 +169,12 @@ class CouplingMap
      * wake-amplified rise to every downstream socket and the
      * kappaLocal self term. O(downstream) instead of the O(n *
      * downstream) full evaluation — the hot path when only a few
-     * sockets change power per power-management epoch. Agrees with a
+     * sockets change power per power-management epoch. Walks the
+     * same packed downstream rows as ambientTempsInto(); agrees with a
      * fresh ambientTemps() to rounding (not bit-) accuracy.
-     *
-     * Sparse fan-out: the scatter walks a filtered CSR holding only
-     * the rows whose coefficient exceeds kDeltaCoeffTolerance — the
-     * 1e-6 incremental-drift bound the engine's paranoid invariant
-     * already accepts (core/invariant.hh checkFieldsClose). On the
-     * paper's SUT calibration every retained coefficient is orders of
-     * magnitude above the bound, so the filtered CSR equals the full
-     * one and the scatter stays bit-identical to the historical
-     * all-rows walk (pinned by the perf-equivalence goldens); on
-     * artificial topologies with near-zero coefficients (huge duct
-     * CFM, tiny mix factors) the skipped rows contribute less than
-     * the drift bound the periodic refresh flushes anyway.
      */
     void applyPowerDelta(std::vector<double> &temps, std::size_t socket,
                          double old_p, double new_p) const;
-
-    /**
-     * Coefficient floor of applyPowerDelta's filtered CSR, C/W per W
-     * of delta: matches the 1e-6 ambient-field drift tolerance of the
-     * paranoid invariant bank.
-     */
-    static constexpr double kDeltaCoeffTolerance = 1e-6;
-
-    /** Downstream rows applyPowerDelta actually scatters to for
-     *  @p from — downstreamCount(from) minus the rows filtered below
-     *  kDeltaCoeffTolerance. */
-    std::size_t deltaFanoutCount(std::size_t from) const
-    {
-        return dfOff_[from + 1] - dfOff_[from];
-    }
 
     /**
      * Total downstream impact of socket @p from: sum of ambient
@@ -277,13 +251,6 @@ class CouplingMap
     std::vector<std::size_t> dsOff_;
     std::vector<std::size_t> dsIdx_;
     std::vector<double> dsAmb_;
-    // Filtered CSR for applyPowerDelta: the subset of the rows above
-    // whose coefficient exceeds kDeltaCoeffTolerance, in the same
-    // relative order (so an unpruned topology accumulates in exactly
-    // the historical order).
-    std::vector<std::size_t> dfOff_;
-    std::vector<std::size_t> dfIdx_;
-    std::vector<double> dfAmb_;
 };
 
 } // namespace densim

@@ -16,10 +16,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "ckpt/run_driver.hh"
 #include "core/dense_server_sim.hh"
 #include "core/experiment.hh"
+#include "core/invariant.hh"
 #include "fleet/fleet_metrics.hh"
 #include "fleet/fleet_sim.hh"
 #include "sched/factory.hh"
@@ -459,6 +463,292 @@ TEST(HostileInput, EmptyAndGarbageFilesAreRejected)
     expectRejected(config, good, std::string(4096, '\0'),
                    "zero-filled file");
     expectRejected(config, good, "DSIMCKPT", "header-only file");
+}
+
+// Wire section ids (DESIGN.md Sec. 16.1): engine sections 1..6 are
+// core, rng, metrics, obs, fault and sched; a fleet file holds the
+// fleet core plus one section per shard.
+constexpr std::uint32_t kCoreSection = 1;
+constexpr std::uint32_t kObsSection = 4;
+constexpr std::uint32_t kFleetCoreSection = 10;
+
+/** One section as framed in a checkpoint file. */
+struct SectionFrame
+{
+    std::uint32_t id = 0;
+    std::size_t offset = 0; //!< Payload offset within the file.
+    std::size_t length = 0;
+    std::uint64_t crc = 0;
+};
+
+/** The section frames of a well-formed image, in file order. */
+std::vector<SectionFrame>
+sectionFrames(const std::string &image)
+{
+    ckpt::Reader r(image);
+    (void)r.raw(sizeof ckpt::kMagic);
+    (void)r.u32(); // version
+    (void)r.u32(); // kind
+    (void)r.u64(); // config/policy digest
+    std::vector<SectionFrame> frames(r.size());
+    for (SectionFrame &f : frames) {
+        f.id = r.u32();
+        f.length = r.size();
+        f.crc = r.u64();
+        f.offset = r.offset();
+        (void)r.raw(f.length);
+    }
+    return frames;
+}
+
+/**
+ * Call @p visit with every CRC-valid one-bit mutation of section
+ * @p id of @p image: in one 8-byte payload word per @p stride bytes,
+ * bit 0 of byte 0, bit 4 of byte 3 and bit 6 of byte 7 flip in turn
+ * (an integer's low bits, a double's mantissa, a double's top
+ * exponent bit), and the stored CRC is recomputed so the mutation
+ * gets past the framing to the field checks.
+ */
+template <class Visit>
+void
+forEachMutation(const std::string &image, std::uint32_t id,
+                std::size_t stride, Visit visit)
+{
+    for (const SectionFrame &f : sectionFrames(image)) {
+        if (f.id != id)
+            continue;
+        for (std::size_t word = 0; word < f.length; word += stride) {
+            for (const auto &[byte, bit] :
+                 {std::pair{0, 0x01}, {3, 0x10}, {7, 0x40}}) {
+                const std::size_t at = word + byte;
+                if (at >= f.length)
+                    continue;
+                std::string bad = image;
+                bad[f.offset + at] =
+                    static_cast<char>(bad[f.offset + at] ^ bit);
+                std::uint64_t crc = ckpt::sectionCrc(
+                    std::string_view(bad).substr(f.offset, f.length));
+                for (std::size_t i = 0; i < 8; ++i, crc >>= 8)
+                    bad[f.offset - 8 + i] = static_cast<char>(crc & 0xff);
+                visit(bad, at);
+            }
+        }
+    }
+}
+
+/** A derated fan from 0.15 s, a noisy sensor from 0.2 s, migration. */
+SimConfig
+faultedMigrationConfig()
+{
+    SimConfig config = fastConfig();
+    config.fault.fanFailS = 0.15;
+    config.fault.fanSpeedFrac = 0.55;
+    config.fault.fanRecoverS = 0.45;
+    config.fault.sensorNoisyAtS = 0.2;
+    config.migrationEnabled = true;
+    config.migrationIntervalS = 0.05;
+    config.migrationMinRemainingS = 0.01;
+    return config;
+}
+
+/** A CP run of @p config saved at 0.3 s, with the fan derated. */
+std::string
+faultedMigrationImage(const SimConfig &config)
+{
+    DenseServerSim sim(config, makeScheduler("CP"));
+    ckpt::beginEngineRun(sim);
+    while (sim.epochPending() && sim.nowS() < 0.3)
+        sim.advanceEpoch();
+    return ckpt::saveEngine(sim);
+}
+
+SimConfig
+threeChassisConfig(const char *dispatcher)
+{
+    SimConfig config = fastConfig();
+    config.fleet.chassis = 3;
+    config.fleet.dispatcher = dispatcher;
+    return config;
+}
+
+/** A 3-chassis CP fleet saved after five exchange windows. */
+std::string
+fleetImage(const SimConfig &config)
+{
+    FleetSim fleet(config, "CP");
+    fleet.beginRun();
+    for (int w = 0; w < 5; ++w)
+        EXPECT_TRUE(fleet.advanceWindow(2));
+    return ckpt::saveFleet(fleet);
+}
+
+TEST(CkptFormat, SectionBytesArePinned)
+{
+    // The length and FNV-1a CRC of every section of three images: an
+    // engine image, a faulted engine image with a derated fan and
+    // migration on, and a fleet image. Any change to what a section
+    // holds, or in which order, fails here; such a change must bump
+    // ckpt::kVersion and re-pin. The file header is not pinned: its
+    // digest covers the serialized config, which moves with config
+    // keys, not with the section format.
+    struct Pin
+    {
+        std::uint32_t id;
+        std::size_t length;
+        std::uint64_t crc;
+    };
+    const auto expectPins = [](const std::string &image,
+                               const std::vector<Pin> &pins,
+                               const char *what) {
+        const std::vector<SectionFrame> frames = sectionFrames(image);
+        ASSERT_EQ(frames.size(), pins.size()) << what;
+        for (std::size_t i = 0; i < pins.size(); ++i) {
+            EXPECT_EQ(frames[i].id, pins[i].id) << what;
+            EXPECT_EQ(frames[i].length, pins[i].length)
+                << what << " section " << pins[i].id;
+            EXPECT_EQ(frames[i].crc, pins[i].crc)
+                << what << " section " << pins[i].id;
+        }
+    };
+    expectPins(goldenImage(fastConfig()),
+               {{1, 48083, 0x29908ad14c0b7e87ULL},
+                {2, 123, 0x250e39de3beeb8adULL},
+                {3, 344, 0x7792b336c29fd761ULL},
+                {4, 475, 0xe3e4d9fcd683ea54ULL},
+                {5, 1146, 0x01624b3c1982bc42ULL},
+                {6, 1608, 0xc6797cab9605d7d2ULL}},
+               "engine");
+    expectPins(faultedMigrationImage(faultedMigrationConfig()),
+               {{1, 36450, 0xb86722124532e32aULL},
+                {2, 123, 0x50d1dc19052e6798ULL},
+                {3, 344, 0xe89c60914d2f462bULL},
+                {4, 834, 0xee8d8a7abce7464fULL},
+                {5, 1167, 0x86d6878aae3d2a61ULL},
+                {6, 1608, 0xce65cf1ea7938234ULL}},
+               "faulted");
+    expectPins(fleetImage(threeChassisConfig("roundrobin")),
+               {{10, 245, 0x5ac7703c2c3cb646ULL},
+                {100, 8745, 0xb3260287412eb19bULL},
+                {101, 8721, 0xf7b4b8a470e0869cULL},
+                {102, 8721, 0xa561dd727e33c847ULL}},
+               "fleet");
+}
+
+TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
+{
+    // A CRC-valid mutation reaches the field checks. The loader must
+    // either reject it, leaving the engine closed and reusable, or
+    // accept it as a state that re-saves to exactly the mutated
+    // bytes: nothing it accepts may be dropped or normalized. The
+    // per-section split is pinned, so a lost check fails here too.
+    // DENSIM_CHECK builds leave out the core section: its epoch
+    // invariants abort, by design, on states the wire checks accept
+    // (say, a completion time moved before the integration cursor).
+    struct Split
+    {
+        std::uint32_t id;
+        std::size_t stride;
+        int mutations;
+        int rejected;
+    };
+    const Split splits[] = {{1, 56, 2577, 622}, {2, 8, 46, 0},
+                            {3, 8, 129, 6},     {4, 8, 178, 136},
+                            {5, 8, 430, 58},    {6, 8, 603, 90}};
+    const SimConfig config = fastConfig();
+    const std::string good = goldenImage(config);
+    DenseServerSim sim(config, makeScheduler("CP"));
+    for (const Split &split : splits) {
+        if (kChecksEnabled && split.id == kCoreSection)
+            continue;
+        int mutations = 0;
+        int rejected = 0;
+        forEachMutation(
+            good, split.id, split.stride,
+            [&](const std::string &bad, std::size_t at) {
+                ++mutations;
+                try {
+                    ckpt::restoreEngine(sim, bad);
+                } catch (const ckpt::CkptError &) {
+                    ++rejected;
+                    ckpt::restoreEngine(sim, good);
+                    (void)sim.finishRun();
+                    return;
+                }
+                EXPECT_TRUE(ckpt::saveEngine(sim) == bad)
+                    << "section " << split.id << " byte " << at
+                    << " restored to a different state";
+                (void)sim.finishRun();
+            });
+        EXPECT_EQ(mutations, split.mutations) << "section " << split.id;
+        EXPECT_EQ(rejected, split.rejected) << "section " << split.id;
+    }
+}
+
+TEST(HostileInput, CrcValidTraceMutationsAreRejectedOrRoundTrip)
+{
+    // The same property over an obs section that buffers trace
+    // events: the fault spans of a traced run (a DENSIM_OBS build adds
+    // phase spans), each mutation restored into a fresh engine. A
+    // span's tid travels sign-extended in 8 bytes, so a flip in the
+    // high half leaves the int range and must be rejected rather than
+    // truncated.
+    SimConfig config = faultedMigrationConfig();
+    config.obsTracePath = tempPath("mutated_trace.json");
+    const std::string good = faultedMigrationImage(config);
+    int rejected = 0;
+    forEachMutation(
+        good, kObsSection, 8,
+        [&](const std::string &bad, std::size_t at) {
+            DenseServerSim sim(config, makeScheduler("CP"));
+            try {
+                ckpt::restoreEngine(sim, bad);
+            } catch (const ckpt::CkptError &) {
+                ++rejected;
+                ckpt::restoreEngine(sim, good);
+                return;
+            }
+            EXPECT_TRUE(ckpt::saveEngine(sim) == bad)
+                << "obs byte " << at << " restored to a different state";
+        });
+    EXPECT_GT(rejected, 0);
+    std::remove(config.obsTracePath.c_str());
+}
+
+TEST(HostileInput, CrcValidFleetCoreMutationsAreRejectedOrRoundTrip)
+{
+    // The same property over the fleet core section, under every
+    // dispatcher, each mutation restored into a fresh fleet. Headroom
+    // and power keep no cursor, so the three mutations of the cursor
+    // word (bytes 17-24) are rejected there instead of re-saved as 0.
+    const std::pair<const char *, int> splits[] = {
+        {"roundrobin", 34}, {"headroom", 37}, {"locality", 34},
+        {"power", 37}};
+    for (const auto &[dispatcher, wantRejected] : splits) {
+        const SimConfig config = threeChassisConfig(dispatcher);
+        const std::string good = fleetImage(config);
+        int mutations = 0;
+        int rejected = 0;
+        forEachMutation(
+            good, kFleetCoreSection, 8,
+            [&](const std::string &bad, std::size_t at) {
+                ++mutations;
+                FleetSim fleet(config, "CP");
+                try {
+                    ckpt::restoreFleet(fleet, bad);
+                } catch (const ckpt::CkptError &) {
+                    ++rejected;
+                    ckpt::restoreFleet(fleet, good);
+                    (void)fleet.finishRun();
+                    return;
+                }
+                EXPECT_TRUE(ckpt::saveFleet(fleet) == bad)
+                    << dispatcher << ": fleet core byte " << at
+                    << " restored to a different state";
+                (void)fleet.finishRun();
+            });
+        EXPECT_EQ(mutations, 92) << dispatcher;
+        EXPECT_EQ(rejected, wantRejected) << dispatcher;
+    }
 }
 
 // ------------------------------------------------ API misuse

@@ -5,7 +5,10 @@
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +225,8 @@ TEST(MetricsIo, CsvRowMatchesHeaderArity)
 {
     SimMetrics m;
     m.runtimeExpansion.add(1.0);
+    m.energyJ = 0.1 + 0.2;
+    m.maxChipTempC = 77.679241643214953;
     const std::string header = metricsCsvHeader();
     const std::string row =
         metricsToCsvRow("CP", "Computation", 0.5, m);
@@ -230,6 +235,16 @@ TEST(MetricsIo, CsvRowMatchesHeaderArity)
     };
     EXPECT_EQ(commas(header), commas(row));
     EXPECT_EQ(row.rfind("CP,Computation,0.5,", 0), 0u);
+
+    // Doubles parse back exactly (the column order of the header).
+    std::vector<std::string> cells;
+    std::stringstream in(row);
+    for (std::string cell; std::getline(in, cell, ',');)
+        cells.push_back(cell);
+    ASSERT_EQ(cells.size(), 16u);
+    EXPECT_EQ(std::strtod(cells[6].c_str(), nullptr), 0.1 + 0.2);
+    EXPECT_EQ(std::strtod(cells[14].c_str(), nullptr),
+              77.679241643214953);
 }
 
 } // namespace

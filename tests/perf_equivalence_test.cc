@@ -300,24 +300,6 @@ TEST(PerfEquivalence, GoldenMetricsMatchPreRefactorSeed)
     }
 }
 
-TEST(PerfEquivalence, SparsePowerDeltaPrunesNothingOnSutCalibration)
-{
-    // The sparse applyPowerDelta fan-out drops rows whose coupling
-    // coefficient is below kDeltaCoeffTolerance. On the SUT
-    // calibration every coefficient is orders of magnitude above
-    // that floor, so the filtered CSR must equal the full one row
-    // for row — which is exactly why the goldens above (and every
-    // default-topology run) stay bit-identical to the dense
-    // implementation.
-    DenseServerSim sim(SimConfig{}, makeScheduler("CP"));
-    const CouplingMap &map = sim.coupling();
-    const std::size_t n = sim.topology().numSockets();
-    ASSERT_EQ(n, 180u);
-    for (std::size_t s = 0; s < n; ++s)
-        EXPECT_EQ(map.deltaFanoutCount(s), map.downstreamCount(s))
-            << "socket " << s;
-}
-
 TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
 {
     // The prediction cache (placement/penalty memos, the feasibility
@@ -377,53 +359,6 @@ TEST(PerfEquivalence, PredictionCacheIsBitIdenticalOnMixedSets)
         EXPECT_GT(ma.jobsCompleted, 0u);
         expectBitIdentical(ma, b.run(jobs));
     }
-}
-
-TEST(PerfEquivalence, BusySumSkipIsBitIdentical)
-{
-    // setSocketRate elides the busy-sum remove/add round-trip when a
-    // powerManage epoch confirms the previous DVFS decision (the
-    // contributions are bitwise unchanged). The skip must be *exact*,
-    // not merely close: it can only trigger on sockets already in the
-    // sums — which happens only inside powerManage, whose sums are
-    // rebuilt from scratch (rebuildScalars) before the next read — so
-    // every metric must match EXPECT_EQ on doubles across every
-    // golden scenario, faults and migration included.
-    for (const GoldenRow &g : kGoldens) {
-        SCOPED_TRACE(g.name);
-        SimConfig skip = goldenConfig(g.name);
-        SimConfig resum = goldenConfig(g.name);
-        resum.busySumSkip = false;
-
-        DenseServerSim a(skip, makeScheduler(goldenScheduler(g.name)));
-        DenseServerSim b(resum, makeScheduler(goldenScheduler(g.name)));
-        expectBitIdentical(a.run(), b.run());
-    }
-}
-
-TEST(PerfEquivalence, AmbientBatchCrossoverStaysClose)
-{
-    // The batched ambient-target refresh is a documented tolerance
-    // mode: when enough sockets are dirty it recomputes the whole
-    // field from busy sums instead of applying per-socket deltas,
-    // reordering float accumulation. Results must stay close, not
-    // identical.
-    SimConfig exact = diffConfig();
-    SimConfig batched = diffConfig();
-    batched.ambientBatchFrac = 0.05; // Batch aggressively.
-
-    DenseServerSim a(exact, makeScheduler("CP"));
-    DenseServerSim b(batched, makeScheduler("CP"));
-    const SimMetrics ma = a.run();
-    const SimMetrics mb = b.run();
-    EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-    EXPECT_NEAR(ma.jobsCompleted, mb.jobsCompleted,
-                0.05 * ma.jobsCompleted);
-    EXPECT_NEAR(ma.runtimeExpansion.mean(), mb.runtimeExpansion.mean(),
-                0.05 * ma.runtimeExpansion.mean());
-    EXPECT_NEAR(ma.energyJ, mb.energyJ, 0.05 * ma.energyJ);
-    EXPECT_NEAR(ma.maxChipTempC, mb.maxChipTempC,
-                0.05 * ma.maxChipTempC);
 }
 
 // ------------------------------------------------------- event heap

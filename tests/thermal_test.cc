@@ -709,53 +709,6 @@ TEST(CouplingMap, ApplyPowerDeltaZeroIsIdentity)
         EXPECT_DOUBLE_EQ(temps[i], before[i]);
 }
 
-TEST(CouplingMap, DeltaFanoutPrunesNegligibleCoefficients)
-{
-    // With an absurd duct flow every coupling coefficient falls
-    // below kDeltaCoeffTolerance, so the filtered delta CSR prunes
-    // the whole downstream fan-out while the full CSR (used by the
-    // from-scratch evaluations) keeps it.
-    CouplingMap huge(chainSites(8, 1.6, 1.27e7), CouplingParams{});
-    EXPECT_GT(huge.downstreamCount(0), 0u);
-    EXPECT_EQ(huge.deltaFanoutCount(0), 0u);
-
-    // At the calibration flow nothing is negligible: the delta CSR
-    // is the downstream CSR and applyPowerDelta visits every row it
-    // always did.
-    CouplingMap normal(chainSites(8, 1.6, 12.7), CouplingParams{});
-    for (std::size_t s = 0; s < 8; ++s)
-        EXPECT_EQ(normal.deltaFanoutCount(s),
-                  normal.downstreamCount(s))
-            << "socket " << s;
-}
-
-TEST(CouplingMap, PrunedDeltaStaysWithinCoefficientToleranceBound)
-{
-    // When pruning does fire, the incremental field may drift from a
-    // fresh evaluation by at most kDeltaCoeffTolerance per watt of
-    // accumulated power delta — the same bound the paranoid drift
-    // check enforces per epoch on unpruned maps.
-    const int n = 8;
-    CouplingMap map(chainSites(n, 1.6, 1.27e7), CouplingParams{});
-    std::vector<double> powers(n, 13.6);
-    std::vector<double> temps =
-        map.ambientTemps(powers, Celsius(18.0));
-    double movedW = 0.0;
-    for (int step = 0; step < 64; ++step) {
-        const auto s = static_cast<std::size_t>(step % n);
-        const double target = step % 2 == 0 ? 2.2 : 13.6;
-        movedW += std::abs(target - powers[s]);
-        map.applyPowerDelta(temps, s, powers[s], target);
-        powers[s] = target;
-    }
-    const std::vector<double> fresh =
-        map.ambientTemps(powers, Celsius(18.0));
-    const double bound =
-        CouplingMap::kDeltaCoeffTolerance * movedW + 1e-12;
-    for (int i = 0; i < n; ++i)
-        EXPECT_NEAR(temps[i], fresh[i], bound) << "socket " << i;
-}
-
 RCNetwork
 ladderNetwork()
 {

@@ -19,12 +19,8 @@
 #   tidy      the densim static-analysis gate (DESIGN.md Sec. 13):
 #             tools/tidy/run_densim_tidy.py fixture self-test + a
 #             clean whole-tree scan on the builtin frontend (gating,
-#             needs only python3), the same on the clang AST frontend
-#             when clang is on PATH (also gating), then an attempt to
-#             build and run the clang-tidy plugin module — which
-#             SKIPs loudly (never silently passes) where the
-#             clang-tidy dev headers are unavailable, i.e. on every
-#             stock Debian/Ubuntu toolchain
+#             needs only python3), then the same on the clang AST
+#             frontend when clang is on PATH (also gating)
 #   obs       DENSIM_OBS=ON build + the obs/equivalence tests, then a
 #             CLI smoke run with tracing and the timeline stream on;
 #             the emitted trace JSON and JSONL are parsed with
@@ -332,25 +328,6 @@ stage_tidy() {
     else
         echo "check.sh: tidy: no clang on PATH — AST-JSON frontend SKIPPED" \
              "(builtin frontend gated above)" >&2
-    fi
-    # The clang-tidy plugin module: build it if the dev headers
-    # exist; otherwise the stand-in target prints a loud SKIP.
-    configure build-tidy -DDENSIM_TIDY_PLUGIN=ON
-    cmake --build build-tidy --target densim_tidy_module -j "$JOBS"
-    local module="build-tidy/tools/tidy/libdensim_tidy_module.so"
-    if [ -f "$module" ] && command -v clang-tidy >/dev/null 2>&1; then
-        clang-tidy -load "$module" \
-            --checks='-*,densim-*' \
-            --config="{CheckOptions: [{key: densim-raw-double-boundary.Allowlist, value: tools/lint/raw_double_allowlist.txt}]}" \
-            --list-checks | grep -q densim-arena-lifo
-        clang-tidy -load "$module" \
-            --checks='-*,densim-*' \
-            --config="{CheckOptions: [{key: densim-raw-double-boundary.Allowlist, value: tools/lint/raw_double_allowlist.txt}]}" \
-            src/core/dense_server_sim.cc src/fault/fault_state.cc \
-            src/sched/coupling_predictor.cc -- -std=c++20 -Isrc
-    else
-        echo "check.sh: tidy: plugin module not built or clang-tidy absent —" \
-             "plugin half SKIPPED (driver gated above)" >&2
     fi
 }
 

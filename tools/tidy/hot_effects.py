@@ -57,8 +57,7 @@ Annotations (src/core/effects.hh):
 Builtin-frontend honesty notes (all deliberate, documented choices):
   - Unresolved *named* calls are assumed pure: the std surface is
     carried by curated effect tables, and a closed project namespace
-    means unknown names are either std or macros. The clang-tidy
-    plugin form re-checks hot bodies type-aware where available.
+    means unknown names are either std or macros.
   - A member call whose name a project class defines ("shadowing",
     e.g. LeakageModel::at) resolves to the project methods only; the
     std container tables apply only to unshadowed names.

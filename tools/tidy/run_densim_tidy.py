@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """densim AST-grounded determinism & lifetime analyzer — portable driver.
 
-Runs the same five project rules as the clang-tidy plugin module in
-tools/tidy/ (DensimTidyModule, loaded with `clang-tidy -load`), so CI
-keeps full coverage on machines where the plugin cannot be built:
+Runs the five per-file project rules over the tree, on a clang
+AST-JSON frontend where clang is available and on a builtin token
+frontend everywhere python3 runs:
 
   densim-nondeterministic-iteration
       Range-for / iterator walks over std::unordered_{map,set} in
