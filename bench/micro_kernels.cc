@@ -18,7 +18,6 @@
 #include "sched/prediction.hh"
 #include "server/sut.hh"
 #include "thermal/hotspot_model.hh"
-#include "util/arena.hh"
 #include "workload/curves.hh"
 
 using namespace densim;
@@ -170,13 +169,11 @@ void
 BM_SchedulerDecisionBatch(benchmark::State &state)
 {
     // A scheduling epoch's worth of placement decisions with the full
-    // engine-side fast path wired up: epoch arena for decision-local
-    // scratch, prediction cache (placement/penalty memos, feasibility
+    // engine-side fast path wired up: prediction cache (feasibility
     // thresholds and the penalty snapshot), precomputed row map and
     // per-row idle counts. Unlike BM_SchedulerDecision this measures
     // the amortized per-decision cost the simulator actually pays when
-    // several jobs land in one epoch; the cache epoch is bumped
-    // between batches exactly as thermalStep does.
+    // several jobs land in one epoch.
     constexpr std::size_t kBatch = 8;
     const char *names[] = {"CF", "Predictive", "CP"};
     const char *name = names[state.range(0)];
@@ -222,7 +219,6 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
         }
     }
 
-    Arena arena(64 * 1024);
     PredictionCache cache;
     cache.feas.build(pm, leak, sinks);
     cache.reset(n);
@@ -250,13 +246,11 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
     ctx.busy = busy.data();
     ctx.socketRow = rows.data();
     ctx.rng = &rng;
-    ctx.scratch = &arena;
     ctx.cache = &cache;
 
     auto policy = makeScheduler(name);
     Job job{0, 0, WorkloadSet::Computation, 0.0, 5e-3};
     for (auto _ : state) {
-        cache.invalidate(); // New epoch, as after a thermalStep.
         for (std::size_t k = 0; k < kBatch; ++k) {
             auto pick = policy->pick(job, ctx);
             benchmark::DoNotOptimize(pick);

@@ -163,16 +163,6 @@ class Archive
         self().f64(j.nominalS);
     }
 
-    template <class D>
-    void decision(D &d, std::size_t npstates, const char *what)
-    {
-        index(d.pstate, npstates, what);
-        self().f64(d.freqMhz);
-        self().f64(d.power);
-        self().f64(d.predictedPeak);
-        self().boolean(d.feasible);
-    }
-
     /** A generator's full stream position, Gaussian spare included. */
     template <class G>
     void rng(G &g, const char *what)
@@ -506,8 +496,6 @@ class CkptAccess
     static void obs(Ar &ar, Sim &sim);
     template <class Ar, class Sim>
     static void fault(Ar &ar, Sim &sim);
-    template <class Ar, class Sim>
-    static void sched(Ar &ar, Sim &sim);
     template <class Ar, class Registry>
     static void registry(Ar &ar, Registry &registry);
     template <class Ar, class Fleet>
@@ -528,17 +516,16 @@ class CkptAccess
      * order, without their ids.
      */
     template <class Ar, class Sim>
-    static constexpr std::array<Section<Ar, Sim>, 6> kEngineSections{{
+    static constexpr std::array<Section<Ar, Sim>, 5> kEngineSections{{
         {1, "core", &core<Ar, Sim>},
         {2, "rng", &rngs<Ar, Sim>},
         {3, "metrics", &metrics<Ar, Sim>},
         {4, "obs", &obs<Ar, Sim>},
         {5, "fault", &fault<Ar, Sim>},
-        {6, "sched", &sched<Ar, Sim>},
     }};
 
     /** Section payloads of one engine, in table order. */
-    using EngineImage = std::array<std::string, 6>;
+    using EngineImage = std::array<std::string, 5>;
 
     static EngineImage saveSections(const DenseServerSim &sim);
     static void loadSections(DenseServerSim &sim,
@@ -810,31 +797,6 @@ CkptAccess::fault(Ar &ar, Sim &sim)
                "disagrees with the coupling-derated flag");
 }
 
-// --- SCHED: prediction memos ------------------------------------------
-// The feasibility thresholds are construction-derived and the penalty
-// snapshot a pure function of the restored socket state, so both are
-// rebuilt (constructor, finalizeRestore) rather than carried.
-
-template <class Ar, class Sim>
-void
-CkptAccess::sched(Ar &ar, Sim &sim)
-{
-    const std::size_t n = sim.topo_.numSockets();
-    const std::size_t np = sim.pm_.pstates().size();
-    auto &pc = sim.predCache_;
-    ar.u64(pc.epoch);
-    ar.each(pc.place, n, "placement memo", [&](auto &e) {
-        ar.u64(e.stamp);
-        ar.u8(e.set, WorkloadSet::GeneralPurpose, "placement memo set");
-        ar.decision(e.decision, np, "placement decision");
-    });
-    ar.each(pc.penalty, n, "penalty memo", [&](auto &e) {
-        ar.u64(e.stamp);
-        ar.f64(e.extra);
-        ar.f64(e.mhz);
-    });
-}
-
 // --- FLEET core: window, dispatcher cursor, arrival lookahead ---------
 
 template <class Ar, class Fleet>
@@ -890,8 +852,8 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
 
     // The saved run was under a fan derate: rebuild the derated
     // coupling operator exactly as applyFanFlowFraction does, but
-    // without retargeting — ambTargets_, couplingEpoch_ and the
-    // prediction cache were restored verbatim.
+    // without retargeting — ambTargets_ and couplingEpoch_ were
+    // restored verbatim.
     if (sim.couplingDerated_) {
         const double frac = sim.faultState_.flowFrac();
         std::vector<SocketSite> sites = sim.topo_.sites();

@@ -6,12 +6,12 @@
  * A checkpoint captures the complete mutable state of an open run at
  * an epoch (or fleet exchange-window) boundary — SoA socket banks,
  * job backlog and queue, event-heap membership, every RNG stream
- * position, fault timeline cursor and escalation ladder, the
- * placement and penalty memos, obs counters/gauges/trace/timeline cursor,
- * and (for a fleet) the arrival lookahead, dispatcher cursor and
- * every shard — such that resuming reproduces the uninterrupted run
- * *bit for bit*: hex-float-equal SimMetrics/FleetMetrics and
- * byte-identical JSONL sinks (pinned by tests/ckpt_test.cc).
+ * position, fault timeline cursor and escalation ladder, obs
+ * counters/gauges/trace/timeline cursor, and (for a fleet) the
+ * arrival lookahead, dispatcher cursor and every shard — such that
+ * resuming reproduces the uninterrupted run *bit for bit*:
+ * hex-float-equal SimMetrics/FleetMetrics and byte-identical JSONL
+ * sinks (pinned by tests/ckpt_test.cc).
  *
  * File format, little-endian throughout:
  *
@@ -66,7 +66,7 @@ inline constexpr char kMagic[8] = {'D', 'S', 'I', 'M',
                                    'C', 'K', 'P', 'T'};
 
 /** Format version; bumped on any wire-format change. */
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /** What a checkpoint file holds. */
 enum class SnapshotKind : std::uint32_t

@@ -1,8 +1,11 @@
 #include "core/config_io.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -38,6 +41,11 @@ parseDouble(const std::string &key, const std::string &value)
     if (used != value.size())
         fatal("config: trailing junk in '", value, "' for key '", key,
               "'");
+    // Every validate() bound compares false against NaN, so a
+    // non-finite value would slip past all of them.
+    if (!std::isfinite(out))
+        fatal("config: key '", key, "' needs a finite number, got '",
+              value, "'");
     return out;
 }
 
@@ -45,11 +53,21 @@ int
 parseInt(const std::string &key, const std::string &value)
 {
     const double d = parseDouble(key, value);
-    const int i = static_cast<int>(d);
-    if (static_cast<double>(i) != d)
+    // Range first: casting an out-of-range double to int is undefined.
+    if (d < std::numeric_limits<int>::min() ||
+        d > std::numeric_limits<int>::max() || d != std::trunc(d))
         fatal("config: key '", key, "' needs an integer, got '", value,
               "'");
-    return i;
+    return static_cast<int>(d);
+}
+
+/** Shortest text that parses back to exactly @p v. */
+std::string
+formatDouble(double v)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, res.ptr);
 }
 
 std::uint64_t
@@ -114,9 +132,7 @@ keyTable()
                 c.*field = parseDouble(k, v);
             },
             [field](const SimConfig &c) {
-                std::ostringstream os;
-                os << c.*field;
-                return os.str();
+                return formatDouble(c.*field);
             },
         };
     };
@@ -158,9 +174,7 @@ keyTable()
                 c.topo.*field = parseDouble(k, v);
             },
             [field](const SimConfig &c) {
-                std::ostringstream os;
-                os << c.topo.*field;
-                return os.str();
+                return formatDouble(c.topo.*field);
             },
         };
     };
@@ -188,9 +202,7 @@ keyTable()
                 c.fault.*field = parseDouble(k, v);
             },
             [field](const SimConfig &c) {
-                std::ostringstream os;
-                os << c.fault.*field;
-                return os.str();
+                return formatDouble(c.fault.*field);
             },
         };
     };
@@ -212,9 +224,7 @@ keyTable()
                 c.coupling.*field = parseDouble(k, v);
             },
             [field](const SimConfig &c) {
-                std::ostringstream os;
-                os << c.coupling.*field;
-                return os.str();
+                return formatDouble(c.coupling.*field);
             },
         };
     };
@@ -350,9 +360,7 @@ keyTable()
               c.fleet.epochS = parseDouble(k, v);
           },
           [](const SimConfig &c) {
-              std::ostringstream os;
-              os << c.fleet.epochS;
-              return os.str();
+              return formatDouble(c.fleet.epochS);
           }}},
         {"fleet.dispatcher",
          {[](SimConfig &c, const std::string &, const std::string &v) {
@@ -364,9 +372,7 @@ keyTable()
               c.fleet.powerBudgetW = parseDouble(k, v);
           },
           [](const SimConfig &c) {
-              std::ostringstream os;
-              os << c.fleet.powerBudgetW;
-              return os.str();
+              return formatDouble(c.fleet.powerBudgetW);
           }}},
         {"fleet.seed",
          {[](SimConfig &c, const std::string &k, const std::string &v) {

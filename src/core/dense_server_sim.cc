@@ -248,12 +248,7 @@ DenseServerSim::resetState()
     contribRel_.assign(n, 0.0);
     contribBoost_.assign(n, 0);
 
-    // Pre-reserve the per-epoch scratch arena: one n-double thermal
-    // target frame plus policies' decision-local scratch
-    // (SchedContext::scratch), with headroom. checkEpochInvariants
-    // asserts it never grows past this
-    // reserve — the zero-heap-per-epoch contract.
-    arena_.reserve(32 * n + 256);
+    chipRiseTarget_.assign(n, 0.0);
     predCache_.reset(n);
     predCache_.snapshot = !faultsEnabled_;
 
@@ -578,20 +573,17 @@ DenseServerSim::thermalStep(double dt)
     firstOrderStepBatch(ambientC_.data(), ambTargets_.data(), n,
                         amb_alpha);
 
-    // Bank 2: Eq. (1) chip rise (tau 5 ms). The target field lives in
-    // the per-epoch arena — zero heap in steady state. The expression
-    // mirrors the typed-quantity evaluation order exactly:
+    // Bank 2: Eq. (1) chip rise (tau 5 ms). The expression mirrors
+    // the typed-quantity evaluation order exactly:
     // P * (R_int + R_ext) + (theta.c0 + theta.c1 * P).
-    const Arena::Marker marker = arena_.mark();
-    double *rise_target = arena_.alloc<double>(n);
     for (std::size_t s = 0; s < n; ++s) {
         const double p = powerW_[s];
-        rise_target[s] =
+        chipRiseTarget_[s] =
             p * rTotCW_[s] + (thetaC0_[s] + thetaC1_[s] * p);
     }
     const double rise_alpha = responseFraction(dt, config_.chipTauS);
-    firstOrderStepBatch(chipRiseC_.data(), rise_target, n, rise_alpha);
-    arena_.release(marker);
+    firstOrderStepBatch(chipRiseC_.data(), chipRiseTarget_.data(), n,
+                        rise_alpha);
 
     for (std::size_t s = 0; s < n; ++s)
         chipTempC_[s] = ambientC_[s] + chipRiseC_[s];
@@ -635,9 +627,6 @@ DenseServerSim::thermalStep(double dt)
                 std::max(metrics_.maxChipTempC, chipTempC_[s]);
         }
     }
-    // Ambient, chip and history fields all moved: every cached
-    // scheduler prediction is stale.
-    predCache_.invalidate();
 }
 
 DvfsDecision
@@ -681,8 +670,6 @@ DenseServerSim::powerManage(double now)
     // re-derive them once here, which also pins any incremental
     // floating-point drift to at most one epoch's worth of updates.
     rebuildScalars();
-    // Frequencies and powers were refreshed wholesale.
-    predCache_.invalidate();
 }
 
 void
@@ -835,23 +822,8 @@ DenseServerSim::makeSchedContext() const
     ctx.busy = busyFlag_.data();
     ctx.socketRow = rowCache_.data();
     ctx.rng = const_cast<Rng *>(&policyRng_);
-    ctx.scratch = const_cast<Arena *>(&arena_);
-    ctx.cache = config_.schedPredictionCache
-                    ? const_cast<PredictionCache *>(&predCache_)
-                    : nullptr;
+    ctx.cache = config_.schedPredictionCache ? &predCache_ : nullptr;
     return ctx;
-}
-
-void
-DenseServerSim::invalidatePenaltyAround(std::size_t socket)
-{
-    // Drop the cached downstream penalties of every socket whose
-    // prediction window contains this one: its busy / power /
-    // frequency state just changed. The placement entries need no
-    // surgical treatment — their inputs only move at thermalStep,
-    // which bumps the epoch wholesale.
-    for (std::size_t u : coupling_.upstream(socket))
-        predCache_.invalidatePenalty(u);
 }
 
 void
@@ -910,7 +882,6 @@ DenseServerSim::placeJob(std::size_t socket, const Job &job, double now)
     // manager would confirm it within at most one epoch anyway).
     const DvfsDecision d = chooseDvfs(socket, job.set, dvfsCap(socket));
     setSocketRate(socket, d.pstate, d.power.value(), now);
-    invalidatePenaltyAround(socket);
 
     if (job.arrivalS >= config_.warmupS)
         metrics_.queueDelayS.add(now - job.arrivalS);
@@ -937,7 +908,6 @@ DenseServerSim::completeJob(std::size_t socket, double now)
     completionHeap_.erase(socket);
     setIdlePower(socket);
     idleInsert(socket);
-    invalidatePenaltyAround(socket);
     count_.jobsCompleted->inc();
     tryScheduleQueue(now);
 }
@@ -969,8 +939,6 @@ DenseServerSim::migrateJob(std::size_t from, std::size_t to, double now)
 
     const DvfsDecision d = chooseDvfs(to, runningSet_[to], dvfsCap(to));
     setSocketRate(to, d.pstate, d.power.value(), now);
-    invalidatePenaltyAround(from);
-    invalidatePenaltyAround(to);
     ++metrics_.migrations;
     count_.migrations->inc();
 }
@@ -1152,14 +1120,6 @@ DenseServerSim::checkEpochInvariants() const
                  " s lies before the integration cursor ", tCursor_,
                  " s");
 
-    // The zero-heap-per-epoch contract: the scratch arena must never
-    // outgrow its resetState reserve in steady state.
-    DENSIM_CHECK(arena_.stats().growths == 0,
-                 "per-epoch arena grew ", arena_.stats().growths,
-                 " times past its resetState reserve of ",
-                 arena_.stats().capacityBytes,
-                 " bytes — heap allocation on the hot path");
-
 #if DENSIM_ENABLE_PARANOID
     completionHeap_.checkInvariants();
 
@@ -1300,9 +1260,6 @@ DenseServerSim::applyFanFlowFraction(double flow_frac)
     coupling_ = CouplingMap(std::move(sites), params);
     couplingDerated_ = flow_frac != 1.0;
     ++couplingEpoch_;
-    // The coupling coefficients every cached prediction was derived
-    // from just changed.
-    predCache_.invalidate();
     faultState_.setFlowFrac(flow_frac);
     // Retarget the slow ambient field; the trackers then converge to
     // the hotter (or restored) steady state with the 30 s tau.
@@ -1350,7 +1307,6 @@ DenseServerSim::failSocket(std::size_t socket, double now)
     freqMhz_[socket] = 0.0;
     rateCache_[socket] = 0.0;
     relFreqCache_[socket] = 0.0;
-    invalidatePenaltyAround(socket);
     fcount_.socketFailures->inc();
     recordFault(FaultKind::SocketFail, socket, now, 0.0);
     // The displaced job may fit on another idle socket right away.
@@ -1365,7 +1321,6 @@ DenseServerSim::recoverSocket(std::size_t socket, double now)
     faultState_.markOnline(socket);
     setIdlePower(socket);
     idleInsert(socket);
-    invalidatePenaltyAround(socket);
     fcount_.socketRecoveries->inc();
     recordFault(FaultKind::SocketRecover, socket, now, 0.0);
     tryScheduleQueue(now);
@@ -1383,7 +1338,6 @@ DenseServerSim::quarantineSocket(std::size_t socket, double now)
     faultState_.markQuarantined(socket);
     // Quarantined silicon keeps its gated draw while it cools.
     setIdlePower(socket);
-    invalidatePenaltyAround(socket);
     fcount_.quarantines->inc();
     recordFault(FaultKind::Quarantine, socket, now,
                 chipTempC_[socket]);
@@ -1409,7 +1363,6 @@ DenseServerSim::requeueJob(std::size_t socket, double now)
     busyFlag_[socket] = 0;
     completionHeap_.erase(socket);
     queue_.push_front(job);
-    invalidatePenaltyAround(socket);
     fcount_.jobsRequeued->inc();
     recordFault(FaultKind::JobRequeue, socket, now, job.nominalS);
 }

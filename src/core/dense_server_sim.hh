@@ -63,7 +63,6 @@
 #include "thermal/coupling_map.hh"
 #include "thermal/simple_peak_model.hh"
 #include "thermal/transient.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
 #include "workload/job_generator.hh"
 
@@ -324,6 +323,8 @@ class DenseServerSim
         //!< coupling-map field, tau 30 s (Table III).
     std::vector<double> chipRiseC_; //!< Eq. (1) chip-rise bank toward
         //!< P*(R_int+R_ext) + theta, tau 5 ms (Table III).
+    std::vector<double> chipRiseTarget_; //!< thermalStep's bank-2
+        //!< target, sized in resetState.
     std::vector<double> boostCreditS_; //!< Boost-dwell credit, seconds.
 
     // Running-job bookkeeping (valid while busyFlag_ is set).
@@ -395,26 +396,12 @@ class DenseServerSim
     std::size_t epochsSinceAmbientRefresh_ = 0;
 
     /**
-     * Per-epoch scratch arena (thermal kernel targets, policies'
-     * decision-local scratch). Pre-reserved in resetState;
-     * checkEpochInvariants asserts it never grows in steady state —
-     * the zero-heap-per-epoch contract of DESIGN.md Sec. 12.
-     */
-    Arena arena_;
-
-    /**
      * Prediction state (sched/prediction.hh): the feasibility
-     * thresholds (built at construction), the placement and penalty
-     * memos — epoch-bumped after every thermal and power-management
-     * step, surgically invalidated along coupling_.upstream() edges
-     * on job placement / completion / migration / fault transitions —
-     * and the per-socket penalty snapshot kept by setSocketRate.
-     * Handed to policies only when config_.schedPredictionCache is on.
+     * thresholds (built at construction) and the per-socket penalty
+     * snapshot kept by setSocketRate. Handed to policies only when
+     * config_.schedPredictionCache is on.
      */
     PredictionCache predCache_;
-
-    /** Drop cached penalties of sockets upstream of @p socket. */
-    void invalidatePenaltyAround(std::size_t socket);
 
     // Construction-time lookups for the per-epoch loops.
     std::vector<const HeatSink *> sinkCache_; //!< topo_.sinkOf(s).

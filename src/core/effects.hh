@@ -39,8 +39,6 @@
  * they survive into the AST; everywhere else they expand to nothing
  * and cost zero codegen — the portable driver reads the marker tokens
  * straight from the source, so both frontends see the same contract.
- * The dynamic `arena_.stats().growths == 0` check (core/invariant.hh)
- * remains as the runtime backstop of this static proof.
  */
 
 #ifndef DENSIM_CORE_EFFECTS_HH

@@ -56,28 +56,19 @@ predictPlacement(const SchedContext &ctx, std::size_t socket,
     // ambient — exactly the paper's "estimate an initial chip
     // temperature using equation 1" step. Leakage compensation is the
     // second pass inside the P-state search.
-    PredictionCache *cache = ctx.cache;
-    if (cache != nullptr) {
-        const PredictionCache::PlaceEntry &e = cache->place[socket];
-        if (e.stamp == cache->epoch && e.set == set)
-            return e.decision;
-    }
     const auto &table = ctx.pm->pstates();
     const std::size_t cap = ctx.boostCreditS[socket] > 0.0
                                 ? table.size() - 1
                                 : table.highestSustainedIndex();
     const Celsius ambient(ctx.ambientC[socket]);
     const HeatSink &sink = ctx.topo->sinkOf(socket);
-    if (cache == nullptr)
+    if (ctx.cache == nullptr)
         return ctx.pm->chooseAtAmbientCapped(freqCurveFor(set),
                                              *ctx.leak, ambient, sink,
                                              cap);
-    const DvfsDecision decision = ctx.pm->chooseAtAmbientLimited(
-        freqCurveFor(set), *ctx.leak, ambient, sink, cap,
-        cache->feas.row(socket, set));
-    cache->place[socket] =
-        PredictionCache::PlaceEntry{cache->epoch, set, decision};
-    return decision;
+    return ctx.pm->chooseAtAmbientLimited(freqCurveFor(set), *ctx.leak,
+                                          ambient, sink, cap,
+                                          ctx.cache->feas.row(socket, set));
 }
 
 double
@@ -104,18 +95,7 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
     if (extra <= 0.0)
         return 0.0;
 
-    // The penalty is fully determined by `extra` plus the downstream
-    // sockets' state, so (epoch stamp, extra) is a complete memo key:
-    // the engine drops the entry whenever any downstream socket's
-    // state changes (see PredictionCache).
-    PredictionCache *cache = ctx.cache;
-    if (cache != nullptr) {
-        const PredictionCache::PenaltyEntry &e =
-            cache->penalty[socket];
-        if (e.stamp == cache->epoch && e.extra == extra)
-            return e.mhz;
-    }
-
+    const PredictionCache *cache = ctx.cache;
     const auto &table = ctx.pm->pstates();
     const std::size_t boost_cap = table.size() - 1;
     const std::size_t sustained_cap = table.highestSustainedIndex();
@@ -179,9 +159,6 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
                                                  ctx.topo->sinkOf(d)));
         }
     }
-    if (cache != nullptr)
-        cache->penalty[socket] =
-            PredictionCache::PenaltyEntry{cache->epoch, extra, penalty};
     return penalty;
 }
 

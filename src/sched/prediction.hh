@@ -13,7 +13,6 @@
 #ifndef DENSIM_SCHED_PREDICTION_HH
 #define DENSIM_SCHED_PREDICTION_HH
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -75,50 +74,16 @@ class FeasibilityTable
 
 /**
  * Engine-owned state for the prediction helpers below, handed to
- * policies only when the schedPredictionCache knob is on.
- *
- * The placement and penalty memos: within one scheduling epoch every
- * input of predictPlacement(s, set) — the candidate's ambient and
- * boost credit plus immutable tables — is constant, and
- * downstreamPenaltyMhz(s, p) is fully determined by
- * (s, p - powerW[s]) plus the busy/frequency/ambient state of s's
- * downstream sockets. The engine therefore:
- *
- *  - bumps `epoch` whenever any input may have moved (thermalStep,
- *    powerManage, a coupling-map rebuild), invalidating everything;
- *  - surgically drops the penalty entries of a changed socket and of
- *    its upstream sockets on job placement/completion/migration/fault
- *    transitions inside an epoch (CouplingMap::upstream gives exactly
- *    the set of candidates whose penalty sums read the changed
- *    socket's state).
- *
- * Cached values are returned verbatim and every DVFS search is
- * answered exactly from `feas`, so the cached path is bit-identical
- * to the full searches — tested by running with the
+ * policies only when the schedPredictionCache knob is on: the exact
+ * feasibility thresholds and the per-socket penalty snapshot. Every
+ * DVFS search is answered exactly from `feas`, so the cached path is
+ * bit-identical to the full searches — tested by running with the
  * schedPredictionCache knob off (ctx.cache == nullptr, every search
  * through PowerManager::chooseAtAmbientCapped) and comparing
  * SimMetrics with EXPECT_EQ.
  */
 struct PredictionCache
 {
-    struct PlaceEntry
-    {
-        std::uint64_t stamp = 0; //!< Epoch the entry was filled in.
-        WorkloadSet set{};
-        DvfsDecision decision{};
-    };
-
-    struct PenaltyEntry
-    {
-        std::uint64_t stamp = 0;
-        double extra = 0.0; //!< job_power - powerW[socket] key.
-        double mhz = 0.0;
-    };
-
-    std::uint64_t epoch = 1;
-    std::vector<PlaceEntry> place;
-    std::vector<PenaltyEntry> penalty;
-
     /** Exact feasibility thresholds; built once per engine. */
     FeasibilityTable feas;
 
@@ -144,12 +109,9 @@ struct PredictionCache
     std::vector<double> dropMhz;
     bool snapshot = false;
 
-    /** Size for @p n sockets; drop every memo entry, park all. */
+    /** Size for @p n sockets, every one parked idle. */
     void reset(std::size_t n)
     {
-        epoch = 1;
-        place.assign(n, {});
-        penalty.assign(n, {});
         keepC.assign(n, std::numeric_limits<double>::infinity());
         keepSlope.assign(n, 0.0);
         dropC.assign(n, std::numeric_limits<double>::infinity());
@@ -181,15 +143,6 @@ struct PredictionCache
             dropC[s] = p == 1 ? inf : limit[p - 1];
             dropMhz[s] = mhz - feas.freqMhz(p - 1);
         }
-    }
-
-    /** Drop every entry (epoch-granularity invalidation). */
-    void invalidate() { ++epoch; }
-
-    /** Drop one socket's penalty entry (stays valid as a candidate). */
-    void invalidatePenalty(std::size_t socket)
-    {
-        penalty[socket].stamp = 0;
     }
 };
 

@@ -30,7 +30,6 @@
 
 namespace densim {
 
-class Arena;
 struct PredictionCache;
 
 /**
@@ -91,21 +90,14 @@ struct SchedContext
     Rng *rng; //!< Policy-visible randomness (deterministic per run).
 
     /**
-     * Per-epoch scratch arena for decision-local allocations
-     * (candidate lists, row tallies). Policies must bracket use with
-     * mark()/release(); may be null in hand-built test contexts, in
-     * which case policies fall back to owned buffers.
+     * Engine-kept feasibility thresholds and penalty snapshot for
+     * predictPlacement / downstreamPenaltyMhz (see
+     * sched/prediction.hh). Null when the schedPredictionCache knob
+     * is off — the prediction helpers then run every DVFS search in
+     * full, which is the reference behaviour the cached path is
+     * tested bit-identical against.
      */
-    Arena *scratch = nullptr;
-
-    /**
-     * Engine-maintained memo for predictPlacement /
-     * downstreamPenaltyMhz (see sched/prediction.hh). Null when the
-     * schedPredictionCache knob is off — the prediction helpers then
-     * recompute everything from scratch, which is the reference
-     * behaviour the cached path is tested bit-identical against.
-     */
-    PredictionCache *cache = nullptr;
+    const PredictionCache *cache = nullptr;
 };
 
 /** Base class for all scheduling policies. */

@@ -39,8 +39,7 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
     airMatrix_.assign(n * n, 0.0);
     ambMatrix_.assign(n * n, 0.0);
     impact_.assign(n, 0.0);
-    downstream_.assign(n, {});
-    upstream_.assign(n, {});
+    dsOff_.assign(n + 1, 0);
 
     // Heat leaking into neighbour ducts comes out of the same-duct
     // share, so the per-source normalization is the sum of leak
@@ -96,27 +95,10 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
             airMatrix_[from * n + to] = air;
             ambMatrix_[from * n + to] = air * params_.wakeFactor;
             impact_[from] += air * params_.wakeFactor;
-            downstream_[from].push_back(to);
-            upstream_[to].push_back(from);
-        }
-    }
-
-    // Pack the sparse downstream structure as CSR so the field
-    // kernels walk two flat arrays instead of chasing per-source
-    // vectors. Row order and in-row order match downstream_, so the
-    // packed kernels accumulate in exactly the same order as the
-    // vector-based ones (bit-identical fields).
-    dsOff_.assign(n + 1, 0);
-    for (std::size_t from = 0; from < n; ++from)
-        dsOff_[from + 1] = dsOff_[from] + downstream_[from].size();
-    dsIdx_.reserve(dsOff_[n]);
-    dsAmb_.reserve(dsOff_[n]);
-    for (std::size_t from = 0; from < n; ++from) {
-        const double *row = &ambMatrix_[from * n];
-        for (std::size_t to : downstream_[from]) {
             dsIdx_.push_back(to);
-            dsAmb_.push_back(row[to]);
+            dsAmb_.push_back(ambMatrix_[from * n + to]);
         }
+        dsOff_[from + 1] = dsIdx_.size();
     }
 }
 
@@ -198,28 +180,8 @@ CouplingMap::entryTemps(const std::vector<double> &powers_w,
         if (p == 0.0)
             continue;
         const double *row = &airMatrix_[j * n];
-        for (std::size_t i : downstream_[j])
-            temps[i] += row[i] * p;
-    }
-    return temps;
-}
-
-std::vector<double>
-CouplingMap::ambientEntryTemps(const std::vector<double> &powers_w,
-                               Celsius inlet) const
-{
-    if (powers_w.size() != sites_.size())
-        panic("CouplingMap::ambientEntryTemps: ", powers_w.size(),
-              " powers for ", sites_.size(), " sockets");
-    const std::size_t n = sites_.size();
-    std::vector<double> temps(n, inlet.value());
-    for (std::size_t j = 0; j < n; ++j) {
-        const double p = powers_w[j];
-        if (p == 0.0)
-            continue;
-        const double *row = &ambMatrix_[j * n];
-        for (std::size_t i : downstream_[j])
-            temps[i] += row[i] * p;
+        for (std::size_t k = dsOff_[j]; k < dsOff_[j + 1]; ++k)
+            temps[dsIdx_[k]] += row[dsIdx_[k]] * p;
     }
     return temps;
 }
@@ -338,20 +300,6 @@ CouplingMap::downstreamImpact(std::size_t from) const
 {
     checkIndex(from);
     return KelvinPerWatt(impact_[from]);
-}
-
-const std::vector<std::size_t> &
-CouplingMap::downstream(std::size_t from) const
-{
-    checkIndex(from);
-    return downstream_[from];
-}
-
-const std::vector<std::size_t> &
-CouplingMap::upstream(std::size_t to) const
-{
-    checkIndex(to);
-    return upstream_[to];
 }
 
 } // namespace densim

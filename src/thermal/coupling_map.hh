@@ -134,11 +134,6 @@ class CouplingMap
                              const std::vector<double> &powers_w,
                              Celsius inlet) const;
 
-    /** Vector form of ambientEntryTemp for all sockets. */
-    std::vector<double>
-    ambientEntryTemps(const std::vector<double> &powers_w,
-                      Celsius inlet) const;
-
     /**
      * Socket ambient temperatures: inlet + wake-amplified upstream
      * rise + kappaLocal * own power. This is what Eq. (1)'s T_amb
@@ -183,25 +178,16 @@ class CouplingMap
      */
     KelvinPerWatt downstreamImpact(std::size_t from) const;
 
-    /** Indices of sockets strictly downstream of @p from. */
-    const std::vector<std::size_t> &
-    downstream(std::size_t from) const;
-
-    /**
-     * Indices of sockets strictly upstream of @p to — the transpose of
-     * downstream(). A power change at any of these moves @p to's
-     * ambient; the scheduler prediction cache invalidates along these
-     * edges.
-     */
-    const std::vector<std::size_t> &upstream(std::size_t to) const;
-
     /** Number of sockets strictly downstream of @p from (CSR row). */
     std::size_t downstreamCount(std::size_t from) const
     {
         return dsOff_[from + 1] - dsOff_[from];
     }
 
-    /** Packed downstream indices of @p from (downstreamCount long). */
+    /**
+     * Packed downstream indices of @p from (downstreamCount long),
+     * ascending: exactly the sockets with a nonzero coeff(from, ·).
+     */
     const std::size_t *downstreamIds(std::size_t from) const
     {
         return dsIdx_.data() + dsOff_[from];
@@ -244,10 +230,8 @@ class CouplingMap
     std::vector<double> airMatrix_; //!< airCoeff[from * n + to].
     std::vector<double> ambMatrix_; //!< coeff[from * n + to].
     std::vector<double> impact_;    //!< downstream impact per socket.
-    std::vector<std::vector<std::size_t>> downstream_;
-    std::vector<std::vector<std::size_t>> upstream_;
-    // CSR packing of the sparse downstream structure for the flat-pass
-    // field kernels: row `from` spans [dsOff_[from], dsOff_[from+1]).
+    // CSR packing of the sparse downstream structure: row `from`
+    // spans [dsOff_[from], dsOff_[from+1]), ids ascending.
     std::vector<std::size_t> dsOff_;
     std::vector<std::size_t> dsIdx_;
     std::vector<double> dsAmb_;

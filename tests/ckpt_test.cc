@@ -425,6 +425,8 @@ TEST(HostileInput, WrongMagicVersionKindDigestAreRejected)
     bad = good;
     bad[8] = static_cast<char>(ckpt::kVersion + 1); // version skew
     expectRejected(config, good, bad, "newer version");
+    bad[8] = static_cast<char>(ckpt::kVersion - 1);
+    expectRejected(config, good, bad, "older version");
 
     bad = good;
     bad[12] = 2; // engine image claiming to be a fleet snapshot
@@ -465,9 +467,9 @@ TEST(HostileInput, EmptyAndGarbageFilesAreRejected)
     expectRejected(config, good, "DSIMCKPT", "header-only file");
 }
 
-// Wire section ids (DESIGN.md Sec. 16.1): engine sections 1..6 are
-// core, rng, metrics, obs, fault and sched; a fleet file holds the
-// fleet core plus one section per shard.
+// Wire section ids (DESIGN.md Sec. 16.1): engine sections 1..5 are
+// core, rng, metrics, obs and fault; a fleet file holds the fleet
+// core plus one section per shard.
 constexpr std::uint32_t kCoreSection = 1;
 constexpr std::uint32_t kObsSection = 4;
 constexpr std::uint32_t kFleetCoreSection = 10;
@@ -614,23 +616,21 @@ TEST(CkptFormat, SectionBytesArePinned)
                {{1, 48083, 0x29908ad14c0b7e87ULL},
                 {2, 123, 0x250e39de3beeb8adULL},
                 {3, 344, 0x7792b336c29fd761ULL},
-                {4, 475, 0xe3e4d9fcd683ea54ULL},
-                {5, 1146, 0x01624b3c1982bc42ULL},
-                {6, 1608, 0xc6797cab9605d7d2ULL}},
+                {4, 475, 0x72dcef5e062fc96dULL},
+                {5, 1146, 0x01624b3c1982bc42ULL}},
                "engine");
     expectPins(faultedMigrationImage(faultedMigrationConfig()),
                {{1, 36450, 0xb86722124532e32aULL},
                 {2, 123, 0x50d1dc19052e6798ULL},
                 {3, 344, 0xe89c60914d2f462bULL},
-                {4, 834, 0xee8d8a7abce7464fULL},
-                {5, 1167, 0x86d6878aae3d2a61ULL},
-                {6, 1608, 0xce65cf1ea7938234ULL}},
+                {4, 834, 0x4ca2b927ed12bbecULL},
+                {5, 1167, 0x86d6878aae3d2a61ULL}},
                "faulted");
     expectPins(fleetImage(threeChassisConfig("roundrobin")),
                {{10, 245, 0x5ac7703c2c3cb646ULL},
-                {100, 8745, 0xb3260287412eb19bULL},
-                {101, 8721, 0xf7b4b8a470e0869cULL},
-                {102, 8721, 0xa561dd727e33c847ULL}},
+                {100, 7129, 0x5576dd763e14321bULL},
+                {101, 7105, 0xb5d4be1122dbdb7dULL},
+                {102, 7105, 0x808201a8bee7b171ULL}},
                "fleet");
 }
 
@@ -653,7 +653,7 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
     };
     const Split splits[] = {{1, 56, 2577, 622}, {2, 8, 46, 0},
                             {3, 8, 129, 6},     {4, 8, 178, 136},
-                            {5, 8, 430, 58},    {6, 8, 603, 90}};
+                            {5, 8, 430, 58}};
     const SimConfig config = fastConfig();
     const std::string good = goldenImage(config);
     DenseServerSim sim(config, makeScheduler("CP"));

@@ -69,6 +69,17 @@ TEST(ConfigIo, BadValueIsFatal)
                 ::testing::ExitedWithCode(1), "integer");
     EXPECT_EXIT(applyConfigKey(config, "warmStart", "maybe"),
                 ::testing::ExitedWithCode(1), "boolean");
+    EXPECT_EXIT(applyConfigKey(config, "load", "nan"),
+                ::testing::ExitedWithCode(1), "'load' needs a finite");
+    EXPECT_EXIT(applyConfigKey(config, "simTimeS", "inf"),
+                ::testing::ExitedWithCode(1), "'simTimeS' needs a finite");
+    EXPECT_EXIT(applyConfigKey(config, "socketTauS", "-inf"),
+                ::testing::ExitedWithCode(1),
+                "'socketTauS' needs a finite");
+    EXPECT_EXIT(applyConfigKey(config, "topo.rows", "1e10"),
+                ::testing::ExitedWithCode(1), "integer");
+    EXPECT_EXIT(applyConfigKey(config, "topo.rows", "nan"),
+                ::testing::ExitedWithCode(1), "'topo.rows' needs a finite");
 }
 
 TEST(ConfigIo, ParsesStreamWithCommentsAndBlanks)
@@ -108,6 +119,15 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.topo.rows, 7);
     EXPECT_DOUBLE_EQ(loaded.coupling.kappaLocal, 2.25);
     EXPECT_TRUE(loaded.migrationEnabled);
+
+    // Doubles that need all 17 significant digits come back exactly.
+    config.load = 0.1 + 0.2;
+    config.coupling.kappaLocal = 1.2345678901234567;
+    SimConfig exact;
+    std::stringstream full(saveConfig(config));
+    loadConfig(exact, full);
+    EXPECT_EQ(exact.load, config.load);
+    EXPECT_EQ(exact.coupling.kappaLocal, config.coupling.kappaLocal);
 }
 
 TEST(ConfigIo, SaveCoversEveryAppliedDefault)

@@ -80,6 +80,11 @@ TEST(RunDigest, IsStableAndConfigSensitive)
     RunSpec d = a;
     d.config.fault.fanFailS = 1.0;
     EXPECT_NE(runDigest(a), runDigest(d));
+
+    // The digest sees every digit of a double, not just six.
+    RunSpec e = a;
+    e.config.load = a.config.load + 1e-9;
+    EXPECT_NE(runDigest(a), runDigest(e));
 }
 
 // ------------------------------------------------- keep-going

@@ -150,9 +150,9 @@ TEST(PerfEquivalence, ObservabilityIsBitIdentical)
  * Pre-SoA-refactor SimMetrics captured from the seed engine (hex
  * float literals, so the expected values round-trip exactly). The
  * SoA hot paths — flat state arrays, the feasibility thresholds,
- * the fused scoring context, the epoch arena — are all claimed to be
- * *exact* rewrites, so the refactored engine must reproduce these
- * numbers to the last bit (EXPECT_EQ on doubles) for every
+ * the fused scoring context — are all claimed to be *exact*
+ * rewrites, so the refactored engine must reproduce these numbers
+ * to the last bit (EXPECT_EQ on doubles) for every
  * scheduler, with faults armed, and with migration on.
  */
 struct GoldenRow

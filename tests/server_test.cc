@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +159,46 @@ TEST(Topology, CouplingMapsReflectCoupling)
         makeCouplingMap(makeTwoSocketUncoupled(), params);
     EXPECT_GT(coupled.coeff(0, 1).value(), 0.0);
     EXPECT_DOUBLE_EQ(uncoupled.coeff(0, 1).value(), 0.0);
+}
+
+/**
+ * Every CSR row of @p map is its coefficient-matrix row: the ids are
+ * exactly the sockets with a nonzero coeff(from, ·), ascending, and
+ * the packed coefficients are those entries.
+ */
+void
+expectCsrMatchesCoefficients(const CouplingMap &map)
+{
+    for (std::size_t from = 0; from < map.size(); ++from) {
+        std::vector<std::size_t> nonzero;
+        for (std::size_t to = 0; to < map.size(); ++to)
+            if (map.coeff(from, to).value() != 0.0)
+                nonzero.push_back(to);
+        const std::size_t *ids = map.downstreamIds(from);
+        const double *amb = map.downstreamAmbCoeffs(from);
+        ASSERT_EQ(std::vector<std::size_t>(
+                      ids, ids + map.downstreamCount(from)),
+                  nonzero)
+            << "socket " << from;
+        for (std::size_t k = 0; k < nonzero.size(); ++k)
+            EXPECT_EQ(amb[k], map.coeff(from, ids[k]).value())
+                << "socket " << from << " -> " << ids[k];
+    }
+}
+
+TEST(CouplingMap, CsrRowsMatchCoefficientMatrix)
+{
+    expectCsrMatchesCoefficients(
+        makeCouplingMap(makeSutTopology(), defaultCouplingParams()));
+    // Seven stacked two-socket rows with the vertical leak on, so rows
+    // also reach into neighbouring ducts.
+    std::vector<SocketSite> sites;
+    for (int row = 0; row < 7; ++row)
+        for (int k = 0; k < 2; ++k)
+            sites.push_back(SocketSite{k * 5.0, row, Cfm(12.7)});
+    CouplingParams leaky;
+    leaky.verticalLeak = 0.45;
+    expectCsrMatchesCoefficients(CouplingMap(sites, leaky));
 }
 
 TEST(Topology, SinkOverride)

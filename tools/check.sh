@@ -66,6 +66,11 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 CTEST_PARALLEL="${CTEST_PARALLEL:-$JOBS}"
 
+# The ASan+UBSan stages. GCC's `undefined` group leaves out
+# float-cast-overflow (a double cast to an int it does not fit), so it
+# is named explicitly.
+SANITIZERS='address;undefined;float-cast-overflow'
+
 # Test selection for the TSan stage: the thread pool and everything
 # that runs under it, plus the differential suite it feeds.
 TSAN_FILTER='Parallel|Experiment|PerfEquivalence|Fleet|Streamed'
@@ -96,7 +101,7 @@ stage_plain() {
 }
 
 stage_asan() {
-    configure build-asan "-DDENSIM_SANITIZE=address;undefined" \
+    configure build-asan "-DDENSIM_SANITIZE=$SANITIZERS" \
               -DDENSIM_CHECKS=ON
     build build-asan
     run_ctest build-asan
@@ -144,7 +149,7 @@ stage_fault() {
     # The fault paths mutate coupling maps, requeue jobs, and unwind
     # through exceptions — exactly the code that deserves sanitizers
     # and the runtime invariant bank.
-    configure build-fault "-DDENSIM_SANITIZE=address;undefined" \
+    configure build-fault "-DDENSIM_SANITIZE=$SANITIZERS" \
               -DDENSIM_CHECKS=ON
     build build-fault
     run_ctest build-fault -R 'Fault|KeepGoing'
@@ -193,7 +198,7 @@ stage_fleet() {
     # bit-identical metrics at any thread count — run it under ASan
     # with the invariant bank on, then pin the promise end to end
     # through the CLI.
-    configure build-fleet "-DDENSIM_SANITIZE=address;undefined" \
+    configure build-fleet "-DDENSIM_SANITIZE=$SANITIZERS" \
               -DDENSIM_CHECKS=ON
     build build-fleet
     run_ctest build-fleet -R 'Fleet|Streamed|DomainSeed|Parallel'
@@ -227,7 +232,7 @@ stage_ckpt() {
     # bank under ASan, then the end-to-end promise through the CLI —
     # SIGTERM a run mid-flight, resume from its checkpoint, and the
     # final JSON must match the uninterrupted run byte for byte.
-    configure build-ckpt "-DDENSIM_SANITIZE=address;undefined" \
+    configure build-ckpt "-DDENSIM_SANITIZE=$SANITIZERS" \
               -DDENSIM_CHECKS=ON
     build build-ckpt
     run_ctest build-ckpt -R 'Ckpt|BitIdentity|HostileInput|Misuse|Driver|Fork'

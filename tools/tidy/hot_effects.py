@@ -4,9 +4,7 @@
 Statically proves the per-epoch hot loop's contract (DESIGN.md
 Sec. 14): no heap allocation, no throw, no IO, no ambient entropy and
 no unordered-iteration-with-escape on ANY path reachable from a
-DENSIM_HOT root, not just the paths the test matrix executes. The
-dynamic `arena_.stats().growths == 0` assertion remains the runtime
-backstop of this proof.
+DENSIM_HOT root, not just the paths the test matrix executes.
 
 The pass has the classic two-phase shape:
 
@@ -411,7 +409,7 @@ def analyze_body(body, rel, entry, fp_seed=()):
 
         if x == "new":
             if nxt == "(":
-                # Placement new targets pre-owned storage (the arena).
+                # Placement new targets pre-owned storage.
                 i = match_paren(body, i + 1) + 1
                 continue
             add_effect(entry, "allocates", t.line, "new expression")

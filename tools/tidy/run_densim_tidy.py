@@ -24,12 +24,6 @@ frontend everywhere python3 runs:
       the one blessed wall-clock reader (it never feeds back into the
       model) and sits on the allowlist below.
 
-  densim-arena-lifo
-      Arena::mark()/release() pairs must be lexically scoped and
-      unwind LIFO within one function (DESIGN.md Sec. 12): every mark
-      is released in the scope that made it, in reverse order of
-      marking, and no return may cross an outstanding mark.
-
   densim-hot-layout
       std::vector<bool> (bit-packed proxy references, no .data(), no
       vectorizable loads) and non-contiguous node containers
@@ -122,7 +116,6 @@ import hot_effects  # noqa: E402  (densim-hot-effects engine)
 ALL_CHECKS = (
     "densim-nondeterministic-iteration",
     "densim-unseeded-entropy",
-    "densim-arena-lifo",
     "densim-hot-layout",
     "densim-raw-double-boundary",
     "densim-hot-effects",
@@ -134,8 +127,6 @@ RULE_DESCRIPTIONS = {
         "Unordered-container iteration writes sim-visible state",
     "densim-unseeded-entropy":
         "Wall-clock or ambient entropy in engine code",
-    "densim-arena-lifo":
-        "Arena mark/release must pair lexically and unwind LIFO",
     "densim-hot-layout":
         "Bit-packed or node-based container in SoA hot-path code",
     "densim-raw-double-boundary":
@@ -154,7 +145,6 @@ HOT_DIRS = ("src/core", "src/thermal", "src/sched")
 CHECK_SCOPES = {
     "densim-nondeterministic-iteration": ENGINE_DIRS,
     "densim-unseeded-entropy": ENGINE_DIRS,
-    "densim-arena-lifo": ("src",),
     "densim-hot-layout": HOT_DIRS,
     "densim-raw-double-boundary": ("src",),
     # The interprocedural link needs every function the hot roots can
@@ -672,114 +662,6 @@ def check_unseeded_entropy_builtin(toks, path):
     return findings
 
 
-def builtin_function_bodies(toks):
-    """Yield (start, end) token ranges of probable function bodies."""
-    i = 0
-    while i < len(toks):
-        if toks[i].text != "{":
-            i += 1
-            continue
-        # Look back past modifiers/ctor-initializers for a ')'.
-        k = i - 1
-        hops = 0
-        is_func = False
-        while k >= 0 and hops < 24:
-            t = toks[k].text
-            if t == ")":
-                is_func = True
-                break
-            if t in ("const", "noexcept", "override", "final",
-                     "mutable", "->", "::", ",", "(", "&", "*",
-                     ">", "<") or is_ident(toks[k]):
-                k -= 1
-                hops += 1
-                continue
-            break
-        if is_func:
-            end = match_brace(toks, i)
-            yield i, end
-            i = end + 1
-        else:
-            i += 1
-
-
-def check_arena_lifo_builtin(toks, path):
-    findings = []
-    for start, end in builtin_function_bodies(toks):
-        body = toks[start:end + 1]
-        stack = []  # (marker name or None, depth, line)
-        depth = 0
-        i = 0
-        while i < len(body):
-            t = body[i]
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-                while stack and stack[-1][1] > depth:
-                    name, _, mline = stack.pop()
-                    findings.append(Finding(
-                        "densim-arena-lifo", path, mline,
-                        "Arena mark '{}' is not released before its "
-                        "scope ends; mark/release must be lexically "
-                        "paired (DESIGN.md Sec. 12)".format(
-                            name or "<unnamed>")))
-            elif t.text == "return" and stack:
-                findings.append(Finding(
-                    "densim-arena-lifo", path, t.line,
-                    "return crosses {} outstanding Arena mark(s) "
-                    "(first marked at line {}); release before every "
-                    "exit path".format(len(stack), stack[0][2])))
-            elif t.text == "mark" and i >= 1 and \
-                    body[i - 1].text in (".", "->") and \
-                    i + 2 < len(body) and body[i + 1].text == "(" and \
-                    body[i + 2].text == ")":
-                # Assignment target: first '=' LHS in this statement.
-                k = i
-                name = None
-                while k >= 0 and body[k].text not in (";", "{", "}"):
-                    if body[k].text == "=" and is_ident(body[k - 1]):
-                        name = body[k - 1].text
-                        break
-                    k -= 1
-                stack.append((name, depth, t.line))
-            elif t.text == "release" and i >= 1 and \
-                    body[i - 1].text in (".", "->") and \
-                    i + 1 < len(body) and body[i + 1].text == "(":
-                argend = match_paren(body, i + 1)
-                argname = next((a.text for a in body[i + 2:argend]
-                                if is_ident(a)), None)
-                if not stack:
-                    findings.append(Finding(
-                        "densim-arena-lifo", path, t.line,
-                        "Arena release without an outstanding mark in "
-                        "this function"))
-                else:
-                    top = stack[-1]
-                    if argname is not None and top[0] is not None and \
-                            argname != top[0]:
-                        findings.append(Finding(
-                            "densim-arena-lifo", path, t.line,
-                            "out-of-LIFO-order Arena release: '{}' "
-                            "released while '{}' (marked later, line "
-                            "{}) is still outstanding".format(
-                                argname, top[0], top[2])))
-                        # Pop the named marker if it is on the stack.
-                        for j in range(len(stack) - 1, -1, -1):
-                            if stack[j][0] == argname:
-                                stack.pop(j)
-                                break
-                    else:
-                        stack.pop()
-            i += 1
-        for name, _, mline in stack:
-            findings.append(Finding(
-                "densim-arena-lifo", path, mline,
-                "Arena mark '{}' is never released in this "
-                "function".format(name or "<unnamed>")))
-    return findings
-
-
 def check_hot_layout_builtin(toks, path):
     findings = []
     for i, t in enumerate(toks):
@@ -851,8 +733,6 @@ def run_builtin(path, rel, checks, allow):
     if "densim-unseeded-entropy" in checks and \
             not rel.startswith(ENTROPY_ALLOW_PREFIXES):
         findings += check_unseeded_entropy_builtin(toks, rel)
-    if "densim-arena-lifo" in checks:
-        findings += check_arena_lifo_builtin(toks, rel)
     if "densim-hot-layout" in checks:
         findings += check_hot_layout_builtin(toks, rel)
     if "densim-raw-double-boundary" in checks:
@@ -981,108 +861,6 @@ def clang_body_writes_external(body):
     return False
 
 
-def clang_collect_arena_events(body, walker):
-    """(kind, name, depth, line) events in source order."""
-    events = []
-
-    def rec(node, depth):
-        if not isinstance(node, dict):
-            return
-        walker.touch(node)
-        line = walker.line
-        kind = node.get("kind")
-        if kind == "ReturnStmt":
-            events.append(("return", None, depth, line))
-        if kind == "VarDecl":
-            for n in subtree_nodes(node):
-                if n.get("kind") == "CXXMemberCallExpr":
-                    mem = (n.get("inner") or [{}])[0]
-                    if mem.get("kind") == "MemberExpr" and \
-                            mem.get("name") == "mark" and \
-                            "Arena" in json.dumps(
-                                n.get("inner"))[:600]:
-                        events.append(("mark", node.get("name"),
-                                       depth, line))
-                        return  # Children handled; avoid double count.
-        if kind == "CXXMemberCallExpr":
-            inner = node.get("inner") or []
-            mem = inner[0] if inner else {}
-            if mem.get("kind") == "MemberExpr" and \
-                    mem.get("name") in ("mark", "release") and \
-                    "Arena" in json.dumps(inner)[:600]:
-                if mem.get("name") == "mark":
-                    events.append(("mark", None, depth, line))
-                else:
-                    arg = None
-                    for n in subtree_nodes(node):
-                        if n.get("kind") == "DeclRefExpr":
-                            ref = n.get("referencedDecl") or {}
-                            if ref.get("kind") == "VarDecl":
-                                arg = ref.get("name")
-                                break
-                    events.append(("release", arg, depth, line))
-                return
-        child_depth = depth + 1 if kind == "CompoundStmt" else depth
-        for child in node.get("inner", []) or []:
-            rec(child, child_depth)
-
-    rec(body, 0)
-    return events
-
-
-def arena_rule(events, path, func_line):
-    findings = []
-    stack = []
-    prev_depth = 0
-    for kind, name, depth, line in events:
-        if depth < prev_depth:
-            while stack and stack[-1][1] > depth:
-                mname, _, mline = stack.pop()
-                findings.append(Finding(
-                    "densim-arena-lifo", path, mline,
-                    "Arena mark '{}' is not released before its scope "
-                    "ends; mark/release must be lexically paired "
-                    "(DESIGN.md Sec. 12)".format(mname or "<unnamed>")))
-        prev_depth = depth
-        if kind == "mark":
-            stack.append((name, depth, line))
-        elif kind == "release":
-            if not stack:
-                findings.append(Finding(
-                    "densim-arena-lifo", path, line,
-                    "Arena release without an outstanding mark in "
-                    "this function"))
-            else:
-                top = stack[-1]
-                if name is not None and top[0] is not None and \
-                        name != top[0]:
-                    findings.append(Finding(
-                        "densim-arena-lifo", path, line,
-                        "out-of-LIFO-order Arena release: '{}' "
-                        "released while '{}' (marked later, line {}) "
-                        "is still outstanding".format(
-                            name, top[0], top[2])))
-                    for j in range(len(stack) - 1, -1, -1):
-                        if stack[j][0] == name:
-                            stack.pop(j)
-                            break
-                else:
-                    stack.pop()
-        elif kind == "return" and stack:
-            findings.append(Finding(
-                "densim-arena-lifo", path, line,
-                "return crosses {} outstanding Arena mark(s) (first "
-                "marked at line {}); release before every exit "
-                "path".format(len(stack), stack[0][2])))
-    for name, _, mline in stack:
-        findings.append(Finding(
-            "densim-arena-lifo", path, mline,
-            "Arena mark '{}' is never released in this function "
-            "(function at line {})".format(name or "<unnamed>",
-                                           func_line)))
-    return findings
-
-
 def run_clang(clang, path, rel, repo, checks, allow):
     cmd = [clang, "-std=c++20", "-x", "c++", "-fsyntax-only",
            "-I", os.path.join(repo, "src"),
@@ -1192,24 +970,6 @@ def run_clang(clang, path, rel, repo, checks, allow):
                     "core/units.hh or add '{}:{}' to "
                     "tools/lint/raw_double_allowlist.txt with a "
                     "review".format(name, rel, name)))
-        if kind in ("FunctionDecl", "CXXMethodDecl",
-                    "CXXConstructorDecl", "CXXDestructorDecl") and \
-                "densim-arena-lifo" in checks:
-            body = None
-            for child in node.get("inner", []) or []:
-                if isinstance(child, dict) and \
-                        child.get("kind") == "CompoundStmt":
-                    body = child
-            if body is not None:
-                # Collect with a cloned walker so the main DFS keeps
-                # its own file/line state (clang omits "line" when
-                # unchanged, so the tracker must advance in step with
-                # the emission order of the main walk).
-                sub = AstWalker(path)
-                sub.file, sub.line = w.file, w.line
-                events = clang_collect_arena_events(body, sub)
-                if any(e[0] in ("mark", "release") for e in events):
-                    findings.extend(arena_rule(events, rel, line))
         return False
 
     walk_nodes(root, walker, visit)
@@ -1375,7 +1135,6 @@ def validate_sarif(doc):
 FIXTURE_CHECKS = {
     "nondeterministic_iteration": "densim-nondeterministic-iteration",
     "unseeded_entropy": "densim-unseeded-entropy",
-    "arena_lifo": "densim-arena-lifo",
     "hot_layout": "densim-hot-layout",
     "raw_double_boundary": "densim-raw-double-boundary",
     "hot_effects": "densim-hot-effects",
