@@ -624,19 +624,19 @@ CkptAccess::core(Ar &ar, Sim &sim)
 
     ar.finite(sim.tCursor_, "tCursor");
     ar.f64(sim.totalPowerW_);
-    ar.f64(sim.workRateTotal_);
-    ar.f64(sim.workRateFront_);
-    ar.f64(sim.workRateBack_);
-    ar.f64(sim.workRateEven_);
-    ar.f64(sim.relFreqSumTotal_);
-    ar.f64(sim.relFreqSumFront_);
-    ar.f64(sim.relFreqSumBack_);
-    ar.f64(sim.relFreqSumEven_);
-    ar.count(sim.busyTotal_, n, "busyTotal");
-    ar.count(sim.busyFront_, n, "busyFront");
-    ar.count(sim.busyBack_, n, "busyBack");
-    ar.count(sim.busyEven_, n, "busyEven");
-    ar.count(sim.busyBoost_, n, "busyBoost");
+    ar.f64(sim.sums_.workRateTotal);
+    ar.f64(sim.sums_.workRateFront);
+    ar.f64(sim.sums_.workRateBack);
+    ar.f64(sim.sums_.workRateEven);
+    ar.f64(sim.sums_.relFreqSumTotal);
+    ar.f64(sim.sums_.relFreqSumFront);
+    ar.f64(sim.sums_.relFreqSumBack);
+    ar.f64(sim.sums_.relFreqSumEven);
+    ar.count(sim.sums_.busyTotal, n, "busyTotal");
+    ar.count(sim.sums_.busyFront, n, "busyFront");
+    ar.count(sim.sums_.busyBack, n, "busyBack");
+    ar.count(sim.sums_.busyEven, n, "busyEven");
+    ar.count(sim.sums_.busyBoost, n, "busyBoost");
     ar.u64(sim.decisions_);
 }
 
@@ -864,25 +864,19 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
         sim.coupling_ = CouplingMap(std::move(sites), params);
     }
 
-    // Rebuild the completion heap from the busy flags in ascending-id
-    // order. Observably exact: the heap's (key, id) order is total,
-    // so top()/topKey()/contains() — all the engine ever reads — are
-    // pure functions of the entry set, not of insertion order.
-    sim.completionHeap_.reset(n);
+    // The completion list stays empty (resetState): at an epoch
+    // boundary it holds nothing, and the next powerManage lists the
+    // epoch's completions before anything reads it.
     std::size_t busy = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-        if (sim.busyFlag_[s]) {
-            sim.completionHeap_.upsert(s, sim.completionS_[s]);
-            ++busy;
-        }
-    }
+    for (std::size_t s = 0; s < n; ++s)
+        busy += sim.busyFlag_[s] ? 1 : 0;
 
     // Post-restore audit (always on, CkptError not assertion — these
     // double as the last line of hostile-input validation).
-    if (busy != static_cast<std::size_t>(sim.busyTotal_))
+    if (busy != static_cast<std::size_t>(sim.sums_.busyTotal))
         badField("restored state",
                  std::to_string(busy) + " busy flags vs busyTotal " +
-                     std::to_string(sim.busyTotal_));
+                     std::to_string(sim.sums_.busyTotal));
     const std::size_t offline = sim.faultState_.offlineCount();
     if (sim.idleList_.size() + busy + offline != n)
         badField("restored state",
@@ -923,7 +917,6 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
     sim.streamOpen_ = true;
     // Debug-build invariants on top of the audits above.
     sim.checkEpochInvariants();
-    sim.completionHeap_.checkInvariants();
 }
 
 void

@@ -5,9 +5,9 @@
  *
  * A checkpoint captures the complete mutable state of an open run at
  * an epoch (or fleet exchange-window) boundary — SoA socket banks,
- * job backlog and queue, event-heap membership, every RNG stream
- * position, fault timeline cursor and escalation ladder, obs
- * counters/gauges/trace/timeline cursor, and (for a fleet) the
+ * job backlog and queue, every RNG stream position, fault timeline
+ * cursor and escalation ladder, obs counters/gauges/trace/timeline
+ * cursor, and (for a fleet) the
  * arrival lookahead, dispatcher cursor and every shard — such that
  * resuming reproduces the uninterrupted run *bit for bit*:
  * hex-float-equal SimMetrics/FleetMetrics and byte-identical JSONL
@@ -39,9 +39,8 @@
  * accumulator and per-socket array is stored as raw IEEE-754 bits;
  * everything construction-derived (topology, coupling LU cache,
  * P-state tables, fault timeline, sink caches) is rebuilt from
- * SimConfig, and the completion heap is re-populated from the busy
- * flags in ascending-id order — observably exact, because the heap's
- * (key, id) order is total and only top()/contains() are read.
+ * SimConfig, and the completion list, empty at every epoch boundary,
+ * stays empty until the next powerManage fills it.
  */
 
 #ifndef DENSIM_CKPT_CHECKPOINT_HH

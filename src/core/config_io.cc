@@ -75,16 +75,15 @@ parseU64(const std::string &key, const std::string &value)
 {
     // Not via parseDouble: a 64-bit seed has more digits than a
     // double has mantissa, and a seed that silently rounds is a
-    // reproducibility bug.
-    std::size_t used = 0;
+    // reproducibility bug. Digits only: std::stoull would skip
+    // blanks and negate a leading '-' ("-1" -> 2^64 - 1).
     std::uint64_t out = 0;
-    try {
-        out = std::stoull(value, &used);
-    } catch (const std::exception &) {
+    const char *end = value.data() + value.size();
+    const auto res = std::from_chars(value.data(), end, out);
+    if (res.ec != std::errc())
         fatal("config: cannot parse '", value, "' for key '", key,
               "'");
-    }
-    if (used != value.size())
+    if (res.ptr != end)
         fatal("config: trailing junk in '", value, "' for key '", key,
               "'");
     return out;

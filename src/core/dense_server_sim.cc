@@ -116,6 +116,25 @@ DenseServerSim::DenseServerSim(const SimConfig &sim_config,
         freqByPstate_[p] = table.at(p).freqMhz;
         boostByPstate_[p] = table.at(p).boost ? 1 : 0;
     }
+    // Progress is measured in nominal (highest-sustained-frequency)
+    // seconds: boost states advance a job faster than 1x. This is the
+    // design point of the SUT — 100% load is exactly sustainable at
+    // 1500 MHz (Sec. III-D).
+    rateBySetState_.resize(allWorkloadSets().size() * table.size());
+    for (const WorkloadSet set : allWorkloadSets()) {
+        const FreqCurve &curve = freqCurveFor(set);
+        for (std::size_t p = 0; p < table.size(); ++p) {
+            const double rate =
+                curve.perfRel[p] / curve.perfRel[sustainedIdx_];
+            if (rate <= 0.0)
+                panic("workload set ", workloadSetName(set),
+                      " has a non-positive progress rate at P-state ",
+                      p);
+            rateBySetState_[static_cast<std::size_t>(set) *
+                                table.size() +
+                            p] = rate;
+        }
+    }
     predCache_.feas.build(pm_, leak_, sinkCache_);
 
     faultsEnabled_ = config_.fault.enabled();
@@ -228,7 +247,7 @@ DenseServerSim::resetState()
 
     boostCreditS_.assign(n, config_.boostBurstS);
 
-    completionHeap_.reset(n);
+    completions_.reset(n);
     idleList_.resize(n);
     for (std::size_t s = 0; s < n; ++s)
         idleList_[s] = s;
@@ -397,7 +416,7 @@ DenseServerSim::epochPending() const
     if (!arrivalsClosed_)
         return true;
     return streamNext_ < streamJobs_.size() || !queue_.empty() ||
-           busyTotal_ != 0;
+           sums_.busyTotal != 0;
 }
 
 double
@@ -422,6 +441,7 @@ DenseServerSim::advanceEpoch()
         fatal("DenseServerSim::advanceEpoch: no open run (beginRun?)");
     const double epoch = config_.pmEpochS;
     const double t0 = streamNowS_;
+    const double t1 = t0 + epoch;
 
     count_.epochs->inc();
     if (faultsEnabled_)
@@ -430,7 +450,7 @@ DenseServerSim::advanceEpoch()
     sampleTimeline(t0);
     if (faultsEnabled_)
         emergencyResponse(t0);
-    powerManage(t0);
+    powerManage(t0, t1);
     if (config_.migrationEnabled) {
         const auto stride = static_cast<std::size_t>(
             config_.migrationIntervalS / epoch);
@@ -438,9 +458,9 @@ DenseServerSim::advanceEpoch()
         if (stride <= 1 || tick % stride == 0)
             attemptMigrations(t0);
     }
-    processWindow(streamJobs_, streamNext_, t0, t0 + epoch);
+    processWindow(streamJobs_, streamNext_, t0, t1);
     checkEpochInvariants();
-    streamNowS_ = t0 + epoch;
+    streamNowS_ = t1;
 }
 
 SimMetrics
@@ -451,7 +471,7 @@ DenseServerSim::finishRun()
     accumulate(streamNowS_);
 
     metrics_.measuredS = std::max(streamNowS_ - config_.warmupS, 0.0);
-    metrics_.jobsUnfinished = queue_.size() + busyTotal_;
+    metrics_.jobsUnfinished = queue_.size() + sums_.busyTotal;
     writeObsOutputs();
     streamOpen_ = false;
     return metrics_;
@@ -643,18 +663,16 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
     // The thresholds stay exact under faults too: fan derates and
     // sensor faults perturb the ambient *input*, never the sink,
     // curve and leakage the thresholds describe.
-    const FreqCurve &curve = freqCurveFor(set);
-    const HeatSink &sink = *sinkCache_[socket];
     if (!config_.schedPredictionCache)
-        return pm_.chooseAtAmbientCapped(curve, leak_, Celsius(ambient_c),
-                                         sink, cap);
-    return pm_.chooseAtAmbientLimited(curve, leak_, Celsius(ambient_c),
-                                      sink, cap,
-                                      predCache_.feas.row(socket, set));
+        return pm_.chooseAtAmbientCapped(freqCurveFor(set), leak_,
+                                         Celsius(ambient_c),
+                                         *sinkCache_[socket], cap);
+    pm_.countSearch();
+    return predCache_.feas.decide(socket, set, Celsius(ambient_c), cap);
 }
 
 void
-DenseServerSim::powerManage(double now)
+DenseServerSim::powerManage(double now, double horizon)
 {
     DENSIM_OBS_PHASE(profiler_, obs::Phase::PowerManage);
     const std::size_t n = topo_.numSockets();
@@ -666,10 +684,12 @@ DenseServerSim::powerManage(double now)
             chooseDvfs(s, runningSet_[s], dvfsCap(s));
         applyRate(s, d.pstate, d.power.value(), now);
     }
-    // The loop leaves the busy sums alone (nothing reads them in it):
-    // re-derive them once here, which also pins any incremental
-    // floating-point drift to at most one epoch's worth of updates.
+    // The loop leaves the busy sums and the completion list alone
+    // (nothing reads them in it): re-derive both once here, which also
+    // pins any incremental floating-point drift of the sums to at most
+    // one epoch's worth of updates.
     rebuildScalars();
+    completions_.fill(horizon, completionS_, busyFlag_);
 }
 
 void
@@ -682,7 +702,7 @@ DenseServerSim::processWindow(const std::vector<Job> &jobs,
     for (;;) {
         const double next_arrival =
             next_job < jobs.size() ? jobs[next_job].arrivalS : inf;
-        const double next_completion = completionHeap_.topKey();
+        const double next_completion = completions_.topKey();
 
         const double t_event = std::min(next_arrival, next_completion);
         if (t_event >= t1) {
@@ -692,7 +712,7 @@ DenseServerSim::processWindow(const std::vector<Job> &jobs,
         accumulate(std::max(t_event, tCursor_));
 
         if (next_completion <= next_arrival) {
-            completeJob(completionHeap_.top(), next_completion);
+            completeJob(completions_.top(), next_completion);
         } else {
             ++metrics_.jobsArrived;
             queue_.push_back(jobs[next_job]);
@@ -738,21 +758,17 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
     busySumsRemove(socket);
     applyRate(socket, new_pstate, power_w, now);
     busySumsAdd(socket);
+    completions_.upsert(socket, completionS_[socket]);
 }
 
 void
 DenseServerSim::applyRate(std::size_t socket, std::size_t new_pstate,
                           double power_w, double now)
 {
-    // Progress is measured in nominal (highest-sustained-frequency)
-    // seconds: boost states advance a job faster than 1x. This is the
-    // design point of the SUT — 100% load is exactly sustainable at
-    // 1500 MHz (Sec. III-D).
-    const auto &curve = freqCurveFor(runningSet_[socket]);
     const double rate =
-        curve.perfRel[new_pstate] / curve.perfRel[sustainedIdx_];
-    if (rate <= 0.0)
-        panic("socket ", socket, " has non-positive progress rate");
+        rateBySetState_[static_cast<std::size_t>(runningSet_[socket]) *
+                            freqByPstate_.size() +
+                        new_pstate];
     pstate_[socket] = new_pstate;
     boostFlag_[socket] = boostByPstate_[new_pstate];
     freqMhz_[socket] = freqByPstate_[new_pstate];
@@ -765,8 +781,6 @@ DenseServerSim::applyRate(std::size_t socket, std::size_t new_pstate,
     rateCache_[socket] = rate;
     relFreqCache_[socket] = relFreqByPstate_[new_pstate];
     completionS_[socket] = now + jobRemainingS_[socket] / rate;
-    if (busyFlag_[socket])
-        completionHeap_.upsert(socket, completionS_[socket]);
     refreshPenaltySnapshot(socket);
 }
 
@@ -905,7 +919,7 @@ DenseServerSim::completeJob(std::size_t socket, double now)
 
     busySumsRemove(socket);
     busyFlag_[socket] = 0;
-    completionHeap_.erase(socket);
+    completions_.erase(socket);
     setIdlePower(socket);
     idleInsert(socket);
     count_.jobsCompleted->inc();
@@ -933,7 +947,7 @@ DenseServerSim::migrateJob(std::size_t from, std::size_t to, double now)
 
     clearJobState(from);
     busyFlag_[from] = 0;
-    completionHeap_.erase(from);
+    completions_.erase(from);
     setIdlePower(from);
     idleInsert(from);
 
@@ -991,27 +1005,8 @@ DenseServerSim::busySumsRemove(std::size_t s)
     if (!inBusySums_[s])
         return;
     inBusySums_[s] = 0;
-    const double rate = contribRate_[s];
-    const double rel = contribRel_[s];
-    --busyTotal_;
-    workRateTotal_ -= rate;
-    relFreqSumTotal_ -= rel;
-    if (contribBoost_[s])
-        --busyBoost_;
-    if (isFront_[s]) {
-        --busyFront_;
-        workRateFront_ -= rate;
-        relFreqSumFront_ -= rel;
-    } else {
-        --busyBack_;
-        workRateBack_ -= rate;
-        relFreqSumBack_ -= rel;
-    }
-    if (isEven_[s]) {
-        --busyEven_;
-        workRateEven_ -= rate;
-        relFreqSumEven_ -= rel;
-    }
+    sums_.fold(-1, contribRate_[s], contribRel_[s], contribBoost_[s],
+               isFront_[s], isEven_[s]);
 }
 
 void
@@ -1020,47 +1015,34 @@ DenseServerSim::busySumsAdd(std::size_t s)
     if (!busyFlag_[s] || inBusySums_[s])
         return;
     inBusySums_[s] = 1;
-    const double rate = rateCache_[s];
-    const double rel = relFreqCache_[s];
-    contribRate_[s] = rate;
-    contribRel_[s] = rel;
+    contribRate_[s] = rateCache_[s];
+    contribRel_[s] = relFreqCache_[s];
     contribBoost_[s] = boostFlag_[s] ? 1 : 0;
-    ++busyTotal_;
-    workRateTotal_ += rate;
-    relFreqSumTotal_ += rel;
-    if (contribBoost_[s])
-        ++busyBoost_;
-    if (isFront_[s]) {
-        ++busyFront_;
-        workRateFront_ += rate;
-        relFreqSumFront_ += rel;
-    } else {
-        ++busyBack_;
-        workRateBack_ += rate;
-        relFreqSumBack_ += rel;
-    }
-    if (isEven_[s]) {
-        ++busyEven_;
-        workRateEven_ += rate;
-        relFreqSumEven_ += rel;
-    }
+    sums_.fold(1, contribRate_[s], contribRel_[s], contribBoost_[s],
+               isFront_[s], isEven_[s]);
 }
 
 void
 DenseServerSim::rebuildScalars()
 {
-    totalPowerW_ = 0.0;
-    workRateTotal_ = workRateFront_ = workRateBack_ = workRateEven_ =
-        0.0;
-    relFreqSumTotal_ = relFreqSumFront_ = relFreqSumBack_ =
-        relFreqSumEven_ = 0.0;
-    busyTotal_ = busyFront_ = busyBack_ = busyEven_ = busyBoost_ = 0;
-
+    // Summed in locals in ascending socket order, exactly as a
+    // busySumsAdd sequence would, and stored once. Idle sockets keep
+    // their contrib* entries (the checkpoint carries them).
+    double power = 0.0;
+    BusySums sums;
     for (std::size_t s = 0; s < topo_.numSockets(); ++s) {
-        totalPowerW_ += powerW_[s];
-        inBusySums_[s] = 0;
-        busySumsAdd(s);
+        power += powerW_[s];
+        inBusySums_[s] = busyFlag_[s] ? 1 : 0;
+        if (!busyFlag_[s])
+            continue;
+        contribRate_[s] = rateCache_[s];
+        contribRel_[s] = relFreqCache_[s];
+        contribBoost_[s] = boostFlag_[s] ? 1 : 0;
+        sums.fold(1, rateCache_[s], relFreqCache_[s], boostFlag_[s],
+                  isFront_[s], isEven_[s]);
     }
+    totalPowerW_ = power;
+    sums_ = sums;
 }
 
 void
@@ -1079,17 +1061,15 @@ DenseServerSim::checkEpochInvariants() const
                      powerW_[s], " W");
     }
 
-    // Structural consistency of the incremental event engine: every
-    // busy socket has exactly one pending completion, the idle list
-    // holds the rest, and no completion lies in the simulated past.
-    DENSIM_CHECK(completionHeap_.size() ==
-                     static_cast<std::size_t>(busyTotal_),
-                 completionHeap_.size(), " pending completions for ",
-                 busyTotal_, " busy sockets");
+    // Structural consistency of the incremental event engine: the
+    // completion list holds exactly the busy sockets due before its
+    // horizon, the idle list holds the idle ones, and no listed
+    // completion lies in the simulated past.
+    completions_.checkInvariants(completionS_, busyFlag_);
     const std::size_t offline = faultState_.offlineCount();
-    DENSIM_CHECK(idleList_.size() + static_cast<std::size_t>(busyTotal_)
+    DENSIM_CHECK(idleList_.size() + static_cast<std::size_t>(sums_.busyTotal)
                      + offline == n,
-                 idleList_.size(), " idle + ", busyTotal_, " busy + ",
+                 idleList_.size(), " idle + ", sums_.busyTotal, " busy + ",
                  offline, " offline sockets on a ", n,
                  "-socket server");
     if (faultsEnabled_) {
@@ -1115,14 +1095,12 @@ DenseServerSim::checkEpochInvariants() const
     }
     DENSIM_CHECK(idle_at == idleList_.size(),
                  "idle list is not row-major ascending");
-    DENSIM_CHECK(completionHeap_.topKey() >= tCursor_,
-                 "next completion ", completionHeap_.topKey(),
+    DENSIM_CHECK(completions_.topKey() >= tCursor_,
+                 "next completion ", completions_.topKey(),
                  " s lies before the integration cursor ", tCursor_,
                  " s");
 
 #if DENSIM_ENABLE_PARANOID
-    completionHeap_.checkInvariants();
-
     // Re-derive the piecewise-integration scalars from scratch; the
     // incremental adds/removes must agree within rounding.
     double power = 0.0;
@@ -1137,19 +1115,19 @@ DenseServerSim::checkEpochInvariants() const
         work_rate += rateCache_[s];
         rel_sum += relFreqCache_[s];
     }
-    DENSIM_PARANOID(busy == busyTotal_, "incremental busy count ",
-                    busyTotal_, " vs rebuilt ", busy);
+    DENSIM_PARANOID(busy == sums_.busyTotal, "incremental busy count ",
+                    sums_.busyTotal, " vs rebuilt ", busy);
     DENSIM_PARANOID(std::fabs(power - totalPowerW_) <=
                         1e-6 * std::max(1.0, power),
                     "incremental total power ", totalPowerW_,
                     " W vs rebuilt ", power, " W");
-    DENSIM_PARANOID(std::fabs(work_rate - workRateTotal_) <=
+    DENSIM_PARANOID(std::fabs(work_rate - sums_.workRateTotal) <=
                         1e-6 * std::max(1.0, work_rate),
-                    "incremental work rate ", workRateTotal_,
+                    "incremental work rate ", sums_.workRateTotal,
                     " vs rebuilt ", work_rate);
-    DENSIM_PARANOID(std::fabs(rel_sum - relFreqSumTotal_) <=
+    DENSIM_PARANOID(std::fabs(rel_sum - sums_.relFreqSumTotal) <=
                         1e-6 * std::max(1.0, rel_sum),
-                    "incremental rel-freq sum ", relFreqSumTotal_,
+                    "incremental rel-freq sum ", sums_.relFreqSumTotal,
                     " vs rebuilt ", rel_sum);
 
     // The delta-maintained ambient-target field must match a fresh
@@ -1361,7 +1339,7 @@ DenseServerSim::requeueJob(std::size_t socket, double now)
     busySumsRemove(socket);
     clearJobState(socket);
     busyFlag_[socket] = 0;
-    completionHeap_.erase(socket);
+    completions_.erase(socket);
     queue_.push_front(job);
     fcount_.jobsRequeued->inc();
     recordFault(FaultKind::JobRequeue, socket, now, job.nominalS);
@@ -1445,22 +1423,22 @@ DenseServerSim::accumulate(double to)
         return;
     {
         metrics_.energyJ += (totalPowerW_ + fanPowerW_) * dt;
-        metrics_.totalBusyTime += busyTotal_ * dt;
-        metrics_.totalFreqTime += relFreqSumTotal_ * dt;
-        metrics_.totalWork += workRateTotal_ * dt;
-        metrics_.boostTimeS += busyBoost_ * dt;
+        metrics_.totalBusyTime += sums_.busyTotal * dt;
+        metrics_.totalFreqTime += sums_.relFreqSumTotal * dt;
+        metrics_.totalWork += sums_.workRateTotal * dt;
+        metrics_.boostTimeS += sums_.busyBoost * dt;
 
-        metrics_.front.busyTimeS += busyFront_ * dt;
-        metrics_.front.freqTime += relFreqSumFront_ * dt;
-        metrics_.front.workDone += workRateFront_ * dt;
+        metrics_.front.busyTimeS += sums_.busyFront * dt;
+        metrics_.front.freqTime += sums_.relFreqSumFront * dt;
+        metrics_.front.workDone += sums_.workRateFront * dt;
 
-        metrics_.back.busyTimeS += busyBack_ * dt;
-        metrics_.back.freqTime += relFreqSumBack_ * dt;
-        metrics_.back.workDone += workRateBack_ * dt;
+        metrics_.back.busyTimeS += sums_.busyBack * dt;
+        metrics_.back.freqTime += sums_.relFreqSumBack * dt;
+        metrics_.back.workDone += sums_.workRateBack * dt;
 
-        metrics_.even.busyTimeS += busyEven_ * dt;
-        metrics_.even.freqTime += relFreqSumEven_ * dt;
-        metrics_.even.workDone += workRateEven_ * dt;
+        metrics_.even.busyTimeS += sums_.busyEven * dt;
+        metrics_.even.freqTime += sums_.relFreqSumEven * dt;
+        metrics_.even.workDone += sums_.workRateEven * dt;
     }
     tCursor_ = to;
 }

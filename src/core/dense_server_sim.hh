@@ -30,13 +30,14 @@
  *
  * Engine hot paths are incremental rather than recompute-from-scratch
  * (see DESIGN.md "Performance architecture"): job completions come
- * from an indexed min-heap instead of a per-event socket scan, the
- * idle-socket list and the piecewise-integration sums are maintained
- * by delta updates, the ambient-target field is updated through
+ * from a sorted list of the few due inside the current epoch instead
+ * of a per-event socket scan, the idle-socket list and the
+ * piecewise-integration sums are maintained by delta updates, the
+ * ambient-target field is updated through
  * CouplingMap::applyPowerDelta for the sockets whose power actually
- * changed, and every DVFS search reads its P-state off exact
- * per-(sink, workload set, P-state) feasibility thresholds computed
- * once at construction.
+ * changed, and every DVFS decision is read off exact per-(sink,
+ * workload set, P-state) feasibility thresholds and two-pass
+ * constants computed once at construction.
  */
 
 #ifndef DENSIM_CORE_DENSE_SERVER_SIM_HH
@@ -47,7 +48,7 @@
 #include <vector>
 
 #include "core/effects.hh"
-#include "core/event_heap.hh"
+#include "core/completion_list.hh"
 #include "core/metrics.hh"
 #include "core/sim_config.hh"
 #include "fault/fault_state.hh"
@@ -124,7 +125,7 @@ class DenseServerSim
     double nowS() const { return streamNowS_; }
 
     /** Jobs queued + running right now (dispatcher headroom input). */
-    std::size_t backlog() const { return queue_.size() + busyTotal_; }
+    std::size_t backlog() const { return queue_.size() + sums_.busyTotal; }
 
     /** Idle (placeable) sockets right now. */
     std::size_t idleSockets() const { return idleList_.size(); }
@@ -191,7 +192,9 @@ class DenseServerSim
     void warmStart();
     SimMetrics runJobs(const std::vector<Job> &jobs);
     DENSIM_HOT void thermalStep(double dt);
-    DENSIM_HOT void powerManage(double now);
+    /** Re-decide every busy socket at @p now, then list the
+     *  completions due before @p horizon (the epoch end). */
+    DENSIM_HOT void powerManage(double now, double horizon);
     DENSIM_HOT DENSIM_ALLOCATES(
         "job admission pushes onto the deque backlog; freed blocks "
         "are reused, so steady state adds no heap traffic")
@@ -243,12 +246,14 @@ class DenseServerSim
     void syncProgress(std::size_t socket, double now);
     /** Zero the running-job arrays of a socket going idle. */
     void clearJobState(std::size_t socket);
-    /** applyRate() with the busy sums kept up to date around it. */
+    /** applyRate() with the busy sums and the completion list kept
+     *  up to date around it (placement and migration). */
     void setSocketRate(std::size_t socket, std::size_t pstate,
                        double power_w, double now);
     /**
      * Move a socket to @p pstate at @p power_w, leaving the busy sums
-     * to the caller (powerManage rebuilds them after its loop).
+     * and the completion list to the caller (powerManage rebuilds
+     * both after its loop).
      */
     void applyRate(std::size_t socket, std::size_t pstate,
                    double power_w, double now);
@@ -261,8 +266,9 @@ class DenseServerSim
 
     /**
      * The DVFS decision for @p socket running @p set under @p cap:
-     * chooseAtAmbientCapped's result, answered from the feasibility
-     * thresholds (the full search when schedPredictionCache is off).
+     * chooseAtAmbientCapped's result, read off the feasibility table
+     * (FeasibilityTable::decide; the full search when
+     * schedPredictionCache is off).
      */
     DvfsDecision chooseDvfs(std::size_t socket, WorkloadSet set,
                             std::size_t cap);
@@ -385,7 +391,7 @@ class DenseServerSim
     void writeObsOutputs();
 
     // --- incremental engine state ------------------------------------
-    EventHeap completionHeap_; //!< Busy sockets keyed on completionS.
+    CompletionList completions_; //!< Busy sockets due this epoch.
     std::vector<std::size_t> idleList_; //!< Idle sockets, ascending.
     std::vector<int> rowIdle_; //!< idleList_ entries per row.
 
@@ -408,6 +414,9 @@ class DenseServerSim
     std::vector<int> rowCache_;               //!< topo_.rowOf(s).
     std::vector<double> relFreqByPstate_;
     std::vector<double> freqByPstate_;       //!< table.at(p).freqMhz.
+    /** Progress rate perfRel[p] / perfRel[sustained], indexed
+     *  set * P-state count + p. */
+    std::vector<double> rateBySetState_;
     std::vector<std::uint8_t> boostByPstate_; //!< table.at(p).boost.
     std::size_t sustainedIdx_ = 0;
     std::size_t boostCap_ = 0; //!< Highest P-state index.
@@ -424,22 +433,51 @@ class DenseServerSim
     std::vector<double> contribRel_;
     std::vector<char> contribBoost_;
 
+    /** Busy-socket sums of the piecewise integration: the whole
+     *  server, the front and back halves and the even zones. */
+    struct BusySums
+    {
+        double workRateTotal = 0.0, workRateFront = 0.0,
+               workRateBack = 0.0, workRateEven = 0.0;
+        double relFreqSumTotal = 0.0, relFreqSumFront = 0.0,
+               relFreqSumBack = 0.0, relFreqSumEven = 0.0;
+        int busyTotal = 0, busyFront = 0, busyBack = 0, busyEven = 0,
+            busyBoost = 0;
+
+        /** Fold one busy socket in (@p sign 1) or out (-1). Folding
+         *  out adds -rate, which is exactly subtracting rate. */
+        void
+        fold(int sign, double rate, double rel, bool boost, bool front,
+             bool even)
+        {
+            const double r = sign * rate;
+            const double f = sign * rel;
+            busyTotal += sign;
+            workRateTotal += r;
+            relFreqSumTotal += f;
+            if (boost)
+                busyBoost += sign;
+            if (front) {
+                busyFront += sign;
+                workRateFront += r;
+                relFreqSumFront += f;
+            } else {
+                busyBack += sign;
+                workRateBack += r;
+                relFreqSumBack += f;
+            }
+            if (even) {
+                busyEven += sign;
+                workRateEven += r;
+                relFreqSumEven += f;
+            }
+        }
+    };
+
     // Piecewise integration scalars.
     double tCursor_ = 0.0;
     double totalPowerW_ = 0.0;
-    double workRateTotal_ = 0.0;
-    double workRateFront_ = 0.0;
-    double workRateBack_ = 0.0;
-    double workRateEven_ = 0.0;
-    double relFreqSumTotal_ = 0.0;
-    double relFreqSumFront_ = 0.0;
-    double relFreqSumBack_ = 0.0;
-    double relFreqSumEven_ = 0.0;
-    int busyTotal_ = 0;
-    int busyFront_ = 0;
-    int busyBack_ = 0;
-    int busyEven_ = 0;
-    int busyBoost_ = 0;
+    BusySums sums_;
 
     // --- fault subsystem state (src/fault, DESIGN.md Sec. 11) --------
     // Everything below is inert unless faultsEnabled_: the zero-fault

@@ -12,12 +12,12 @@
  *
  *  - DENSIM_CHECK(cond, msg...): cheap structural/physical
  *    assertions (finite fields, temperatures above absolute zero,
- *    heap/index consistency). Enabled by the CMake option
+ *    completion-list consistency). Enabled by the CMake option
  *    `DENSIM_CHECKS=ON` (definition DENSIM_ENABLE_CHECKS).
  *  - DENSIM_PARANOID(cond, msg...): expensive cross-validation
  *    against the reference computation (fresh field evaluation vs
  *    the incremental one, nodal heat residual of a cached LU solve,
- *    full heap ordering scans). Enabled by `DENSIM_PARANOID=ON`
+ *    rebuilt integration sums). Enabled by `DENSIM_PARANOID=ON`
  *    (definition DENSIM_ENABLE_PARANOID, which implies the cheap
  *    checks).
  *
@@ -30,7 +30,8 @@
  * Check sites live at epoch boundaries of the engine
  * (DenseServerSim::checkEpochInvariants), inside
  * RCNetwork::steadyState (cache validity / first-law balance) and
- * EventHeap::checkInvariants (ordering + position index). CI runs
+ * CompletionList::checkInvariants (ordering + exactly the busy ids
+ * due before the horizon). CI runs
  * the paranoid build on the reduced workloads of
  * tests/perf_equivalence_test.cc (see tools/check.sh).
  */

@@ -120,9 +120,9 @@ struct SimConfig
      */
     double fanPowerW = 0.0;
 
-    // Engine performance knobs. The event-heap completion queue and
-    // the incremental idle list are exact and always on; the knobs
-    // below control the remaining hot-path strategies.
+    // Engine performance knobs. The completion list and the
+    // incremental idle list are exact and always on; the knobs below
+    // control the remaining hot-path strategies.
     /**
      * Maintain the socket ambient-target field by applying per-socket
      * power deltas through the coupling map (O(changed x downstream)

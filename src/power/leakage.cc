@@ -1,7 +1,5 @@
 #include "power/leakage.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace densim {
@@ -25,17 +23,6 @@ LeakageModel::x2150()
 {
     static const LeakageModel model(Watts(22.0));
     return model;
-}
-
-Watts
-LeakageModel::at(Celsius t) const
-{
-    const double scaled =
-        refLeakW_ * (1.0 + slopePerC_ * (t.value() - refC_));
-    // Leakage never vanishes entirely; floor at 20 % of the reference
-    // value (reached ~65 C below the reference, outside operating
-    // range anyway).
-    return Watts(std::max(scaled, 0.2 * refLeakW_));
 }
 
 } // namespace densim

@@ -13,6 +13,8 @@
 #ifndef DENSIM_POWER_LEAKAGE_HH
 #define DENSIM_POWER_LEAKAGE_HH
 
+#include <algorithm>
+
 #include "core/units.hh"
 
 namespace densim {
@@ -36,8 +38,20 @@ class LeakageModel
     /** X2150 leakage: 30 % of 22 W TDP at 90 C. */
     static const LeakageModel &x2150();
 
-    /** Leakage power at chip temperature @p t. */
-    Watts at(Celsius t) const;
+    /**
+     * Leakage power at chip temperature @p t. Inline: every DVFS
+     * decision's second pass evaluates it.
+     */
+    Watts
+    at(Celsius t) const
+    {
+        const double scaled =
+            refLeakW_ * (1.0 + slopePerC_ * (t.value() - refC_));
+        // Leakage never vanishes entirely; floor at 20 % of the
+        // reference value (reached ~65 C below the reference, outside
+        // operating range anyway).
+        return Watts(std::max(scaled, 0.2 * refLeakW_));
+    }
 
     /** Leakage at the reference temperature. */
     Watts atRef() const { return Watts(refLeakW_); }

@@ -89,27 +89,6 @@ PowerManager::twoPassPeakC(const FreqCurve &curve,
 }
 
 DvfsDecision
-PowerManager::searchDownFrom(const FreqCurve &curve,
-                             const LeakageModel &leak, Celsius ambient,
-                             const HeatSink &sink,
-                             std::size_t first) const
-{
-    DvfsDecision decision{};
-    for (std::size_t idx = first + 1; idx-- > 0;) {
-        const TwoPass est = twoPassPeakC(curve, leak, ambient, sink, idx);
-        if (est.peakC <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(est.powerW);
-            decision.predictedPeak = Celsius(est.peakC);
-            decision.feasible = est.peakC <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
 PowerManager::chooseAtAmbientCapped(const FreqCurve &curve,
                                     const LeakageModel &leak,
                                     Celsius ambient,
@@ -121,7 +100,19 @@ PowerManager::chooseAtAmbientCapped(const FreqCurve &curve,
     if (max_pstate >= table_.size())
         panic("chooseAtAmbientCapped: max P-state ", max_pstate,
               " out of range");
-    return searchDownFrom(curve, leak, ambient, sink, max_pstate);
+    DvfsDecision decision{};
+    for (std::size_t idx = max_pstate + 1; idx-- > 0;) {
+        const TwoPass est = twoPassPeakC(curve, leak, ambient, sink, idx);
+        if (est.peakC <= tLimitC_ || idx == 0) {
+            decision.pstate = idx;
+            decision.freqMhz = table_.at(idx).freqMhz;
+            decision.power = Watts(est.powerW);
+            decision.predictedPeak = Celsius(est.peakC);
+            decision.feasible = est.peakC <= tLimitC_;
+            return decision;
+        }
+    }
+    panic("unreachable: P-state loop fell through");
 }
 
 bool
@@ -189,36 +180,6 @@ PowerManager::feasibilityLimit(const FreqCurve &curve,
             hi = mid;
     }
     return Celsius(lo);
-}
-
-std::size_t
-PowerManager::highestFeasible(const double *limit_c, Celsius ambient,
-                              std::size_t max_pstate)
-{
-    const double amb_c = ambient.value();
-    std::size_t idx = max_pstate;
-    while (idx > 0 && amb_c > limit_c[idx])
-        --idx;
-    return idx;
-}
-
-DvfsDecision
-PowerManager::chooseAtAmbientLimited(const FreqCurve &curve,
-                                     const LeakageModel &leak,
-                                     Celsius ambient,
-                                     const HeatSink &sink,
-                                     std::size_t max_pstate,
-                                     const double *limit_c) const
-{
-    checkCurve(curve);
-    countSearch();
-    if (max_pstate >= table_.size())
-        panic("chooseAtAmbientLimited: max P-state ", max_pstate,
-              " out of range");
-    // The chosen state is feasible (or the slowest), so the descending
-    // scan started there stops at its first evaluation.
-    return searchDownFrom(curve, leak, ambient, sink,
-                          highestFeasible(limit_c, ambient, max_pstate));
 }
 
 DvfsDecision

@@ -93,11 +93,11 @@ class PowerManager
                                        std::size_t max_pstate) const;
 
     /**
-     * Exactly the per-state feasibility test searchDownFrom applies:
-     * two-pass leakage-compensated peak at @p ambient for P-state
-     * @p pstate, compared against the junction limit. The test is
-     * monotone in ambient — Eq. (1) is affine in ambient with unit
-     * slope and leakage is non-decreasing in temperature — so a
+     * Exactly the per-state feasibility test chooseAtAmbientCapped
+     * applies: two-pass leakage-compensated peak at @p ambient for
+     * P-state @p pstate, compared against the junction limit. The
+     * test is monotone in ambient — Eq. (1) is affine in ambient with
+     * unit slope and leakage is non-decreasing in temperature — so a
      * `true` at some ambient implies `true` at every cooler one and
      * a `false` implies `false` at every hotter one. That makes the
      * whole test one number per state: see feasibilityLimit.
@@ -128,23 +128,16 @@ class PowerManager
      * highest state at or below @p max_pstate whose limit is not
      * below @p ambient, or 0 when none is. Compares only.
      */
-    static std::size_t highestFeasible(const double *limit_c,
-                                       Celsius ambient,
-                                       std::size_t max_pstate);
-
-    /**
-     * chooseAtAmbientCapped answered from precomputed limits: the
-     * state comes from highestFeasible, and only that state's
-     * decision fields are evaluated, with the same arithmetic as the
-     * full search. Bit-identical to chooseAtAmbientCapped whenever
-     * @p limit_c holds feasibilityLimit of this (curve, sink).
-     */
-    DvfsDecision chooseAtAmbientLimited(const FreqCurve &curve,
-                                        const LeakageModel &leak,
-                                        Celsius ambient,
-                                        const HeatSink &sink,
-                                        std::size_t max_pstate,
-                                        const double *limit_c) const;
+    static std::size_t
+    highestFeasible(const double *limit_c, Celsius ambient,
+                    std::size_t max_pstate)
+    {
+        const double amb_c = ambient.value();
+        std::size_t idx = max_pstate;
+        while (idx > 0 && amb_c > limit_c[idx])
+            --idx;
+        return idx;
+    }
 
     /**
      * Pick the highest P-state whose *instantaneous* peak stays under
@@ -210,11 +203,22 @@ class PowerManager
     /**
      * Register this power manager's instruments into @p registry
      * ("power.dvfsSearches": DVFS decisions made, one per choose*
-     * call whichever way the state is found). The
+     * call or countSearch, whichever way the state is found). The
      * registry must outlive the manager; without a registry attached
      * the choose* paths skip accounting entirely.
      */
     void attachObs(obs::Registry &registry);
+
+    /**
+     * Count one DVFS decision made outside the choose* calls, i.e.
+     * read off this manager's thresholds (FeasibilityTable::decide).
+     */
+    void
+    countSearch() const
+    {
+        if (searches_ != nullptr)
+            searches_->inc();
+    }
 
   private:
     void checkCurve(const FreqCurve &curve) const;
@@ -230,20 +234,6 @@ class PowerManager
     TwoPass twoPassPeakC(const FreqCurve &curve, const LeakageModel &leak,
                          Celsius ambient, const HeatSink &sink,
                          std::size_t idx) const;
-
-    /** Shared descending feasibility scan from state @p first down. */
-    DvfsDecision searchDownFrom(const FreqCurve &curve,
-                                const LeakageModel &leak,
-                                Celsius ambient, const HeatSink &sink,
-                                std::size_t first) const;
-
-    /** One per choose* call, i.e. per DVFS decision. */
-    void
-    countSearch() const
-    {
-        if (searches_ != nullptr)
-            searches_->inc();
-    }
 
     const PStateTable &table_;
     SimplePeakModel peak_;

@@ -17,6 +17,8 @@ FeasibilityTable::build(const PowerManager &pm, const LeakageModel &leak,
     freqMhz_.resize(npstates_);
     for (std::size_t i = 0; i < npstates_; ++i)
         freqMhz_[i] = table.at(i).freqMhz;
+    leak_ = leak;
+    tLimitC_ = pm.temperatureLimit().value();
 
     // Distinct sinks in first-use order; rows are (sink, set) pairs.
     std::vector<const HeatSink *> sinks;
@@ -29,18 +31,26 @@ FeasibilityTable::build(const PowerManager &pm, const LeakageModel &leak,
             sinks.push_back(socket_sinks[s]);
         rowBase_[s] = k * sets.size();
     }
-    limitC_.resize(sinks.size() * sets.size() * npstates_);
-    mhzPerC_.resize(sinks.size() * sets.size());
+    rows_.resize(sinks.size() * sets.size());
+    limitC_.resize(rows_.size() * npstates_);
+    states_.resize(limitC_.size());
     for (std::size_t k = 0; k < sinks.size(); ++k) {
+        const HeatSink &sink = *sinks[k];
+        const KelvinPerWatt r_tot = pm.peakModel().rInt() + sink.rExt;
         for (const WorkloadSet set : sets) {
             const std::size_t r =
                 k * sets.size() + static_cast<std::size_t>(set);
-            mhzPerC_[r] = mhzPerCelsius(pm, set, *sinks[k]);
+            const FreqCurve &curve = freqCurveFor(set);
+            rows_[r] = {r_tot.value(), sink.theta.c0.value(),
+                        sink.theta.c1.value(),
+                        mhzPerCelsius(pm, set, sink)};
             for (std::size_t i = 0; i < npstates_; ++i) {
+                const Watts p90(curve.totalPowerAt90C[i]);
                 limitC_[r * npstates_ + i] =
-                    pm.feasibilityLimit(freqCurveFor(set), leak,
-                                        *sinks[k], i)
-                        .value();
+                    pm.feasibilityLimit(curve, leak, sink, i).value();
+                states_[r * npstates_ + i] = {
+                    (p90 * r_tot).value(), sink.theta(p90).value(),
+                    pm.dynamicPower(curve, leak, i).value()};
             }
         }
     }
@@ -61,14 +71,12 @@ predictPlacement(const SchedContext &ctx, std::size_t socket,
                                 ? table.size() - 1
                                 : table.highestSustainedIndex();
     const Celsius ambient(ctx.ambientC[socket]);
-    const HeatSink &sink = ctx.topo->sinkOf(socket);
     if (ctx.cache == nullptr)
-        return ctx.pm->chooseAtAmbientCapped(freqCurveFor(set),
-                                             *ctx.leak, ambient, sink,
-                                             cap);
-    return ctx.pm->chooseAtAmbientLimited(freqCurveFor(set), *ctx.leak,
-                                          ambient, sink, cap,
-                                          ctx.cache->feas.row(socket, set));
+        return ctx.pm->chooseAtAmbientCapped(
+            freqCurveFor(set), *ctx.leak, ambient,
+            ctx.topo->sinkOf(socket), cap);
+    ctx.pm->countSearch();
+    return ctx.cache->feas.decide(socket, set, ambient, cap);
 }
 
 double

@@ -16,6 +16,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/invariant.hh"
 #include "sched/scheduler.hh"
 
 namespace densim {
@@ -29,9 +30,10 @@ namespace densim {
  * ambient. None of these change during a run: fan derates move the
  * ambient field, not the sinks. So one table built at engine
  * construction answers every DVFS search of every run with compares
- * (PowerManager::highestFeasible); only the chosen state is then
- * evaluated, with the full search's arithmetic. Rows are keyed by the
- * sink each socket actually uses, so sink overrides are honoured.
+ * (PowerManager::highestFeasible); decide() then evaluates only the
+ * chosen state, from constants stored next to its limit. Rows are
+ * keyed by the sink each socket actually uses, so sink overrides are
+ * honoured.
  */
 class FeasibilityTable
 {
@@ -47,15 +49,46 @@ class FeasibilityTable
     const double *
     row(std::size_t s, WorkloadSet set) const
     {
-        return &limitC_[(rowBase_[s] + static_cast<std::size_t>(set)) *
-                        npstates_];
+        return &limitC_[rowIndex(s, set) * npstates_];
+    }
+
+    /**
+     * PowerManager::chooseAtAmbientCapped for socket @p s running
+     * @p set at @p ambient under @p cap, as a table read. The state
+     * comes from the limit walk; its two-pass leakage-compensated
+     * peak is then evaluated from the stored constants in the exact
+     * operand order of SimplePeakModel::peak and LeakageModel::at,
+     * so every field of the decision is bit-identical to the full
+     * search. The caller counts the decision
+     * (PowerManager::countSearch).
+     */
+    DvfsDecision
+    decide(std::size_t s, WorkloadSet set, Celsius ambient,
+           std::size_t cap) const
+    {
+        DENSIM_CHECK(cap < npstates_, "FeasibilityTable::decide: cap ",
+                     cap, " out of range");
+        const std::size_t r = rowIndex(s, set);
+        const std::size_t p = PowerManager::highestFeasible(
+            &limitC_[r * npstates_], ambient, cap);
+        const Row &k = rows_[r];
+        const State &c = states_[r * npstates_ + p];
+        const double amb = ambient.value();
+        // Eq. (1), amb + P * (R_int + R_ext) + (c0 + c1 * P), first
+        // at the 90 C-characterized power, then at the power with
+        // leakage corrected for the first estimate.
+        const double t1 = (amb + c.riseC) + c.thetaC;
+        const double p2 = c.dynW + leak_.at(Celsius(t1)).value();
+        const double t2 =
+            (amb + p2 * k.rTotCW) + (k.thetaC0 + k.thetaC1 * p2);
+        return {p, freqMhz_[p], Watts(p2), Celsius(t2), t2 <= tLimitC_};
     }
 
     /** mhzPerCelsius for @p set on socket @p s's sink. */
     double
     mhzPerC(std::size_t s, WorkloadSet set) const
     {
-        return mhzPerC_[rowBase_[s] + static_cast<std::size_t>(set)];
+        return rows_[rowIndex(s, set)].mhzPerC;
     }
 
     /** Frequency of P-state @p i (unchecked copy of the table). */
@@ -65,11 +98,37 @@ class FeasibilityTable
     std::size_t size() const { return npstates_; }
 
   private:
+    /** Per-(sink, set) constants. */
+    struct Row
+    {
+        double rTotCW;  //!< (R_int + R_ext).value().
+        double thetaC0; //!< sink.theta.c0.value().
+        double thetaC1; //!< sink.theta.c1.value().
+        double mhzPerC; //!< mhzPerCelsius(pm, set, sink).
+    };
+
+    /** Per-(sink, set, state) first-pass terms. */
+    struct State
+    {
+        double riseC;  //!< (p90 * (R_int + R_ext)).value().
+        double thetaC; //!< sink.theta(p90).value().
+        double dynW;   //!< PowerManager::dynamicPower.
+    };
+
+    std::size_t
+    rowIndex(std::size_t s, WorkloadSet set) const
+    {
+        return rowBase_[s] + static_cast<std::size_t>(set);
+    }
+
     std::size_t npstates_ = 0;
     std::vector<std::size_t> rowBase_; //!< Sink index x set count.
-    std::vector<double> limitC_;
-    std::vector<double> mhzPerC_;
+    std::vector<double> limitC_;       //!< Per (sink, set, state).
+    std::vector<State> states_;        //!< Aligned with limitC_.
+    std::vector<Row> rows_;
     std::vector<double> freqMhz_;
+    LeakageModel leak_ = LeakageModel::x2150();
+    double tLimitC_ = 0.0;
 };
 
 /**

@@ -235,22 +235,11 @@ CouplingMap::ambientTempsInto(double *out_c, std::size_t n,
 }
 
 void
-CouplingMap::applyPowerDelta(std::vector<double> &temps,
-                             std::size_t socket, double old_p,
-                             double new_p) const
+CouplingMap::badPowerDelta(std::size_t temps, std::size_t socket) const
 {
     checkIndex(socket);
-    const std::size_t n = sites_.size();
-    if (temps.size() != n)
-        panic("CouplingMap::applyPowerDelta: ", temps.size(),
-              " temps for ", n, " sockets");
-    const double dp = new_p - old_p;
-    if (dp == 0.0)
-        return;
-    const std::size_t end = dsOff_[socket + 1];
-    for (std::size_t k = dsOff_[socket]; k < end; ++k)
-        temps[dsIdx_[k]] += dsAmb_[k] * dp;
-    temps[socket] += params_.kappaLocal * dp;
+    panic("CouplingMap::applyPowerDelta: ", temps, " temps for ",
+          sites_.size(), " sockets");
 }
 
 void

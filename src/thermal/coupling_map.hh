@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/effects.hh"
 #include "core/units.hh"
 
 namespace densim {
@@ -168,8 +169,20 @@ class CouplingMap
      * same packed downstream rows as ambientTempsInto(); agrees with a
      * fresh ambientTemps() to rounding (not bit-) accuracy.
      */
-    void applyPowerDelta(std::vector<double> &temps, std::size_t socket,
-                         double old_p, double new_p) const;
+    void
+    applyPowerDelta(std::vector<double> &temps, std::size_t socket,
+                    double old_p, double new_p) const
+    {
+        if (socket >= sites_.size() || temps.size() != sites_.size())
+            badPowerDelta(temps.size(), socket);
+        const double dp = new_p - old_p;
+        if (dp == 0.0)
+            return;
+        const std::size_t end = dsOff_[socket + 1];
+        for (std::size_t k = dsOff_[socket]; k < end; ++k)
+            temps[dsIdx_[k]] += dsAmb_[k] * dp;
+        temps[socket] += params_.kappaLocal * dp;
+    }
 
     /**
      * Total downstream impact of socket @p from: sum of ambient
@@ -224,6 +237,10 @@ class CouplingMap
 
   private:
     void checkIndex(std::size_t i) const;
+
+    /** applyPowerDelta's argument failure (cold, out of line). */
+    [[noreturn]] DENSIM_COLD void badPowerDelta(std::size_t temps,
+                                                std::size_t socket) const;
 
     std::vector<SocketSite> sites_;
     CouplingParams params_;

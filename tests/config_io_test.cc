@@ -80,6 +80,16 @@ TEST(ConfigIo, BadValueIsFatal)
                 ::testing::ExitedWithCode(1), "integer");
     EXPECT_EXIT(applyConfigKey(config, "topo.rows", "nan"),
                 ::testing::ExitedWithCode(1), "'topo.rows' needs a finite");
+    // Unsigned keys take digits only: a sign must not wrap around.
+    EXPECT_EXIT(applyConfigKey(config, "seed", "-1"),
+                ::testing::ExitedWithCode(1),
+                "cannot parse '-1' for key 'seed'");
+    EXPECT_EXIT(applyConfigKey(config, "fleet.seed", "-3"),
+                ::testing::ExitedWithCode(1),
+                "cannot parse '-3' for key 'fleet.seed'");
+    EXPECT_EXIT(applyConfigKey(config, "fault.seed", "-1"),
+                ::testing::ExitedWithCode(1),
+                "cannot parse '-1' for key 'fault.seed'");
 }
 
 TEST(ConfigIo, ParsesStreamWithCommentsAndBlanks)

@@ -10,12 +10,14 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/completion_list.hh"
 #include "core/dense_server_sim.hh"
-#include "core/event_heap.hh"
 #include "core/invariant.hh"
 #include "sched/factory.hh"
 #include "thermal/rc_network.hh"
@@ -24,7 +26,7 @@ namespace densim {
 namespace {
 
 /** The reduced workload of the differential suite: every engine path
- *  (boost, gating, coupling, completion heap) on a 36-socket server
+ *  (boost, gating, coupling, completion list) on a 36-socket server
  *  in a couple of simulated seconds. */
 SimConfig
 reducedConfig()
@@ -193,25 +195,34 @@ TEST(InvariantDeath, CorruptedFactorizationCacheTrips)
                  "cached factorization is stale");
 }
 
-// ------------------------------------------------------- event heap
+// -------------------------------------------------- completion list
 
-TEST(Invariant, EventHeapValidatesAfterRandomOperations)
+TEST(Invariant, CompletionListValidatesAfterRandomOperations)
 {
-    EventHeap heap;
-    heap.reset(24);
+    const std::size_t n = 24;
+    CompletionList list;
+    list.reset(n);
+    list.fill(std::numeric_limits<double>::infinity(),
+              std::vector<double>(n, 0.0), std::vector<std::uint8_t>(n, 0));
+    // The engine's view the list must agree with: busy flags and keys.
+    std::vector<double> keys(n, 0.0);
+    std::vector<std::uint8_t> busy(n, 0);
     std::uint64_t lcg = 7;
     auto next_u = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return lcg >> 33;
     };
     for (int step = 0; step < 500; ++step) {
-        const auto id = static_cast<std::size_t>(next_u() % 24);
-        if (next_u() % 4 == 0)
-            heap.erase(id);
-        else
-            heap.upsert(id,
-                        static_cast<double>(next_u() % 1000) * 0.5);
-        heap.checkInvariants();
+        const auto id = static_cast<std::size_t>(next_u() % n);
+        if (next_u() % 4 == 0) {
+            list.erase(id);
+            busy[id] = 0;
+        } else {
+            keys[id] = static_cast<double>(next_u() % 1000) * 0.5;
+            busy[id] = 1;
+            list.upsert(id, keys[id]);
+        }
+        list.checkInvariants(keys, busy);
     }
 }
 

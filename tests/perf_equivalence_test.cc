@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the incremental engine hot paths: the
- * event-heap completion queue, the delta-maintained ambient-target
+ * epoch-scoped completion list, the delta-maintained ambient-target
  * field, and the threshold-answered DVFS searches must leave
  * simulation results equivalent to the recompute-from-scratch
  * reference paths.
@@ -9,13 +9,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/completion_list.hh"
 #include "core/dense_server_sim.hh"
-#include "core/event_heap.hh"
 #include "sched/factory.hh"
 #include "workload/benchmark.hh"
 #include "workload/job_generator.hh"
@@ -361,59 +364,68 @@ TEST(PerfEquivalence, PredictionCacheIsBitIdenticalOnMixedSets)
     }
 }
 
-// ------------------------------------------------------- event heap
+// -------------------------------------------------- completion list
 
-TEST(EventHeap, OrdersByKeyThenId)
+/** Empty list over ids [0, n) listing every key below @p horizon. */
+CompletionList
+openList(std::size_t n, double horizon)
 {
-    EventHeap heap;
-    heap.reset(8);
-    heap.upsert(5, 3.0);
-    heap.upsert(2, 1.0);
-    heap.upsert(7, 2.0);
-    heap.upsert(3, 1.0); // Ties broken by lowest id.
-    EXPECT_EQ(heap.top(), 2u);
-    EXPECT_DOUBLE_EQ(heap.topKey(), 1.0);
-    heap.erase(2);
-    EXPECT_EQ(heap.top(), 3u);
-    heap.erase(3);
-    EXPECT_EQ(heap.top(), 7u);
+    CompletionList list;
+    list.reset(n);
+    list.fill(horizon, std::vector<double>(n, 0.0),
+              std::vector<std::uint8_t>(n, 0));
+    return list;
 }
 
-TEST(EventHeap, UpsertReplacesKey)
+constexpr double kNoHorizon = std::numeric_limits<double>::infinity();
+
+TEST(CompletionList, OrdersByKeyThenId)
 {
-    EventHeap heap;
-    heap.reset(4);
-    heap.upsert(0, 5.0);
-    heap.upsert(1, 6.0);
-    EXPECT_EQ(heap.top(), 0u);
-    heap.upsert(0, 7.0); // Decrease priority of the current top.
-    EXPECT_EQ(heap.top(), 1u);
-    heap.upsert(1, 9.0);
-    EXPECT_EQ(heap.top(), 0u);
-    EXPECT_EQ(heap.size(), 2u);
+    CompletionList list = openList(8, kNoHorizon);
+    list.upsert(5, 3.0);
+    list.upsert(2, 1.0);
+    list.upsert(7, 2.0);
+    list.upsert(3, 1.0); // Ties broken by lowest id.
+    EXPECT_EQ(list.top(), 2u);
+    EXPECT_DOUBLE_EQ(list.topKey(), 1.0);
+    list.erase(2);
+    EXPECT_EQ(list.top(), 3u);
+    list.erase(3);
+    EXPECT_EQ(list.top(), 7u);
 }
 
-TEST(EventHeap, EmptyTopKeyIsInfinite)
+TEST(CompletionList, UpsertReplacesKey)
 {
-    EventHeap heap;
-    heap.reset(3);
-    EXPECT_TRUE(heap.empty());
-    EXPECT_TRUE(std::isinf(heap.topKey()));
-    heap.upsert(1, 2.0);
-    heap.erase(1);
-    EXPECT_TRUE(heap.empty());
-    EXPECT_TRUE(std::isinf(heap.topKey()));
-    heap.erase(1); // Erasing an absent id is a no-op.
-    EXPECT_TRUE(heap.empty());
+    CompletionList list = openList(4, kNoHorizon);
+    list.upsert(0, 5.0);
+    list.upsert(1, 6.0);
+    EXPECT_EQ(list.top(), 0u);
+    list.upsert(0, 7.0); // Re-key the current top past the other.
+    EXPECT_EQ(list.top(), 1u);
+    list.upsert(1, 9.0);
+    EXPECT_EQ(list.top(), 0u);
+    EXPECT_EQ(list.size(), 2u);
 }
 
-TEST(EventHeap, RandomizedAgainstLinearScan)
+TEST(CompletionList, EmptyTopKeyIsInfinite)
 {
-    // The heap must always report the same minimum as a brute-force
+    CompletionList list = openList(3, kNoHorizon);
+    EXPECT_TRUE(list.empty());
+    EXPECT_TRUE(std::isinf(list.topKey()));
+    list.upsert(1, 2.0);
+    list.erase(1);
+    EXPECT_TRUE(list.empty());
+    EXPECT_TRUE(std::isinf(list.topKey()));
+    list.erase(1); // Erasing an absent id is a no-op.
+    EXPECT_TRUE(list.empty());
+}
+
+TEST(CompletionList, RandomizedAgainstLinearScan)
+{
+    // The list must always report the same minimum as a brute-force
     // scan over a mirrored key array.
     const std::size_t n = 32;
-    EventHeap heap;
-    heap.reset(n);
+    CompletionList list = openList(n, kNoHorizon);
     std::vector<double> keys(n, -1.0); // -1 = absent.
 
     std::uint64_t lcg = 99;
@@ -424,12 +436,12 @@ TEST(EventHeap, RandomizedAgainstLinearScan)
     for (int step = 0; step < 2000; ++step) {
         const auto id = static_cast<std::size_t>(next_u() % n);
         if (next_u() % 3 == 0 && keys[id] >= 0.0) {
-            heap.erase(id);
+            list.erase(id);
             keys[id] = -1.0;
         } else {
             const double key =
                 static_cast<double>(next_u() % 1000) * 0.125;
-            heap.upsert(id, key);
+            list.upsert(id, key);
             keys[id] = key;
         }
 
@@ -445,13 +457,54 @@ TEST(EventHeap, RandomizedAgainstLinearScan)
             }
         }
         if (best_id == n) {
-            EXPECT_TRUE(heap.empty());
+            EXPECT_TRUE(list.empty());
         } else {
-            ASSERT_FALSE(heap.empty());
-            EXPECT_EQ(heap.top(), best_id);
-            EXPECT_DOUBLE_EQ(heap.topKey(), best);
+            ASSERT_FALSE(list.empty());
+            EXPECT_EQ(list.top(), best_id);
+            EXPECT_DOUBLE_EQ(list.topKey(), best);
         }
     }
+}
+
+TEST(CompletionList, KeyAtOrAboveHorizonIsNotListed)
+{
+    const double horizon = 2.0;
+    const double below = std::nextafter(horizon, 0.0);
+    // fill lists only the busy ids keyed below the horizon: 0, 1 and
+    // 5 (id 2 sits at the horizon, 3 past it, 4 is idle).
+    CompletionList list;
+    list.reset(6);
+    list.fill(horizon, {1.5, below, horizon, 3.0, 0.5, 1.5},
+              {1, 1, 1, 1, 0, 1});
+    EXPECT_EQ(list.size(), 3u);
+    EXPECT_EQ(list.top(), 0u); // Its key 1.5 ties with id 5.
+    list.erase(0);
+    EXPECT_EQ(list.top(), 5u);
+    list.erase(5);
+    EXPECT_EQ(list.top(), 1u);
+    EXPECT_EQ(list.topKey(), below);
+
+    // Re-keying at or past the horizon drops the entry; re-keying
+    // below it lists it again.
+    list.upsert(5, 1.0);
+    EXPECT_EQ(list.top(), 5u);
+    list.upsert(5, horizon);
+    EXPECT_EQ(list.top(), 1u);
+    EXPECT_EQ(list.size(), 1u);
+    list.upsert(3, below);
+    EXPECT_EQ(list.size(), 2u);
+    EXPECT_EQ(list.top(), 1u); // Equal keys: the lower id first.
+    list.upsert(1, 4.0);
+    EXPECT_EQ(list.top(), 3u);
+    EXPECT_EQ(list.size(), 1u);
+    list.erase(3);
+    EXPECT_TRUE(list.empty());
+    EXPECT_TRUE(std::isinf(list.topKey()));
+
+    // A reset list has no horizon yet: nothing is listed.
+    list.reset(6);
+    list.upsert(0, 0.0);
+    EXPECT_TRUE(list.empty());
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the power substrate: P-state table, leakage model,
  * and the DVFS decisions of the power manager (steady, responsive,
- * capped/boost-dwell variants, and the exact feasibility limits the
- * engine answers its searches from).
+ * capped/boost-dwell variants, and the exact feasibility limits and
+ * table decisions the engine answers its searches from).
  */
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "power/leakage.hh"
 #include "power/power_manager.hh"
 #include "power/pstate.hh"
+#include "sched/prediction.hh"
 #include "workload/benchmark.hh"
 #include "workload/curves.hh"
 
@@ -345,49 +346,58 @@ TEST_F(PowerManagerTest, FeasibilityLimitIsTheLastFeasibleDouble)
 
 TEST_F(PowerManagerTest, LimitWalkMatchesCappedSearch)
 {
+    // One table over both sinks: socket 0 carries the 18-fin sink,
+    // socket 1 the 30-fin one.
+    const std::vector<const HeatSink *> sinks = {&HeatSink::fin18(),
+                                                 &HeatSink::fin30()};
+    FeasibilityTable table;
+    table.build(pm_, leak_, sinks);
     const std::size_t caps[] = {pm_.pstates().highestSustainedIndex(),
                                 pm_.pstates().size() - 1};
-    for (const LimitRow &row : limitRows()) {
-        const FreqCurve &curve = freqCurveFor(row.set);
-        std::vector<double> limits(pm_.pstates().size());
-        for (std::size_t i = 0; i < limits.size(); ++i)
-            limits[i] =
-                pm_.feasibilityLimit(curve, leak_, *row.sink, i).value();
-        // A fine ambient sweep plus every limit and its neighbours,
-        // where an off-by-one-bit walk would first disagree.
-        const double inf = std::numeric_limits<double>::infinity();
-        std::vector<double> ambients;
-        for (int k = 0; k <= 7500; ++k)
-            ambients.push_back(20.0 + 0.01 * k);
-        for (const double limit : limits) {
-            double below = limit;
-            double above = limit;
-            for (int k = 0; k < 3; ++k) {
-                ambients.push_back(below);
-                ambients.push_back(above);
-                below = std::nextafter(below, -inf);
-                above = std::nextafter(above, inf);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < sinks.size(); ++s) {
+        for (const WorkloadSet set : allWorkloadSets()) {
+            const FreqCurve &curve = freqCurveFor(set);
+            const double *limits = table.row(s, set);
+            for (std::size_t i = 0; i < pm_.pstates().size(); ++i)
+                ASSERT_EQ(limits[i],
+                          pm_.feasibilityLimit(curve, leak_, *sinks[s], i)
+                              .value());
+            // A fine ambient sweep plus every limit and its
+            // neighbours, where an off-by-one-bit walk would first
+            // disagree.
+            std::vector<double> ambients;
+            for (int k = 0; k <= 7500; ++k)
+                ambients.push_back(20.0 + 0.01 * k);
+            for (std::size_t i = 0; i < pm_.pstates().size(); ++i) {
+                double below = limits[i];
+                double above = limits[i];
+                for (int k = 0; k < 3; ++k) {
+                    ambients.push_back(below);
+                    ambients.push_back(above);
+                    below = std::nextafter(below, -inf);
+                    above = std::nextafter(above, inf);
+                }
             }
-        }
-        for (const std::size_t cap : caps) {
-            SCOPED_TRACE(row.sink->name + " " + workloadSetName(row.set) +
-                         " cap " + std::to_string(cap));
-            for (const double amb : ambients) {
-                const DvfsDecision ref = pm_.chooseAtAmbientCapped(
-                    curve, leak_, Celsius(amb), *row.sink, cap);
-                const DvfsDecision got = pm_.chooseAtAmbientLimited(
-                    curve, leak_, Celsius(amb), *row.sink, cap,
-                    limits.data());
-                ASSERT_EQ(PowerManager::highestFeasible(
-                              limits.data(), Celsius(amb), cap),
-                          ref.pstate)
-                    << "ambient " << amb;
-                EXPECT_EQ(got.pstate, ref.pstate);
-                EXPECT_EQ(got.freqMhz, ref.freqMhz);
-                EXPECT_EQ(got.power.value(), ref.power.value());
-                EXPECT_EQ(got.predictedPeak.value(),
-                          ref.predictedPeak.value());
-                EXPECT_EQ(got.feasible, ref.feasible);
+            for (const std::size_t cap : caps) {
+                SCOPED_TRACE(sinks[s]->name + " " + workloadSetName(set) +
+                             " cap " + std::to_string(cap));
+                for (const double amb : ambients) {
+                    const DvfsDecision ref = pm_.chooseAtAmbientCapped(
+                        curve, leak_, Celsius(amb), *sinks[s], cap);
+                    const DvfsDecision got =
+                        table.decide(s, set, Celsius(amb), cap);
+                    ASSERT_EQ(PowerManager::highestFeasible(
+                                  limits, Celsius(amb), cap),
+                              ref.pstate)
+                        << "ambient " << amb;
+                    EXPECT_EQ(got.pstate, ref.pstate);
+                    EXPECT_EQ(got.freqMhz, ref.freqMhz);
+                    EXPECT_EQ(got.power.value(), ref.power.value());
+                    EXPECT_EQ(got.predictedPeak.value(),
+                              ref.predictedPeak.value());
+                    EXPECT_EQ(got.feasible, ref.feasible);
+                }
             }
         }
     }

@@ -77,7 +77,7 @@ TSAN_FILTER='Parallel|Experiment|PerfEquivalence|Fleet|Streamed'
 # Paranoid stage: the reduced workloads of the differential suite and
 # the invariant tests themselves (full integration workloads would
 # re-derive the reference field every epoch for 180 sockets).
-PARANOID_FILTER='Invariant|PerfEquivalence|EventHeap|Experiment|Parallel'
+PARANOID_FILTER='Invariant|PerfEquivalence|CompletionList|Experiment|Parallel'
 
 configure() { # dir, extra cmake args...
     local dir="$1"

@@ -15,9 +15,12 @@
  * plus the convenience flags listed in usage().
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,6 +162,20 @@ splitCommas(const std::string &s)
     return out;
 }
 
+/** Value of the count flag @p flag: digits only, at most @p max. */
+std::uint64_t
+parseCount(const std::string &flag, const std::string &value,
+           std::uint64_t max)
+{
+    std::uint64_t out = 0;
+    const char *end = value.data() + value.size();
+    const auto res = std::from_chars(value.data(), end, out);
+    if (res.ec != std::errc() || res.ptr != end || out > max)
+        fatal("flag '", flag, "' needs a non-negative integer up to ",
+              max, ", got '", value, "'");
+    return out;
+}
+
 Cli
 parseArgs(int argc, char **argv)
 {
@@ -198,18 +215,21 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--load") {
             applyConfigKey(cli.config, "load", need(i));
         } else if (flag == "--loads") {
-            for (const std::string &item : splitCommas(need(i)))
-                cli.loads.push_back(std::atof(item.c_str()));
+            for (const std::string &item : splitCommas(need(i))) {
+                SimConfig probe;
+                applyConfigKey(probe, "load", item);
+                cli.loads.push_back(probe.load);
+            }
         } else if (flag == "--seed") {
             applyConfigKey(cli.config, "seed", need(i));
         } else if (flag == "--trace") {
             cli.tracePath = need(i);
         } else if (flag == "--jobs") {
-            cli.traceJobs =
-                static_cast<std::size_t>(std::atoll(need(i).c_str()));
+            cli.traceJobs = static_cast<std::size_t>(parseCount(
+                flag, need(i), std::numeric_limits<std::size_t>::max()));
         } else if (flag == "--threads") {
-            cli.threads = static_cast<unsigned>(
-                std::atoi(need(i).c_str()));
+            cli.threads = static_cast<unsigned>(parseCount(
+                flag, need(i), std::numeric_limits<unsigned>::max()));
         } else if (flag == "--fleet") {
             applyConfigKey(cli.config, "fleet.chassis", need(i));
         } else if (flag == "--checkpoint") {
@@ -220,8 +240,8 @@ parseArgs(int argc, char **argv)
             cli.restorePath = need(i);
         } else if (flag == "--fork") {
             cli.fork = true;
-            cli.forkId = static_cast<std::uint64_t>(
-                std::strtoull(need(i).c_str(), nullptr, 10));
+            cli.forkId = parseCount(
+                flag, need(i), std::numeric_limits<std::uint64_t>::max());
         } else if (flag == "--ckpt-dir") {
             cli.ckptDir = need(i);
         } else if (flag == "--keep-going") {
