@@ -77,10 +77,9 @@ main()
         std::vector<double> powers(topo.numSockets(),
                                    curve.totalPowerAt90C[sustained]);
         const std::size_t last = topo.numSockets() - 1;
-        const double entry =
-            map.entryTemp(last, powers, Celsius(18.0)).value();
+        const double entry = map.entryTemps(powers, Celsius(18.0))[last];
         const double ambient =
-            map.ambientTemp(last, powers, Celsius(18.0)).value();
+            map.ambientTemps(powers, Celsius(18.0))[last];
         const DvfsDecision d = pm.chooseAtAmbientCapped(
             curve, leak, Celsius(ambient), topo.sinkOf(last),
             sustained);

@@ -606,7 +606,6 @@ CkptAccess::core(Ar &ar, Sim &sim)
     ar.f64s(sim.lastSyncS_, n, "lastSyncS");
     ar.f64s(sim.completionS_, n, "completionS");
     ar.indices(sim.pstate_, n, np, "pstate");
-    ar.bytes(sim.boostFlag_, n, 1, "boostFlag");
 
     ar.sockets(sim.idleList_, n, true, "idleList");
     ar.f64s(sim.ambTargets_, n, "ambTargets");
@@ -614,13 +613,6 @@ CkptAccess::core(Ar &ar, Sim &sim)
     ar.bytes(sim.powerDirty_, n, 1, "powerDirty");
     ar.sockets(sim.dirtySockets_, n, false, "dirtySockets");
     ar.u64(sim.epochsSinceAmbientRefresh_);
-
-    ar.f64s(sim.rateCache_, n, "rateCache");
-    ar.f64s(sim.relFreqCache_, n, "relFreqCache");
-    ar.bytes(sim.inBusySums_, n, 1, "inBusySums");
-    ar.f64s(sim.contribRate_, n, "contribRate");
-    ar.f64s(sim.contribRel_, n, "contribRel");
-    ar.bytes(sim.contribBoost_, n, 1, "contribBoost");
 
     ar.finite(sim.tCursor_, "tCursor");
     ar.f64(sim.totalPowerW_);

@@ -39,7 +39,9 @@
  * accumulator and per-socket array is stored as raw IEEE-754 bits;
  * everything construction-derived (topology, coupling LU cache,
  * P-state tables, fault timeline, sink caches) is rebuilt from
- * SimConfig, and the completion list, empty at every epoch boundary,
+ * SimConfig; a busy socket's progress rate, relative frequency and
+ * boost flag are read from those tables at its restored workload set
+ * and P-state; and the completion list, empty at every epoch boundary,
  * stays empty until the next powerManage fills it.
  */
 
@@ -65,7 +67,7 @@ inline constexpr char kMagic[8] = {'D', 'S', 'I', 'M',
                                    'C', 'K', 'P', 'T'};
 
 /** Format version; bumped on any wire-format change. */
-inline constexpr std::uint32_t kVersion = 3;
+inline constexpr std::uint32_t kVersion = 4;
 
 /** What a checkpoint file holds. */
 enum class SnapshotKind : std::uint32_t

@@ -229,7 +229,6 @@ DenseServerSim::resetState()
     lastSyncS_.assign(n, 0.0);
     completionS_.assign(n, 0.0);
     pstate_.assign(n, 0);
-    boostFlag_.assign(n, 0);
 
     const Watts gated = pm_.gatedPower(leak_);
     const std::vector<double> amb0 =
@@ -259,13 +258,6 @@ DenseServerSim::resetState()
     powerDirty_.assign(n, 0);
     dirtySockets_.clear();
     epochsSinceAmbientRefresh_ = 0;
-
-    rateCache_.assign(n, 0.0);
-    relFreqCache_.assign(n, 0.0);
-    inBusySums_.assign(n, 0);
-    contribRate_.assign(n, 0.0);
-    contribRel_.assign(n, 0.0);
-    contribBoost_.assign(n, 0);
 
     chipRiseTarget_.assign(n, 0.0);
     predCache_.reset(n);
@@ -576,7 +568,7 @@ DenseServerSim::thermalStep(double dt)
     // (busy-sustained or idle).
     const double refill = config_.boostRefillRate * dt;
     for (std::size_t s = 0; s < n; ++s) {
-        if (busyFlag_[s] && boostFlag_[s]) {
+        if (busyFlag_[s] && boostByPstate_[pstate_[s]]) {
             boostCreditS_[s] = std::max(0.0, boostCreditS_[s] - dt);
         } else {
             boostCreditS_[s] = std::min(config_.boostBurstS,
@@ -730,7 +722,7 @@ DenseServerSim::syncProgress(std::size_t socket, double now)
     const double dt = now - lastSyncS_[socket];
     if (dt > 0.0) {
         jobRemainingS_[socket] = std::max(
-            0.0, jobRemainingS_[socket] - dt * rateCache_[socket]);
+            0.0, jobRemainingS_[socket] - dt * progressRate(socket));
         lastSyncS_[socket] = now;
     }
 }
@@ -746,7 +738,6 @@ DenseServerSim::clearJobState(std::size_t socket)
     lastSyncS_[socket] = 0.0;
     completionS_[socket] = 0.0;
     pstate_[socket] = 0;
-    boostFlag_[socket] = 0;
     // Idle sockets contribute nothing downstream.
     predCache_.parkIdle(socket);
 }
@@ -755,9 +746,8 @@ void
 DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
                               double power_w, double now)
 {
-    busySumsRemove(socket);
     applyRate(socket, new_pstate, power_w, now);
-    busySumsAdd(socket);
+    busySumsFold(sums_, 1, socket);
     completions_.upsert(socket, completionS_[socket]);
 }
 
@@ -765,12 +755,7 @@ void
 DenseServerSim::applyRate(std::size_t socket, std::size_t new_pstate,
                           double power_w, double now)
 {
-    const double rate =
-        rateBySetState_[static_cast<std::size_t>(runningSet_[socket]) *
-                            freqByPstate_.size() +
-                        new_pstate];
     pstate_[socket] = new_pstate;
-    boostFlag_[socket] = boostByPstate_[new_pstate];
     freqMhz_[socket] = freqByPstate_[new_pstate];
     if (powerW_[socket] != power_w) {
         totalPowerW_ -= powerW_[socket];
@@ -778,9 +763,7 @@ DenseServerSim::applyRate(std::size_t socket, std::size_t new_pstate,
         totalPowerW_ += power_w;
         markPowerDirty(socket);
     }
-    rateCache_[socket] = rate;
-    relFreqCache_[socket] = relFreqByPstate_[new_pstate];
-    completionS_[socket] = now + jobRemainingS_[socket] / rate;
+    completionS_[socket] = now + jobRemainingS_[socket] / progressRate(socket);
     refreshPenaltySnapshot(socket);
 }
 
@@ -807,8 +790,6 @@ DenseServerSim::setIdlePower(std::size_t socket)
         markPowerDirty(socket);
     }
     freqMhz_[socket] = 0.0;
-    rateCache_[socket] = 0.0;
-    relFreqCache_[socket] = 0.0;
     // An idle socket contributes nothing to downstream penalties.
     predCache_.parkIdle(socket);
 }
@@ -917,7 +898,7 @@ DenseServerSim::completeJob(std::size_t socket, double now)
     }
     metrics_.makespanS = now;
 
-    busySumsRemove(socket);
+    busySumsFold(sums_, -1, socket);
     busyFlag_[socket] = 0;
     completions_.erase(socket);
     setIdlePower(socket);
@@ -929,7 +910,7 @@ DenseServerSim::completeJob(std::size_t socket, double now)
 void
 DenseServerSim::migrateJob(std::size_t from, std::size_t to, double now)
 {
-    busySumsRemove(from);
+    busySumsFold(sums_, -1, from);
     jobBenchmark_[to] = jobBenchmark_[from];
     jobArrivalS_[to] = jobArrivalS_[from];
     jobStartS_[to] = jobStartS_[from];
@@ -940,7 +921,6 @@ DenseServerSim::migrateJob(std::size_t from, std::size_t to, double now)
     lastSyncS_[to] = now;
     completionS_[to] = completionS_[from];
     pstate_[to] = pstate_[from];
-    boostFlag_[to] = boostFlag_[from];
     busyFlag_[to] = 1;
     runningSet_[to] = runningSet_[from];
     idleRemove(to);
@@ -1000,46 +980,43 @@ DenseServerSim::attemptMigrations(double now)
 }
 
 void
-DenseServerSim::busySumsRemove(std::size_t s)
+DenseServerSim::busySumsFold(BusySums &sums, int sign, std::size_t s) const
 {
-    if (!inBusySums_[s])
-        return;
-    inBusySums_[s] = 0;
-    sums_.fold(-1, contribRate_[s], contribRel_[s], contribBoost_[s],
-               isFront_[s], isEven_[s]);
-}
-
-void
-DenseServerSim::busySumsAdd(std::size_t s)
-{
-    if (!busyFlag_[s] || inBusySums_[s])
-        return;
-    inBusySums_[s] = 1;
-    contribRate_[s] = rateCache_[s];
-    contribRel_[s] = relFreqCache_[s];
-    contribBoost_[s] = boostFlag_[s] ? 1 : 0;
-    sums_.fold(1, contribRate_[s], contribRel_[s], contribBoost_[s],
-               isFront_[s], isEven_[s]);
+    // Folding out adds -rate, which is exactly subtracting rate.
+    const double r = sign * progressRate(s);
+    const double f = sign * relFreqByPstate_[pstate_[s]];
+    sums.busyTotal += sign;
+    sums.workRateTotal += r;
+    sums.relFreqSumTotal += f;
+    if (boostByPstate_[pstate_[s]])
+        sums.busyBoost += sign;
+    if (isFront_[s]) {
+        sums.busyFront += sign;
+        sums.workRateFront += r;
+        sums.relFreqSumFront += f;
+    } else {
+        sums.busyBack += sign;
+        sums.workRateBack += r;
+        sums.relFreqSumBack += f;
+    }
+    if (isEven_[s]) {
+        sums.busyEven += sign;
+        sums.workRateEven += r;
+        sums.relFreqSumEven += f;
+    }
 }
 
 void
 DenseServerSim::rebuildScalars()
 {
     // Summed in locals in ascending socket order, exactly as a
-    // busySumsAdd sequence would, and stored once. Idle sockets keep
-    // their contrib* entries (the checkpoint carries them).
+    // busySumsFold sequence from empty sums would, and stored once.
     double power = 0.0;
     BusySums sums;
     for (std::size_t s = 0; s < topo_.numSockets(); ++s) {
         power += powerW_[s];
-        inBusySums_[s] = busyFlag_[s] ? 1 : 0;
-        if (!busyFlag_[s])
-            continue;
-        contribRate_[s] = rateCache_[s];
-        contribRel_[s] = relFreqCache_[s];
-        contribBoost_[s] = boostFlag_[s] ? 1 : 0;
-        sums.fold(1, rateCache_[s], relFreqCache_[s], boostFlag_[s],
-                  isFront_[s], isEven_[s]);
+        if (busyFlag_[s])
+            busySumsFold(sums, 1, s);
     }
     totalPowerW_ = power;
     sums_ = sums;
@@ -1112,8 +1089,8 @@ DenseServerSim::checkEpochInvariants() const
         if (!busyFlag_[s])
             continue;
         ++busy;
-        work_rate += rateCache_[s];
-        rel_sum += relFreqCache_[s];
+        work_rate += progressRate(s);
+        rel_sum += relFreqByPstate_[pstate_[s]];
     }
     DENSIM_PARANOID(busy == sums_.busyTotal, "incremental busy count ",
                     sums_.busyTotal, " vs rebuilt ", busy);
@@ -1244,15 +1221,6 @@ DenseServerSim::applyFanFlowFraction(double flow_frac)
     refreshAmbientTargets();
 }
 
-double
-DenseServerSim::fanFlowFraction(double speed_cap) const
-{
-    return fanDerateEffect(speed_cap, config_.fault.fanCount,
-                           config_.topo.perSocketCfm *
-                               static_cast<double>(topo_.numSockets()))
-        .flowFrac;
-}
-
 std::size_t
 DenseServerSim::dvfsCap(std::size_t socket) const
 {
@@ -1283,8 +1251,6 @@ DenseServerSim::failSocket(std::size_t socket, double now)
         markPowerDirty(socket);
     }
     freqMhz_[socket] = 0.0;
-    rateCache_[socket] = 0.0;
-    relFreqCache_[socket] = 0.0;
     fcount_.socketFailures->inc();
     recordFault(FaultKind::SocketFail, socket, now, 0.0);
     // The displaced job may fit on another idle socket right away.
@@ -1336,7 +1302,7 @@ DenseServerSim::requeueJob(std::size_t socket, double now)
     // completion still re-runs for a representable duration.
     job.nominalS =
         std::max(jobRemainingS_[socket] + config_.migrationCostS, 1e-9);
-    busySumsRemove(socket);
+    busySumsFold(sums_, -1, socket);
     clearJobState(socket);
     busyFlag_[socket] = 0;
     completions_.erase(socket);

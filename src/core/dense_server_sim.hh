@@ -229,8 +229,6 @@ class DenseServerSim
      *  Cold by design: a fan fault rebuilds the whole coupling
      *  operator, deliberately outside the epoch heap contract. */
     DENSIM_COLD void applyFanFlowFraction(double flow_frac);
-    /** Delivered-flow fraction for a bank speed cap (affinity laws). */
-    double fanFlowFraction(double speed_cap) const;
     /** Boost cap for powerManage/placeJob, honoring the throttle. */
     std::size_t dvfsCap(std::size_t socket) const;
     /** Record (log + trace + counter hook) one fault event.
@@ -246,8 +244,9 @@ class DenseServerSim
     void syncProgress(std::size_t socket, double now);
     /** Zero the running-job arrays of a socket going idle. */
     void clearJobState(std::size_t socket);
-    /** applyRate() with the busy sums and the completion list kept
-     *  up to date around it (placement and migration). */
+    /** applyRate() for a socket that has just become busy (placement
+     *  or migration target), then fold it into the busy sums and the
+     *  completion list. */
     void setSocketRate(std::size_t socket, std::size_t pstate,
                        double power_w, double now);
     /**
@@ -285,9 +284,14 @@ class DenseServerSim
     /** Recompute the ambient-target field from scratch. */
     void refreshAmbientTargets();
 
-    /** Remove/add socket @p s from/to the busy piecewise sums. */
-    void busySumsRemove(std::size_t s);
-    void busySumsAdd(std::size_t s);
+    /** Progress rate of busy socket @p s (nominal seconds per second):
+     *  rateBySetState_ at its workload set and P-state. */
+    double progressRate(std::size_t s) const
+    {
+        return rateBySetState_[static_cast<std::size_t>(runningSet_[s]) *
+                                   freqByPstate_.size() +
+                               pstate_[s]];
+    }
 
     /**
      * Assert the engine's structural and physical invariants at an
@@ -342,7 +346,6 @@ class DenseServerSim
     std::vector<double> lastSyncS_;   //!< jobRemainingS valid at this.
     std::vector<double> completionS_; //!< Predicted completion.
     std::vector<std::size_t> pstate_;
-    std::vector<std::uint8_t> boostFlag_;
 
     std::vector<std::uint8_t> isFront_;
     std::vector<std::uint8_t> isEven_;
@@ -421,18 +424,6 @@ class DenseServerSim
     std::size_t sustainedIdx_ = 0;
     std::size_t boostCap_ = 0; //!< Highest P-state index.
 
-    // Per-socket progress rate / relative frequency of the current
-    // P-state, refreshed by setSocketRate; valid while busy.
-    std::vector<double> rateCache_;
-    std::vector<double> relFreqCache_;
-
-    // What each socket currently contributes to the busy sums (so
-    // removal subtracts exactly what was added).
-    std::vector<char> inBusySums_;
-    std::vector<double> contribRate_;
-    std::vector<double> contribRel_;
-    std::vector<char> contribBoost_;
-
     /** Busy-socket sums of the piecewise integration: the whole
      *  server, the front and back halves and the even zones. */
     struct BusySums
@@ -443,36 +434,17 @@ class DenseServerSim
                relFreqSumBack = 0.0, relFreqSumEven = 0.0;
         int busyTotal = 0, busyFront = 0, busyBack = 0, busyEven = 0,
             busyBoost = 0;
-
-        /** Fold one busy socket in (@p sign 1) or out (-1). Folding
-         *  out adds -rate, which is exactly subtracting rate. */
-        void
-        fold(int sign, double rate, double rel, bool boost, bool front,
-             bool even)
-        {
-            const double r = sign * rate;
-            const double f = sign * rel;
-            busyTotal += sign;
-            workRateTotal += r;
-            relFreqSumTotal += f;
-            if (boost)
-                busyBoost += sign;
-            if (front) {
-                busyFront += sign;
-                workRateFront += r;
-                relFreqSumFront += f;
-            } else {
-                busyBack += sign;
-                workRateBack += r;
-                relFreqSumBack += f;
-            }
-            if (even) {
-                busyEven += sign;
-                workRateEven += r;
-                relFreqSumEven += f;
-            }
-        }
     };
+
+    /**
+     * Fold busy socket @p s into (@p sign 1) or out of (-1) @p sums,
+     * at the rates of its workload set and P-state. Exact for sums_:
+     * a socket folds in when it becomes busy and again in each
+     * rebuildScalars, and only powerManage moves a busy socket's
+     * P-state, rebuilding the sums right after; so folding out reads
+     * the values that were folded in.
+     */
+    void busySumsFold(BusySums &sums, int sign, std::size_t s) const;
 
     // Piecewise integration scalars.
     double tCursor_ = 0.0;

@@ -57,6 +57,18 @@ SimConfig::validate() const
         migrationMinRemainingS < 0.0 || migrationMaxPerPass < 0) {
         fatal("SimConfig: invalid migration parameters");
     }
+    // Epoch and cadence counts are cast to integers. From 2^53 on a
+    // double skips integers, and far past it the cast overflows.
+    if (!(migrationIntervalS / pmEpochS < 0x1p53))
+        fatal("SimConfig: migrationIntervalS ", migrationIntervalS,
+              " spans 2^53 or more pm epochs of ", pmEpochS, " s");
+    if (ckptEveryS < 0.0)
+        fatal("SimConfig: ckpt.everyS ", ckptEveryS,
+              " must be non-negative (0 = only on a stop signal)");
+    if (ckptEveryS > 0.0 && !(simTimeS * drainFactor / ckptEveryS < 0x1p53))
+        fatal("SimConfig: ckpt.everyS ", ckptEveryS,
+              " puts 2^53 or more cadence points in a ",
+              simTimeS * drainFactor, " s run");
     if (timelineSampleS < 0.0)
         fatal("SimConfig: timeline sample period must be "
               "non-negative");

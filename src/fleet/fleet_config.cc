@@ -42,6 +42,11 @@ FleetConfig::validate(double pmEpochS) const
     if (!(pmEpochS > 0.0))
         fatal("FleetConfig: pmEpochS ", pmEpochS, " must be positive");
     const double ratio = epochS / pmEpochS;
+    // Cast to an integer per window: from 2^53 on a double skips
+    // integers, and far past it the cast overflows.
+    if (!(ratio < 0x1p53))
+        fatal("FleetConfig: fleet.epochS ", epochS,
+              " spans 2^53 or more pm epochs of ", pmEpochS, " s");
     const double rounded = std::round(ratio);
     if (rounded < 1.0 || std::abs(ratio - rounded) > 1e-9 * rounded)
         fatal("FleetConfig: fleet.epochS ", epochS,

@@ -55,14 +55,6 @@ PowerManager::dynamicPower(const FreqCurve &curve,
     return Watts(dyn);
 }
 
-Watts
-PowerManager::totalPower(const FreqCurve &curve, const LeakageModel &leak,
-                         std::size_t i, Celsius chip) const
-{
-    return Watts(dynamicPower(curve, leak, i).value() +
-                 leak.at(chip).value());
-}
-
 DvfsDecision
 PowerManager::chooseAtAmbient(const FreqCurve &curve,
                               const LeakageModel &leak, Celsius ambient,
@@ -180,109 +172,6 @@ PowerManager::feasibilityLimit(const FreqCurve &curve,
             hi = mid;
     }
     return Celsius(lo);
-}
-
-DvfsDecision
-PowerManager::chooseSteady(const FreqCurve &curve,
-                           const LeakageModel &leak, Celsius entry,
-                           KelvinPerWatt kappa_local,
-                           const HeatSink &sink) const
-{
-    checkCurve(curve);
-    countSearch();
-    const double entry_c = entry.value();
-    const double kappa = kappa_local.value();
-    DvfsDecision decision{};
-    for (std::size_t idx = table_.size(); idx-- > 0;) {
-        const double p90 = curve.totalPowerAt90C[idx];
-        // First pass: ambient from the 90 C-characterized power.
-        const double t1 = peak_.peak(Celsius(entry_c + kappa * p90),
-                                     Watts(p90), sink)
-                              .value();
-        // Second pass: leakage-corrected power, self-consistent
-        // ambient.
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 = peak_.peak(Celsius(entry_c + kappa * p2),
-                                     Watts(p2), sink)
-                              .value();
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
-PowerManager::chooseWithSinkState(const FreqCurve &curve,
-                                  const LeakageModel &leak,
-                                  Celsius ambient, CelsiusDelta sink_rise,
-                                  const HeatSink &sink) const
-{
-    checkCurve(curve);
-    countSearch();
-    const double base = ambient.value() + sink_rise.value();
-    const double r_int = peak_.rInt().value();
-    auto instant_peak = [&](double p) {
-        return base + p * r_int + sink.theta(Watts(p)).value();
-    };
-    DvfsDecision decision{};
-    for (std::size_t idx = table_.size(); idx-- > 0;) {
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 = instant_peak(p90);
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 = instant_peak(p2);
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
-PowerManager::chooseResponsive(const FreqCurve &curve,
-                               const LeakageModel &leak, Celsius entry,
-                               KelvinPerWatt kappa_local,
-                               CelsiusDelta sink_rise,
-                               const HeatSink &sink) const
-{
-    checkCurve(curve);
-    countSearch();
-    const double base = entry.value() + sink_rise.value();
-    const double kappa = kappa_local.value();
-    const double r_int = peak_.rInt().value();
-    auto instant_peak = [&](double p) {
-        return base + kappa * p + p * r_int +
-               sink.theta(Watts(p)).value();
-    };
-    DvfsDecision decision{};
-    for (std::size_t idx = table_.size(); idx-- > 0;) {
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 = instant_peak(p90);
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 = instant_peak(p2);
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
 }
 
 Watts

@@ -139,56 +139,6 @@ class PowerManager
         return idx;
     }
 
-    /**
-     * Pick the highest P-state whose *instantaneous* peak stays under
-     * the limit given the current ambient and the current heatsink
-     * thermal rise @p sink_rise (the slow 30 s state):
-     *
-     *   T = T_amb + sinkRise + P * R_int + theta(P, sink)
-     *
-     * This is the responsive per-epoch governor: a cold sink grants
-     * boost, and the socket throttles as the sink soaks toward
-     * P * R_ext.
-     */
-    DvfsDecision chooseWithSinkState(const FreqCurve &curve,
-                                     const LeakageModel &leak,
-                                     Celsius ambient,
-                                     CelsiusDelta sink_rise,
-                                     const HeatSink &sink) const;
-
-    /**
-     * The simulator's per-epoch governor: like chooseWithSinkState,
-     * but the ambient is decomposed into the upstream part
-     * @p entry plus the self-recirculation kappa * P, which depends
-     * on the candidate power and is therefore resolved inside the
-     * P-state search:
-     *
-     *   T(P) = entry + kappa * P + sinkRise + P * R_int + theta(P)
-     */
-    DvfsDecision chooseResponsive(const FreqCurve &curve,
-                                  const LeakageModel &leak,
-                                  Celsius entry,
-                                  KelvinPerWatt kappa_local,
-                                  CelsiusDelta sink_rise,
-                                  const HeatSink &sink) const;
-
-    /**
-     * Pick the highest feasible P-state for the *steady state* a job
-     * would reach on a socket whose air entry temperature is
-     * @p entry, accounting for the local-recirculation ambient rise
-     * kappa * P. This is the prediction the Predictive and
-     * CouplingPredictor schedulers use (Sec. IV-C: estimate
-     * temperature, compensate leakage, re-estimate).
-     */
-    DvfsDecision chooseSteady(const FreqCurve &curve,
-                              const LeakageModel &leak, Celsius entry,
-                              KelvinPerWatt kappa_local,
-                              const HeatSink &sink) const;
-
-    /** Total power at state @p i for chip temperature @p chip. */
-    Watts totalPower(const FreqCurve &curve, const LeakageModel &leak,
-                     std::size_t i, Celsius chip) const;
-
     /** Dynamic (leakage-free) power at state @p i. */
     Watts dynamicPower(const FreqCurve &curve,
                        const LeakageModel &leak, std::size_t i) const;

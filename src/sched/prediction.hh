@@ -5,9 +5,11 @@
  *
  * Both policies reason about what frequency a job would settle at if
  * placed on a candidate socket. Per Sec. IV-C the prediction uses the
- * simple linear machinery only: entry temperature from the coupling
- * table, Eq. (1) with two-pass leakage compensation (chooseSteady),
- * never the detailed models used to evaluate the research.
+ * simple linear machinery only: the socket's current ambient from the
+ * coupling field, Eq. (1) with two-pass leakage compensation
+ * (PowerManager::chooseAtAmbientCapped, or its exact table form
+ * FeasibilityTable::decide), never the detailed models used to
+ * evaluate the research.
  */
 
 #ifndef DENSIM_SCHED_PREDICTION_HH

@@ -36,8 +36,6 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
     }
 
     const std::size_t n = sites_.size();
-    airMatrix_.assign(n * n, 0.0);
-    ambMatrix_.assign(n * n, 0.0);
     impact_.assign(n, 0.0);
     dsOff_.assign(n + 1, 0);
 
@@ -92,11 +90,10 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
                 params_.mixFactor * decay * vertical;
             const double air = kCelsiusPerWattPerCfm * gamma /
                                sites_[to].ductCfm.value();
-            airMatrix_[from * n + to] = air;
-            ambMatrix_[from * n + to] = air * params_.wakeFactor;
             impact_[from] += air * params_.wakeFactor;
             dsIdx_.push_back(to);
-            dsAmb_.push_back(ambMatrix_[from * n + to]);
+            dsAir_.push_back(air);
+            dsAmb_.push_back(air * params_.wakeFactor);
         }
         dsOff_[from + 1] = dsIdx_.size();
     }
@@ -110,60 +107,30 @@ CouplingMap::checkIndex(std::size_t i) const
               sites_.size(), ")");
 }
 
-KelvinPerWatt
-CouplingMap::coeff(std::size_t from, std::size_t to) const
+double
+CouplingMap::lookup(const std::vector<double> &coeffs, std::size_t from,
+                    std::size_t to) const
 {
     checkIndex(from);
     checkIndex(to);
-    return KelvinPerWatt(ambMatrix_[from * sites_.size() + to]);
+    const std::size_t *ids = dsIdx_.data();
+    const std::size_t *last = ids + dsOff_[from + 1];
+    const std::size_t *it = std::lower_bound(ids + dsOff_[from], last, to);
+    if (it == last || *it != to)
+        return 0.0;
+    return coeffs[static_cast<std::size_t>(it - ids)];
+}
+
+KelvinPerWatt
+CouplingMap::coeff(std::size_t from, std::size_t to) const
+{
+    return KelvinPerWatt(lookup(dsAmb_, from, to));
 }
 
 KelvinPerWatt
 CouplingMap::airCoeff(std::size_t from, std::size_t to) const
 {
-    checkIndex(from);
-    checkIndex(to);
-    return KelvinPerWatt(airMatrix_[from * sites_.size() + to]);
-}
-
-namespace {
-
-double
-columnDot(const std::vector<double> &matrix, std::size_t n,
-          std::size_t col, const std::vector<double> &powers_w)
-{
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-        acc += matrix[j * n + col] * powers_w[j];
-    return acc;
-}
-
-} // namespace
-
-Celsius
-CouplingMap::entryTemp(std::size_t i,
-                       const std::vector<double> &powers_w,
-                       Celsius inlet) const
-{
-    checkIndex(i);
-    if (powers_w.size() != sites_.size())
-        panic("CouplingMap::entryTemp: ", powers_w.size(),
-              " powers for ", sites_.size(), " sockets");
-    return Celsius(inlet.value() +
-                   columnDot(airMatrix_, sites_.size(), i, powers_w));
-}
-
-Celsius
-CouplingMap::ambientEntryTemp(std::size_t i,
-                              const std::vector<double> &powers_w,
-                              Celsius inlet) const
-{
-    checkIndex(i);
-    if (powers_w.size() != sites_.size())
-        panic("CouplingMap::ambientEntryTemp: ", powers_w.size(),
-              " powers for ", sites_.size(), " sockets");
-    return Celsius(inlet.value() +
-                   columnDot(ambMatrix_, sites_.size(), i, powers_w));
+    return KelvinPerWatt(lookup(dsAir_, from, to));
 }
 
 std::vector<double>
@@ -179,20 +146,10 @@ CouplingMap::entryTemps(const std::vector<double> &powers_w,
         const double p = powers_w[j];
         if (p == 0.0)
             continue;
-        const double *row = &airMatrix_[j * n];
         for (std::size_t k = dsOff_[j]; k < dsOff_[j + 1]; ++k)
-            temps[dsIdx_[k]] += row[dsIdx_[k]] * p;
+            temps[dsIdx_[k]] += dsAir_[k] * p;
     }
     return temps;
-}
-
-Celsius
-CouplingMap::ambientTemp(std::size_t i,
-                         const std::vector<double> &powers_w,
-                         Celsius inlet) const
-{
-    return Celsius(ambientEntryTemp(i, powers_w, inlet).value() +
-                   params_.kappaLocal * powers_w[i]);
 }
 
 std::vector<double>

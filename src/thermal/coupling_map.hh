@@ -99,9 +99,10 @@ class CouplingMap
 
     /**
      * *Ambient* temperature rise at socket @p to per watt dissipated
-     * at socket @p from (0 unless @p from is strictly upstream of
-     * @p to in the same duct). Wake-amplified; this is the
-     * scheduling-relevant coefficient.
+     * at socket @p from (0 unless @p to is strictly downstream of
+     * @p from, in its duct or one the vertical leak reaches).
+     * Wake-amplified; this is the scheduling-relevant coefficient.
+     * A binary search of @p from's CSR row.
      */
     KelvinPerWatt coeff(std::size_t from, std::size_t to) const;
 
@@ -122,19 +123,6 @@ class CouplingMap
     std::vector<double> entryTemps(const std::vector<double> &powers_w,
                                    Celsius inlet) const;
 
-    /** Duct-mean air entry temperature of one socket. */
-    Celsius entryTemp(std::size_t i, const std::vector<double> &powers_w,
-                      Celsius inlet) const;
-
-    /**
-     * Upstream (wake-amplified) part of the socket ambient — the
-     * ambient a socket would see if it drew no power itself. The
-     * scheduler's prediction entry point.
-     */
-    Celsius ambientEntryTemp(std::size_t i,
-                             const std::vector<double> &powers_w,
-                             Celsius inlet) const;
-
     /**
      * Socket ambient temperatures: inlet + wake-amplified upstream
      * rise + kappaLocal * own power. This is what Eq. (1)'s T_amb
@@ -153,11 +141,6 @@ class CouplingMap
      */
     void ambientTempsInto(double *out_c, std::size_t n,
                           const double *powers_w, Celsius inlet) const;
-
-    /** Ambient temperature of one socket. */
-    Celsius ambientTemp(std::size_t i,
-                        const std::vector<double> &powers_w,
-                        Celsius inlet) const;
 
     /**
      * Incrementally update an ambientTemps() field for one socket's
@@ -238,20 +221,29 @@ class CouplingMap
   private:
     void checkIndex(std::size_t i) const;
 
+    /**
+     * Entry (from, to) of the CSR-aligned @p coeffs (dsAir_ or
+     * dsAmb_): a binary search of row @p from, 0 when @p to is not in
+     * it.
+     */
+    double lookup(const std::vector<double> &coeffs, std::size_t from,
+                  std::size_t to) const;
+
     /** applyPowerDelta's argument failure (cold, out of line). */
     [[noreturn]] DENSIM_COLD void badPowerDelta(std::size_t temps,
                                                 std::size_t socket) const;
 
     std::vector<SocketSite> sites_;
     CouplingParams params_;
-    std::vector<double> airMatrix_; //!< airCoeff[from * n + to].
-    std::vector<double> ambMatrix_; //!< coeff[from * n + to].
-    std::vector<double> impact_;    //!< downstream impact per socket.
-    // CSR packing of the sparse downstream structure: row `from`
-    // spans [dsOff_[from], dsOff_[from+1]), ids ascending.
+    std::vector<double> impact_; //!< downstream impact per socket.
+    // CSR packing of the sparse downstream structure, the map's only
+    // copy of its coefficients: row `from` spans
+    // [dsOff_[from], dsOff_[from+1]), ids ascending; every pair not in
+    // a row has coefficient 0.
     std::vector<std::size_t> dsOff_;
     std::vector<std::size_t> dsIdx_;
-    std::vector<double> dsAmb_;
+    std::vector<double> dsAir_; //!< airCoeff(from, dsIdx_[k]).
+    std::vector<double> dsAmb_; //!< coeff(from, dsIdx_[k]).
 };
 
 } // namespace densim

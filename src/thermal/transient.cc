@@ -36,12 +36,4 @@ firstOrderStepBatch(double *values, const double *targets,
         values[i] += (targets[i] - values[i]) * response_fraction;
 }
 
-void
-firstOrderStepBatchUniform(double *values, double target, std::size_t n,
-                           double response_fraction)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        values[i] += (target - values[i]) * response_fraction;
-}
-
 } // namespace densim

@@ -71,13 +71,6 @@ double responseFraction(double dt_seconds, double tau_seconds);
 void firstOrderStepBatch(double *values, const double *targets,
                          std::size_t n, double response_fraction);
 
-/**
- * Same as firstOrderStepBatch with a single shared target — used for
- * banks relaxing toward one field value (e.g. warm-start settling).
- */
-void firstOrderStepBatchUniform(double *values, double target,
-                                std::size_t n, double response_fraction);
-
 } // namespace densim
 
 #endif // DENSIM_THERMAL_TRANSIENT_HH

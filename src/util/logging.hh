@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal invariant
  * violations (a densim bug), fatal() for unusable user input (bad
- * configuration), warn()/inform() for non-fatal notices.
+ * configuration), warn() for non-fatal notices.
  */
 
 #ifndef DENSIM_UTIL_LOGGING_HH
@@ -15,15 +15,6 @@
 #include <string>
 
 namespace densim {
-
-/** Verbosity levels for runtime messages. */
-enum class LogLevel { Silent, Warning, Info };
-
-/** Get the process-wide log level (default: Warning). */
-LogLevel logLevel();
-
-/** Set the process-wide log level. */
-void setLogLevel(LogLevel level);
 
 /** What fatal() throws when the throwing mode is enabled. */
 struct FatalError : std::runtime_error
@@ -62,7 +53,6 @@ namespace detail {
                             int line);
 [[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Concatenate any streamable arguments into a string. */
 template <typename... Args>
@@ -99,20 +89,12 @@ fatal(Args &&...args)
     detail::fatalImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Print a warning to stderr (if log level permits). */
+/** Print a warning to stderr. */
 template <typename... Args>
 void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Print an informational message to stderr (if log level permits). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace densim

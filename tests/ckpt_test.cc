@@ -470,7 +470,6 @@ TEST(HostileInput, EmptyAndGarbageFilesAreRejected)
 // Wire section ids (DESIGN.md Sec. 16.1): engine sections 1..5 are
 // core, rng, metrics, obs and fault; a fleet file holds the fleet
 // core plus one section per shard.
-constexpr std::uint32_t kCoreSection = 1;
 constexpr std::uint32_t kObsSection = 4;
 constexpr std::uint32_t kFleetCoreSection = 10;
 
@@ -613,14 +612,14 @@ TEST(CkptFormat, SectionBytesArePinned)
         }
     };
     expectPins(goldenImage(fastConfig()),
-               {{1, 48083, 0x29908ad14c0b7e87ULL},
+               {{1, 47187, 0xcf27bce78ce81776ULL},
                 {2, 123, 0x250e39de3beeb8adULL},
                 {3, 344, 0x7792b336c29fd761ULL},
                 {4, 475, 0x72dcef5e062fc96dULL},
                 {5, 1146, 0x01624b3c1982bc42ULL}},
                "engine");
     expectPins(faultedMigrationImage(faultedMigrationConfig()),
-               {{1, 36450, 0xb86722124532e32aULL},
+               {{1, 35554, 0x640ba31a32881b09ULL},
                 {2, 123, 0x50d1dc19052e6798ULL},
                 {3, 344, 0xe89c60914d2f462bULL},
                 {4, 834, 0x4ca2b927ed12bbecULL},
@@ -628,9 +627,9 @@ TEST(CkptFormat, SectionBytesArePinned)
                "faulted");
     expectPins(fleetImage(threeChassisConfig("roundrobin")),
                {{10, 245, 0x5ac7703c2c3cb646ULL},
-                {100, 7129, 0x5576dd763e14321bULL},
-                {101, 7105, 0xb5d4be1122dbdb7dULL},
-                {102, 7105, 0x808201a8bee7b171ULL}},
+                {100, 6233, 0xc96465524672d526ULL},
+                {101, 6209, 0xe4e8390986587961ULL},
+                {102, 6209, 0x0590decce086e223ULL}},
                "fleet");
 }
 
@@ -641,9 +640,6 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
     // accept it as a state that re-saves to exactly the mutated
     // bytes: nothing it accepts may be dropped or normalized. The
     // per-section split is pinned, so a lost check fails here too.
-    // DENSIM_CHECK builds leave out the core section: its epoch
-    // invariants abort, by design, on states the wire checks accept
-    // (say, a completion time moved before the integration cursor).
     struct Split
     {
         std::uint32_t id;
@@ -651,15 +647,13 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
         int mutations;
         int rejected;
     };
-    const Split splits[] = {{1, 56, 2577, 622}, {2, 8, 46, 0},
+    const Split splits[] = {{1, 56, 2529, 619}, {2, 8, 46, 0},
                             {3, 8, 129, 6},     {4, 8, 178, 136},
                             {5, 8, 430, 58}};
     const SimConfig config = fastConfig();
     const std::string good = goldenImage(config);
     DenseServerSim sim(config, makeScheduler("CP"));
     for (const Split &split : splits) {
-        if (kChecksEnabled && split.id == kCoreSection)
-            continue;
         int mutations = 0;
         int rejected = 0;
         forEachMutation(

@@ -283,6 +283,32 @@ TEST(Engine, InvalidConfigIsFatal)
     config.load = 2.0;
     EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
                 ::testing::ExitedWithCode(1), "load");
+
+    // Epoch and cadence counts the engine casts to integers must stay
+    // below 2^53, and a negative cadence is not "no cadence".
+    config = smallConfig();
+    config.migrationEnabled = true;
+    config.migrationIntervalS = 1e20;
+    EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
+                ::testing::ExitedWithCode(1), "migrationIntervalS");
+    config = smallConfig();
+    config.pmEpochS = 1.0;
+    config.migrationIntervalS = 0x1p53;
+    EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
+                ::testing::ExitedWithCode(1), "migrationIntervalS");
+    config = smallConfig();
+    config.ckptEveryS = -1.0;
+    EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
+                ::testing::ExitedWithCode(1), "ckpt.everyS");
+    config = smallConfig();
+    config.ckptEveryS = 1e-300;
+    EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
+                ::testing::ExitedWithCode(1), "ckpt.everyS");
+    config = smallConfig();
+    config.fleet.chassis = 2;
+    config.fleet.epochS = 1e20;
+    EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
+                ::testing::ExitedWithCode(1), "fleet.epochS");
 }
 
 TEST(Engine, MigrationOffByDefault)

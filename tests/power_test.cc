@@ -240,40 +240,6 @@ TEST_F(PowerManagerTest, GatedPowerIsTenPercentTdp)
     EXPECT_NEAR(pm_.gatedPower(leak_).value(), 2.2, 1e-9);
 }
 
-TEST_F(PowerManagerTest, SteadyIncludesSelfHeating)
-{
-    // chooseSteady accounts for kappa * P self ambient rise, so it
-    // must throttle earlier than chooseAtAmbient at the same entry.
-    const double entry = 40.0;
-    const DvfsDecision plain =
-        pm_.chooseAtAmbient(comp_, leak_, Celsius(entry), HeatSink::fin18());
-    const DvfsDecision steady =
-        pm_.chooseSteady(comp_, leak_, Celsius(entry),
-                         KelvinPerWatt(1.5), HeatSink::fin18());
-    EXPECT_LE(steady.freqMhz, plain.freqMhz);
-}
-
-TEST_F(PowerManagerTest, ResponsiveUsesSinkState)
-{
-    // With a cold sink, the responsive governor grants more than the
-    // steady one; with a fully soaked sink they agree.
-    const double entry = 30.0;
-    const KelvinPerWatt kappa(1.5);
-    const DvfsDecision cold = pm_.chooseResponsive(
-        comp_, leak_, Celsius(entry), kappa, CelsiusDelta(0.0),
-        HeatSink::fin18());
-    const DvfsDecision steady = pm_.chooseSteady(
-        comp_, leak_, Celsius(entry), kappa, HeatSink::fin18());
-    EXPECT_GE(cold.freqMhz, steady.freqMhz);
-
-    const CelsiusDelta soaked_rise =
-        steady.power * HeatSink::fin18().rExt;
-    const DvfsDecision soaked = pm_.chooseResponsive(
-        comp_, leak_, Celsius(entry), kappa, soaked_rise,
-        HeatSink::fin18());
-    EXPECT_NEAR(soaked.freqMhz, steady.freqMhz, 200.0 + 1e-9);
-}
-
 TEST_F(PowerManagerTest, StorageNeverThrottlesAtModerateAmbient)
 {
     // Storage draws 10.5 W at most — it holds boost at ambients that

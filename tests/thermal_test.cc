@@ -491,7 +491,7 @@ TEST(CouplingMap, NoUpstreamCouplingToFirstSocket)
 {
     CouplingMap map(chainSites(4, 1.6, 12.7), CouplingParams{});
     const std::vector<double> powers{0.0, 10.0, 10.0, 10.0};
-    EXPECT_DOUBLE_EQ(map.entryTemp(0, powers, Celsius(18.0)).value(), 18.0);
+    EXPECT_DOUBLE_EQ(map.entryTemps(powers, Celsius(18.0))[0], 18.0);
 }
 
 TEST(CouplingMap, StrictlyDownstreamOnly)
@@ -514,17 +514,19 @@ TEST(CouplingMap, EntryMonotoneInUpstreamPower)
     CouplingMap map(chainSites(4, 1.6, 12.7), CouplingParams{});
     std::vector<double> low{5.0, 5.0, 5.0, 5.0};
     std::vector<double> high{15.0, 5.0, 5.0, 5.0};
-    EXPECT_GT(map.entryTemp(3, high, Celsius(18.0)).value(),
-              map.entryTemp(3, low, Celsius(18.0)).value());
+    EXPECT_GT(map.entryTemps(high, Celsius(18.0))[3],
+              map.entryTemps(low, Celsius(18.0))[3]);
 }
 
 TEST(CouplingMap, AmbientIncludesSelfTerm)
 {
     CouplingParams params;
     CouplingMap map(chainSites(2, 1.6, 12.7), params);
-    const std::vector<double> powers{0.0, 10.0};
-    EXPECT_NEAR(map.ambientTemp(1, powers, Celsius(18.0)).value() -
-                    map.ambientEntryTemp(1, powers, Celsius(18.0)).value(),
+    // Switching socket 1 off leaves only its upstream part.
+    const std::vector<double> powers{4.0, 10.0};
+    const std::vector<double> unpowered{4.0, 0.0};
+    EXPECT_NEAR(map.ambientTemps(powers, Celsius(18.0))[1] -
+                    map.ambientTemps(unpowered, Celsius(18.0))[1],
                 params.kappaLocal * 10.0, 1e-9);
 }
 
@@ -544,19 +546,6 @@ TEST(CouplingMap, DownstreamImpactDecreasesAlongDuct)
     for (int i = 0; i + 1 < 6; ++i)
         EXPECT_GT(map.downstreamImpact(i).value(), map.downstreamImpact(i + 1).value());
     EXPECT_DOUBLE_EQ(map.downstreamImpact(5).value(), 0.0);
-}
-
-TEST(CouplingMap, VectorAndScalarEntryAgree)
-{
-    CouplingMap map(chainSites(5, 2.0, 12.7), CouplingParams{});
-    const std::vector<double> powers{3.0, 7.0, 1.0, 9.0, 2.0};
-    const auto vec = map.entryTemps(powers, Celsius(20.0));
-    const auto amb_vec = map.ambientTemps(powers, Celsius(20.0));
-    for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_NEAR(vec[i], map.entryTemp(i, powers, Celsius(20.0)).value(), 1e-12);
-        EXPECT_NEAR(amb_vec[i], map.ambientTemp(i, powers, Celsius(20.0)).value(),
-                    1e-12);
-    }
 }
 
 TEST(CouplingMap, VerticalLeakReachesNeighbourRows)
