@@ -789,7 +789,7 @@ CkptAccess::fault(Ar &ar, Sim &sim)
                "disagrees with the coupling-derated flag");
 }
 
-// --- FLEET core: window, dispatcher cursor, arrival lookahead ---------
+// --- FLEET core: window, dispatcher cursor, committed arrivals --------
 
 template <class Ar, class Fleet>
 void
@@ -1024,21 +1024,12 @@ CkptAccess::restoreFleetFile(FleetSim &fleet, std::string_view image,
         section(sections,
                 kSecShardBase + static_cast<std::uint32_t>(s));
 
-    // Baseline mirroring beginRun() — every field overwritten below
-    // is first put in the exact state beginRun would leave it in, so
-    // a restore that throws leaves a closed, fully reusable fleet.
-    fleet.arrivals_ = std::make_unique<JobGenerator>(
-        fleet.base_.workload, fleet.base_.load,
-        static_cast<int>(fleet.totalSockets()),
-        domainSeed(fleet.fleetSeed_, 0, fleet_stream::kArrivals));
-    fleet.registry_.resetValues();
-    fleet.windowsCtr_ = &fleet.registry_.counter("fleet/windows");
-    fleet.dispatchedCtr_ =
-        &fleet.registry_.counter("fleet/jobsDispatched");
-    fleet.metrics_ = FleetMetrics{};
-    fleet.metrics_.chassis = n;
-    fleet.metrics_.dispatchedPerShard.assign(n, 0);
-    fleet.batches_.assign(n, {});
+    // Baseline: every field overwritten below is first put in the
+    // exact state beginRun() would leave it in, arrival lookahead
+    // dropped, so a restore that throws leaves a closed, fully
+    // reusable fleet and a restored one draws its next window from
+    // the restored stream.
+    fleet.resetRun();
 
     Loader ar(core);
     fleetCore(ar, fleet);

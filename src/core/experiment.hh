@@ -37,13 +37,13 @@ struct RunResult
 RunResult runOne(const RunSpec &spec);
 
 /**
- * Run all cells, using up to @p threads worker threads (0 = hardware
- * concurrency). Results are returned in input order; execution order
- * is unspecified but each run is independently seeded and
- * deterministic, so the results are identical for every thread
- * count. An empty @p specs yields an empty result, and the first
- * exception thrown by a worker is rethrown here after the pool
- * drains (util/parallel.hh).
+ * Run all cells, using up to @p threads worker threads, the calling
+ * thread included (0 = hardware concurrency). Results are returned
+ * in input order; execution order is unspecified but each run is
+ * independently seeded and deterministic, so the results are
+ * identical for every thread count. An empty @p specs yields an
+ * empty result, and the first exception thrown by a worker is
+ * rethrown here after the pool drains (util/parallel.hh).
  *
  * Observability sinks are merge-safe: when more than one cell is run
  * and a spec sets obs.tracePath / obs.timelinePath, the path is

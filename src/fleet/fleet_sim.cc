@@ -79,17 +79,18 @@ FleetSim::gatherSummaries() const
 }
 
 void
-FleetSim::beginRun()
+FleetSim::resetRun()
 {
-    if (fleetOpen_)
-        fatal("FleetSim::beginRun: run already open (finishRun?)");
     const std::size_t n = shards_.size();
-
     // The cluster arrival stream: one Poisson process sized for the
     // whole fleet's sockets, fanned out window by window.
     arrivals_ = std::make_unique<JobGenerator>(
         base_.workload, base_.load, static_cast<int>(totalSockets()),
         domainSeed(fleetSeed_, 0, fleet_stream::kArrivals));
+    aheadReady_ = false;
+    // A fresh dispatcher, so a rerun routes like the first run
+    // instead of resuming the last one's cursor.
+    dispatcher_ = makeFleetDispatcher(base_.fleet);
 
     registry_.resetValues();
     windowsCtr_ = &registry_.counter("fleet/windows");
@@ -99,12 +100,19 @@ FleetSim::beginRun()
     metrics_.chassis = n;
     metrics_.dispatchedPerShard.assign(n, 0);
 
-    for (auto &shard : shards_)
-        shard->beginRun();
-
     batches_.assign(n, {});
     arrivalsOpen_ = true;
     window_ = 0;
+}
+
+void
+FleetSim::beginRun()
+{
+    if (fleetOpen_)
+        fatal("FleetSim::beginRun: run already open (finishRun?)");
+    resetRun();
+    for (auto &shard : shards_)
+        shard->beginRun();
     fleetOpen_ = true;
 }
 
@@ -117,17 +125,29 @@ FleetSim::advanceWindow(unsigned threads)
     const double windowS = base_.fleet.epochS;
     const auto epochsPerWindow = static_cast<std::size_t>(
         std::round(windowS / base_.pmEpochS));
+    // Windows end at (k+1) * epochS by multiplication, not
+    // accumulation, so the fan-out boundaries do not drift from
+    // float addition however many windows run.
+    const auto windowEndS = [&](std::size_t k) {
+        return static_cast<double>(k + 1) * windowS;
+    };
 
     // --- barrier: serial, shard-id order ------------------------------
     const std::vector<ShardSummary> summaries = gatherSummaries();
 
     if (arrivalsOpen_) {
-        // Windows end at (k+1) * epochS by multiplication, not
-        // accumulation, so the fan-out boundaries do not drift
-        // from float addition however many windows run.
-        const double w1 = static_cast<double>(window_ + 1) * windowS;
-        const double horizonS = std::min(w1, base_.simTimeS);
-        for (const Job &job : arrivals_->nextWindow(horizonS)) {
+        if (aheadReady_) {
+            // Drawn during the last window from a copy of arrivals_:
+            // the copy is now the committed stream.
+            arrivals_.swap(ahead_);
+            windowJobs_.swap(aheadJobs_);
+            aheadReady_ = false;
+        } else {
+            arrivals_->nextWindow(
+                std::min(windowEndS(window_), base_.simTimeS),
+                windowJobs_);
+        }
+        for (const Job &job : windowJobs_) {
             const std::size_t target =
                 dispatcher_->pick(job, summaries);
             DENSIM_CHECK(target < n, "dispatcher picked shard ",
@@ -144,7 +164,7 @@ FleetSim::advanceWindow(unsigned threads)
                 batches_[s].clear();
             }
         }
-        if (w1 >= base_.simTimeS) {
+        if (windowEndS(window_) >= base_.simTimeS) {
             arrivalsOpen_ = false;
             for (auto &shard : shards_)
                 shard->closeArrivals();
@@ -158,12 +178,33 @@ FleetSim::advanceWindow(unsigned threads)
         return false;
 
     // --- parallel section: disjoint shard state only ------------------
-    parallelFor(n, threads, [&](std::size_t s) {
+    if (!pool_ || poolThreads_ != threads) {
+        pool_ = std::make_unique<WorkerPool>(threads);
+        poolThreads_ = threads;
+    }
+    const auto advanceShard = [&](std::size_t s) {
         DenseServerSim &shard = *shards_[s];
         for (std::size_t e = 0;
              e < epochsPerWindow && shard.epochPending(); ++e)
             shard.advanceEpoch();
-    });
+    };
+    // The calling thread draws the next window's arrivals while the
+    // helpers advance shards, then claims shards itself. Drawing on
+    // the calling thread, which also dispatches, keeps both buffers
+    // in one allocator arena instead of one per helper.
+    const auto drawAhead = [&] {
+        if (!arrivalsOpen_)
+            return;
+        if (ahead_)
+            *ahead_ = *arrivals_;
+        else
+            ahead_ = std::make_unique<JobGenerator>(*arrivals_);
+        ahead_->nextWindow(
+            std::min(windowEndS(window_ + 1), base_.simTimeS),
+            aheadJobs_);
+        aheadReady_ = true;
+    };
+    pool_->run(n, advanceShard, drawAhead);
     windowsCtr_->inc();
     ++window_;
     return true;
@@ -186,6 +227,7 @@ FleetSim::finishRun()
     rollUpFleetMetrics(metrics_);
     fleetOpen_ = false;
     arrivals_.reset();
+    aheadReady_ = false;
     return std::move(metrics_);
 }
 

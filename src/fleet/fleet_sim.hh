@@ -4,20 +4,29 @@
  *
  * FleetSim owns N chassis shards — each a full DenseServerSim with
  * its own config, fault timeline and RNG streams — and advances them
- * in lockstep exchange windows on a util/parallel.hh worker pool:
+ * in lockstep exchange windows on a util/parallel.hh WorkerPool that
+ * it builds at its first advanceWindow() and keeps:
  *
  *   per window:  gather summaries (serial, shard-id order)
- *             -> dispatch the window's cluster arrivals (serial)
+ *             -> dispatch the window's cluster arrivals and submit
+ *                them to the shards (serial, shard-id order)
  *             -> advance every shard through the window's pm epochs
- *                (parallelFor; each work item touches only its own
- *                shard)
+ *                (pool work items; each touches only its own shard),
+ *                while the calling thread first draws the next
+ *                window's arrivals and then advances shards too
+ *
+ * The next window's arrivals come from a copy of the committed
+ * arrival stream; that copy becomes the committed stream at the next
+ * barrier. A checkpoint saves only the committed stream, and
+ * beginRun(), finishRun() and every restore drop the lookahead, so
+ * the stream a window dispatches never depends on when it was drawn.
  *
  * Determinism: everything order-sensitive — summary gathering,
  * dispatching, metric roll-up, registry merging — runs serially in
  * shard-id order at the barrier; the parallel section is embarrass-
- * ingly parallel over disjoint shard state. FleetMetrics is
- * therefore bit-identical for any worker-thread count (pinned by
- * tests/fleet_test.cc).
+ * ingly parallel over disjoint shard state, and the arrival draw it
+ * overlaps touches no shard. FleetMetrics is therefore bit-identical
+ * for any worker-thread count (pinned by tests/fleet_test.cc).
  *
  * RNG domain separation: every fleet stream seed is
  * domainSeed(fleetSeed, shard, tag) with the tags below, so a
@@ -41,6 +50,8 @@
 #include "obs/registry.hh"
 
 namespace densim {
+
+class WorkerPool; // util/parallel.hh
 
 /** Stream tags for domainSeed() under the fleet seed domain. */
 namespace fleet_stream {
@@ -67,9 +78,9 @@ class FleetSim
     FleetSim &operator=(const FleetSim &) = delete;
 
     /**
-     * Run the fleet to completion on up to @p threads workers
-     * (0 = hardware concurrency). The result is bit-identical for
-     * every value of @p threads. Implemented as
+     * Run the fleet to completion on up to @p threads workers, the
+     * calling thread included (0 = hardware concurrency). The result
+     * is bit-identical for every value of @p threads. Implemented as
      * beginRun() + advanceWindow() to exhaustion + finishRun(), in
      * the exact operation order of the historical monolithic loop.
      */
@@ -86,9 +97,12 @@ class FleetSim
     void beginRun();
 
     /**
-     * Run one exchange window on up to @p threads workers. Returns
-     * false — without advancing anything — once no shard has pending
-     * work, at which point finishRun() collects the metrics.
+     * Run one exchange window on up to @p threads workers, the
+     * calling thread included. Never more workers than shards run;
+     * the pool built by the first call is rebuilt only when a later
+     * call asks for a different @p threads. Returns false — without
+     * advancing anything — once no shard has pending work, at which
+     * point finishRun() collects the metrics.
      */
     bool advanceWindow(unsigned threads = 1);
 
@@ -127,21 +141,39 @@ class FleetSim
 
     std::vector<ShardSummary> gatherSummaries() const;
 
+    /**
+     * Put every fleet-level run field in the state beginRun() leaves
+     * it in — dispatcher cursor and window included, lookahead
+     * dropped; the shards are left alone.
+     */
+    void resetRun();
+
     SimConfig base_;
     std::uint64_t fleetSeed_ = 0;
     std::vector<std::unique_ptr<DenseServerSim>> shards_;
     std::unique_ptr<FleetDispatcher> dispatcher_;
     obs::Registry registry_;
 
+    std::unique_ptr<WorkerPool> pool_; //!< Built by advanceWindow().
+    unsigned poolThreads_ = 0;         //!< What pool_ was built for.
+
     // --- streaming-run state (beginRun .. finishRun) ------------------
-    std::unique_ptr<JobGenerator> arrivals_; //!< Cluster Poisson stream.
+    /** Committed cluster Poisson stream: drawn up to window_. */
+    std::unique_ptr<JobGenerator> arrivals_;
     FleetMetrics metrics_;        //!< Dispatch counts accumulate here.
+    std::vector<Job> windowJobs_; //!< This window's arrivals.
     std::vector<std::vector<Job>> batches_; //!< Per-shard scratch.
     obs::Counter *windowsCtr_ = nullptr;
     obs::Counter *dispatchedCtr_ = nullptr;
     std::size_t window_ = 0;      //!< Next exchange window to run.
     bool arrivalsOpen_ = true;    //!< Cluster stream still fanning out.
     bool fleetOpen_ = false;      //!< beginRun .. finishRun.
+
+    // --- arrival lookahead: never checkpointed ------------------------
+    /** arrivals_ drawn one window further; valid while aheadReady_. */
+    std::unique_ptr<JobGenerator> ahead_;
+    std::vector<Job> aheadJobs_;  //!< Window window_'s arrivals.
+    bool aheadReady_ = false;
 };
 
 } // namespace densim

@@ -73,14 +73,14 @@ JobGenerator::generateUntil(double horizon_s)
     }
 }
 
-std::vector<Job>
-JobGenerator::nextWindow(double horizon_s)
+void
+JobGenerator::nextWindow(double horizon_s, std::vector<Job> &out)
 {
-    std::vector<Job> jobs;
+    out.clear();
     if (hasPending_) {
         if (pending_.arrivalS >= horizon_s)
-            return jobs;
-        jobs.push_back(pending_);
+            return;
+        out.push_back(pending_);
         hasPending_ = false;
     }
     for (;;) {
@@ -88,10 +88,18 @@ JobGenerator::nextWindow(double horizon_s)
         if (job.arrivalS >= horizon_s) {
             pending_ = job;
             hasPending_ = true;
-            return jobs;
+            return;
         }
-        jobs.push_back(job);
+        out.push_back(job);
     }
+}
+
+std::vector<Job>
+JobGenerator::nextWindow(double horizon_s)
+{
+    std::vector<Job> jobs;
+    nextWindow(horizon_s, jobs);
+    return jobs;
 }
 
 } // namespace densim

@@ -331,6 +331,51 @@ TEST(Fork, ReseedsFutureButKeepsState)
     EXPECT_NE(fork1, fork2);      // ...and from each other.
 }
 
+TEST(Fork, FleetReseedsFutureButKeepsState)
+{
+    SimConfig config = fastConfig();
+    config.fleet.chassis = 3;
+    std::string image; // After 5 of 12 arrival windows.
+    {
+        FleetSim fleet(config, "CP");
+        fleet.beginRun();
+        for (int w = 0; w < 5; ++w)
+            ASSERT_TRUE(fleet.advanceWindow(2));
+        image = ckpt::saveFleet(fleet);
+    }
+    const auto finish = [&](FleetSim &fleet, ckpt::RestoreMode mode,
+                            std::uint64_t fork_id) {
+        ckpt::restoreFleet(fleet, image, mode, fork_id);
+        while (fleet.advanceWindow(2)) {
+        }
+        return serializeFleetMetrics(fleet.finishRun());
+    };
+    const auto fresh = [&](ckpt::RestoreMode mode,
+                           std::uint64_t fork_id) {
+        FleetSim fleet(config, "CP");
+        return finish(fleet, mode, fork_id);
+    };
+    // A fleet that ran 8 windows, arrivals still open, then finished:
+    // its pool and its last arrival lookahead exist. Were the
+    // lookahead kept across the restore, window 5 would dispatch the
+    // old stream's window 8.
+    const auto used = [&](ckpt::RestoreMode mode, std::uint64_t fork_id) {
+        FleetSim fleet(config, "CP");
+        fleet.beginRun();
+        for (int w = 0; w < 8; ++w)
+            EXPECT_TRUE(fleet.advanceWindow(2));
+        (void)fleet.finishRun();
+        return finish(fleet, mode, fork_id);
+    };
+    const std::string exact = fresh(ckpt::RestoreMode::Exact, 0);
+    const std::string fork1 = fresh(ckpt::RestoreMode::Fork, 1);
+    EXPECT_EQ(fork1, fresh(ckpt::RestoreMode::Fork, 1));
+    EXPECT_NE(exact, fork1);
+    EXPECT_NE(fork1, fresh(ckpt::RestoreMode::Fork, 2));
+    EXPECT_EQ(exact, used(ckpt::RestoreMode::Exact, 0));
+    EXPECT_EQ(fork1, used(ckpt::RestoreMode::Fork, 1));
+}
+
 // ------------------------------------------------ hostile input
 
 /** A valid mid-run engine image to corrupt. */

@@ -1,15 +1,24 @@
 /**
  * @file
  * Tests for the experiment harness and its worker pool: empty-grid
- * handling, worker-exception propagation (util/parallel.hh), and the
+ * handling, worker-exception propagation and pool reuse
+ * (util/parallel.hh), and the
  * ordering-independence regression — the same grid run on 1 and on 4
  * threads must produce bit-identical metrics, since every cell is
  * independently seeded and deterministic.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +125,136 @@ TEST(Parallel, ExceptionOnSingleThreadPropagates)
                                  throw std::domain_error("boom");
                              }),
                  std::domain_error);
+}
+
+TEST(Parallel, ReusedPoolRunsEveryIndexExactlyOncePerRun)
+{
+    // Counts of 0, 1, below, at and above the pool's thread count,
+    // in an order that grows and shrinks the set of helpers a run
+    // wakes.
+    WorkerPool pool(4);
+    const std::size_t counts[] = {0, 1, 2, 3, 4, 5, 17, 64, 3, 1};
+    std::vector<std::atomic<int>> hits(64);
+    for (std::size_t run = 0; run < 60; ++run) {
+        const std::size_t count = counts[run % std::size(counts)];
+        for (auto &h : hits)
+            h = 0;
+        pool.run(count, [&](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            EXPECT_EQ(hits[i].load(), i < count ? 1 : 0)
+                << "run " << run << ", count " << count << ", index "
+                << i;
+        }
+    }
+}
+
+TEST(Parallel, RunAfterAThrowingRunCompletesClean)
+{
+    WorkerPool pool(3);
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(pool.run(20,
+                          [](std::size_t i) {
+                              if (i == 7)
+                                  throw std::runtime_error("boom");
+                          }),
+                 std::runtime_error);
+    (void)testing::internal::GetCapturedStderr();
+
+    std::vector<std::atomic<int>> hits(20);
+    for (auto &h : hits)
+        h = 0;
+    testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; }));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+/** Threads in this process, or 0 where /proc does not list them. */
+std::size_t
+processThreads()
+{
+    std::error_code error;
+    std::size_t threads = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", error);
+         !error && it != std::filesystem::directory_iterator();
+         it.increment(error))
+        ++threads;
+    return error ? 0 : threads;
+}
+
+TEST(Parallel, NoMoreThreadsRunItemsThanWorkersOrItems)
+{
+    // Where two workers may run, items hold on until a second thread
+    // has joined in, so the run cannot finish on the calling thread
+    // alone and the helpers are shown to take part. Helpers outlive
+    // a run, so the process may hold one per worker of the widest run
+    // so far beyond the calling thread, and no more. A first thread
+    // lets a sanitizer runtime start any thread of its own.
+    std::thread([] {}).join();
+    const std::size_t before = processThreads();
+    for (unsigned threads : {1u, 2u, 3u, 8u}) {
+        WorkerPool pool(threads);
+        std::size_t widest = 1;
+        for (std::size_t count : {1u, 2u, 5u, 40u}) {
+            const std::size_t cap =
+                std::min<std::size_t>(threads, count);
+            widest = std::max(widest, cap);
+            std::mutex mutex;
+            std::set<std::thread::id> ids;
+            pool.run(count, [&](std::size_t) {
+                const auto deadline = std::chrono::steady_clock::now() +
+                                      std::chrono::seconds(10);
+                for (;;) {
+                    {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        ids.insert(std::this_thread::get_id());
+                        if (cap == 1 || ids.size() > 1)
+                            return;
+                    }
+                    if (std::chrono::steady_clock::now() > deadline)
+                        return;
+                    std::this_thread::yield();
+                }
+            });
+            EXPECT_LE(ids.size(), cap)
+                << threads << " threads, " << count << " items";
+            EXPECT_EQ(ids.size() > 1, cap > 1)
+                << threads << " threads, " << count << " items";
+            if (before > 0) {
+                EXPECT_LE(processThreads(), before + widest - 1)
+                    << threads << " threads, " << count << " items";
+            }
+        }
+    }
+}
+
+TEST(Parallel, LeadRunsOnceOnTheCallingThread)
+{
+    WorkerPool pool(4);
+    for (std::size_t count : {0u, 1u, 9u}) {
+        int leads = 0;
+        std::thread::id leadThread;
+        std::atomic<std::size_t> ran{0};
+        pool.run(
+            count, [&](std::size_t) { ++ran; },
+            [&] {
+                ++leads;
+                leadThread = std::this_thread::get_id();
+            });
+        EXPECT_EQ(leads, 1) << count << " items";
+        EXPECT_EQ(leadThread, std::this_thread::get_id());
+        EXPECT_EQ(ran.load(), count);
+    }
+    // A throwing lead abandons the items it has not yet claimed and
+    // surfaces after the helpers are done; the pool stays usable.
+    EXPECT_THROW(pool.run(
+                     8, [](std::size_t) {},
+                     [] { throw std::logic_error("lead failed"); }),
+                 std::logic_error);
+    std::atomic<std::size_t> ran{0};
+    pool.run(8, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 8u);
 }
 
 // ------------------------------------------------------- experiment

@@ -146,6 +146,38 @@ TEST(FleetSim, RoundRobinDispatcherAlsoBitIdentical)
     EXPECT_EQ(oneWorker, threeWorkers);
 }
 
+TEST(FleetSim, EveryDispatcherBitIdenticalAcrossWorkerCounts)
+{
+    // Three chassis: 8 workers is above chassis + 1, so the pool caps
+    // its helpers at the shard count. One fleet reruns at every
+    // count, so its pool is rebuilt between runs and the arrival
+    // lookahead must not leak from one run into the next; a last run
+    // changes the count every window.
+    constexpr std::size_t kChassis = 3;
+    for (const char *dispatcher :
+         {"roundrobin", "headroom", "locality", "power"}) {
+        SimConfig config = fleetConfig(kChassis);
+        config.fleet.dispatcher = dispatcher;
+
+        FleetSim serial(config, "CP");
+        const std::string expected =
+            serializeFleetMetrics(serial.run(1));
+
+        FleetSim fleet(config, "CP");
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            EXPECT_EQ(expected, serializeFleetMetrics(fleet.run(threads)))
+                << "dispatcher " << dispatcher << ", " << threads
+                << " workers";
+        }
+        fleet.beginRun();
+        for (unsigned w = 0; fleet.advanceWindow(1 + w % 4); ++w) {
+        }
+        EXPECT_EQ(expected, serializeFleetMetrics(fleet.finishRun()))
+            << "dispatcher " << dispatcher
+            << ", worker count changed every window";
+    }
+}
+
 TEST(FleetSim, EveryArrivalIsDispatchedAndAccounted)
 {
     FleetSim fleet(fleetConfig(4), "CP");

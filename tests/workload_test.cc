@@ -162,6 +162,38 @@ TEST(JobGenerator, EmpiricalRateMatchesNominal)
                 gen.arrivalRate(), 0.05 * gen.arrivalRate());
 }
 
+TEST(JobGenerator, WindowsIntoAReusedBufferReproduceGenerateUntil)
+{
+    // Windows drawn into one buffer, some empty, and a copy of the
+    // generator taken mid-stream must both replay generateUntil's
+    // stream exactly: the fleet draws each window on a copy.
+    JobGenerator whole(WorkloadSet::Computation, 0.7, 180, 21);
+    const std::vector<Job> expected = whole.generateUntil(0.2);
+    ASSERT_GT(expected.size(), 100u);
+
+    JobGenerator gen(WorkloadSet::Computation, 0.7, 180, 21);
+    std::vector<Job> window;
+    std::vector<Job> joined;
+    for (int w = 1; w <= 400; ++w) {
+        const double horizon = 0.0005 * w;
+        if (w == 200) {
+            JobGenerator copy = gen;
+            copy.nextWindow(horizon, window);
+            gen = copy;
+        } else {
+            gen.nextWindow(horizon, window);
+        }
+        joined.insert(joined.end(), window.begin(), window.end());
+    }
+    ASSERT_EQ(joined.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(joined[i].id, expected[i].id);
+        EXPECT_EQ(joined[i].arrivalS, expected[i].arrivalS);
+        EXPECT_EQ(joined[i].nominalS, expected[i].nominalS);
+        EXPECT_EQ(joined[i].benchmark, expected[i].benchmark);
+    }
+}
+
 TEST(JobGenerator, DurationsMatchCatalogMeans)
 {
     JobGenerator gen(WorkloadSet::Computation, 0.5, 180, 3);

@@ -32,10 +32,11 @@
 #             cell that must finish the rest, exit nonzero, and emit a
 #             strict summary JSON (DESIGN.md Sec. 11)
 #   fleet     ASan+UBSan+DENSIM_CHECKS build + the fleet/streaming
-#             determinism tests, then a CLI smoke: a multi-shard
-#             --fleet run whose JSON summary must parse strictly and
-#             whose metrics must be bit-identical across worker-thread
-#             counts (DESIGN.md Sec. 15)
+#             determinism and worker-pool tests, then a CLI smoke: a
+#             multi-shard --fleet run whose JSON summary must parse
+#             strictly and whose metrics must be bit-identical across
+#             worker-thread counts, with a checkpoint taken, and
+#             resumed from that checkpoint (DESIGN.md Sec. 15)
 #   ckpt      ASan+UBSan+DENSIM_CHECKS build + the checkpoint/restore
 #             bank (bit-identical resume, hostile-input rejection,
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
@@ -204,16 +205,28 @@ stage_fleet() {
     run_ctest build-fleet -R 'Fleet|Streamed|DomainSeed|Parallel'
     local out="build-fleet/fleet-smoke"
     mkdir -p "$out"
-    # A 4-chassis fleet at two worker counts: both summaries must be
-    # strict JSON, account for every dispatched job, and match byte
-    # for byte.
-    for t in 1 3; do
-        ./build-fleet/tools/densim run --fleet 4 --threads "$t" \
-            --scheduler CF --load 0.7 \
-            --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2 \
-            --json > "$out/fleet-t$t.json"
+    # A 4-chassis fleet at every worker count up to one above the
+    # chassis count: every summary must be strict JSON, account for
+    # every dispatched job, and match byte for byte.
+    local args=(run --fleet 4 --scheduler CF --load 0.7
+                --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2
+                --json)
+    for t in 1 2 3 4 5; do
+        ./build-fleet/tools/densim "${args[@]}" --threads "$t" \
+            > "$out/fleet-t$t.json"
+        cmp "$out/fleet-t1.json" "$out/fleet-t$t.json"
     done
-    cmp "$out/fleet-t1.json" "$out/fleet-t3.json"
+    # Checkpointing is read-only, and the last cadence checkpoint
+    # (taken in the drain) resumes byte-identically at another worker
+    # count.
+    rm -f "$out/fleet.ckpt"
+    ./build-fleet/tools/densim "${args[@]}" --threads 3 \
+        --checkpoint "$out/fleet.ckpt" --ckpt-every 0.25 \
+        > "$out/fleet-ckpt.json"
+    cmp "$out/fleet-t1.json" "$out/fleet-ckpt.json"
+    ./build-fleet/tools/densim "${args[@]}" --threads 1 \
+        --restore "$out/fleet.ckpt" > "$out/fleet-resumed.json"
+    cmp "$out/fleet-t1.json" "$out/fleet-resumed.json"
     python3 - "$out/fleet-t1.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -223,7 +236,8 @@ assert doc["jobsDispatched"] == doc["jobsArrived"], doc
 assert len(doc["dispatchedPerShard"]) == 4, doc
 assert sum(doc["dispatchedPerShard"]) == doc["jobsDispatched"], doc
 print(f"fleet smoke: {doc['jobsDispatched']} jobs across "
-      f"{doc['chassis']} chassis, bit-identical at 1 and 3 workers")
+      f"{doc['chassis']} chassis, bit-identical at 1-5 workers and "
+      "through a checkpoint resume")
 EOF
 }
 

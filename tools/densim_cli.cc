@@ -70,8 +70,10 @@ usage()
         "  --counters           report observability counters/gauges\n"
         "  --trace FILE         trace path for trace-* commands\n"
         "  --jobs N             jobs to capture (trace-capture)\n"
-        "  --threads N          sweep/fleet worker threads (0 = all\n"
-        "                       cores)\n"
+        "  --threads N          sweep/fleet worker threads, the\n"
+        "                       calling thread included (0 = all\n"
+        "                       cores; never more than cells or\n"
+        "                       chassis)\n"
         "\n"
         "fleet-scale runs (DESIGN.md Sec. 15):\n"
         "  --fleet N            simulate N chassis shards in lockstep\n"
