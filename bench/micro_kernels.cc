@@ -53,23 +53,6 @@ BM_RcNetworkSteadySolve(benchmark::State &state)
 BENCHMARK(BM_RcNetworkSteadySolve)->Arg(4)->Arg(8)->Arg(12);
 
 void
-BM_RcNetworkFactorize(benchmark::State &state)
-{
-    // First solve on a fresh model: includes the one-time LU
-    // factorization that repeated solves (BM_RcNetworkSteadySolve)
-    // amortize away.
-    ChipStackParams params;
-    params.grid = static_cast<int>(state.range(0));
-    const PowerMap map = PowerMap::uniform(params.grid);
-    for (auto _ : state) {
-        const HotSpotModel model(params, HeatSink::fin30());
-        auto field = model.steady(Watts(15.0), map, Celsius(40.0));
-        benchmark::DoNotOptimize(field);
-    }
-}
-BENCHMARK(BM_RcNetworkFactorize)->Arg(4)->Arg(8)->Arg(12);
-
-void
 BM_CouplingPowerDelta(benchmark::State &state)
 {
     // Single-socket power change folded into an existing ambient

@@ -843,18 +843,11 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
     const std::size_t n = sim.topo_.numSockets();
 
     // The saved run was under a fan derate: rebuild the derated
-    // coupling operator exactly as applyFanFlowFraction does, but
-    // without retargeting — ambTargets_ and couplingEpoch_ were
-    // restored verbatim.
-    if (sim.couplingDerated_) {
-        const double frac = sim.faultState_.flowFrac();
-        std::vector<SocketSite> sites = sim.topo_.sites();
-        for (SocketSite &site : sites)
-            site.ductCfm = Cfm(site.ductCfm.value() * frac);
-        CouplingParams params = sim.config_.coupling;
-        params.kappaLocal /= frac;
-        sim.coupling_ = CouplingMap(std::move(sites), params);
-    }
+    // coupling operator as applyFanFlowFraction does, but without
+    // retargeting — ambTargets_ and couplingEpoch_ were restored
+    // verbatim.
+    if (sim.couplingDerated_)
+        sim.coupling_ = sim.deratedCoupling(sim.faultState_.flowFrac());
 
     // The completion list stays empty (resetState): at an epoch
     // boundary it holds nothing, and the next powerManage lists the
@@ -896,15 +889,8 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
     for (std::size_t s = 0; s < n; ++s)
         sim.refreshPenaltySnapshot(s);
 
-    // Re-wire the trace sink exactly as beginRun does.
-    if (!sim.config_.obsTracePath.empty()) {
-        sim.trace_.enable(true);
-        sim.trace_.setProcessName(std::string("densim:") +
-                                  sim.policy_->name());
-#if DENSIM_ENABLE_OBS
-        sim.profiler_.setSink(&sim.trace_);
-#endif
-    }
+    if (!sim.config_.obsTracePath.empty())
+        sim.enableTrace();
 
     sim.streamOpen_ = true;
     // Debug-build invariants on top of the audits above.

@@ -37,7 +37,7 @@
  *
  * What is serialized vs. rebuilt: every mutable floating-point
  * accumulator and per-socket array is stored as raw IEEE-754 bits;
- * everything construction-derived (topology, coupling LU cache,
+ * everything construction-derived (topology, coupling map,
  * P-state tables, fault timeline, sink caches) is rebuilt from
  * SimConfig; a busy socket's progress rate, relative frequency and
  * boost flag are read from those tables at its restored workload set

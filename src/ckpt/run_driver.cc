@@ -18,7 +18,7 @@ namespace densim::ckpt {
 namespace {
 
 // The only state a signal handler may touch: a lock-free flag polled
-// by the drive loops at epoch/window boundaries.
+// by the drive loop at epoch/window boundaries.
 volatile std::sig_atomic_t g_stop = 0;
 
 extern "C" void
@@ -36,6 +36,46 @@ std::uint64_t
 nextCadenceIndex(double now_s, double every)
 {
     return static_cast<std::uint64_t>(std::floor(now_s / every)) + 1;
+}
+
+/**
+ * The one drive loop, for an engine and a fleet alike: poll for a
+ * stop, take one @p step (an epoch or an exchange window; false once
+ * nothing is pending) and save on the fixed cadence grid.
+ * @p clock is the simulated time at the current boundary, @p save
+ * the checkpoint image of @p run.
+ */
+template <class Run, class Step, class Clock>
+DriveOutcome
+drive(Run &run, Step step, Clock clock,
+      std::string (*save)(const Run &))
+{
+    const SimConfig &config = run.config();
+    const double every = config.ckptEveryS;
+    const bool cadence = !config.ckptPath.empty() && every > 0.0;
+    std::uint64_t next_idx =
+        cadence ? nextCadenceIndex(clock(), every) : 0;
+    DriveOutcome out;
+    for (;;) {
+        if (stopRequested()) {
+            out.nowS = clock();
+            if (!config.ckptPath.empty()) {
+                writeCheckpointFile(config.ckptPath, save(run));
+                out.checkpointed = true;
+            }
+            flushSinks(run);
+            return out;
+        }
+        if (!step())
+            break;
+        if (cadence && clock() >= static_cast<double>(next_idx) * every) {
+            writeCheckpointFile(config.ckptPath, save(run));
+            next_idx = nextCadenceIndex(clock(), every);
+        }
+    }
+    out.completed = true;
+    out.nowS = clock();
+    return out;
 }
 
 } // namespace
@@ -80,72 +120,29 @@ beginEngineRun(DenseServerSim &sim)
 DriveOutcome
 driveEngine(DenseServerSim &sim)
 {
-    const SimConfig &config = sim.config();
-    const double every = config.ckptEveryS;
-    const bool cadence = !config.ckptPath.empty() && every > 0.0;
-    std::uint64_t next_idx =
-        cadence ? nextCadenceIndex(sim.nowS(), every) : 0;
-    while (sim.epochPending()) {
-        if (stopRequested()) {
-            DriveOutcome out;
-            out.nowS = sim.nowS();
-            if (!config.ckptPath.empty()) {
-                writeCheckpointFile(config.ckptPath, saveEngine(sim));
-                out.checkpointed = true;
-            }
-            flushSinks(sim);
-            return out;
-        }
-        sim.advanceEpoch();
-        if (cadence &&
-            sim.nowS() >= static_cast<double>(next_idx) * every) {
-            writeCheckpointFile(config.ckptPath, saveEngine(sim));
-            next_idx = nextCadenceIndex(sim.nowS(), every);
-        }
-    }
-    DriveOutcome out;
-    out.completed = true;
-    out.nowS = sim.nowS();
-    return out;
+    return drive(
+        sim,
+        [&] {
+            if (!sim.epochPending())
+                return false;
+            sim.advanceEpoch();
+            return true;
+        },
+        [&] { return sim.nowS(); }, &saveEngine);
 }
 
 DriveOutcome
 driveFleet(FleetSim &fleet, unsigned threads)
 {
-    const SimConfig &config = fleet.config();
-    const double window_s = config.fleet.epochS;
-    const double every = config.ckptEveryS;
-    const bool cadence = !config.ckptPath.empty() && every > 0.0;
     // The fleet clock is the window count; between windows every
     // shard sits at window_ * windowS.
-    double now_s =
-        static_cast<double>(fleet.windowsRun()) * window_s;
-    std::uint64_t next_idx =
-        cadence ? nextCadenceIndex(now_s, every) : 0;
-    for (;;) {
-        if (stopRequested()) {
-            DriveOutcome out;
-            out.nowS = now_s;
-            if (!config.ckptPath.empty()) {
-                writeCheckpointFile(config.ckptPath, saveFleet(fleet));
-                out.checkpointed = true;
-            }
-            flushSinks(fleet);
-            return out;
-        }
-        if (!fleet.advanceWindow(threads))
-            break;
-        now_s = static_cast<double>(fleet.windowsRun()) * window_s;
-        if (cadence &&
-            now_s >= static_cast<double>(next_idx) * every) {
-            writeCheckpointFile(config.ckptPath, saveFleet(fleet));
-            next_idx = nextCadenceIndex(now_s, every);
-        }
-    }
-    DriveOutcome out;
-    out.completed = true;
-    out.nowS = now_s;
-    return out;
+    return drive(
+        fleet, [&] { return fleet.advanceWindow(threads); },
+        [&] {
+            return static_cast<double>(fleet.windowsRun()) *
+                   fleet.config().fleet.epochS;
+        },
+        &saveFleet);
 }
 
 SimMetrics

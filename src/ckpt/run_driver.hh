@@ -1,8 +1,8 @@
 /**
  * @file
- * Checkpoint-aware run drivers: the loops that sit between the CLI
- * (or a sweep cell) and the streaming engine/fleet APIs, adding two
- * behaviours the engine itself deliberately knows nothing about
+ * Checkpoint-aware run drivers: the one loop that sits between the
+ * CLI (or a sweep cell) and the streaming engine/fleet APIs, adding
+ * two behaviours the engine itself deliberately knows nothing about
  * (DESIGN.md Sec. 16):
  *
  *  - cadence checkpoints: when config.ckptPath is set and
@@ -13,7 +13,7 @@
  *
  *  - graceful shutdown: installSignalHandlers() arms SIGINT/SIGTERM
  *    to set a volatile sig_atomic_t flag — the only thing the handler
- *    does, so it is async-signal-safe — and the drive loops poll it
+ *    does, so it is async-signal-safe — and the drive loop polls it
  *    at each boundary, writing a final checkpoint, flushing the obs
  *    sinks and returning instead of finishing.
  *
@@ -78,7 +78,10 @@ void beginEngineRun(DenseServerSim &sim);
  */
 DriveOutcome driveEngine(DenseServerSim &sim);
 
-/** Fleet counterpart of driveEngine() over advanceWindow(). */
+/**
+ * Fleet counterpart of driveEngine() over advanceWindow(): the same
+ * loop, stepping exchange windows instead of epochs.
+ */
 DriveOutcome driveFleet(FleetSim &fleet, unsigned threads = 1);
 
 /**

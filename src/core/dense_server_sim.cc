@@ -204,7 +204,7 @@ DenseServerSim::resetState()
         // A previous run's fan fault left derated coefficients in
         // place; restore the pristine map before any field is derived
         // from it.
-        coupling_ = CouplingMap(topo_.sites(), config_.coupling);
+        coupling_ = deratedCoupling(1.0);
         couplingDerated_ = false;
         ++couplingEpoch_;
     }
@@ -342,12 +342,8 @@ DenseServerSim::beginRun()
         warmStart();
 
     if (!config_.obsTracePath.empty()) {
-        trace_.enable(true);
-        trace_.setProcessName(std::string("densim:") +
-                              policy_->name());
-#if DENSIM_ENABLE_OBS
-        profiler_.setSink(&trace_);
-#else
+        enableTrace();
+#if !DENSIM_ENABLE_OBS
         warn("obs.tracePath is set but this build has no DENSIM_OBS; "
              "the trace will carry counter tracks only (no phase "
              "events)");
@@ -360,6 +356,16 @@ DenseServerSim::beginRun()
     streamHardStopS_ = config_.simTimeS * config_.drainFactor;
     streamOpen_ = true;
     arrivalsClosed_ = false;
+}
+
+void
+DenseServerSim::enableTrace()
+{
+    trace_.enable(true);
+    trace_.setProcessName(std::string("densim:") + policy_->name());
+#if DENSIM_ENABLE_OBS
+    profiler_.setSink(&trace_);
+#endif
 }
 
 void
@@ -577,10 +583,8 @@ DenseServerSim::thermalStep(double dt)
     }
 
     // Bank 1: socket ambient toward the coupling-map field (tau 30 s,
-    // Table III). One shared response fraction per bank — every
-    // tracker in a bank has the same tau, so this is bit-identical to
-    // the retired per-socket FirstOrderTracker::step and drops the
-    // per-socket exp() calls.
+    // Table III). One shared response fraction per bank: every
+    // tracker in a bank has the same tau, so one exp() serves all.
     const double amb_alpha = responseFraction(dt, config_.socketTauS);
     firstOrderStepBatch(ambientC_.data(), ambTargets_.data(), n,
                         amb_alpha);
@@ -1202,8 +1206,8 @@ DenseServerSim::abortRun(double now)
         std::to_string(now) + " s");
 }
 
-void
-DenseServerSim::applyFanFlowFraction(double flow_frac)
+CouplingMap
+DenseServerSim::deratedCoupling(double flow_frac) const
 {
     std::vector<SocketSite> sites = topo_.sites();
     for (SocketSite &site : sites)
@@ -1212,7 +1216,13 @@ DenseServerSim::applyFanFlowFraction(double flow_frac)
     // The first-law rise per watt scales as 1/CFM; the local
     // recirculation term grows by the same factor.
     params.kappaLocal /= flow_frac;
-    coupling_ = CouplingMap(std::move(sites), params);
+    return CouplingMap(std::move(sites), params);
+}
+
+void
+DenseServerSim::applyFanFlowFraction(double flow_frac)
+{
+    coupling_ = deratedCoupling(flow_frac);
     couplingDerated_ = flow_frac != 1.0;
     ++couplingEpoch_;
     faultState_.setFlowFrac(flow_frac);

@@ -180,9 +180,9 @@ class DenseServerSim
      * Checkpoint serializer (src/ckpt, DESIGN.md Sec. 16). It reads
      * and writes the engine's mutable state directly at an epoch
      * boundary; everything construction-derived (topology, coupling
-     * LU cache, P-state tables, fault timeline) is rebuilt from
-     * SimConfig on restore rather than serialized. Keeping access
-     * here — instead of a wide public state API — means the streaming
+     * map, P-state tables, fault timeline) is rebuilt from SimConfig
+     * on restore rather than serialized. Keeping access here —
+     * instead of a wide public state API — means the streaming
      * interface stays the engine's only behavioral surface.
      */
     friend class CkptAccess;
@@ -190,6 +190,9 @@ class DenseServerSim
     // --- run phases -------------------------------------------------
     void resetState();
     void warmStart();
+    /** Point the Chrome-trace sink (and, in a DENSIM_OBS build, the
+     *  phase profiler) at a run that writes obs.tracePath. */
+    void enableTrace();
     SimMetrics runJobs(const std::vector<Job> &jobs);
     DENSIM_HOT void thermalStep(double dt);
     /** Re-decide every busy socket at @p now, then list the
@@ -229,6 +232,10 @@ class DenseServerSim
      *  Cold by design: a fan fault rebuilds the whole coupling
      *  operator, deliberately outside the epoch heap contract. */
     DENSIM_COLD void applyFanFlowFraction(double flow_frac);
+    /** The coupling map with every duct's flow scaled by
+     *  @p flow_frac and the local recirculation by its inverse; at
+     *  1.0 the pristine map (x * 1.0 and x / 1.0 are exact). */
+    CouplingMap deratedCoupling(double flow_frac) const;
     /** Boost cap for powerManage/placeJob, honoring the throttle. */
     std::size_t dvfsCap(std::size_t socket) const;
     /** Record (log + trace + counter hook) one fault event.

@@ -8,7 +8,6 @@
 
 #include "core/config_io.hh"
 #include "obs/json.hh"
-#include "obs/trace.hh"
 #include "sched/factory.hh"
 #include "util/digest.hh"
 #include "util/fs.hh"
@@ -18,23 +17,6 @@
 namespace densim {
 
 namespace {
-
-/** Rewrite a spec's obs sinks to per-run file names (run @p i). */
-RunSpec
-perRunSpec(const RunSpec &spec, std::size_t i)
-{
-    RunSpec out = spec;
-    if (!out.config.obsTracePath.empty())
-        out.config.obsTracePath =
-            obs::perRunPath(out.config.obsTracePath, i);
-    if (!out.config.obsTimelinePath.empty())
-        out.config.obsTimelinePath =
-            obs::perRunPath(out.config.obsTimelinePath, i);
-    if (!out.config.fault.logPath.empty())
-        out.config.fault.logPath =
-            obs::perRunPath(out.config.fault.logPath, i);
-    return out;
-}
 
 /** Digests already completed according to the resume manifest. */
 std::set<std::string>
@@ -68,15 +50,11 @@ runOne(const RunSpec &spec)
 std::vector<RunResult>
 runAll(const std::vector<RunSpec> &specs, unsigned threads)
 {
-    if (specs.empty())
-        return {};
-    std::vector<RunResult> results(specs.size());
-    const bool per_run = specs.size() > 1;
-    parallelFor(specs.size(), threads, [&](std::size_t i) {
-        results[i] =
-            runOne(per_run ? perRunSpec(specs[i], i) : specs[i]);
-    });
-    return results;
+    SweepOptions options;
+    options.threads = threads;
+    const std::vector<RunOutcome> outcomes =
+        runAllOutcomes(specs, options);
+    return {outcomes.begin(), outcomes.end()};
 }
 
 std::string
@@ -95,6 +73,8 @@ runAllOutcomes(const std::vector<RunSpec> &specs,
     std::vector<RunOutcome> outcomes(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         outcomes[i].spec = specs[i];
+        if (specs.size() > 1)
+            outcomes[i].spec.config = perRunSinks(specs[i].config, i);
         outcomes[i].digest = runDigest(specs[i]);
     }
 
@@ -126,26 +106,24 @@ runAllOutcomes(const std::vector<RunSpec> &specs,
         std::optional<ScopedFatalThrows> guard;
         if (options.keepGoing)
             guard.emplace();
-        const bool per_run = specs.size() > 1;
         parallelFor(specs.size(), options.threads, [&](std::size_t i) {
             RunOutcome &outcome = outcomes[i];
             if (outcome.skipped)
                 return;
-            const RunSpec spec =
-                per_run ? perRunSpec(specs[i], i) : specs[i];
-            const auto runCell = [&](const RunSpec &s) {
-                return options.cellRunner ? options.cellRunner(s)
-                                          : runOne(s).metrics;
+            const auto runCell = [&] {
+                return options.cellRunner
+                           ? options.cellRunner(outcome.spec)
+                           : runOne(outcome.spec).metrics;
             };
             if (options.keepGoing) {
                 try {
-                    outcome.metrics = runCell(spec);
+                    outcome.metrics = runCell();
                     outcome.ok = true;
                 } catch (const std::exception &e) {
                     outcome.error = e.what();
                 }
             } else {
-                outcome.metrics = runCell(spec);
+                outcome.metrics = runCell();
                 outcome.ok = true;
             }
             if (outcome.ok && manifest.is_open()) {

@@ -29,7 +29,7 @@ struct RunSpec
 /** Result of one cell. */
 struct RunResult
 {
-    RunSpec spec;
+    RunSpec spec;       //!< As run: with its per-run sink paths.
     SimMetrics metrics;
 };
 
@@ -38,31 +38,27 @@ RunResult runOne(const RunSpec &spec);
 
 /**
  * Run all cells, using up to @p threads worker threads, the calling
- * thread included (0 = hardware concurrency). Results are returned
- * in input order; execution order is unspecified but each run is
- * independently seeded and deterministic, so the results are
- * identical for every thread count. An empty @p specs yields an
- * empty result, and the first exception thrown by a worker is
- * rethrown here after the pool drains (util/parallel.hh).
- *
- * Observability sinks are merge-safe: when more than one cell is run
- * and a spec sets obs.tracePath / obs.timelinePath, the path is
- * rewritten to a per-run name ("trace.json" -> "trace-run3.json",
- * obs::perRunPath) so concurrent cells never write the same file.
+ * thread included (0 = hardware concurrency): runAllOutcomes with
+ * default options. Results are returned in input order; execution
+ * order is unspecified but each run is independently seeded and
+ * deterministic, so the results are identical for every thread
+ * count. An empty @p specs yields an empty result, and the first
+ * exception thrown by a worker is rethrown here after the pool
+ * drains (util/parallel.hh).
  */
 std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
                               unsigned threads = 0);
 
 /**
- * Outcome of one cell under the keep-going harness. Exactly one of
- * three states: skipped (resume manifest already had the digest),
- * ok (metrics valid), or failed (error holds the diagnostic).
+ * Outcome of one cell under the keep-going harness: its result plus
+ * exactly one of three states: skipped (resume manifest already had
+ * the digest), ok (metrics valid), or failed (error holds the
+ * diagnostic). metrics is valid only when ok and not skipped.
  */
-struct RunOutcome
+struct RunOutcome : RunResult
 {
-    RunSpec spec;
-    SimMetrics metrics;   //!< Valid only when ok and not skipped.
-    std::string digest;   //!< runDigest(spec): resume identity.
+    /** runDigest of the spec as given, before per-run sink names. */
+    std::string digest;
     bool ok = false;
     bool skipped = false;
     std::string error;    //!< One-line diagnostic when !ok.
@@ -77,7 +73,7 @@ struct SweepOptions
     std::string resumePath;  //!< Append-as-completed digest manifest.
     /**
      * Optional cell-runner override: invoked instead of runOne() for
-     * every non-skipped cell (after per-run sink rewriting).
+     * every non-skipped cell (with its per-run sink paths).
      * Installed by checkpoint-aware sweeps (ckpt/run_driver.hh,
      * runCellCheckpointed) so an interrupted cell resumes mid-run
      * from its checkpoint instead of restarting; a std::function
@@ -96,14 +92,16 @@ struct SweepOptions
 std::string runDigest(const RunSpec &spec);
 
 /**
- * runAll with per-cell fault containment. With keepGoing set, a cell
- * that throws (including fatal() diagnostics, which are converted to
- * exceptions for the workers' duration) is captured as a failed
- * RunOutcome and every other cell still runs; without it the first
- * failure propagates exactly like runAll. When resumePath names a
- * manifest, cells whose digest appears in it are skipped, and every
- * cell that completes is appended, so re-invoking after a crash picks
- * up where the sweep stopped (failed cells are re-attempted). When
+ * The sweep harness behind runAll and `densim sweep`. When more than
+ * one cell runs, each cell runs under perRunSinks(config, index), so
+ * concurrent cells never write the same sink file. With keepGoing
+ * set, a cell that throws (including fatal() diagnostics, which are
+ * converted to exceptions for the workers' duration) is captured as
+ * a failed RunOutcome and every other cell still runs; without it
+ * the first failure propagates. When resumePath names a manifest,
+ * cells whose digest appears in it are skipped, and every cell that
+ * completes is appended, so re-invoking after a crash picks up where
+ * the sweep stopped (failed cells are re-attempted). When
  * summaryPath is set the sweepSummaryJson document is written there.
  */
 std::vector<RunOutcome>

@@ -79,7 +79,6 @@ struct SimMetrics
     Joules energy() const { return Joules(energyJ); }
     Seconds measured() const { return Seconds(measuredS); }
     Seconds makespan() const { return Seconds(makespanS); }
-    Celsius maxChipTemp() const { return Celsius(maxChipTempC); }
 
     /** Energy-delay-squared product. */
     double ed2() const;

@@ -1,5 +1,6 @@
 #include "core/sim_config.hh"
 
+#include "obs/trace.hh"
 #include "util/fs.hh"
 #include "util/logging.hh"
 
@@ -79,6 +80,19 @@ SimConfig::validate() const
     checkSinkPath("fault.logPath", fault.logPath);
     fault.validate(tLimit());
     fleet.validate(pmEpochS);
+}
+
+SimConfig
+perRunSinks(SimConfig config, std::size_t run)
+{
+    const auto rename = [run](std::string &path) {
+        if (!path.empty())
+            path = obs::perRunPath(path, run);
+    };
+    rename(config.obsTracePath);
+    rename(config.obsTimelinePath);
+    rename(config.fault.logPath);
+    return config;
 }
 
 } // namespace densim

@@ -19,6 +19,7 @@
 #ifndef DENSIM_CORE_SIM_CONFIG_HH
 #define DENSIM_CORE_SIM_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -96,9 +97,8 @@ struct SimConfig
 
     // Observability sinks (src/obs, DESIGN.md Sec. 10). Set by the
     // CLI/config keys "obs.tracePath" / "obs.timelinePath"; each run
-    // writes its file when the run finishes. Experiment::runAll
-    // rewrites both to per-run names so parallel grid cells never
-    // collide (obs::perRunPath).
+    // writes its file when the run finishes. Grids and fleets give
+    // each run its own names (perRunSinks).
     /**
      * Chrome trace_event JSON output path; "" disables. Phase-timer
      * events require a DENSIM_OBS build — without it the engine
@@ -195,13 +195,20 @@ struct SimConfig
     // dimension-checked way into the model layer.
     Celsius tLimit() const { return Celsius(tLimitC); }
     KelvinPerWatt rInt() const { return KelvinPerWatt(rIntCW); }
-    Seconds pmEpoch() const { return Seconds(pmEpochS); }
-    Seconds simTime() const { return Seconds(simTimeS); }
-    Watts fanPower() const { return Watts(fanPowerW); }
 
     /** Validate ranges; fatal() on nonsense. */
     void validate() const;
 };
+
+/**
+ * @p config with every sink path it sets (obs.tracePath,
+ * obs.timelinePath, fault.logPath) renamed for run @p run by
+ * obs::perRunPath ("faults.jsonl" -> "faults-run2.jsonl"). The one
+ * rule for runs that share a configuration: the cells of a grid
+ * (Experiment) and the shards of a fleet (FleetSim) never write the
+ * same file.
+ */
+SimConfig perRunSinks(SimConfig config, std::size_t run);
 
 } // namespace densim
 

@@ -109,8 +109,8 @@ struct FaultConfig
 
     /**
      * JSONL log of every applied fault and escalation event; ""
-     * disables. Experiment::runAll rewrites it per run like the obs
-     * sinks.
+     * disables. Grids and fleets rename it per run like the obs
+     * sinks (perRunSinks, core/sim_config.hh).
      */
     std::string logPath;
 

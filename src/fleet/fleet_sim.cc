@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/invariant.hh"
-#include "obs/trace.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -26,7 +25,8 @@ FleetSim::FleetSim(const SimConfig &config,
     shards_.reserve(config.fleet.chassis);
     for (std::size_t shard = 0; shard < config.fleet.chassis;
          ++shard) {
-        SimConfig shardConfig = config;
+        // One set of sink files per shard.
+        SimConfig shardConfig = perRunSinks(config, shard);
         // Every shard stream descends from domainSeed, never from
         // xor-ing a shard index into the user seed: the engine's
         // internal streams (policy, sensor, fault) are derived from
@@ -34,14 +34,6 @@ FleetSim::FleetSim(const SimConfig &config,
         // alias another shard's or any fault stream.
         shardConfig.seed = domainSeed(fleetSeed_, shard,
                                       fleet_stream::kShardEngine);
-        // One obs sink per shard, following the Experiment per-run
-        // path convention.
-        if (!shardConfig.obsTracePath.empty())
-            shardConfig.obsTracePath =
-                obs::perRunPath(shardConfig.obsTracePath, shard);
-        if (!shardConfig.obsTimelinePath.empty())
-            shardConfig.obsTimelinePath =
-                obs::perRunPath(shardConfig.obsTimelinePath, shard);
         shards_.push_back(std::make_unique<DenseServerSim>(
             shardConfig, makeScheduler(scheduler)));
     }

@@ -98,8 +98,9 @@ class TraceSink
 
 /**
  * Derive a merge-safe per-run output path: "runs/trace.json" with run
- * index 3 becomes "runs/trace-run3.json". Used by Experiment::runAll
- * so parallel runs never write the same trace or timeline file.
+ * index 3 becomes "runs/trace-run3.json". perRunSinks
+ * (core/sim_config.hh) applies it to every sink of a grid cell or a
+ * fleet shard, so no two runs write the same file.
  */
 std::string perRunPath(const std::string &path, std::size_t run);
 

@@ -19,9 +19,10 @@
  * lookup, Eq. (1), two-pass leakage compensation), never the detailed
  * evaluation models.
  *
- * Two knobs exist for the ablation benches only: a downstream weight
- * (0 reduces CP to row-restricted Predictive) and a global-search
- * flag (evaluate all idle sockets instead of one random row).
+ * Two knobs exist for the ablation benches and for Predictive: a
+ * downstream weight (0 reduces CP to row-restricted Predictive) and a
+ * global-search flag (evaluate all idle sockets instead of one random
+ * row); with both, CP is Predictive (sched/predictive.hh).
  */
 
 #ifndef DENSIM_SCHED_COUPLING_PREDICTOR_HH
@@ -49,9 +50,6 @@ class CouplingPredictor : public Scheduler
         "row-tally fallback for contexts without engine row counts; "
         "the engine path allocates nothing")
     std::size_t pick(const Job &job, const SchedContext &ctx) override;
-
-    double downstreamWeight() const { return downstreamWeight_; }
-    bool globalSearch() const { return globalSearch_; }
 
   private:
     std::size_t pickWithin(const Job &job, const SchedContext &ctx,

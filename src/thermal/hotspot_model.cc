@@ -163,7 +163,7 @@ HotSpotModel::HotSpotModel(const ChipStackParams &stack_params,
     net_.connectAmbient(sinkNode_, sink_.rExt);
 }
 
-const std::vector<double> &
+std::vector<double>
 HotSpotModel::nodePowers(Watts power, const PowerMap &map) const
 {
     if (map.grid() != params_.grid)
@@ -172,10 +172,10 @@ HotSpotModel::nodePowers(Watts power, const PowerMap &map) const
     const double power_w = power.value();
     if (power_w < 0.0)
         fatal("HotSpotModel: negative power ", power_w);
-    powerScratch_.assign(net_.size(), 0.0);
+    std::vector<double> powers(net_.size(), 0.0);
     for (std::size_t i = 0; i < cellNodes_.size(); ++i)
-        powerScratch_[cellNodes_[i]] = power_w * map.fractions()[i];
-    return powerScratch_;
+        powers[cellNodes_[i]] = power_w * map.fractions()[i];
+    return powers;
 }
 
 ChipThermalField

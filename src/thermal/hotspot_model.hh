@@ -152,18 +152,13 @@ class HotSpotModel
     const HeatSink &sink() const { return sink_; }
 
   private:
-    /**
-     * Expand a power map into the per-node injection vector. Returns
-     * a reference to an internal scratch buffer (valid until the next
-     * call) so the steady/transient hot loops do not allocate.
-     */
-    const std::vector<double> &nodePowers(Watts power,
-                                          const PowerMap &map) const;
+    /** Expand a power map into the per-node injection vector. */
+    std::vector<double> nodePowers(Watts power,
+                                   const PowerMap &map) const;
 
     ChipStackParams params_;
     HeatSink sink_;
     RCNetwork net_;
-    mutable std::vector<double> powerScratch_;
     std::vector<NodeId> cellNodes_; //!< Die cells (power inputs).
     std::vector<NodeId> baseNodes_; //!< Sink base plate cells.
     NodeId sinkNode_;               //!< Lumped fin/sink node.

@@ -16,15 +16,7 @@ RCNetwork::addNode(std::string node_name, JoulePerKelvin node_capacitance)
         fatal("RCNetwork: negative capacitance for node '", node_name,
               "'");
     nodes_.push_back(Node{std::move(node_name), node_capacitance.value()});
-    invalidateCaches();
     return nodes_.size() - 1;
-}
-
-void
-RCNetwork::invalidateCaches()
-{
-    fact_.valid = false;
-    stableStepS_ = -1.0;
 }
 
 void
@@ -46,7 +38,6 @@ RCNetwork::connect(NodeId a, NodeId b, KelvinPerWatt resistance)
         fatal("RCNetwork: resistance must be positive, got ",
               resistance.value());
     edges_.push_back(Edge{a, b, 1.0 / resistance.value()});
-    invalidateCaches();
 }
 
 void
@@ -57,7 +48,6 @@ RCNetwork::connectAmbient(NodeId a, KelvinPerWatt resistance)
         fatal("RCNetwork: ambient resistance must be positive, got ",
               resistance.value());
     nodes_[a].ambientConductance += 1.0 / resistance.value();
-    invalidateCaches();
 }
 
 const std::string &
@@ -74,18 +64,23 @@ RCNetwork::capacitance(NodeId a) const
     return JoulePerKelvin(nodes_[a].capacitance);
 }
 
-const RCNetwork::Factorization &
-RCNetwork::factorization() const
+std::vector<double>
+RCNetwork::steadyState(const std::vector<double> &powers_w,
+                       Celsius ambient) const
 {
-    if (fact_.valid)
-        return fact_;
-
-    // Build the dense conductance matrix G.
+    const double t_ambient = ambient.value();
     const std::size_t n = nodes_.size();
-    std::vector<double> &g = fact_.lu;
-    g.assign(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
+    if (powers_w.size() != n)
+        panic("RCNetwork::steadyState: ", powers_w.size(),
+              " powers for ", n, " nodes");
+
+    // Build the dense conductance matrix G and the right-hand side.
+    std::vector<double> g(n * n, 0.0);
+    std::vector<double> rhs(n);
+    for (std::size_t i = 0; i < n; ++i) {
         g[i * n + i] = nodes_[i].ambientConductance;
+        rhs[i] = powers_w[i] + nodes_[i].ambientConductance * t_ambient;
+    }
     for (const Edge &e : edges_) {
         g[e.a * n + e.a] += e.conductance;
         g[e.b * n + e.b] += e.conductance;
@@ -93,12 +88,9 @@ RCNetwork::factorization() const
         g[e.b * n + e.a] -= e.conductance;
     }
 
-    // Gaussian elimination with partial pivoting. The multiplier of
-    // each eliminated entry is stored in its (otherwise dead) lower-
-    // triangle slot, so a later solve can replay exactly the updates
-    // the elimination would have applied to its right-hand side.
-    std::vector<std::size_t> &perm = fact_.perm;
-    perm.resize(n);
+    // Gaussian elimination with partial pivoting, rows swapped
+    // through the permutation rather than in memory.
+    std::vector<std::size_t> perm(n);
     for (std::size_t i = 0; i < n; ++i)
         perm[i] = i;
     for (std::size_t col = 0; col < n; ++col) {
@@ -123,61 +115,26 @@ RCNetwork::factorization() const
             if (factor != 0.0) {
                 for (std::size_t c = col + 1; c < n; ++c)
                     g[row * n + c] -= factor * g[prow * n + c];
-            }
-            g[row * n + col] = factor;
-        }
-    }
-    fact_.valid = true;
-    return fact_;
-}
-
-std::vector<double>
-RCNetwork::steadyState(const std::vector<double> &powers_w,
-                       Celsius ambient) const
-{
-    const double t_ambient = ambient.value();
-    const std::size_t n = nodes_.size();
-    if (powers_w.size() != n)
-        panic("RCNetwork::steadyState: ", powers_w.size(),
-              " powers for ", n, " nodes");
-
-    const Factorization &f = factorization();
-    const std::vector<double> &lu = f.lu;
-    const std::vector<std::size_t> &perm = f.perm;
-
-    std::vector<double> rhs(n);
-    for (std::size_t i = 0; i < n; ++i)
-        rhs[i] = powers_w[i] + nodes_[i].ambientConductance * t_ambient;
-
-    // Forward substitution: apply the stored multipliers in the order
-    // the elimination produced them.
-    for (std::size_t col = 0; col < n; ++col) {
-        const std::size_t prow = perm[col];
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const std::size_t row = perm[r];
-            const double factor = lu[row * n + col];
-            if (factor != 0.0)
                 rhs[row] -= factor * rhs[prow];
+            }
         }
     }
+
+    // Back substitution; unknowns come out in column order, which is
+    // node order (columns are never permuted).
     std::vector<double> temps(n, 0.0);
     for (std::size_t ri = n; ri-- > 0;) {
         const std::size_t row = perm[ri];
         double acc = rhs[row];
         for (std::size_t c = ri + 1; c < n; ++c)
-            acc -= lu[row * n + c] * temps[c];
-        temps[ri] = acc / lu[row * n + ri];
+            acc -= g[row * n + c] * temps[c];
+        temps[ri] = acc / g[row * n + ri];
     }
 
-    // Undo the column ordering: unknowns were solved in column order,
-    // which equals node order here (columns were never permuted).
-
 #if DENSIM_ENABLE_PARANOID
-    // Spot re-solve: check the solution against the network as it
-    // exists *now* by recomputing each node's heat balance from the
-    // live node/edge lists. A stale or corrupted factorization (a
-    // mutation that failed to invalidate the cache) leaves a nonzero
-    // nodal residual even though the substitution itself succeeded.
+    // Solver check: recompute each node's heat balance from the
+    // node/edge lists. A wrong elimination or substitution leaves a
+    // nonzero nodal residual.
     double scale = 1.0;
     for (std::size_t i = 0; i < n; ++i)
         scale = std::max(scale, std::fabs(powers_w[i]));
@@ -193,7 +150,7 @@ RCNetwork::steadyState(const std::vector<double> &powers_w,
     }
     for (std::size_t i = 0; i < n; ++i) {
         DENSIM_PARANOID(std::fabs(residual[i]) <= 1e-6 * scale,
-                        "RCNetwork: cached factorization is stale — "
+                        "RCNetwork: steady-state solve is off — "
                         "heat residual ", residual[i], " W at node '",
                         nodes_[i].name, "'");
     }
@@ -211,20 +168,9 @@ RCNetwork::steadyState(const std::vector<double> &powers_w,
     return temps;
 }
 
-void
-RCNetwork::debugCorruptFactorization()
-{
-    factorization();
-    // Scaling one pivot is enough to derail every later substitution
-    // while keeping the cache flagged valid.
-    fact_.lu[0] = fact_.lu[0] * 3.0 + 1.0;
-}
-
 Seconds
 RCNetwork::stableStep() const
 {
-    if (stableStepS_ >= 0.0)
-        return Seconds(stableStepS_);
     const std::size_t n = nodes_.size();
     std::vector<double> gtot(n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
@@ -243,8 +189,7 @@ RCNetwork::stableStep() const
             dt = std::min(dt, nodes_[i].capacitance / gtot[i]);
     }
     // Safety factor below the explicit-Euler limit.
-    stableStepS_ = 0.5 * dt;
-    return Seconds(stableStepS_);
+    return Seconds(0.5 * dt);
 }
 
 void

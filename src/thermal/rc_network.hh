@@ -9,19 +9,13 @@
  *
  *  - steadyState(): solve G*T = P + G_amb*T_amb by dense Gaussian
  *    elimination with partial pivoting (node counts here are a few
- *    hundred at most). The factorization of G depends only on the
- *    network structure, so it is computed once and cached; repeated
- *    solves with different power maps pay only the O(n^2)
- *    substitution (the classic HotSpot steady-state optimization).
- *    Mutating the network (addNode/connect/connectAmbient)
- *    invalidates the cache;
+ *    hundred at most);
  *  - transientStep(): advance node temperatures by explicit Euler with
  *    automatic sub-stepping below the stability limit
- *    min_i C_i / Gtot_i (also cached against structural changes).
+ *    min_i C_i / Gtot_i.
  *
- * The caches are lazily filled inside const queries; concurrent
- * first-time queries on the *same* network object from multiple
- * threads are not synchronized. Distinct networks are independent.
+ * Queries keep no state, so const queries are safe from several
+ * threads at once.
  *
  * The electrical analogy is exact: temperature = voltage, heat flow =
  * current, so steady state conserves energy (total injected power
@@ -101,17 +95,6 @@ class RCNetwork
     /** Largest stable explicit-Euler step. */
     Seconds stableStep() const;
 
-    /**
-     * Test-only: corrupt the cached LU factorization in place (the
-     * cache is filled first if empty). A subsequent steadyState() in
-     * a DENSIM_PARANOID build must trip the nodal-residual
-     * DENSIM_CHECK — the negative test of the invariant layer. In
-     * normal builds the corruption silently yields wrong
-     * temperatures, which is exactly the failure mode the paranoid
-     * check exists to catch.
-     */
-    void debugCorruptFactorization();
-
   private:
     struct Node
     {
@@ -127,27 +110,10 @@ class RCNetwork
         double conductance;
     };
 
-    /**
-     * Cached LU factorization of the conductance matrix (partial
-     * pivoting). `lu` holds U in the (row-permuted) upper triangle and
-     * the elimination multipliers in the lower triangle; `perm` is the
-     * row permutation.
-     */
-    struct Factorization
-    {
-        std::vector<double> lu;
-        std::vector<std::size_t> perm;
-        bool valid = false;
-    };
-
     void checkNode(NodeId a) const;
-    void invalidateCaches();
-    const Factorization &factorization() const;
 
     std::vector<Node> nodes_;
     std::vector<Edge> edges_;
-    mutable Factorization fact_;
-    mutable double stableStepS_ = -1.0; //!< Cached; < 0 means stale.
 };
 
 } // namespace densim

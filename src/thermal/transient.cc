@@ -6,20 +6,6 @@
 
 namespace densim {
 
-FirstOrderTracker::FirstOrderTracker(double tau_seconds, double initial)
-    : tau_(tau_seconds), value_(initial)
-{
-    if (tau_ <= 0.0)
-        fatal("FirstOrderTracker: tau must be positive, got ", tau_);
-}
-
-double
-FirstOrderTracker::step(double target, double dt_seconds)
-{
-    value_ += (target - value_) * responseFraction(dt_seconds, tau_);
-    return value_;
-}
-
 double
 responseFraction(double dt_seconds, double tau_seconds)
 {

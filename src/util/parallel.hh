@@ -1,7 +1,8 @@
 /**
  * @file
  * A worker pool over an index range with exception propagation: the
- * pool behind Experiment::runAll (one-shot, through parallelFor) and
+ * pool behind the sweep harness (core/experiment.hh, one-shot through
+ * parallelFor) and
  * the fleet shard barrier (fleet/fleet_sim.hh, which keeps one pool
  * for the fleet's lifetime).
  *

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/logging.hh"
 
 namespace densim {
 
@@ -102,61 +101,6 @@ coefficientOfVariation(const std::vector<double> &xs)
     for (double x : xs)
         s.add(x);
     return s.cov();
-}
-
-double
-percentile(std::vector<double> xs, double p)
-{
-    if (xs.empty())
-        panic("percentile of empty sample");
-    return *tryPercentile(std::move(xs), p);
-}
-
-std::optional<double>
-tryPercentile(std::vector<double> xs, double p)
-{
-    if (p < 0.0 || p > 100.0)
-        panic("percentile ", p, " outside [0, 100]");
-    if (xs.empty())
-        return std::nullopt;
-    std::sort(xs.begin(), xs.end());
-    if (xs.size() == 1)
-        return xs.front();
-    const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    if (!(hi > lo) || bins == 0)
-        panic("Histogram requires hi > lo and bins > 0");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<long>(std::floor((x - lo_) / width));
-    idx = std::clamp(idx, 0L, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-std::size_t
-Histogram::binCount(std::size_t i) const
-{
-    return counts_.at(i);
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
 }
 
 } // namespace densim

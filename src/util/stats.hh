@@ -1,17 +1,15 @@
 /**
  * @file
  * Summary statistics used throughout densim: running (Welford)
- * accumulators, coefficient of variation, percentiles, and fixed-bin
- * histograms. The paper reports means, coefficients of variation
- * (Figs. 5b, 6b) and distribution tails (Fig. 6a), so these are core
- * reporting primitives rather than test-only helpers.
+ * accumulators and the coefficient of variation. The paper reports
+ * means and coefficients of variation (Figs. 5b, 6b), so these are
+ * core reporting primitives rather than test-only helpers.
  */
 
 #ifndef DENSIM_UTIL_STATS_HH
 #define DENSIM_UTIL_STATS_HH
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace densim {
@@ -104,54 +102,6 @@ double stddev(const std::vector<double> &xs);
  * spread in Fig. 5(b) and Fig. 6(b): stddev / mean.
  */
 double coefficientOfVariation(const std::vector<double> &xs);
-
-/**
- * Linear-interpolated percentile, p in [0, 100]. The input need not be
- * sorted; a sorted copy is made. An empty sample panic()s — use this
- * where emptiness is a programmer error; reporting paths that may
- * legitimately see zero samples (e.g. a run that completed no jobs)
- * should call tryPercentile() instead.
- */
-double percentile(std::vector<double> xs, double p);
-
-/**
- * Total variant of percentile(): std::nullopt on an empty sample
- * instead of a panic (p outside [0, 100] still panics — that is
- * always a programmer error).
- */
-std::optional<double> tryPercentile(std::vector<double> xs, double p);
-
-/**
- * Fixed-width-bin histogram over [lo, hi); samples outside the range
- * are clamped into the edge bins.
- */
-class Histogram
-{
-  public:
-    /** Create a histogram with @p bins bins spanning [lo, hi). */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Count in bin @p i. */
-    std::size_t binCount(std::size_t i) const;
-
-    /** Inclusive lower edge of bin @p i. */
-    double binLow(std::size_t i) const;
-
-    /** Number of bins. */
-    std::size_t bins() const { return counts_.size(); }
-
-    /** Total number of samples added. */
-    std::size_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
 
 } // namespace densim
 

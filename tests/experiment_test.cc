@@ -311,6 +311,42 @@ TEST(Experiment, DeterministicAcrossThreadCounts)
     }
 }
 
+TEST(Experiment, SinksAreRewrittenPerRun)
+{
+    // Cells of one grid share a configuration, so each writes its
+    // sinks under its own per-run name, and each result carries the
+    // spec it ran, paths included.
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "densim_grid_sinks";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SimConfig config = gridConfig();
+    config.timelineSampleS = 0.25;
+    config.obsTracePath = (dir / "trace.json").string();
+    config.obsTimelinePath = (dir / "timeline.jsonl").string();
+    config.fault.logPath = (dir / "faults.jsonl").string();
+    const std::vector<RunResult> results = runAll(
+        makeGrid({"CF", "CP"}, WorkloadSet::Computation, {0.5}, config),
+        2);
+    ASSERT_EQ(results.size(), 2u);
+
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const std::string tag = "-run" + std::to_string(i);
+        const SimConfig &ran = results[i].spec.config;
+        EXPECT_EQ(ran.obsTracePath,
+                  (dir / ("trace" + tag + ".json")).string());
+        EXPECT_EQ(ran.obsTimelinePath,
+                  (dir / ("timeline" + tag + ".jsonl")).string());
+        EXPECT_EQ(ran.fault.logPath,
+                  (dir / ("faults" + tag + ".jsonl")).string());
+        for (const std::string &path :
+             {ran.obsTracePath, ran.obsTimelinePath, ran.fault.logPath})
+            EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    }
+    for (const char *file : {"trace.json", "timeline.jsonl", "faults.jsonl"})
+        EXPECT_FALSE(std::filesystem::exists(dir / file)) << file;
+}
+
 TEST(Experiment, IndexResultsKeysBySchedulerAndLoad)
 {
     const std::vector<RunSpec> specs = makeGrid(

@@ -8,6 +8,9 @@
  */
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -197,6 +200,42 @@ TEST(FleetSim, EveryArrivalIsDispatchedAndAccounted)
     // The fleet drains: everything dispatched either completed
     // (possibly during warmup, uncounted) or is reported unfinished.
     EXPECT_EQ(m.jobsUnfinished, 0u);
+}
+
+TEST(FleetSim, FaultLogIsWrittenPerShard)
+{
+    // Every shard writes its own fault log under the grid's per-run
+    // names; one shared path would keep only the last shard's events.
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "densim_fleet_faults";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SimConfig config = fleetConfig(3);
+    config.fault.socketFailCount = 2;
+    config.fault.socketFailS = 0.3;
+    config.fault.logPath = (dir / "faults.jsonl").string();
+    FleetSim fleet(config, "CF");
+    (void)fleet.run(2);
+
+    EXPECT_FALSE(std::filesystem::exists(dir / "faults.jsonl"));
+    std::map<std::string, std::uint64_t> counters;
+    for (const auto &c : fleet.observability().counters())
+        counters[c.name] = c.value;
+    for (std::size_t s = 0; s < 3; ++s) {
+        SCOPED_TRACE("shard " + std::to_string(s));
+        std::ifstream log(dir /
+                          ("faults-run" + std::to_string(s) + ".jsonl"));
+        ASSERT_TRUE(log.good());
+        std::uint64_t fails = 0;
+        for (std::string line; std::getline(log, line);)
+            fails += line.find("\"kind\":\"socketFail\"") !=
+                     std::string::npos;
+        const std::string name =
+            "shard" + std::to_string(s) + "/fault.socketFailures";
+        ASSERT_EQ(counters.count(name), 1u);
+        EXPECT_GT(counters[name], 0u);
+        EXPECT_EQ(fails, counters[name]);
+    }
 }
 
 // ------------------------------------------------- degenerate configs

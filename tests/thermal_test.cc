@@ -165,36 +165,40 @@ TEST(SimplePeak, MonotoneInAmbientAndPower)
 
 // ------------------------------------------------------------- transient
 
+/** One step of the engine's tracker kernel on a single value. */
+double
+stepToward(double value, double target, double dt, double tau)
+{
+    firstOrderStepBatch(&value, &target, 1, responseFraction(dt, tau));
+    return value;
+}
+
 TEST(Transient, ExactExponentialStep)
 {
-    FirstOrderTracker tracker(2.0, 0.0);
-    tracker.step(10.0, 2.0); // one time constant
-    EXPECT_NEAR(tracker.value(), 10.0 * (1.0 - std::exp(-1.0)), 1e-12);
+    const double value = stepToward(0.0, 10.0, 2.0, 2.0); // one tau
+    EXPECT_NEAR(value, 10.0 * (1.0 - std::exp(-1.0)), 1e-12);
 }
 
 TEST(Transient, StepSizeIndependence)
 {
-    FirstOrderTracker coarse(5.0, 20.0);
-    FirstOrderTracker fine(5.0, 20.0);
-    coarse.step(80.0, 1.0);
+    const double coarse = stepToward(20.0, 80.0, 1.0, 5.0);
+    double fine = 20.0;
     for (int i = 0; i < 1000; ++i)
-        fine.step(80.0, 0.001);
-    EXPECT_NEAR(coarse.value(), fine.value(), 1e-9);
+        fine = stepToward(fine, 80.0, 0.001, 5.0);
+    EXPECT_NEAR(coarse, fine, 1e-9);
 }
 
 TEST(Transient, ConvergesToTarget)
 {
-    FirstOrderTracker tracker(0.5, 0.0);
+    double value = 0.0;
     for (int i = 0; i < 100; ++i)
-        tracker.step(42.0, 0.5);
-    EXPECT_NEAR(tracker.value(), 42.0, 1e-6);
+        value = stepToward(value, 42.0, 0.5, 0.5);
+    EXPECT_NEAR(value, 42.0, 1e-6);
 }
 
 TEST(Transient, ZeroDtIsIdentity)
 {
-    FirstOrderTracker tracker(1.0, 7.0);
-    tracker.step(100.0, 0.0);
-    EXPECT_DOUBLE_EQ(tracker.value(), 7.0);
+    EXPECT_DOUBLE_EQ(stepToward(7.0, 100.0, 0.0, 1.0), 7.0);
 }
 
 TEST(Transient, ResponseFractionBounds)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the util substrate: RNG determinism and
- * distributional properties, running statistics, percentiles,
- * histograms, and table rendering.
+ * distributional properties, running statistics, and table
+ * rendering.
  */
 
 #include <cmath>
@@ -228,52 +228,6 @@ TEST(Stats, VectorHelpersAgreeWithRunning)
     EXPECT_DOUBLE_EQ(mean(xs), s.mean());
     EXPECT_DOUBLE_EQ(stddev(xs), s.stddev());
     EXPECT_DOUBLE_EQ(coefficientOfVariation(xs), s.cov());
-}
-
-TEST(Stats, PercentileEndpoints)
-{
-    const std::vector<double> xs{5.0, 1.0, 3.0};
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
-}
-
-TEST(Stats, PercentileInterpolates)
-{
-    const std::vector<double> xs{0.0, 10.0};
-    EXPECT_DOUBLE_EQ(percentile(xs, 25.0), 2.5);
-    EXPECT_DOUBLE_EQ(percentile(xs, 75.0), 7.5);
-}
-
-TEST(Stats, TryPercentileIsTotal)
-{
-    // The total variant for reporting paths that may legitimately see
-    // an empty sample (a run completing zero jobs): nullopt instead
-    // of the panic percentile() keeps for programmer-error call sites.
-    EXPECT_EQ(tryPercentile({}, 50.0), std::nullopt);
-    const std::vector<double> xs{5.0, 1.0, 3.0};
-    ASSERT_TRUE(tryPercentile(xs, 50.0).has_value());
-    EXPECT_DOUBLE_EQ(*tryPercentile(xs, 50.0), percentile(xs, 50.0));
-    EXPECT_DOUBLE_EQ(*tryPercentile({7.0}, 99.0), 7.0);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.99);  // bin 9
-    h.add(-5.0);  // clamped to bin 0
-    h.add(42.0);  // clamped to bin 9
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinLowEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(4), 8.0);
 }
 
 TEST(Table, TextRenderingAligned)

@@ -26,17 +26,21 @@
 #             the emitted trace JSON and JSONL are parsed with
 #             python3 -m json.tool / json.loads (DESIGN.md Sec. 10)
 #   fault     ASan+UBSan+DENSIM_CHECKS build + the fault-injection and
-#             keep-going tests, then two CLI smokes: a fan-failure run
+#             keep-going tests, then three CLI smokes: a fan-failure run
 #             whose JSON output and JSONL fault log must parse
-#             strictly, and a keep-going sweep with a deliberately bad
+#             strictly, a keep-going sweep with a deliberately bad
 #             cell that must finish the rest, exit nonzero, and emit a
-#             strict summary JSON (DESIGN.md Sec. 11)
+#             strict summary JSON, and a sweep whose CSV must match
+#             byte for byte with and without --summary (DESIGN.md
+#             Sec. 11)
 #   fleet     ASan+UBSan+DENSIM_CHECKS build + the fleet/streaming
 #             determinism and worker-pool tests, then a CLI smoke: a
 #             multi-shard --fleet run whose JSON summary must parse
 #             strictly and whose metrics must be bit-identical across
 #             worker-thread counts, with a checkpoint taken, and
-#             resumed from that checkpoint (DESIGN.md Sec. 15)
+#             resumed from that checkpoint; and a faulted fleet whose
+#             per-shard fault logs must parse strictly and match each
+#             shard's counters (DESIGN.md Sec. 15)
 #   ckpt      ASan+UBSan+DENSIM_CHECKS build + the checkpoint/restore
 #             bank (bit-identical resume, hostile-input rejection,
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
@@ -192,6 +196,16 @@ assert any(r["status"] == "failed" for r in doc["runs"])
 print(f"fault smoke: sweep summary {doc['completed']}/{doc['total']} "
       "completed, failures reported")
 EOF
+    # One sweep harness and one CSV writer: the same grid prints the
+    # same CSV bytes with and without --summary.
+    local sweep=(sweep --schedulers CF,CP --loads 0.4,0.6
+                 --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2
+                 --csv)
+    ./build-fault/tools/densim "${sweep[@]}" > "$out/sweep-plain.csv"
+    ./build-fault/tools/densim "${sweep[@]}" \
+        --summary "$out/sweep-summary.json" > "$out/sweep-summary.csv"
+    cmp "$out/sweep-plain.csv" "$out/sweep-summary.csv"
+    echo "fault smoke: sweep CSV identical with and without --summary"
 }
 
 stage_fleet() {
@@ -238,6 +252,35 @@ assert sum(doc["dispatchedPerShard"]) == doc["jobsDispatched"], doc
 print(f"fleet smoke: {doc['jobsDispatched']} jobs across "
       f"{doc['chassis']} chassis, bit-identical at 1-5 workers and "
       "through a checkpoint resume")
+EOF
+    # Every shard writes its own fault log (faults-run<N>.jsonl) with
+    # as many socketFail events as its counter reports, and no shard
+    # writes the shared name.
+    rm -f "$out"/faults*.jsonl
+    ./build-fleet/tools/densim run --fleet 3 --scheduler CF --load 0.7 \
+        --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2 \
+        --set fault.socketFailCount=2 --set fault.socketFailS=0.3 \
+        --set fault.logPath="$out/faults.jsonl" \
+        --json --counters > "$out/fleet-faults.json"
+    python3 - "$out" <<'EOF'
+import json, os, sys
+out = sys.argv[1]
+def strict(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+counters = strict(open(os.path.join(out, "fleet-faults.json")).read())[
+    "obs"]["counters"]
+assert not os.path.exists(os.path.join(out, "faults.jsonl")), \
+    "a shard wrote the shared fault-log name"
+for shard in range(3):
+    path = os.path.join(out, f"faults-run{shard}.jsonl")
+    events = [strict(line) for line in open(path).read().splitlines()]
+    got = sum(e["kind"] == "socketFail" for e in events)
+    want = counters[f"shard{shard}/fault.socketFailures"]
+    assert want > 0 and got == want, \
+        f"shard {shard}: {got} socketFail events, counter says {want}"
+print("fleet smoke: one fault log per shard, each matching its counter")
 EOF
 }
 

@@ -377,11 +377,16 @@ printFleetTable(const Cli &cli, const FleetSim &fleet,
 /** Exit code for "checkpointed and stopped by a signal". */
 constexpr int kExitCheckpointed = 3;
 
-/** Does this invocation need the checkpoint-aware drive loop? */
-bool
-wantsCkpt(const Cli &cli)
+/**
+ * SIGINT/SIGTERM become a graceful stop (checkpoint, flush, exit 3)
+ * only for a run that checkpoints or was restored; any other run
+ * keeps the default handlers.
+ */
+void
+armStopSignals(const Cli &cli)
 {
-    return !cli.config.ckptPath.empty() || !cli.restorePath.empty();
+    if (!cli.config.ckptPath.empty() || !cli.restorePath.empty())
+        ckpt::installSignalHandlers();
 }
 
 ckpt::RestoreMode
@@ -395,31 +400,23 @@ int
 cmdFleetRun(const Cli &cli)
 {
     FleetSim fleet(cli.config, cli.scheduler);
-    FleetMetrics m;
-    if (wantsCkpt(cli)) {
-        if (cli.restorePath.empty())
-            fleet.beginRun();
-        else
-            ckpt::restoreFleet(
-                fleet, ckpt::readCheckpointFile(cli.restorePath),
-                restoreMode(cli), cli.forkId);
-        ckpt::installSignalHandlers();
-        const ckpt::DriveOutcome out =
-            ckpt::driveFleet(fleet, cli.threads);
-        if (!out.completed) {
-            std::cerr << "densim: stopped at window "
-                      << fleet.windowsRun()
-                      << (out.checkpointed
-                              ? "; checkpoint written to '" +
-                                    cli.config.ckptPath + "'"
-                              : "")
-                      << "\n";
-            return kExitCheckpointed;
-        }
-        m = fleet.finishRun();
-    } else {
-        m = fleet.run(cli.threads);
+    if (cli.restorePath.empty())
+        fleet.beginRun();
+    else
+        ckpt::restoreFleet(fleet,
+                           ckpt::readCheckpointFile(cli.restorePath),
+                           restoreMode(cli), cli.forkId);
+    armStopSignals(cli);
+    const ckpt::DriveOutcome done = ckpt::driveFleet(fleet, cli.threads);
+    if (!done.completed) {
+        std::cerr << "densim: stopped at window " << fleet.windowsRun()
+                  << (done.checkpointed ? "; checkpoint written to '" +
+                                              cli.config.ckptPath + "'"
+                                        : "")
+                  << "\n";
+        return kExitCheckpointed;
     }
+    const FleetMetrics m = fleet.finishRun();
 
     std::ostringstream out;
     if (cli.json) {
@@ -445,29 +442,23 @@ cmdRun(const Cli &cli)
     if (cli.config.fleet.enabled())
         return cmdFleetRun(cli);
     DenseServerSim sim(cli.config, makeScheduler(cli.scheduler));
-    if (wantsCkpt(cli)) {
-        if (cli.restorePath.empty())
-            ckpt::beginEngineRun(sim);
-        else
-            ckpt::restoreEngine(
-                sim, ckpt::readCheckpointFile(cli.restorePath),
-                restoreMode(cli), cli.forkId);
-        ckpt::installSignalHandlers();
-        const ckpt::DriveOutcome out = ckpt::driveEngine(sim);
-        if (!out.completed) {
-            std::cerr << "densim: stopped at t=" << out.nowS << "s"
-                      << (out.checkpointed
-                              ? "; checkpoint written to '" +
-                                    cli.config.ckptPath + "'"
-                              : "")
-                      << "\n";
-            return kExitCheckpointed;
-        }
-        report(cli, cli.config, sim, sim.finishRun());
-        return 0;
+    if (cli.restorePath.empty())
+        ckpt::beginEngineRun(sim);
+    else
+        ckpt::restoreEngine(sim,
+                            ckpt::readCheckpointFile(cli.restorePath),
+                            restoreMode(cli), cli.forkId);
+    armStopSignals(cli);
+    const ckpt::DriveOutcome done = ckpt::driveEngine(sim);
+    if (!done.completed) {
+        std::cerr << "densim: stopped at t=" << done.nowS << "s"
+                  << (done.checkpointed ? "; checkpoint written to '" +
+                                              cli.config.ckptPath + "'"
+                                        : "")
+                  << "\n";
+        return kExitCheckpointed;
     }
-    const SimMetrics m = sim.run();
-    report(cli, cli.config, sim, m);
+    report(cli, cli.config, sim, sim.finishRun());
     return 0;
 }
 
@@ -482,113 +473,85 @@ cmdSweep(const Cli &cli)
         cli.loads.empty() ? std::vector<double>{0.3, 0.5, 0.7, 0.9}
                           : cli.loads;
 
-    std::vector<RunSpec> specs =
-        makeGrid(schedulers, cli.config.workload, loads, cli.config);
-
-    if (cli.keepGoing || !cli.summaryPath.empty() ||
-        !cli.resumePath.empty() || !cli.ckptDir.empty()) {
-        SweepOptions options;
-        options.threads = cli.threads;
-        options.keepGoing = cli.keepGoing;
-        options.summaryPath = cli.summaryPath;
-        options.resumePath = cli.resumePath;
-        if (!cli.ckptDir.empty()) {
-            // Checkpoint-aware cells: a SIGINT/SIGTERM makes every
-            // in-flight cell checkpoint itself and report "not
-            // done"; the next identical sweep resumes each mid-run.
-            const std::string dir = cli.ckptDir;
-            options.cellRunner = [dir](const RunSpec &spec) {
-                return ckpt::runCellCheckpointed(spec, dir);
-            };
-            ckpt::installSignalHandlers();
-        }
-        const std::vector<RunOutcome> outcomes =
-            runAllOutcomes(specs, options);
-        if (ckpt::stopRequested()) {
-            std::size_t unfinished = 0;
-            for (const RunOutcome &o : outcomes)
-                unfinished += !o.ok;
-            std::cerr << "densim: sweep stopped by signal; "
-                      << unfinished << " of " << outcomes.size()
-                      << " cells checkpointed or pending in '"
-                      << cli.ckptDir << "'\n";
-            return kExitCheckpointed;
-        }
-
-        std::ostringstream out;
-        std::size_t failed = 0;
-        if (cli.csv) {
-            out << metricsCsvHeader() << "\n";
-            for (const RunOutcome &o : outcomes) {
-                if (o.ok && !o.skipped) {
-                    out << metricsToCsvRow(
-                               o.spec.scheduler,
-                               workloadSetName(o.spec.config.workload),
-                               o.spec.config.load, o.metrics)
-                        << "\n";
-                }
-                if (!o.ok)
-                    ++failed;
-            }
-        } else {
-            TableWriter table(
-                {"Run", "Scheme", "Load", "Status", "Detail"});
-            for (std::size_t i = 0; i < outcomes.size(); ++i) {
-                const RunOutcome &o = outcomes[i];
-                const char *status =
-                    o.skipped ? "skipped" : (o.ok ? "ok" : "FAILED");
-                if (!o.ok)
-                    ++failed;
-                table.newRow()
-                    .cell(static_cast<long long>(i))
-                    .cell(o.spec.scheduler)
-                    .cell(o.spec.config.load, 2)
-                    .cell(status)
-                    .cell(o.error);
-            }
-            table.print(out);
-        }
-        std::cout << out.str();
-        if (failed != 0) {
-            std::cerr << "densim: sweep: " << failed << " of "
-                      << outcomes.size() << " runs failed\n";
-            return 1;
-        }
-        return 0;
+    SweepOptions options;
+    options.threads = cli.threads;
+    options.keepGoing = cli.keepGoing;
+    options.summaryPath = cli.summaryPath;
+    options.resumePath = cli.resumePath;
+    if (!cli.ckptDir.empty()) {
+        // Checkpoint-aware cells: a SIGINT/SIGTERM makes every
+        // in-flight cell checkpoint itself and report "not done"; the
+        // next identical sweep resumes each mid-run.
+        const std::string dir = cli.ckptDir;
+        options.cellRunner = [dir](const RunSpec &spec) {
+            return ckpt::runCellCheckpointed(spec, dir);
+        };
+        ckpt::installSignalHandlers();
+    }
+    const std::vector<RunOutcome> outcomes = runAllOutcomes(
+        makeGrid(schedulers, cli.config.workload, loads, cli.config),
+        options);
+    std::size_t failed = 0;
+    for (const RunOutcome &o : outcomes)
+        failed += o.ok ? 0 : 1;
+    if (ckpt::stopRequested()) {
+        std::cerr << "densim: sweep stopped by signal; " << failed
+                  << " of " << outcomes.size()
+                  << " cells checkpointed or pending in '" << cli.ckptDir
+                  << "'\n";
+        return kExitCheckpointed;
     }
 
-    const auto results = runAll(specs, cli.threads);
-
+    // The whole report is buffered so a failure cannot truncate it.
+    std::ostringstream out;
     if (cli.csv) {
-        // Buffered so an exporter failure cannot truncate the CSV.
-        std::ostringstream out;
         out << metricsCsvHeader() << "\n";
-        for (const RunResult &r : results) {
-            out << metricsToCsvRow(
-                       r.spec.scheduler,
-                       workloadSetName(r.spec.config.workload),
-                       r.spec.config.load, r.metrics)
-                << "\n";
+        for (const RunOutcome &o : outcomes) {
+            if (o.ok && !o.skipped) {
+                out << metricsToCsvRow(
+                           o.spec.scheduler,
+                           workloadSetName(o.spec.config.workload),
+                           o.spec.config.load, o.metrics)
+                    << "\n";
+            }
         }
-        std::cout << out.str();
-        return 0;
-    }
-
-    auto index = indexResults(results);
-    std::vector<std::string> headers{"Scheme"};
-    for (double load : loads)
-        headers.push_back(formatFixed(100 * load, 0) + "%");
-    TableWriter table(std::move(headers));
-    for (const std::string &scheduler : schedulers) {
-        table.newRow().cell(scheduler);
-        for (double load : loads) {
-            table.cell(relativePerformance(index[scheduler][load],
-                                           index[schedulers[0]][load]),
-                       3);
+    } else if (cli.keepGoing || !cli.summaryPath.empty() ||
+               !cli.resumePath.empty() || !cli.ckptDir.empty()) {
+        TableWriter table({"Run", "Scheme", "Load", "Status", "Detail"});
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            const RunOutcome &o = outcomes[i];
+            table.newRow()
+                .cell(static_cast<long long>(i))
+                .cell(o.spec.scheduler)
+                .cell(o.spec.config.load, 2)
+                .cell(o.skipped ? "skipped" : (o.ok ? "ok" : "FAILED"))
+                .cell(o.error);
         }
+        table.print(out);
+    } else {
+        auto index = indexResults({outcomes.begin(), outcomes.end()});
+        std::vector<std::string> headers{"Scheme"};
+        for (double load : loads)
+            headers.push_back(formatFixed(100 * load, 0) + "%");
+        TableWriter table(std::move(headers));
+        for (const std::string &scheduler : schedulers) {
+            table.newRow().cell(scheduler);
+            for (double load : loads) {
+                table.cell(
+                    relativePerformance(index[scheduler][load],
+                                        index[schedulers[0]][load]),
+                    3);
+            }
+        }
+        out << "performance vs " << schedulers[0] << ":\n";
+        table.print(out);
     }
-    std::cout << "performance vs " << schedulers[0] << ":\n";
-    table.print(std::cout);
+    std::cout << out.str();
+    if (failed != 0) {
+        std::cerr << "densim: sweep: " << failed << " of "
+                  << outcomes.size() << " runs failed\n";
+        return 1;
+    }
     return 0;
 }
 
