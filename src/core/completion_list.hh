@@ -6,12 +6,13 @@
  * processWindow never handles an event at or after the epoch end, and
  * powerManage re-keys every busy socket at the start of every epoch.
  * So the queue only needs the busy sockets due before that end (the
- * horizon): powerManage lists them once after its loop, and a
- * placement or migration inside the epoch inserts, moves or drops one
- * entry. Only a few are ever listed, so they live in one vector sorted
- * on (key, id) descending, earliest at the back. Equal completion
- * times resolve to the lowest socket id, the order of an ascending
- * linear scan with strict less-than.
+ * horizon): powerManage offers each one as its loop re-keys it and
+ * sorts the list once after the loop, and a placement or migration
+ * inside the epoch inserts, moves or drops one entry. Only a few are
+ * ever listed, so they live in one vector sorted on (key, id)
+ * descending, earliest at the back. Equal completion times resolve
+ * to the lowest socket id, the order of an ascending linear scan with
+ * strict less-than.
  */
 
 #ifndef DENSIM_CORE_COMPLETION_LIST_HH
@@ -33,7 +34,7 @@ namespace densim {
 class CompletionList
 {
   public:
-    /** Empty, with room for @p n ids; nothing is listed until fill(). */
+    /** Empty, with room for @p n ids; nothing is listed until open(). */
     void reset(std::size_t n)
     {
         entries_.clear();
@@ -42,22 +43,27 @@ class CompletionList
     }
 
     /**
-     * List exactly the ids with @p busy set and @p keys below
-     * @p horizon (both indexed by id), and keep the horizon.
+     * Start relisting under @p horizon: drop every entry and keep the
+     * horizon. offer() the due ids, then close() before any other
+     * call.
      */
-    DENSIM_ALLOCATES("at most keys.size() entries, within the capacity "
-                     "reserved in reset")
-    void fill(double horizon, const std::vector<double> &keys,
-              const std::vector<std::uint8_t> &busy)
+    void open(double horizon)
     {
         entries_.clear();
         horizon_ = horizon;
-        for (std::size_t id = 0; id < keys.size(); ++id) {
-            if (busy[id] && keys[id] < horizon)
-                entries_.push_back(Entry{keys[id], id});
-        }
-        std::sort(entries_.begin(), entries_.end(), later);
     }
+
+    /** List @p id if @p key is below the horizon; open() .. close(). */
+    DENSIM_ALLOCATES("one entry per id, within the capacity reserved "
+                     "in reset")
+    void offer(std::size_t id, double key)
+    {
+        if (key < horizon_)
+            entries_.push_back(Entry{key, id});
+    }
+
+    /** Order the offered entries. */
+    void close() { std::sort(entries_.begin(), entries_.end(), later); }
 
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }

@@ -92,8 +92,8 @@ DenseServerSim::DenseServerSim(const SimConfig &sim_config,
     for (std::size_t s = 0; s < n; ++s)
         zoneSockets_[topo_.zoneIndexOf(s)].push_back(s);
 
-    // Hoist the Eq. (1) per-socket constants once: the batched thermal
-    // kernel consumes them as flat arrays.
+    // Hoist the Eq. (1) per-socket constants once: thermalStep's walk
+    // reads them as flat arrays.
     rTotCW_.resize(n);
     thetaC0_.resize(n);
     thetaC1_.resize(n);
@@ -259,7 +259,6 @@ DenseServerSim::resetState()
     dirtySockets_.clear();
     epochsSinceAmbientRefresh_ = 0;
 
-    chipRiseTarget_.assign(n, 0.0);
     predCache_.reset(n);
     predCache_.snapshot = !faultsEnabled_;
 
@@ -569,78 +568,63 @@ DenseServerSim::thermalStep(double dt)
     }
     const std::size_t n = topo_.numSockets();
     const bool measure = tCursor_ >= config_.warmupS;
-
-    // Boost-dwell accounting: drain while boosting, refill otherwise
-    // (busy-sustained or idle).
+    const bool pristine = config_.sensorNoiseC <= 0.0 &&
+                          config_.sensorQuantC <= 0.0 && !faultsEnabled_;
     const double refill = config_.boostRefillRate * dt;
-    for (std::size_t s = 0; s < n; ++s) {
-        if (busyFlag_[s] && boostByPstate_[pstate_[s]]) {
-            boostCreditS_[s] = std::max(0.0, boostCreditS_[s] - dt);
-        } else {
-            boostCreditS_[s] = std::min(config_.boostBurstS,
-                                        boostCreditS_[s] + refill);
-        }
-    }
-
-    // Bank 1: socket ambient toward the coupling-map field (tau 30 s,
-    // Table III). One shared response fraction per bank: every
-    // tracker in a bank has the same tau, so one exp() serves all.
+    const double burst = config_.boostBurstS;
+    const double noise_c = config_.sensorNoiseC;
+    const double quant_c = config_.sensorQuantC;
+    // One response fraction per bank: every tracker in a bank has the
+    // same tau, so one exp() serves all (Table III).
     const double amb_alpha = responseFraction(dt, config_.socketTauS);
-    firstOrderStepBatch(ambientC_.data(), ambTargets_.data(), n,
-                        amb_alpha);
-
-    // Bank 2: Eq. (1) chip rise (tau 5 ms). The expression mirrors
-    // the typed-quantity evaluation order exactly:
-    // P * (R_int + R_ext) + (theta.c0 + theta.c1 * P).
-    for (std::size_t s = 0; s < n; ++s) {
-        const double p = powerW_[s];
-        chipRiseTarget_[s] =
-            p * rTotCW_[s] + (thetaC0_[s] + thetaC1_[s] * p);
-    }
     const double rise_alpha = responseFraction(dt, config_.chipTauS);
-    firstOrderStepBatch(chipRiseC_.data(), chipRiseTarget_.data(), n,
-                        rise_alpha);
+    const double hist_alpha = responseFraction(dt, config_.histTauS);
 
-    for (std::size_t s = 0; s < n; ++s)
-        chipTempC_[s] = ambientC_[s] + chipRiseC_[s];
+    for (std::size_t s = 0; s < n; ++s) {
+        // Boost-dwell accounting: drain while boosting, refill
+        // otherwise (busy-sustained or idle).
+        const double credit = boostCreditS_[s];
+        boostCreditS_[s] = busyFlag_[s] && boostByPstate_[pstate_[s]]
+                               ? std::max(0.0, credit - dt)
+                               : std::min(burst, credit + refill);
 
-    // What the scheduler's sensor reports: noisy, quantized. The
-    // pristine configuration is a straight copy.
-    if (config_.sensorNoiseC <= 0.0 && config_.sensorQuantC <= 0.0 &&
-        !faultsEnabled_) {
-        std::copy(chipTempC_.begin(), chipTempC_.end(),
-                  sensedTempC_.begin());
-    } else {
-        for (std::size_t s = 0; s < n; ++s) {
-            double sensed = chipTempC_[s];
-            if (config_.sensorNoiseC > 0.0)
-                sensed += sensorRng_.normal(0.0, config_.sensorNoiseC);
-            if (config_.sensorQuantC > 0.0) {
-                sensed =
-                    config_.sensorQuantC *
-                    std::floor(sensed / config_.sensorQuantC + 0.5);
-            }
+        // Socket ambient toward the coupling-map field (tau 30 s).
+        ambientC_[s] = firstOrderStep(ambientC_[s], ambTargets_[s],
+                                      amb_alpha);
+        // Eq. (1) chip rise (tau 5 ms). The target mirrors the
+        // typed-quantity evaluation order exactly:
+        // P * (R_int + R_ext) + (theta.c0 + theta.c1 * P).
+        const double p = powerW_[s];
+        chipRiseC_[s] = firstOrderStep(
+            chipRiseC_[s], p * rTotCW_[s] + (thetaC0_[s] + thetaC1_[s] * p),
+            rise_alpha);
+        const double chip = ambientC_[s] + chipRiseC_[s];
+        chipTempC_[s] = chip;
+
+        // What the scheduler's sensor reports: the chip temperature
+        // when sensors are pristine, else noisy, quantized, then
+        // through any sensor fault. Both RNG streams draw in ascending
+        // socket order.
+        double sensed = chip;
+        if (!pristine) {
+            if (noise_c > 0.0)
+                sensed += sensorRng_.normal(0.0, noise_c);
+            if (quant_c > 0.0)
+                sensed = quant_c * std::floor(sensed / quant_c + 0.5);
             if (faultsEnabled_) {
                 sensed = faultState_.schedSensedC(
                     s, Celsius(sensed), Celsius(sensedTempC_[s]),
                     faultRng_);
             }
-            sensedTempC_[s] = sensed;
         }
-    }
+        sensedTempC_[s] = sensed;
 
-    // Bank 3: the scheduler's slow history of the sensed temperature.
-    const double hist_alpha = responseFraction(dt, config_.histTauS);
-    firstOrderStepBatch(histTempC_.data(), sensedTempC_.data(), n,
-                        hist_alpha);
+        // The scheduler's slow history of the sensed temperature.
+        histTempC_[s] = firstOrderStep(histTempC_[s], sensed, hist_alpha);
 
-    if (measure) {
-        for (std::size_t s = 0; s < n; ++s) {
-            if (!busyFlag_[s])
-                continue;
-            metrics_.chipTempC.add(chipTempC_[s]);
-            metrics_.maxChipTempC =
-                std::max(metrics_.maxChipTempC, chipTempC_[s]);
+        if (measure && busyFlag_[s]) {
+            metrics_.chipTempC.add(chip);
+            metrics_.maxChipTempC = std::max(metrics_.maxChipTempC, chip);
         }
     }
 }
@@ -671,21 +655,29 @@ void
 DenseServerSim::powerManage(double now, double horizon)
 {
     DENSIM_OBS_PHASE(profiler_, obs::Phase::PowerManage);
+    // One ascending walk re-decides each busy socket and re-derives
+    // the busy sums, the total power and the completion list from
+    // scratch, exactly as rebuildScalars would after the decisions:
+    // nothing in the walk reads them, and summing anew pins any
+    // incremental drift of the sums to one epoch's worth of updates.
     const std::size_t n = topo_.numSockets();
+    double power = 0.0;
+    BusySums sums;
+    completions_.open(horizon);
     for (std::size_t s = 0; s < n; ++s) {
-        if (!busyFlag_[s])
-            continue;
-        syncProgress(s, now);
-        const DvfsDecision d =
-            chooseDvfs(s, runningSet_[s], dvfsCap(s));
-        applyRate(s, d.pstate, d.power.value(), now);
+        if (busyFlag_[s]) {
+            syncProgress(s, now);
+            const DvfsDecision d =
+                chooseDvfs(s, runningSet_[s], dvfsCap(s));
+            applyRate(s, d.pstate, d.power.value(), now);
+            busySumsFold(sums, 1, s);
+            completions_.offer(s, completionS_[s]);
+        }
+        power += powerW_[s];
     }
-    // The loop leaves the busy sums and the completion list alone
-    // (nothing reads them in it): re-derive both once here, which also
-    // pins any incremental floating-point drift of the sums to at most
-    // one epoch's worth of updates.
-    rebuildScalars();
-    completions_.fill(horizon, completionS_, busyFlag_);
+    totalPowerW_ = power;
+    sums_ = sums;
+    completions_.close();
 }
 
 void

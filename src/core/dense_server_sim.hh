@@ -195,7 +195,8 @@ class DenseServerSim
     void enableTrace();
     SimMetrics runJobs(const std::vector<Job> &jobs);
     DENSIM_HOT void thermalStep(double dt);
-    /** Re-decide every busy socket at @p now, then list the
+    /** Re-decide every busy socket at @p now and, in the same walk,
+     *  re-derive the busy sums and total power and list the
      *  completions due before @p horizon (the epoch end). */
     DENSIM_HOT void powerManage(double now, double horizon);
     DENSIM_HOT DENSIM_ALLOCATES(
@@ -258,13 +259,14 @@ class DenseServerSim
                        double power_w, double now);
     /**
      * Move a socket to @p pstate at @p power_w, leaving the busy sums
-     * and the completion list to the caller (powerManage rebuilds
-     * both after its loop).
+     * and the completion list to the caller (powerManage re-derives
+     * both in its walk).
      */
     void applyRate(std::size_t socket, std::size_t pstate,
                    double power_w, double now);
     void setIdlePower(std::size_t socket);
     void accumulate(double to);
+    /** Re-derive the busy sums and the total power from scratch. */
     void rebuildScalars();
 
     /** Read-only policy view over the current idle list. */
@@ -327,8 +329,8 @@ class DenseServerSim
 
     // Per-socket state — pure structure-of-arrays. Every field the
     // hot loops touch is a contiguous flat array indexed by socket id;
-    // the batched thermal kernels and the scheduler scoring loops scan
-    // them directly.
+    // the per-epoch walks and the scheduler scoring loops scan them
+    // directly.
     std::vector<double> powerW_;
     std::vector<double> freqMhz_;
     std::vector<double> chipTempC_;
@@ -340,8 +342,6 @@ class DenseServerSim
         //!< coupling-map field, tau 30 s (Table III).
     std::vector<double> chipRiseC_; //!< Eq. (1) chip-rise bank toward
         //!< P*(R_int+R_ext) + theta, tau 5 ms (Table III).
-    std::vector<double> chipRiseTarget_; //!< thermalStep's bank-2
-        //!< target, sized in resetState.
     std::vector<double> boostCreditS_; //!< Boost-dwell credit, seconds.
 
     // Running-job bookkeeping (valid while busyFlag_ is set).
@@ -360,8 +360,8 @@ class DenseServerSim
 
     // Per-socket Eq. (1) constants hoisted out of the thermal loop:
     // chip-rise target = P * rTotCW_ + (thetaC0_ + thetaC1_ * P),
-    // evaluated in exactly the typed-quantity order so the batched
-    // kernel is bit-identical to the per-socket unit math.
+    // evaluated in exactly the typed-quantity order so the raw-double
+    // walk is bit-identical to the per-socket unit math.
     std::vector<double> rTotCW_;  //!< (R_int + R_ext).value().
     std::vector<double> thetaC0_; //!< sink.theta.c0.value().
     std::vector<double> thetaC1_; //!< sink.theta.c1.value().
@@ -447,9 +447,9 @@ class DenseServerSim
      * Fold busy socket @p s into (@p sign 1) or out of (-1) @p sums,
      * at the rates of its workload set and P-state. Exact for sums_:
      * a socket folds in when it becomes busy and again in each
-     * rebuildScalars, and only powerManage moves a busy socket's
-     * P-state, rebuilding the sums right after; so folding out reads
-     * the values that were folded in.
+     * powerManage walk, which alone moves a busy socket's P-state and
+     * re-derives the sums from scratch as it does; so folding out
+     * reads the values that were folded in.
      */
     void busySumsFold(BusySums &sums, int sign, std::size_t s) const;
 

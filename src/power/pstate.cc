@@ -21,6 +21,12 @@ PStateTable::PStateTable(std::vector<PState> table_states)
             fatal("PStateTable: boost states must be the fastest "
                   "states");
     }
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+        if (!states_[i].boost)
+            sustainedIdx_ = i;
+    }
+    if (states_[sustainedIdx_].boost)
+        fatal("PStateTable: all states are boost states");
 }
 
 const PStateTable &
@@ -43,19 +49,6 @@ PStateTable::at(std::size_t i) const
         panic("PStateTable: index ", i, " out of range (",
               states_.size(), ")");
     return states_[i];
-}
-
-std::size_t
-PStateTable::highestSustainedIndex() const
-{
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (!states_[i].boost)
-            best = i;
-    }
-    if (states_[best].boost)
-        fatal("PStateTable: all states are boost states");
-    return best;
 }
 
 std::size_t

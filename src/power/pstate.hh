@@ -31,7 +31,8 @@ struct PState
 class PStateTable
 {
   public:
-    /** Build from an ascending list of states. */
+    /** Build from an ascending list of states, at least one of
+     *  them sustained (non-boost). */
     explicit PStateTable(std::vector<PState> states);
 
     /** X2150 table: 1100/1300/1500 sustained + 1700/1900 boost. */
@@ -48,7 +49,7 @@ class PStateTable
     const PState &slowest() const { return states_.front(); }
 
     /** Index of the highest non-boost state. */
-    std::size_t highestSustainedIndex() const;
+    std::size_t highestSustainedIndex() const { return sustainedIdx_; }
 
     /** Index of the state with exactly @p freq_mhz; fails if absent. */
     std::size_t indexOf(double freq_mhz) const;
@@ -58,6 +59,7 @@ class PStateTable
 
   private:
     std::vector<PState> states_;
+    std::size_t sustainedIdx_ = 0;
 };
 
 } // namespace densim

@@ -19,24 +19,6 @@ ServerTopology::ServerTopology(TopologySpec topo_spec)
         fatal("ServerTopology: per-socket airflow must be positive");
 }
 
-int
-ServerTopology::zonesPerRow() const
-{
-    return spec_.cartridgesPerRow * spec_.zonesPerCartridge;
-}
-
-int
-ServerTopology::socketsPerRow() const
-{
-    return zonesPerRow() * spec_.socketsPerZone;
-}
-
-std::size_t
-ServerTopology::numSockets() const
-{
-    return static_cast<std::size_t>(spec_.rows) * socketsPerRow();
-}
-
 void
 ServerTopology::checkSocket(std::size_t socket) const
 {

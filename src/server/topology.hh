@@ -64,13 +64,22 @@ class ServerTopology
     explicit ServerTopology(TopologySpec spec);
 
     /** Total socket count. */
-    std::size_t numSockets() const;
+    std::size_t numSockets() const
+    {
+        return static_cast<std::size_t>(spec_.rows) * socketsPerRow();
+    }
 
     /** Zones in series along one duct. */
-    int zonesPerRow() const;
+    int zonesPerRow() const
+    {
+        return spec_.cartridgesPerRow * spec_.zonesPerCartridge;
+    }
 
     /** Sockets in one row duct. */
-    int socketsPerRow() const;
+    int socketsPerRow() const
+    {
+        return zonesPerRow() * spec_.socketsPerZone;
+    }
 
     int numRows() const { return spec_.rows; }
 

@@ -13,8 +13,6 @@
 #ifndef DENSIM_THERMAL_TRANSIENT_HH
 #define DENSIM_THERMAL_TRANSIENT_HH
 
-#include <cstddef>
-
 namespace densim {
 
 /**
@@ -25,20 +23,21 @@ namespace densim {
 double responseFraction(double dt_seconds, double tau_seconds);
 
 /**
- * Advance a whole bank of first-order trackers that share one time
- * constant: values[i] += (targets[i] - values[i]) * response_fraction,
- * the exact integral of dx/dt = (target - x) / tau over one step with
- * a constant target.
+ * One step of a first-order tracker:
+ * value + (target - value) * response_fraction, the exact integral of
+ * dx/dt = (target - x) / tau over one step with a constant target.
  *
- * The engine's per-socket banks (ambient, chip rise, history) are
- * such banks: every tracker in a bank has the same tau and sees the
- * same dt, so the response fraction is computed once per bank
- * instead of one exp() per socket.
+ * The engine's per-socket banks (ambient, chip rise, history) share
+ * one tau and one dt per bank, so it computes responseFraction once
+ * per bank and steps every socket with it.
  *
- * @param response_fraction responseFraction(dt, tau) for the bank.
+ * @param response_fraction responseFraction(dt, tau).
  */
-void firstOrderStepBatch(double *values, const double *targets,
-                         std::size_t n, double response_fraction);
+inline double
+firstOrderStep(double value, double target, double response_fraction)
+{
+    return value + (target - value) * response_fraction;
+}
 
 } // namespace densim
 

@@ -9,6 +9,7 @@
 #ifndef DENSIM_UTIL_STATS_HH
 #define DENSIM_UTIL_STATS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -23,7 +24,20 @@ class RunningStats
 {
   public:
     /** Add one sample. */
-    void add(double x);
+    void add(double x)
+    {
+        if (count_ == 0) {
+            min_ = x;
+            max_ = x;
+        } else {
+            min_ = std::min(min_, x);
+            max_ = std::max(max_, x);
+        }
+        ++count_;
+        const double delta = x - mean_;
+        mean_ += delta / static_cast<double>(count_);
+        m2_ += delta * (x - mean_);
+    }
 
     /** Merge another accumulator into this one (parallel reduction). */
     void merge(const RunningStats &other);

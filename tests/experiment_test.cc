@@ -183,6 +183,21 @@ processThreads()
     return error ? 0 : threads;
 }
 
+/**
+ * Wait (up to 5 s) until the process lists at most @p count threads.
+ * pthread_join returns before the kernel drops the joined thread from
+ * /proc/self/task, so a destroyed pool's helpers linger there briefly.
+ */
+void
+settleThreads(std::size_t count)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (processThreads() > count &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+}
+
 TEST(Parallel, NoMoreThreadsRunItemsThanWorkersOrItems)
 {
     // Where two workers may run, items hold on until a second thread
@@ -194,6 +209,7 @@ TEST(Parallel, NoMoreThreadsRunItemsThanWorkersOrItems)
     std::thread([] {}).join();
     const std::size_t before = processThreads();
     for (unsigned threads : {1u, 2u, 3u, 8u}) {
+        settleThreads(before);
         WorkerPool pool(threads);
         std::size_t widest = 1;
         for (std::size_t count : {1u, 2u, 5u, 40u}) {

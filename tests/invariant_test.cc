@@ -191,8 +191,8 @@ TEST(Invariant, CompletionListValidatesAfterRandomOperations)
     const std::size_t n = 24;
     CompletionList list;
     list.reset(n);
-    list.fill(std::numeric_limits<double>::infinity(),
-              std::vector<double>(n, 0.0), std::vector<std::uint8_t>(n, 0));
+    list.open(std::numeric_limits<double>::infinity());
+    list.close();
     // The engine's view the list must agree with: busy flags and keys.
     std::vector<double> keys(n, 0.0);
     std::vector<std::uint8_t> busy(n, 0);

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,6 +253,24 @@ constexpr GoldenRow kGoldens[] = {
      0x1.88610aa666b29p+6, 0x1.0957820ea96abp+0,
      0x1.df215b77feab5p-1, 0x1.75716686c338dp-14,
      0x1.4eb75639a664bp+6},
+    // The two rows below reach thermalStep's non-pristine sensed
+    // path: scheduler sensor noise and quantization, and stuck, noisy
+    // and dropout sensors plus socket failures
+    // (SensorGoldenRowsReachTheirPaths).
+    {"CF+sensors", 9647, 7241, 0, 0,
+     0x1.54408875919eap+9, 0x1.0df6f964fa877p+1,
+     0x1.7058134f43bdfp+5, 0x1.5102f08fe3983p+5,
+     0x1.29289ef5c9f6dp+5, 0x1.dfb6cc3b6cd0ep+4,
+     0x1.7eef016729956p+6, 0x1.077038aa4932bp+0,
+     0x1.d1beeab02e40dp-1, 0x1.c024d1f9b425ap-14,
+     0x1.5053a51fa8b04p+6},
+    {"CP+sensor-faults", 9647, 7241, 0, 0,
+     0x1.514a2174f3f0dp+9, 0x1.0e0c3473002efp+1,
+     0x1.70866224144cap+5, 0x1.5606dba9b43e5p+5,
+     0x1.2851ef843e7d5p+5, 0x1.b3ebd1ed73648p+4,
+     0x1.8ae58a623977bp+6, 0x1.1f95f410bf148p+0,
+     0x1.d697ca4b6d463p-1, 0x1.f20cfbb789578p-13,
+     0x1.5047ae43ac808p+6},
 };
 
 /** Build the scenario config for a golden row from its name. */
@@ -260,6 +279,9 @@ goldenConfig(const char *name)
 {
     SimConfig config = diffConfig();
     if (std::string(name) == "CP+faults") {
+        // Only the fan fault fires: with sensorStuckCount and
+        // socketFailCount at 0 the timeline picks no socket, so the
+        // stuck and failure times schedule nothing.
         config.fault.fanFailS = 0.8;
         config.fault.fanSpeedFrac = 0.3;
         config.fault.fanRecoverS = 1.5;
@@ -268,14 +290,42 @@ goldenConfig(const char *name)
         config.fault.socketRecoverS = 1.6;
     } else if (std::string(name) == "CP+migration") {
         config.migrationEnabled = true;
+    } else if (std::string(name) == "CF+sensors") {
+        config.sensorNoiseC = 0.5;
+        config.sensorQuantC = 0.25;
+    } else if (std::string(name) == "CP+sensor-faults") {
+        config.fault.sensorStuckCount = 3;
+        config.fault.sensorStuckAtS = 0.6;
+        config.fault.sensorNoisyCount = 3;
+        config.fault.sensorNoisyAtS = 0.7;
+        config.fault.sensorDropoutCount = 3;
+        config.fault.sensorDropoutAtS = 0.8;
+        config.fault.sensorDropoutDurS = 0.6;
+        config.fault.socketFailCount = 2;
+        config.fault.socketFailS = 1.0;
+        config.fault.socketRecoverS = 1.5;
     }
     return config;
 }
 
-const char *
+/** The policy of a golden row: its name up to any '+' suffix. */
+std::string
 goldenScheduler(const char *name)
 {
-    return std::string(name).rfind("CP", 0) == 0 ? "CP" : name;
+    const std::string row(name);
+    return row.substr(0, row.find('+'));
+}
+
+/** Counter @p name of @p sim's last run; a failure if unregistered. */
+std::uint64_t
+counterValue(const DenseServerSim &sim, const std::string &name)
+{
+    for (const auto &c : sim.observability().counters()) {
+        if (c.name == name)
+            return c.value;
+    }
+    ADD_FAILURE() << "counter '" << name << "' not registered";
+    return 0;
 }
 
 TEST(PerfEquivalence, GoldenMetricsMatchPreRefactorSeed)
@@ -301,6 +351,26 @@ TEST(PerfEquivalence, GoldenMetricsMatchPreRefactorSeed)
         EXPECT_EQ(m.queueDelayS.mean(), g.queueDelayS);
         EXPECT_EQ(m.chipTempC.mean(), g.chipTempC);
     }
+}
+
+TEST(PerfEquivalence, SensorGoldenRowsReachTheirPaths)
+{
+    // Neither sensor row may go inert. The scheduler-sensor knobs
+    // have no counter; their noise must move CF's picks off the
+    // pristine CF row. The sensor-fault row must fire every fault it
+    // arms.
+    static_assert(std::string_view(kGoldens[0].name) == "CF");
+    DenseServerSim sensors(goldenConfig("CF+sensors"),
+                           makeScheduler("CF"));
+    EXPECT_NE(sensors.run().energyJ, kGoldens[0].energyJ);
+
+    DenseServerSim faults(goldenConfig("CP+sensor-faults"),
+                          makeScheduler("CP"));
+    faults.run();
+    EXPECT_EQ(counterValue(faults, "fault.sensorFaults"), 9u);
+    EXPECT_GT(counterValue(faults, "fault.dropoutFallbacks"), 0u);
+    EXPECT_EQ(counterValue(faults, "fault.socketFailures"), 2u);
+    EXPECT_EQ(counterValue(faults, "fault.socketRecoveries"), 2u);
 }
 
 TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
@@ -372,8 +442,8 @@ openList(std::size_t n, double horizon)
 {
     CompletionList list;
     list.reset(n);
-    list.fill(horizon, std::vector<double>(n, 0.0),
-              std::vector<std::uint8_t>(n, 0));
+    list.open(horizon);
+    list.close();
     return list;
 }
 
@@ -470,12 +540,19 @@ TEST(CompletionList, KeyAtOrAboveHorizonIsNotListed)
 {
     const double horizon = 2.0;
     const double below = std::nextafter(horizon, 0.0);
-    // fill lists only the busy ids keyed below the horizon: 0, 1 and
-    // 5 (id 2 sits at the horizon, 3 past it, 4 is idle).
+    // Offered the busy ids, the list keeps only those keyed below the
+    // horizon: 0, 1 and 5 (id 2 sits at the horizon, 3 past it, 4 is
+    // idle and not offered).
+    const std::vector<double> keys{1.5, below, horizon, 3.0, 0.5, 1.5};
+    const std::vector<std::uint8_t> busy{1, 1, 1, 1, 0, 1};
     CompletionList list;
     list.reset(6);
-    list.fill(horizon, {1.5, below, horizon, 3.0, 0.5, 1.5},
-              {1, 1, 1, 1, 0, 1});
+    list.open(horizon);
+    for (std::size_t id = 0; id < keys.size(); ++id) {
+        if (busy[id])
+            list.offer(id, keys[id]);
+    }
+    list.close();
     EXPECT_EQ(list.size(), 3u);
     EXPECT_EQ(list.top(), 0u); // Its key 1.5 ties with id 5.
     list.erase(0);

@@ -83,6 +83,12 @@ TEST(PState, BoostBelowSustainedIsFatal)
                 ::testing::ExitedWithCode(1), "boost");
 }
 
+TEST(PState, AllBoostIsFatal)
+{
+    EXPECT_EXIT(PStateTable({{1700.0, true}, {1900.0, true}}),
+                ::testing::ExitedWithCode(1), "all states are boost");
+}
+
 TEST(Leakage, ThirtyPercentOfTdpAtReference)
 {
     const LeakageModel &leak = LeakageModel::x2150();

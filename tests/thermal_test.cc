@@ -169,8 +169,7 @@ TEST(SimplePeak, MonotoneInAmbientAndPower)
 double
 stepToward(double value, double target, double dt, double tau)
 {
-    firstOrderStepBatch(&value, &target, 1, responseFraction(dt, tau));
-    return value;
+    return firstOrderStep(value, target, responseFraction(dt, tau));
 }
 
 TEST(Transient, ExactExponentialStep)

@@ -296,7 +296,8 @@ stage_ckpt() {
     local out="build-ckpt/ckpt-smoke"
     mkdir -p "$out"
     local args=(run --scheduler CP --load 0.7 --set simTimeS=12
-                --set warmupS=1 --set fault.sensorNoisyAtS=2 --json)
+                --set warmupS=1 --set fault.sensorNoisyCount=2
+                --set fault.sensorNoisyAtS=2 --json)
     ./build-ckpt/tools/densim "${args[@]}" > "$out/straight.json"
     # Kill mid-flight. ASan builds are slow enough that the signal
     # lands mid-run; if the run wins the race anyway, fall back to

@@ -15,7 +15,9 @@
  * plus the convenience flags listed in usage().
  */
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -66,6 +68,9 @@ usage()
         "  --load X             target utilization (0,1]\n"
         "  --loads A,B,...      sweep loads\n"
         "  --seed N             RNG seed\n"
+        "  --set simTimeS=T     arrival window, s (default 6)\n"
+        "  --set warmupS=W      unmeasured warmup, s (default\n"
+        "                       min(3, simTimeS / 2))\n"
         "  --json / --csv       machine-readable output\n"
         "  --counters           report observability counters/gauges\n"
         "  --trace FILE         trace path for trace-* commands\n"
@@ -187,10 +192,12 @@ parseArgs(int argc, char **argv)
         std::exit(1);
     }
     cli.command = argv[1];
-    // Bench-friendly defaults: scaled tau, short horizon.
+    // Bench-friendly defaults: scaled tau, short horizon. The warmup
+    // stays NaN (a given value is always finite) until every flag is
+    // read, then follows the horizon: min(3 s, simTimeS / 2).
     cli.config.socketTauS = 3.0;
     cli.config.simTimeS = 6.0;
-    cli.config.warmupS = 3.0;
+    cli.config.warmupS = std::numeric_limits<double>::quiet_NaN();
 
     auto need = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -265,6 +272,8 @@ parseArgs(int argc, char **argv)
             fatal("unknown flag '", flag, "' (try --help)");
         }
     }
+    if (std::isnan(cli.config.warmupS))
+        cli.config.warmupS = std::min(3.0, cli.config.simTimeS / 2.0);
     return cli;
 }
 
