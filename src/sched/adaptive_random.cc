@@ -1,5 +1,6 @@
 #include "sched/adaptive_random.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/logging.hh"
@@ -20,9 +21,7 @@ AdaptiveRandom::pick(const Job &job, const SchedContext &ctx)
     const double *now = ctx.chipTempC;
     const double *hist = ctx.histTempC;
 
-    double min_now = std::numeric_limits<double>::infinity();
-    for (std::size_t s : *ctx.idle)
-        min_now = std::min(min_now, now[s]);
+    const double min_now = idleMinOf(ctx, now);
 
     double min_hist = std::numeric_limits<double>::infinity();
     for (std::size_t s : *ctx.idle) {

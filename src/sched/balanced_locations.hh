@@ -19,8 +19,8 @@ class BalancedLocations : public Scheduler
   public:
     const char *name() const override { return "Balanced-L"; }
     DENSIM_ALLOCATES(
-        "per-row occupancy scratch resized to topology size on first "
-        "use; no steady-state growth")
+        "stream-position cache resized to topology size on first use "
+        "and when the topology changes; no steady-state growth")
     std::size_t pick(const Job &job, const SchedContext &ctx) override;
 
   private:

@@ -1,6 +1,5 @@
 #include "sched/min_hr.hh"
 
-#include <algorithm>
 #include <limits>
 
 namespace densim {
@@ -24,9 +23,7 @@ MinHr::pick(const Job &job, const SchedContext &ctx)
     // Least recirculation first; among equal-impact candidates (one
     // zone spans many rows) take the coolest, so the zone's sockets
     // rotate instead of roasting one of them.
-    double best_impact = std::numeric_limits<double>::infinity();
-    for (std::size_t s : *ctx.idle)
-        best_impact = std::min(best_impact, impact_[s]);
+    const double best_impact = idleMinOf(ctx, impact_.data());
     double best_temp = std::numeric_limits<double>::infinity();
     std::size_t best = (*ctx.idle)[0];
     for (std::size_t s : *ctx.idle) {

@@ -153,6 +153,13 @@ std::size_t pickMinBy(const SchedContext &ctx, const double *key,
 std::size_t pickMaxBy(const SchedContext &ctx, const double *key,
                       double tie_eps, bool random_tiebreak);
 
+/**
+ * Smallest key[s] over the idle sockets, NaN keys skipped (+inf when
+ * none is left) — the scan pickMinBy starts from. The sign of a zero
+ * result is unspecified, so use it as a threshold, not as a value.
+ */
+double idleMinOf(const SchedContext &ctx, const double *key);
+
 } // namespace densim
 
 #endif // DENSIM_SCHED_SCHEDULER_HH

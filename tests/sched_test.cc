@@ -5,14 +5,19 @@
  * checked in isolation, without running the full simulator.
  */
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "power/leakage.hh"
 #include "power/power_manager.hh"
+#include "sched/adaptive_random.hh"
 #include "sched/coupling_predictor.hh"
 #include "sched/factory.hh"
+#include "sched/min_hr.hh"
 #include "sched/prediction.hh"
 #include "server/sut.hh"
 #include "thermal/simple_peak_model.hh"
@@ -471,6 +476,227 @@ TEST_F(SchedFixture, PickHelperRandomTieBreakSpreads)
     for (bool b : seen)
         covered += b;
     EXPECT_GT(covered, 100u);
+}
+
+/**
+ * The pick helpers' contract as two naive passes: the extreme key
+ * over the idle sockets in one chain (NaN keys skipped), then the
+ * sockets within tie_eps of it — the first of them, or one drawn
+ * with a single nextBounded over their count.
+ */
+std::size_t
+twoPassPick(const std::vector<std::size_t> &idle, const double *key,
+            double tie_eps, bool random_tiebreak, bool want_max, Rng &rng)
+{
+    double best = want_max ? -std::numeric_limits<double>::infinity()
+                           : std::numeric_limits<double>::infinity();
+    for (std::size_t s : idle) {
+        if (want_max ? key[s] > best : key[s] < best)
+            best = key[s];
+    }
+    std::vector<std::size_t> ties;
+    for (std::size_t s : idle) {
+        if (want_max ? key[s] >= best - tie_eps : key[s] <= best + tie_eps)
+            ties.push_back(s);
+    }
+    if (!random_tiebreak)
+        return ties.front();
+    return ties[rng.nextBounded(ties.size())];
+}
+
+/** @p n distinct socket ids below @p limit, ascending, drawn by @p gen. */
+std::vector<std::size_t>
+randomIdleList(Rng &gen, std::size_t limit, std::size_t n)
+{
+    std::vector<std::size_t> ids(limit);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    for (std::size_t i = 0; i < n; ++i)
+        std::swap(ids[i], ids[i + gen.nextBounded(limit - i)]);
+    ids.resize(n);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+TEST_F(SchedFixture, PickHelpersMatchTwoPassReference)
+{
+    // Keys cluster on exact ties, near-ties at +-tie_eps/2 (inside the
+    // band) and +-2 tie_eps (outside it), signed zeros and NaN, plus
+    // values a little off to one side, so both ends of the range see
+    // ties. Every idle-list length from 1 to n covers every remainder
+    // of the scan's accumulator count.
+    const std::size_t n = topo_.numSockets();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Rng gen(20261019);
+    std::vector<double> key(n);
+    std::uint64_t seed = 1;
+    for (double tie_eps : {1e-9, 0.25}) {
+        for (double base : {0.0, 30.0, -7.5}) {
+            for (std::size_t len = 1; len <= n; ++len) {
+                idle_ = randomIdleList(gen, n, len);
+                const double off_side =
+                    static_cast<double>(gen.nextBounded(3)) - 1.0;
+                for (double &k : key) {
+                    const double menu[] = {
+                        base,
+                        base + tie_eps / 2,
+                        base - tie_eps / 2,
+                        base + 2 * tie_eps,
+                        base - 2 * tie_eps,
+                        0.0,
+                        -0.0,
+                        nan,
+                        base + off_side * gen.uniform(3 * tie_eps, 5.0),
+                    };
+                    k = menu[gen.nextBounded(std::size(menu))];
+                }
+                // The helpers require one comparable key.
+                if (std::all_of(idle_.begin(), idle_.end(),
+                                [&](std::size_t s) {
+                                    return key[s] != key[s];
+                                }))
+                    key[idle_[gen.nextBounded(len)]] = base;
+                auto ctx = context();
+                for (bool want_max : {false, true}) {
+                    for (bool random : {false, true}) {
+                        Rng helper_rng(seed);
+                        Rng ref_rng(seed);
+                        ++seed;
+                        ctx.rng = &helper_rng;
+                        const std::size_t got =
+                            want_max ? pickMaxBy(ctx, key.data(), tie_eps,
+                                                 random)
+                                     : pickMinBy(ctx, key.data(), tie_eps,
+                                                 random);
+                        const std::size_t want =
+                            twoPassPick(idle_, key.data(), tie_eps, random,
+                                        want_max, ref_rng);
+                        ASSERT_EQ(got, want)
+                            << "len " << len << " base " << base
+                            << " eps " << tie_eps << " max " << want_max
+                            << " random " << random;
+                        ASSERT_EQ(helper_rng.nextU64(), ref_rng.nextU64())
+                            << "len " << len << " base " << base;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** MinHR's rule with a std::min loop of its own: MinHr::pick's reference. */
+std::size_t
+minHrLoopPick(const SchedContext &ctx)
+{
+    std::vector<double> impact(ctx.coupling->size());
+    for (std::size_t s = 0; s < impact.size(); ++s)
+        impact[s] = ctx.coupling->downstreamImpact(s).value();
+    double best_impact = std::numeric_limits<double>::infinity();
+    for (std::size_t s : *ctx.idle)
+        best_impact = std::min(best_impact, impact[s]);
+    double best_temp = std::numeric_limits<double>::infinity();
+    std::size_t best = (*ctx.idle)[0];
+    for (std::size_t s : *ctx.idle) {
+        if (impact[s] > best_impact + 1e-12)
+            continue;
+        if (ctx.chipTempC[s] < best_temp) {
+            best_temp = ctx.chipTempC[s];
+            best = s;
+        }
+    }
+    return best;
+}
+
+/**
+ * A-Random's rule with std::min loops of its own: the reference
+ * AdaptiveRandom::pick is compared with, pick and RNG draw.
+ */
+std::size_t
+adaptiveRandomLoopPick(const SchedContext &ctx, double band)
+{
+    const double *now = ctx.chipTempC;
+    const double *hist = ctx.histTempC;
+    double min_now = std::numeric_limits<double>::infinity();
+    for (std::size_t s : *ctx.idle)
+        min_now = std::min(min_now, now[s]);
+    double min_hist = std::numeric_limits<double>::infinity();
+    for (std::size_t s : *ctx.idle) {
+        if (now[s] <= min_now + band)
+            min_hist = std::min(min_hist, hist[s]);
+    }
+    std::size_t n = 0;
+    for (std::size_t s : *ctx.idle) {
+        if (now[s] <= min_now + band && hist[s] <= min_hist + band)
+            ++n;
+    }
+    std::size_t chosen = ctx.rng->nextBounded(n);
+    for (std::size_t s : *ctx.idle) {
+        if (now[s] <= min_now + band && hist[s] <= min_hist + band) {
+            if (chosen == 0)
+                return s;
+            --chosen;
+        }
+    }
+    return ctx.nSockets;
+}
+
+/**
+ * A temperature on a 0.25 C grid (so band edges are hit exactly),
+ * now and then a signed zero.
+ */
+double
+gridTemp(Rng &gen)
+{
+    switch (gen.nextBounded(16)) {
+    case 0:
+        return 0.0;
+    case 1:
+        return -0.0;
+    default:
+        return 25.0 + 0.25 * static_cast<double>(gen.nextBounded(40));
+    }
+}
+
+TEST_F(SchedFixture, MinHrMatchesItsMinLoop)
+{
+    const std::size_t n = topo_.numSockets();
+    Rng gen(4242);
+    MinHr policy;
+    for (std::size_t len = 1; len <= n; ++len) {
+        idle_ = randomIdleList(gen, n, len);
+        for (double &t : chip_)
+            t = gridTemp(gen);
+        auto ctx = context();
+        EXPECT_EQ(policy.pick(job(), ctx), minHrLoopPick(ctx))
+            << "len " << len;
+    }
+}
+
+TEST_F(SchedFixture, AdaptiveRandomMatchesItsMinLoops)
+{
+    const std::size_t n = topo_.numSockets();
+    Rng gen(4343);
+    std::uint64_t seed = 1;
+    for (double band : {0.0, 0.25, 1.0}) {
+        AdaptiveRandom policy{CelsiusDelta(band)};
+        for (std::size_t len = 1; len <= n; ++len) {
+            idle_ = randomIdleList(gen, n, len);
+            for (std::size_t s = 0; s < n; ++s) {
+                chip_[s] = gridTemp(gen);
+                hist_[s] = gridTemp(gen);
+            }
+            Rng policy_rng(seed);
+            Rng loop_rng(seed);
+            ++seed;
+            auto ctx = context();
+            ctx.rng = &policy_rng;
+            const std::size_t got = policy.pick(job(), ctx);
+            ctx.rng = &loop_rng;
+            EXPECT_EQ(got, adaptiveRandomLoopPick(ctx, band))
+                << "len " << len << " band " << band;
+            EXPECT_EQ(policy_rng.nextU64(), loop_rng.nextU64())
+                << "len " << len << " band " << band;
+        }
+    }
 }
 
 } // namespace
