@@ -35,24 +35,15 @@
  *    by design. Propagation stops here; the function's effects never
  *    reach its hot callers' summaries.
  *
- * Under clang the markers expand to [[clang::annotate]] attributes so
- * they survive into the AST; everywhere else they expand to nothing
- * and cost zero codegen — the portable driver reads the marker tokens
- * straight from the source, so both frontends see the same contract.
+ * The markers expand to nothing and cost zero codegen: the analyzer
+ * reads the marker tokens straight from the source.
  */
 
 #ifndef DENSIM_CORE_EFFECTS_HH
 #define DENSIM_CORE_EFFECTS_HH
 
-#if defined(__clang__)
-#define DENSIM_HOT [[clang::annotate("densim::hot")]]
-#define DENSIM_COLD [[clang::annotate("densim::cold")]]
-#define DENSIM_ALLOCATES(reason)                                       \
-    [[clang::annotate("densim::allocates:" reason)]]
-#else
 #define DENSIM_HOT
 #define DENSIM_COLD
 #define DENSIM_ALLOCATES(reason)
-#endif
 
 #endif // DENSIM_CORE_EFFECTS_HH

@@ -137,11 +137,10 @@ struct SimConfig
     /**
      * Answer DVFS searches from the engine's exact feasibility
      * thresholds and hand schedulers the prediction state
-     * (sched/prediction.hh): placement and downstream-penalty results
-     * are reused within an epoch and dropped the moment any input
-     * moves, and the penalty snapshot prices most downstream probes
-     * in a compare or two. Decisions are bit-identical either way
-     * (pinned by the perf-equivalence bank); off, every search runs
+     * (sched/prediction.hh): the same thresholds, and the penalty
+     * snapshot that prices most downstream probes in a compare or
+     * two. Decisions are bit-identical either way (pinned by the
+     * perf-equivalence bank); off, every search runs
      * PowerManager::chooseAtAmbientCapped in full — the reference
      * the differential tests compare against.
      */

@@ -13,8 +13,8 @@
  * string through appendString(), which applies RFC 8259 escaping.
  *
  * validate() is a strict recursive-descent RFC 8259 parser used by
- * the test suite and the `densim obs` smoke checks so "it parses in
- * python" is asserted in-process too, not only in CI.
+ * the test suite, so "it parses" is asserted in-process too, not only
+ * by the Python parses in tools/check.sh's smoke runs.
  */
 
 #ifndef DENSIM_OBS_JSON_HH

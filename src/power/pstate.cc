@@ -1,7 +1,5 @@
 #include "power/pstate.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace densim {
@@ -49,16 +47,6 @@ PStateTable::at(std::size_t i) const
         panic("PStateTable: index ", i, " out of range (",
               states_.size(), ")");
     return states_[i];
-}
-
-std::size_t
-PStateTable::indexOf(double freq_mhz) const
-{
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (std::fabs(states_[i].freqMhz - freq_mhz) < 1e-9)
-            return i;
-    }
-    fatal("PStateTable: no state at ", freq_mhz, " MHz");
 }
 
 double

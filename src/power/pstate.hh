@@ -51,9 +51,6 @@ class PStateTable
     /** Index of the highest non-boost state. */
     std::size_t highestSustainedIndex() const { return sustainedIdx_; }
 
-    /** Index of the state with exactly @p freq_mhz; fails if absent. */
-    std::size_t indexOf(double freq_mhz) const;
-
     /** Frequency of state @p i relative to the fastest state. */
     double relativeFreq(std::size_t i) const;
 

@@ -50,9 +50,6 @@ struct TopologySpec
     // The raw-double fields above are the config_io boundary; typed
     // views for model code:
 
-    /** Per-socket airflow share as a typed quantity. */
-    Cfm perSocketFlow() const { return Cfm(perSocketCfm); }
-
     /** Inlet air temperature as a typed quantity. */
     Celsius inlet() const { return Celsius(inletC); }
 };

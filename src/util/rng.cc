@@ -120,18 +120,6 @@ Rng::lognormal(double mu, double sigma)
     return std::exp(mu + sigma * normal());
 }
 
-bool
-Rng::bernoulli(double p)
-{
-    return nextDouble() < p;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(nextU64());
-}
-
 Rng::Snapshot
 Rng::snapshot() const
 {

@@ -56,12 +56,6 @@ class Rng
      */
     double lognormal(double mu, double sigma);
 
-    /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
-
-    /** Derive an independent generator (for parallel components). */
-    Rng split();
-
     /**
      * Complete generator state, exposed for checkpoint/restore. The
      * Marsaglia spare must round-trip too: normal() draws two values

@@ -86,33 +86,6 @@ TableWriter::toText() const
     return os.str();
 }
 
-std::string
-TableWriter::toCsv() const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                out += '"';
-            out += ch;
-        }
-        out += '"';
-        return out;
-    };
-    std::ostringstream os;
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << quote(row[c]) << (c + 1 == row.size() ? "" : ",");
-        os << "\n";
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-    return os.str();
-}
-
 void
 TableWriter::print(std::ostream &os) const
 {

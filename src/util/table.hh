@@ -1,11 +1,12 @@
 /**
  * @file
- * Fixed-width text table and CSV writers.
+ * Fixed-width text table writer.
  *
  * Every bench binary regenerates one of the paper's tables or figure
- * series; TableWriter renders the rows both as aligned text (for the
- * console) and CSV (for plotting), so the output format is uniform
- * across experiments.
+ * series; TableWriter renders the rows as aligned text for the
+ * console, so the output format is uniform across experiments.
+ * Machine-readable output (`densim --csv`, `--json`) goes through
+ * core/metrics_io.
  */
 
 #ifndef DENSIM_UTIL_TABLE_HH
@@ -45,9 +46,6 @@ class TableWriter
 
     /** Render as an aligned text table. */
     std::string toText() const;
-
-    /** Render as CSV (RFC-4180-style quoting for commas/quotes). */
-    std::string toCsv() const;
 
     /** Write the text rendering to @p os. */
     void print(std::ostream &os) const;

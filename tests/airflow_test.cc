@@ -1,15 +1,13 @@
 /**
  * @file
  * Unit tests for the airflow substrate: first-law relations (checked
- * against Table II of the paper), fan affinity laws, and the chassis
- * flow budget.
+ * against Table II of the paper) and fan affinity laws.
  */
 
 #include <gtest/gtest.h>
 
 #include "airflow/fan.hh"
 #include "airflow/first_law.hh"
-#include "airflow/flow_budget.hh"
 
 namespace densim {
 namespace {
@@ -146,36 +144,6 @@ TEST(Fan, PowerForCfmMonotone)
         EXPECT_GE(p, last);
         last = p;
     }
-}
-
-TEST(FlowBudget, SutMatchesTableIII)
-{
-    const FlowBudget budget = FlowBudget::sutBudget();
-    EXPECT_DOUBLE_EQ(budget.totalCfm().value(), 400.0);
-    EXPECT_NEAR(budget.perSocketCfm().value(), 6.35, 1e-9);
-    EXPECT_NEAR(budget.zoneCfm().value(), 12.70, 1e-9);
-}
-
-TEST(FlowBudget, NoLeakageSplitsEvenly)
-{
-    const FlowBudget budget(Cfm(100.0), 4, 2, 0.0);
-    EXPECT_DOUBLE_EQ(budget.ductCfm().value(), 25.0);
-    EXPECT_DOUBLE_EQ(budget.perSocketCfm().value(), 12.5);
-}
-
-TEST(FlowBudget, LeakageReducesDuctFlow)
-{
-    const FlowBudget tight(Cfm(100.0), 4, 2, 0.0);
-    const FlowBudget leaky(Cfm(100.0), 4, 2, 0.3);
-    EXPECT_LT(leaky.ductCfm().value(), tight.ductCfm().value());
-    EXPECT_NEAR(leaky.ductCfm().value(),
-                0.7 * tight.ductCfm().value(), 1e-12);
-}
-
-TEST(FlowBudget, RejectsFullLeakage)
-{
-    EXPECT_EXIT(FlowBudget(Cfm(100.0), 4, 2, 1.0),
-                ::testing::ExitedWithCode(1), "leakage");
 }
 
 TEST(FlowBudget, SutBudgetSupportsTableIIDensityOptRow)

@@ -375,9 +375,8 @@ TEST(PerfEquivalence, SensorGoldenRowsReachTheirPaths)
 
 TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
 {
-    // The prediction cache (placement/penalty memos, the feasibility
-    // thresholds and the penalty snapshot) returns cached values
-    // verbatim and reads every P-state off exact thresholds, so
+    // The prediction cache (the feasibility thresholds and the
+    // penalty snapshot) reads every P-state off exact thresholds, so
     // disabling it — every DVFS search then runs chooseAtAmbientCapped
     // in full — must change nothing at all: EXPECT_EQ on doubles,
     // including with faults armed (where the snapshot turns itself

@@ -49,19 +49,6 @@ TEST(PState, HighestSustainedIs1500)
     EXPECT_TRUE(table.at(idx + 1).boost);
 }
 
-TEST(PState, IndexOfFindsStates)
-{
-    const auto &table = PStateTable::x2150();
-    EXPECT_EQ(table.indexOf(1100.0), 0u);
-    EXPECT_EQ(table.indexOf(1900.0), 4u);
-}
-
-TEST(PState, IndexOfUnknownIsFatal)
-{
-    EXPECT_EXIT(PStateTable::x2150().indexOf(1234.0),
-                ::testing::ExitedWithCode(1), "no state");
-}
-
 TEST(PState, RelativeFrequency)
 {
     const auto &table = PStateTable::x2150();

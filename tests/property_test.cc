@@ -196,7 +196,7 @@ TEST(PolicyFuzz, AllPoliciesValidOnRandomStates)
             std::vector<std::uint8_t> busy(n);
             std::vector<std::size_t> idle;
             for (std::size_t s = 0; s < n; ++s) {
-                busy[s] = rng.bernoulli(0.6);
+                busy[s] = rng.nextDouble() < 0.6;
                 chip[s] = rng.uniform(20.0, 95.0);
                 hist[s] = rng.uniform(20.0, 95.0);
                 amb[s] = rng.uniform(18.0, 80.0);

@@ -135,27 +135,6 @@ TEST(Rng, LognormalMeanMatchesClosedForm)
     EXPECT_NEAR(s.mean(), expected, expected * 0.05);
 }
 
-TEST(Rng, BernoulliFrequency)
-{
-    Rng rng(43);
-    int hits = 0;
-    const int draws = 100000;
-    for (int i = 0; i < draws; ++i)
-        hits += rng.bernoulli(0.3);
-    EXPECT_NEAR(hits, 0.3 * draws, 0.01 * draws);
-}
-
-TEST(Rng, SplitStreamsAreIndependentlySeeded)
-{
-    Rng parent(47);
-    Rng a = parent.split();
-    Rng b = parent.split();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        same += a.nextU64() == b.nextU64();
-    EXPECT_EQ(same, 0);
-}
-
 TEST(RunningStats, EmptyIsZero)
 {
     RunningStats s;
@@ -240,15 +219,6 @@ TEST(Table, TextRenderingAligned)
     EXPECT_NE(text.find("1.5"), std::string::npos);
     EXPECT_NE(text.find("42"), std::string::npos);
     EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(Table, CsvEscapesSpecialCharacters)
-{
-    TableWriter t({"name", "value"});
-    t.newRow().cell("a,b").cell("say \"hi\"");
-    const std::string csv = t.toCsv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-    EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
 }
 
 TEST(Table, FormatFixedPrecision)

@@ -1,22 +1,30 @@
 /**
  * @file
  * Calibration sweep tool for the coupling-model parameters
- * (kappaLocal, wakeFactor).
+ * (DESIGN.md Sec. 3.1).
  *
- * Runs the scheduler suite at low and high load for a given parameter
- * pair and prints performance relative to CF, so the operating point
+ * Runs the scheduler suite at low and high load for one parameter
+ * set and prints performance relative to CF, so the operating point
  * can be matched against the paper's qualitative targets:
  *
  *   @30% load:  Predictive >= CF, HF and MinHR several % worse
  *   @70% load:  HF and MinHR better than CF, Predictive ~ CF
  *   CP at or near the best scheme at every load
  *
- * Usage: calibrate <kappa> <wake> <decayInch> <boostRefill> [load ...]
+ * Usage: calibrate [kappa [wake [decayInch [boostRefill
+ *                  [verticalLeak [load ...]]]]]]
+ *
+ * Each argument is parsed as its config key (coupling.kappaLocal,
+ * coupling.wakeFactor, coupling.decayLengthInch, boostRefillRate,
+ * coupling.verticalLeak, then load for every remaining one), so a
+ * malformed value fails naming the key. An absent argument keeps the
+ * SimConfig default; the loads default to 0.3 and 0.7.
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <iterator>
 
+#include "core/config_io.hh"
 #include "core/experiment.hh"
 #include "util/table.hh"
 
@@ -25,23 +33,22 @@ using namespace densim;
 int
 main(int argc, char **argv)
 {
-    const double kappa = argc > 1 ? std::atof(argv[1]) : 2.5;
-    const double wake = argc > 2 ? std::atof(argv[2]) : 1.6;
-    const double decay = argc > 3 ? std::atof(argv[3]) : 40.0;
-    const double refill = argc > 4 ? std::atof(argv[4]) : 0.5;
-    const double vleak = argc > 5 ? std::atof(argv[5]) : 0.45;
+    const char *const keys[] = {
+        "coupling.kappaLocal", "coupling.wakeFactor",
+        "coupling.decayLengthInch", "boostRefillRate",
+        "coupling.verticalLeak"};
+    const int nkeys = static_cast<int>(std::size(keys));
+    SimConfig base;
+    for (int i = 1; i < argc && i <= nkeys; ++i)
+        applyConfigKey(base, keys[i - 1], argv[i]);
     std::vector<double> loads;
-    for (int i = 6; i < argc; ++i)
-        loads.push_back(std::atof(argv[i]));
+    for (int i = nkeys + 1; i < argc; ++i) {
+        applyConfigKey(base, "load", argv[i]);
+        loads.push_back(base.load);
+    }
     if (loads.empty())
         loads = {0.3, 0.7};
 
-    SimConfig base;
-    base.coupling.kappaLocal = kappa;
-    base.coupling.wakeFactor = wake;
-    base.coupling.decayLengthInch = decay;
-    base.boostRefillRate = refill;
-    base.coupling.verticalLeak = vleak;
     base.socketTauS = 3.0;
     base.simTimeS = 15.0;
     base.warmupS = 7.0;
@@ -50,9 +57,11 @@ main(int argc, char **argv)
         "CF", "HF", "Random", "MinHR", "Predictive", "CP",
         "CP-nocoupling", "CP-global"};
 
-    std::cout << "kappa=" << kappa << " wake=" << wake << " decay="
-              << decay << " refill=" << refill << " vleak=" << vleak
-              << "\n";
+    std::cout << "kappa=" << base.coupling.kappaLocal
+              << " wake=" << base.coupling.wakeFactor
+              << " decay=" << base.coupling.decayLengthInch
+              << " refill=" << base.boostRefillRate
+              << " vleak=" << base.coupling.verticalLeak << "\n";
 
     // Average relative performance across seeds: high loads sit near
     // queue saturation, so single runs are noisy.

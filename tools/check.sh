@@ -18,9 +18,13 @@
 #             notice when the tool is absent
 #   tidy      the densim static-analysis gate (DESIGN.md Sec. 13):
 #             tools/tidy/run_densim_tidy.py fixture self-test + a
-#             clean whole-tree scan on the builtin frontend (gating,
-#             needs only python3), then the same on the clang AST
-#             frontend when clang is on PATH (also gating)
+#             clean whole-tree scan with SARIF output (needs only
+#             python3)
+#   fma       the exactness gate (DESIGN.md Sec. 9.2): a build for an
+#             FMA target (-march=x86-64-v3) + full ctest, so the
+#             goldens and bit-identity tests show that
+#             -ffp-contract=off keeps a*b+c rounding twice; skipped
+#             with a notice on a host that cannot run x86-64-v3 code
 #   obs       DENSIM_OBS=ON build + the obs/equivalence tests, then a
 #             CLI smoke run with tracing and the timeline stream on;
 #             the emitted trace JSON and JSONL are parsed with
@@ -374,36 +378,44 @@ stage_lint() {
 }
 
 stage_tidy() {
-    # Portable driver: fixture self-test, then a clean tree scan.
-    # The builtin frontend gates everywhere python3 runs. The tree
-    # scan also emits SARIF so the 2.1.0 structure is validated on
-    # every run, not just when CI uploads it.
-    python3 tools/tidy/run_densim_tidy.py --frontend builtin --self-test
+    # Fixture self-test, then a clean tree scan. The tree scan also
+    # emits SARIF so the 2.1.0 structure is validated on every run,
+    # not just when CI uploads it.
+    python3 tools/tidy/run_densim_tidy.py --self-test
     mkdir -p build-checks
-    python3 tools/tidy/run_densim_tidy.py --frontend builtin \
+    python3 tools/tidy/run_densim_tidy.py \
         --sarif build-checks/densim-tidy.sarif
-    # The clang AST-JSON frontend gates wherever a clang binary
-    # exists — same rules over the real AST.
-    if command -v clang++ >/dev/null 2>&1 || \
-       command -v clang >/dev/null 2>&1; then
-        python3 tools/tidy/run_densim_tidy.py --frontend clang --self-test
-        python3 tools/tidy/run_densim_tidy.py --frontend clang
-    else
-        echo "check.sh: tidy: no clang on PATH — AST-JSON frontend SKIPPED" \
-             "(builtin frontend gated above)" >&2
+}
+
+stage_fma() {
+    # On a target with FMA, GCC fuses a*b+c into one rounding unless
+    # -ffp-contract=off (top-level CMakeLists.txt) says otherwise; the
+    # goldens, the table-vs-search equivalences and the pinned
+    # checkpoint bytes then move in their last bits. Probe first: the
+    # compiler must accept the target and the host must run it.
+    mkdir -p build-fma
+    printf 'int main() { return __builtin_cpu_supports("x86-64-v3") ? 0 : 1; }\n' \
+        > build-fma/probe.cc
+    if ! "${CXX:-c++}" -march=x86-64-v3 build-fma/probe.cc \
+            -o build-fma/probe 2> /dev/null || ! ./build-fma/probe; then
+        echo "check.sh: host cannot build or run x86-64-v3 code — fma stage SKIPPED" >&2
+        return 0
     fi
+    configure build-fma -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+    build build-fma
+    run_ctest build-fma
 }
 
 if [ "$#" -gt 0 ]; then
     stages=("$@")
 else
     stages=(plain asan tsan paranoid obs fault fleet ckpt perfbench lint
-            tidy)
+            tidy fma)
 fi
 
 for stage in "${stages[@]}"; do
     case "$stage" in
-        plain|asan|tsan|paranoid|obs|fault|fleet|ckpt|perfbench|lint|tidy|bench) ;;
+        plain|asan|tsan|paranoid|obs|fault|fleet|ckpt|perfbench|lint|tidy|fma|bench) ;;
         *)
             echo "check.sh: unknown stage '$stage'" >&2
             exit 2

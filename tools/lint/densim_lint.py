@@ -5,11 +5,11 @@ Every header in src/ must compile on its own with only its own
 #includes — no include-order luck. Checked with `g++ -fsyntax-only`
 when a compiler is available.
 
-The raw-double boundary scan that used to live here moved to the
-AST-grounded densim-raw-double-boundary check in
-tools/tidy/run_densim_tidy.py (DESIGN.md Sec. 13): the regex could
-not tell a function parameter from a header-local variable, so its
-allowlist carried entries for non-findings. This module still owns
+The raw-double boundary scan lives in the parameter-aware
+densim-raw-double-boundary check of tools/tidy/run_densim_tidy.py
+(DESIGN.md Sec. 13): a regex could not tell a function parameter from
+a header-local variable, so its allowlist carried entries for
+non-findings. This module still owns
 the shared vocabulary — UNIT_NAME_RE, DIMENSIONLESS and the reviewed
 allowlist loader — which the tidy driver imports so both gates agree
 on what a unit-carrying name is.

@@ -11,7 +11,7 @@ The pass has the classic two-phase shape:
   1. **Per-TU summaries.** Each translation unit is reduced to a map
      `qualified function name -> {direct effects, outgoing calls,
      annotations}`. Summaries are serialized to a cache keyed by a
-     content hash of the file (plus frontend + format version), so an
+     content hash of the file (plus the summary format version), so an
      unchanged file is never re-parsed — the link step is what makes
      the whole-tree gate cheap enough for tier-1 ctest.
 
@@ -52,7 +52,9 @@ Annotations (src/core/effects.hh):
                              propagation stops, effects never reach
                              hot callers.
 
-Builtin-frontend honesty notes (all deliberate, documented choices):
+The summaries come from the shared token layer (cxx_tokens.py) with
+preprocessor lines dropped first. Honesty notes (all deliberate,
+documented choices):
   - Unresolved *named* calls are assumed pure: the std surface is
     carried by curated effect tables, and a closed project namespace
     means unknown names are either std or macros.
@@ -67,13 +69,11 @@ import hashlib
 import json
 import os
 import re
-import subprocess
 
-SUMMARY_VERSION = 3
+from cxx_tokens import (is_ident, match_brace, match_paren,
+                        skip_template_args, tokenize)
 
-CHECK = "densim-hot-effects"
-
-EFFECT_NAMES = ("allocates", "throws", "io", "entropy", "unordered")
+SUMMARY_VERSION = 4
 
 KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "alignof",
@@ -134,162 +134,25 @@ ANNOT_TOKENS = {
 }
 
 MACRO_RE = re.compile(r"[A-Z][A-Z0-9_]{2,}\Z")
-IDENT_RE = re.compile(r"[A-Za-z_]")
-
-TOKEN_RE = re.compile(r"""
-      [A-Za-z_][A-Za-z0-9_]*
-    | 0[xX][0-9a-fA-F'.pP+-]+ | \.?\d[\d'.eEpPfFuUlL+-]*
-    | <<= | >>= | ->\* | \.\.\. | :: | -> | \+\+ | -- | << | >>
-    | <= | >= | == | != | && | \|\| | [+\-*/%&|^!=]=
-    | [{}()\[\];:,<>.?~!+\-*/%&|^=]
-""", re.X)
 
 
-class Tok:
-    __slots__ = ("text", "line")
-
-    def __init__(self, text, line):
-        self.text = text
-        self.line = line
-
-    def __repr__(self):
-        return "Tok({!r}@{})".format(self.text, self.line)
-
-
-def strip_comments_strings_preproc(text):
-    """Comments, string/char literals and preprocessor lines removed,
-    newlines preserved (so token lines stay true)."""
+def drop_preprocessor(text):
+    """Preprocessor directives (with their backslash continuations)
+    blanked, newlines preserved. Runs before tokenize(), so macro
+    bodies and #include lines never read as code."""
     out = []
-    i, n = 0, len(text)
-    at_line_start = True
-    while i < n:
-        c = text[i]
-        two = text[i:i + 2]
-        if at_line_start and c in " \t":
-            out.append(c)
-            i += 1
-            continue
-        if at_line_start and c == "#":
-            # Preprocessor directive incl. backslash continuations.
-            while i < n:
-                j = text.find("\n", i)
-                if j < 0:
-                    i = n
-                    break
-                if text[j - 1] == "\\" or (text[j - 1] == "\r"
-                                           and text[j - 2] == "\\"):
-                    out.append("\n")
-                    i = j + 1
-                    continue
-                i = j  # Keep the newline for the normal path below.
-                break
-            continue
-        at_line_start = False
-        if c == "\n":
-            out.append("\n")
-            at_line_start = True
-            i += 1
-        elif two == "//":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif two == "/*":
-            j = text.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append("\n" * text.count("\n", i, j))
-            i = j
-        elif c == '"':
-            if text[max(0, i - 2):i] == 'R"' or \
-                    (i >= 1 and text[i - 1] == "R"):
-                m = re.match(r'"([^(]*)\(', text[i:])
-                if m:
-                    close = ")" + m.group(1) + '"'
-                    j = text.find(close, i)
-                    j = n if j < 0 else j + len(close)
-                    out.append("\n" * text.count("\n", i, j))
-                    i = j
-                    continue
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            i = j + 1
-        elif c == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                j += 2 if text[j] == "\\" else 1
-            i = j + 1
+    directive = False
+    for line in text.split("\n"):
+        if directive or line.lstrip(" \t").startswith("#"):
+            directive = line.rstrip("\r").endswith("\\")
+            out.append("")
         else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def tokenize(text):
-    clean = strip_comments_strings_preproc(text)
-    toks = []
-    line = 1
-    pos = 0
-    for m in TOKEN_RE.finditer(clean):
-        line += clean.count("\n", pos, m.start())
-        pos = m.start()
-        toks.append(Tok(m.group(0), line))
-    return toks
-
-
-def is_ident(tok):
-    return tok is not None and bool(IDENT_RE.match(tok.text))
-
-
-def match_paren(toks, i):
-    depth = 0
-    while i < len(toks):
-        if toks[i].text == "(":
-            depth += 1
-        elif toks[i].text == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return len(toks) - 1
-
-
-def match_brace(toks, i):
-    depth = 0
-    while i < len(toks):
-        if toks[i].text == "{":
-            depth += 1
-        elif toks[i].text == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return len(toks) - 1
-
-
-def skip_template_args(toks, i):
-    """toks[i] == '<': index just past the matching '>' (or i if this
-    was not a template argument list after all)."""
-    depth = 0
-    j = i
-    while j < len(toks):
-        t = toks[j].text
-        if t == "<":
-            depth += 1
-        elif t == ">":
-            depth -= 1
-            if depth == 0:
-                return j + 1
-        elif t == ">>":
-            depth -= 2
-            if depth <= 0:
-                return j + 1
-        elif t in (";", "{", "}"):
-            return i
-        j += 1
-    return i
+            out.append(line)
+    return "\n".join(out)
 
 
 # --------------------------------------------------------------------
-# Per-TU summary extraction — builtin token frontend
+# Per-TU summary extraction
 
 
 def new_entry(rel, line):
@@ -590,9 +453,9 @@ def _writes_external(body, loop_vars):
     return None
 
 
-def extract_builtin(text, rel):
-    """TU summary via the dependency-free token frontend."""
-    toks = tokenize(text)
+def extract_summary(text, rel):
+    """TU summary: every function body's direct effects and calls."""
+    toks = tokenize(drop_preprocessor(text))
     funcs = {}
     scope = []  # (kind, name) with kind in {"ns", "class"}
     head_start = 0
@@ -685,193 +548,12 @@ def _record_annotated_decl(head, funcs, scope, rel):
 
 
 # --------------------------------------------------------------------
-# Per-TU summary extraction — clang -ast-dump=json frontend
-#
-# The AST gives exact call targets and types where the token frontend
-# guesses; annotations are merged from the token pass (clang's JSON
-# dump does not reliably carry the annotate string across versions).
-# Any parse trouble falls back to the builtin summary for that file —
-# the gate must never silently lose coverage.
-
-
-def extract_clang(clang, path, rel, repo):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    builtin = extract_builtin(text, rel)
-    cmd = [clang, "-std=c++20", "-x", "c++", "-fsyntax-only",
-           "-I", os.path.join(repo, "src"),
-           "-Xclang", "-ast-dump=json", path]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              check=False)
-        if proc.returncode != 0 or not proc.stdout.strip():
-            return builtin
-        root = json.loads(proc.stdout)
-        funcs = {}
-        _clang_walk(root, [], funcs, rel, os.path.abspath(path),
-                    [None, 0])
-        # Annotations and virtual-ness come from the token pass (the
-        # macros expand to clang::annotate, whose payload the JSON
-        # dump omits on several releases); effects/calls from the AST.
-        for qname, bentry in builtin["functions"].items():
-            centry = funcs.setdefault(
-                qname, new_entry(rel, bentry["line"]))
-            centry["annot"].update(bentry["annot"])
-            centry["virtual"] = centry["virtual"] or bentry["virtual"]
-        return {"version": SUMMARY_VERSION, "functions": funcs}
-    except Exception:
-        return builtin
-
-
-def _subtree(node):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, dict):
-            yield cur
-            stack.extend(cur.get("inner", []) or [])
-
-
-def _qual_type(node):
-    return (node.get("type") or {}).get("qualType", "")
-
-
-_STD_CONTAINER_RE = re.compile(
-    r"\bstd::(__cxx11::)?({})\b".format("|".join(
-        sorted(OWNING_CONTAINERS))))
-_UNORDERED_RE = re.compile(r"unordered_(map|set)\b")
-
-
-def _clang_walk(node, classes, funcs, rel, main_file, loc):
-    if not isinstance(node, dict):
-        return
-    _clang_touch(node, loc)
-    kind = node.get("kind")
-    in_main = loc[0] is None or os.path.abspath(loc[0]) == main_file
-    if kind == "CXXRecordDecl" and node.get("name"):
-        classes = classes + [node["name"]]
-    if kind in ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                "CXXDestructorDecl") and in_main:
-        body = None
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict) and \
-                    child.get("kind") == "CompoundStmt":
-                body = child
-        if body is not None and node.get("name"):
-            cls = classes[-1] if classes else None
-            name = node["name"]
-            qname = cls + "::" + name if cls else name
-            entry = funcs.setdefault(qname, new_entry(rel, loc[1]))
-            if node.get("virtual") or kind == "CXXMethodDecl" and \
-                    any(isinstance(c, dict)
-                        and c.get("kind") == "OverrideAttr"
-                        for c in node.get("inner", []) or []):
-                entry["virtual"] = True
-            _clang_effects(body, entry, loc)
-            return  # Children already consumed by _clang_effects.
-    for child in node.get("inner", []) or []:
-        _clang_walk(child, classes, funcs, rel, main_file, loc)
-
-
-def _clang_touch(node, loc):
-    for key in ("loc", "range"):
-        val = node.get(key)
-        if key == "range" and isinstance(val, dict):
-            val = val.get("begin")
-        if isinstance(val, dict):
-            for sub in ("spellingLoc", "expansionLoc"):
-                if sub in val:
-                    val = val[sub]
-                    break
-            if "file" in val:
-                loc[0] = val["file"]
-            if "line" in val:
-                loc[1] = val["line"]
-            return
-
-
-def _clang_effects(body, entry, loc):
-    for n in _subtree(body):
-        _clang_touch(n, loc)
-        line = loc[1]
-        kind = n.get("kind")
-        if kind == "CXXNewExpr":
-            add_effect(entry, "allocates", line, "new expression")
-        elif kind == "CXXDeleteExpr":
-            add_effect(entry, "allocates", line, "delete expression")
-        elif kind == "CXXThrowExpr":
-            add_effect(entry, "throws", line, "throw expression")
-        elif kind == "VarDecl":
-            qt = _qual_type(n)
-            if _STD_CONTAINER_RE.search(qt) and "&" not in qt and \
-                    "*" not in qt:
-                add_effect(entry, "allocates", line,
-                           "local {} construction".format(qt))
-            if any(t in qt for t in ENTROPY_TYPES):
-                add_effect(entry, "entropy", line,
-                           "{} engine".format(qt))
-        elif kind == "DeclRefExpr":
-            ref = n.get("referencedDecl") or {}
-            rname = ref.get("name", "")
-            rkind = ref.get("kind")
-            if rkind == "FunctionDecl":
-                if rname in ENTROPY_FUNCS:
-                    add_effect(entry, "entropy", line,
-                               "call to {}()".format(rname))
-                elif rname in IO_FUNCS:
-                    add_effect(entry, "io", line,
-                               "call to {}()".format(rname))
-                elif rname in ALLOC_FUNCS:
-                    add_effect(entry, "allocates", line,
-                               "call to {}()".format(rname))
-                elif rname == "now":
-                    add_effect(entry, "entropy", line,
-                               "chrono clock now()")
-                else:
-                    entry["calls"].append(["plain", rname, line])
-            elif rkind == "VarDecl" and rname in IO_STREAMS:
-                add_effect(entry, "io", line,
-                           "std::{} use".format(rname))
-        elif kind == "MemberExpr":
-            mname = n.get("name", "")
-            if mname:
-                entry["calls"].append(["member", mname, line])
-        elif kind == "CallExpr":
-            inner = n.get("inner") or []
-            if inner:
-                callee = inner[0]
-                refs = [s for s in _subtree(callee)
-                        if isinstance(s, dict)
-                        and s.get("kind") == "DeclRefExpr"]
-                fnref = any(
-                    (r.get("referencedDecl") or {}).get("kind")
-                    in ("FunctionDecl", "CXXMethodDecl")
-                    for r in refs)
-                memb = any(s.get("kind") == "MemberExpr"
-                           for s in _subtree(callee))
-                # A callee that is neither a named function nor a
-                # member access is a pointer/std::function call.
-                if not fnref and not memb:
-                    entry["indirect"].append(line)
-        elif kind == "CXXForRangeStmt":
-            for sub in _subtree(n):
-                if sub.get("kind") == "VarDecl" and \
-                        sub.get("name") == "__range1" and \
-                        _UNORDERED_RE.search(_qual_type(sub)):
-                    add_effect(entry, "unordered", line,
-                               "range-for over {}".format(
-                                   _qual_type(sub)))
-                    break
-
-
-# --------------------------------------------------------------------
 # Summary cache
 
 
-def cache_key(text, frontend):
+def cache_key(text):
     h = hashlib.sha256()
-    h.update("densim-hot-effects/v{}/{}\n".format(
-        SUMMARY_VERSION, frontend).encode())
+    h.update("densim-hot-effects/v{}\n".format(SUMMARY_VERSION).encode())
     h.update(text.encode("utf-8", "replace"))
     return h.hexdigest()
 
@@ -904,24 +586,19 @@ def store_summary(cache_dir, key, summary):
         pass  # Cache is an accelerator, never a correctness input.
 
 
-def summarize_file(path, rel, repo, frontend, clang, cache_dir,
-                   override_text=None):
+def summarize_file(path, rel, cache_dir, override_text=None):
     """Cached per-TU summary of one file."""
     if override_text is None:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = override_text
-    key = cache_key(text, frontend if clang else "builtin")
+    key = cache_key(text)
     if override_text is None:
         hit = load_summary(cache_dir, key)
         if hit is not None:
             return hit
-    if clang is not None and frontend in ("auto", "clang"):
-        summary = extract_clang(clang, path, rel, repo) \
-            if override_text is None else extract_builtin(text, rel)
-    else:
-        summary = extract_builtin(text, rel)
+    summary = extract_summary(text, rel)
     if override_text is None:
         store_summary(cache_dir, key, summary)
     return summary
@@ -1107,7 +784,7 @@ def link_and_check(summaries):
     return dedup
 
 
-def analyze(repo, files, frontend, clang, cache_dir, override=None):
+def analyze(files, cache_dir, override=None):
     """files: [(full, rel)]. override: {rel: text} replaces a file's
     content (the negative self-test strips an annotation in memory).
     Returns [(file, line, message)] findings."""
@@ -1115,6 +792,5 @@ def analyze(repo, files, frontend, clang, cache_dir, override=None):
     summaries = []
     for full, rel in files:
         summaries.append(summarize_file(
-            full, rel, repo, frontend, clang, cache_dir,
-            override_text=override.get(rel)))
+            full, rel, cache_dir, override_text=override.get(rel)))
     return link_and_check(summaries)

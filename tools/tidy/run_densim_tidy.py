@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""densim AST-grounded determinism & lifetime analyzer — portable driver.
+"""densim determinism & lifetime analyzer.
 
-Runs the five per-file project rules over the tree, on a clang
-AST-JSON frontend where clang is available and on a builtin token
-frontend everywhere python3 runs:
+Runs the project rules over the tree: five per-file checks plus the
+interprocedural densim-hot-effects pass. Every check reads the shared
+token layer (cxx_tokens.py: comments and strings stripped, bracket and
+template nesting matched), so the analyzer needs only python3. The
+checks:
 
   densim-nondeterministic-iteration
       Range-for / iterator walks over std::unordered_{map,set} in
@@ -31,13 +33,13 @@ frontend everywhere python3 runs:
       std::vector<std::uint8_t> and flat arrays.
 
   densim-raw-double-boundary
-      The typed-quantity boundary rule (DESIGN.md Sec. 9) grounded on
-      real function *parameters*: a `double` parameter with a
-      unit-carrying name in a header must be a typed quantity from
-      core/units.hh, unless the reviewed allowlist
-      (tools/lint/raw_double_allowlist.txt) carries it. Unlike the
-      retired regex scan, locals and members never false-positive, so
-      the allowlist only holds entries the AST actually needs.
+      The typed-quantity boundary rule (DESIGN.md Sec. 9) on function
+      *parameters*: a `double` parameter with a unit-carrying name in
+      a header must be a typed quantity from core/units.hh, unless
+      the reviewed allowlist (tools/lint/raw_double_allowlist.txt)
+      carries it. Only a `double <name>` inside parentheses and
+      followed by `,`, `)` or `=` counts, so locals and members never
+      false-positive.
 
   densim-hot-effects
       The interprocedural pass (DESIGN.md Sec. 14, engine in
@@ -58,16 +60,10 @@ frontend everywhere python3 runs:
       finding. This check ignores NOLINT markers entirely: a policy
       violation cannot suppress the policy.
 
-Frontends (``--frontend auto|clang|builtin``):
-
-  clang     parse each file with `clang -Xclang -ast-dump=json` and
-            run the rules over the real AST (used when a clang
-            binary is on PATH).
-  builtin   a dependency-free scope-aware token frontend: comments
-            and strings stripped, brace/paren/template nesting and
-            declarations tracked. Less precise than the AST (it can
-            miss aliased containers) but runs everywhere python3
-            runs, so the gate never silently loses coverage.
+The token layer is not a parser. Its one documented blind spot: an
+unordered container is recognised only by a declaration or alias in
+the same file, so iterating a member declared in another file's class
+goes unseen. src/ holds no unordered container today.
 
 Suppression: `// NOLINT(densim-<check>)` on the flagged line or
 `// NOLINTNEXTLINE(densim-<check>)` on the line above. Bare NOLINT
@@ -75,7 +71,7 @@ suppresses every densim check on that line. Every suppression is a
 reviewed decision, same policy as the raw-double allowlist.
 
 Usage:
-    tools/tidy/run_densim_tidy.py [--repo DIR] [--frontend F]
+    tools/tidy/run_densim_tidy.py [--repo DIR]
                                   [--checks a,b] [--sarif OUT.sarif]
                                   [--changed-only [--changed-base R]]
                                   [files...]
@@ -92,8 +88,9 @@ re-parsed — that is what keeps the CI tidy stage's wall-clock flat).
 With no file arguments the whole tree is scanned, each check over its
 scope (see CHECK_SCOPES). `--self-test` runs every fixture TU in
 tests/tidy_fixtures/ and asserts each known-bad file is flagged by
-exactly its check and each known-good file is clean — on every
-frontend the machine can run. Exits non-zero on findings or self-test
+its check and each known-good file is clean, then strips a
+DENSIM_ALLOCATES sanction from a real src file in memory and asserts
+the hot-effects link fails. Exits non-zero on findings or self-test
 failure.
 """
 
@@ -101,7 +98,6 @@ import argparse
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 
@@ -112,6 +108,8 @@ import densim_lint  # noqa: E402  (UNIT_NAME_RE / DIMENSIONLESS / allowlist)
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import hot_effects  # noqa: E402  (densim-hot-effects engine)
+from cxx_tokens import (is_ident, match_brace,  # noqa: E402
+                        match_paren, skip_template_args, tokenize)
 
 ALL_CHECKS = (
     "densim-nondeterministic-iteration",
@@ -199,7 +197,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------
-# NOLINT suppression (shared by both frontends)
+# NOLINT suppression
 
 NOLINT_RE = re.compile(
     r"//\s*NOLINT(NEXTLINE)?(?:\(([^)]*)\))?")
@@ -227,8 +225,8 @@ def suppressed(finding, nolint):
 
 
 # --------------------------------------------------------------------
-# densim-unjustified-suppression (frontend-independent; DESIGN §13's
-# "every suppression is a reviewed decision", enforced)
+# densim-unjustified-suppression (text-based; DESIGN §13's "every
+# suppression is a reviewed decision", enforced)
 
 def _has_prose(s):
     """At least two real words beyond the NOLINT machinery itself."""
@@ -276,14 +274,11 @@ def default_cache_dir(repo, use_cache):
     return os.path.join(repo, ".densim-cache", "effects")
 
 
-def hot_effects_findings(repo, files, frontend, use_cache=True,
-                         override=None):
+def hot_effects_findings(repo, files, use_cache=True, override=None):
     """Run the interprocedural link over `files` [(full, rel)] and
     return NOLINT-filtered Finding objects."""
-    clang = find_clang() if frontend in ("auto", "clang") else None
-    raw = hot_effects.analyze(
-        repo, files, frontend, clang,
-        default_cache_dir(repo, use_cache), override=override)
+    raw = hot_effects.analyze(files, default_cache_dir(repo, use_cache),
+                              override=override)
     findings = []
     nolint_by_file = {}
     for rel, line, message in raw:
@@ -303,139 +298,10 @@ def hot_effects_findings(repo, files, frontend, use_cache=True,
 
 
 # --------------------------------------------------------------------
-# Builtin frontend: tokenizer
-
-TOKEN_RE = re.compile(r"""
-      [A-Za-z_][A-Za-z0-9_]*
-    | 0[xX][0-9a-fA-F'.pP+-]+ | \.?\d[\d'.eEpPfFuUlL+-]*
-    | <<= | >>= | ->\* | \.\.\. | :: | -> | \+\+ | -- | << | >>
-    | <= | >= | == | != | && | \|\| | [+\-*/%&|^!=]=
-    | [{}()\[\];:,<>.?~!+\-*/%&|^=]
-""", re.X)
+# The per-file checks over the token stream
 
 
-class Tok:
-    __slots__ = ("text", "line")
-
-    def __init__(self, text, line):
-        self.text = text
-        self.line = line
-
-    def __repr__(self):
-        return "Tok({!r}@{})".format(self.text, self.line)
-
-
-def strip_preserving_lines(text):
-    """Remove comments, string and char literals, keeping newlines."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        two = text[i:i + 2]
-        if two == "//":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif two == "/*":
-            j = text.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append("\n" * text.count("\n", i, j))
-            i = j
-        elif c == '"':
-            if text[i - 1:i].isalnum() and text[max(0, i - 2):i] == 'R"':
-                # Raw string: R"delim( ... )delim"
-                m = re.match(r'"([^(]*)\(', text[i:])
-                if m:
-                    close = ")" + m.group(1) + '"'
-                    j = text.find(close, i)
-                    j = n if j < 0 else j + len(close)
-                    out.append("\n" * text.count("\n", i, j))
-                    i = j
-                    continue
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            i = j + 1
-        elif c == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                j += 2 if text[j] == "\\" else 1
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def tokenize(text):
-    clean = strip_preserving_lines(text)
-    toks = []
-    line = 1
-    pos = 0
-    for m in TOKEN_RE.finditer(clean):
-        line += clean.count("\n", pos, m.start())
-        pos = m.start()
-        toks.append(Tok(m.group(0), line))
-    return toks
-
-
-def skip_template_args(toks, i):
-    """toks[i] == '<': return index just past the matching '>'."""
-    depth = 0
-    while i < len(toks):
-        t = toks[i].text
-        if t == "<":
-            depth += 1
-        elif t == ">":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        elif t == ">>":
-            depth -= 2
-            if depth <= 0:
-                return i + 1
-        elif t in (";", "{"):
-            return i  # Not a template argument list after all.
-        i += 1
-    return i
-
-
-def match_paren(toks, i):
-    """toks[i] == '(': return index of the matching ')'."""
-    depth = 0
-    while i < len(toks):
-        if toks[i].text == "(":
-            depth += 1
-        elif toks[i].text == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return len(toks) - 1
-
-
-def match_brace(toks, i):
-    """toks[i] == '{': return index of the matching '}'."""
-    depth = 0
-    while i < len(toks):
-        if toks[i].text == "{":
-            depth += 1
-        elif toks[i].text == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return len(toks) - 1
-
-
-def is_ident(tok):
-    return bool(tok) and re.match(r"[A-Za-z_]", tok.text)
-
-
-# --------------------------------------------------------------------
-# Builtin frontend: the five checks over the token stream
-
-
-def builtin_unordered_names(toks):
+def unordered_names(toks):
     """Names (variables and aliases) declared with an unordered type."""
     names, aliases = set(), set()
     for i, t in enumerate(toks):
@@ -545,9 +411,9 @@ def body_writes_external(body, loop_vars):
     return None
 
 
-def check_nondeterministic_iteration_builtin(toks, path):
+def check_nondeterministic_iteration(toks, path):
     findings = []
-    unordered, aliases = builtin_unordered_names(toks)
+    unordered, aliases = unordered_names(toks)
     i = 0
     while i < len(toks):
         if toks[i].text != "for":
@@ -612,7 +478,7 @@ def check_nondeterministic_iteration_builtin(toks, path):
     return findings
 
 
-def check_unseeded_entropy_builtin(toks, path):
+def check_unseeded_entropy(toks, path):
     findings = []
     for i, t in enumerate(toks):
         prev = toks[i - 1].text if i > 0 else ""
@@ -662,7 +528,7 @@ def check_unseeded_entropy_builtin(toks, path):
     return findings
 
 
-def check_hot_layout_builtin(toks, path):
+def check_hot_layout(toks, path):
     findings = []
     for i, t in enumerate(toks):
         if t.text == "vector" and i + 3 < len(toks) and \
@@ -686,7 +552,7 @@ def check_hot_layout_builtin(toks, path):
     return findings
 
 
-def check_raw_double_boundary_builtin(toks, path, allow):
+def check_raw_double_boundary(toks, path, allow):
     if not path.endswith(".hh"):
         return []
     findings = []
@@ -722,259 +588,24 @@ def check_raw_double_boundary_builtin(toks, path, allow):
     return findings
 
 
-def run_builtin(path, rel, checks, allow):
+def check_file(path, rel, checks, allow):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     toks = tokenize(text)
     nolint = nolint_lines(text)
     findings = []
     if "densim-nondeterministic-iteration" in checks:
-        findings += check_nondeterministic_iteration_builtin(toks, rel)
+        findings += check_nondeterministic_iteration(toks, rel)
     if "densim-unseeded-entropy" in checks and \
             not rel.startswith(ENTROPY_ALLOW_PREFIXES):
-        findings += check_unseeded_entropy_builtin(toks, rel)
+        findings += check_unseeded_entropy(toks, rel)
     if "densim-hot-layout" in checks:
-        findings += check_hot_layout_builtin(toks, rel)
+        findings += check_hot_layout(toks, rel)
     if "densim-raw-double-boundary" in checks:
-        findings += check_raw_double_boundary_builtin(toks, rel, allow)
+        findings += check_raw_double_boundary(toks, rel, allow)
     findings = [f for f in findings if not suppressed(f, nolint)]
     # Appended after the NOLINT filter: a suppression-policy violation
     # cannot suppress the policy check.
-    if "densim-unjustified-suppression" in checks:
-        findings += check_unjustified_suppression(text, rel)
-    return findings
-
-
-# --------------------------------------------------------------------
-# Clang AST-JSON frontend
-
-def find_clang():
-    for name in ("clang++", "clang", "clang++-19", "clang++-18",
-                 "clang++-17", "clang++-16", "clang++-15", "clang++-14"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-class AstWalker:
-    """Streams clang's -ast-dump=json nodes in source order, tracking
-    the current file/line (clang omits both when unchanged)."""
-
-    def __init__(self, main_file):
-        self.main_file = os.path.abspath(main_file)
-        self.file = None
-        self.line = 0
-
-    def upd(self, loc):
-        if not isinstance(loc, dict):
-            return
-        for key in ("spellingLoc", "expansionLoc"):
-            if key in loc:
-                self.upd(loc[key])
-                return
-        if "file" in loc:
-            self.file = loc["file"]
-        if "line" in loc:
-            self.line = loc["line"]
-
-    def touch(self, node):
-        self.upd(node.get("loc"))
-        self.upd(node.get("range", {}).get("begin"))
-
-    def in_main(self):
-        if self.file is None:
-            return True  # clang leaves the main file implicit.
-        return os.path.abspath(self.file) == self.main_file
-
-
-def walk_nodes(node, walker, visit):
-    """DFS in emission (source) order, calling visit(node, walker)."""
-    if not isinstance(node, dict):
-        return
-    walker.touch(node)
-    line_here = walker.line
-    prune = visit(node, walker, line_here)
-    if prune:
-        return
-    for child in node.get("inner", []) or []:
-        walk_nodes(child, walker, visit)
-
-
-def subtree_nodes(node):
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, dict):
-            yield n
-            stack.extend(n.get("inner", []) or [])
-
-
-def qual_type(node):
-    return (node.get("type") or {}).get("qualType", "")
-
-
-UNORDERED_TYPE_RE = re.compile(r"unordered_(map|set)\b")
-PTR_KEY_RE = re.compile(r"\bstd::(map|set)<[^,<>]*\*")
-LIST_TYPE_RE = re.compile(r"\bstd::(__cxx11::)?(forward_)?list<")
-
-
-def clang_body_writes_external(body):
-    local_ids = {n.get("id") for n in subtree_nodes(body)
-                 if n.get("kind") in ("VarDecl",)}
-
-    def target_external(lhs):
-        for n in subtree_nodes(lhs):
-            if n.get("kind") == "CXXThisExpr":
-                return True
-            if n.get("kind") == "DeclRefExpr":
-                ref = n.get("referencedDecl") or {}
-                if ref.get("kind") in ("VarDecl", "ParmVarDecl",
-                                       "FieldDecl") and \
-                        ref.get("id") not in local_ids:
-                    return True
-        return False
-
-    for n in subtree_nodes(body):
-        kind = n.get("kind")
-        inner = n.get("inner") or []
-        if kind == "BinaryOperator" and n.get("opcode") == "=" and inner:
-            if target_external(inner[0]):
-                return True
-        elif kind == "CompoundAssignOperator" and inner:
-            if target_external(inner[0]):
-                return True
-        elif kind == "UnaryOperator" and \
-                n.get("opcode") in ("++", "--") and inner:
-            if target_external(inner[0]):
-                return True
-        elif kind == "CXXOperatorCallExpr" and inner and \
-                "operator=" in json.dumps(inner[0])[:400]:
-            if len(inner) > 1 and target_external(inner[1]):
-                return True
-        elif kind == "CXXMemberCallExpr" and inner:
-            member = inner[0]
-            if member.get("kind") == "MemberExpr" and \
-                    member.get("name") in MUTATING_CALLS:
-                if target_external(member):
-                    return True
-    return False
-
-
-def run_clang(clang, path, rel, repo, checks, allow):
-    cmd = [clang, "-std=c++20", "-x", "c++", "-fsyntax-only",
-           "-I", os.path.join(repo, "src"),
-           "-Xclang", "-ast-dump=json", path]
-    proc = subprocess.run(cmd, capture_output=True, text=True,
-                          check=False)
-    if proc.returncode != 0 or not proc.stdout.strip():
-        print("run_densim_tidy: NOTE: clang could not parse {} — "
-              "falling back to the builtin frontend for this file"
-              .format(rel), file=sys.stderr)
-        return run_builtin(path, rel, checks, allow)
-    try:
-        root = json.loads(proc.stdout)
-    except json.JSONDecodeError:
-        print("run_densim_tidy: NOTE: unparsable AST JSON for {} — "
-              "falling back to the builtin frontend".format(rel),
-              file=sys.stderr)
-        return run_builtin(path, rel, checks, allow)
-
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    nolint = nolint_lines(text)
-    findings = []
-    walker = AstWalker(path)
-    entropy_on = "densim-unseeded-entropy" in checks and \
-        not rel.startswith(ENTROPY_ALLOW_PREFIXES)
-
-    def visit(node, w, line):
-        if not w.in_main():
-            return False
-        kind = node.get("kind")
-        qt = qual_type(node)
-        if kind == "CXXForRangeStmt" and \
-                "densim-nondeterministic-iteration" in checks:
-            range_type = ""
-            for n in subtree_nodes(node):
-                if n.get("kind") == "VarDecl" and \
-                        n.get("name") == "__range1":
-                    range_type = qual_type(n)
-                    break
-            if UNORDERED_TYPE_RE.search(range_type):
-                body = (node.get("inner") or [None])[-1]
-                if body and clang_body_writes_external(body):
-                    findings.append(Finding(
-                        "densim-nondeterministic-iteration", rel, line,
-                        "iteration over {} writes sim-visible state; "
-                        "iteration order is unspecified — iterate a "
-                        "sorted snapshot or use std::map/std::set"
-                        .format(range_type)))
-        if entropy_on:
-            if kind == "DeclRefExpr":
-                ref = node.get("referencedDecl") or {}
-                if ref.get("kind") == "FunctionDecl" and \
-                        ref.get("name") in ENTROPY_FUNCS:
-                    findings.append(Finding(
-                        "densim-unseeded-entropy", rel, line,
-                        "call to {}() draws wall-clock/ambient "
-                        "entropy; use a seeded densim::Rng stream or "
-                        "simulated time".format(ref.get("name"))))
-                if ref.get("name") == "now" and \
-                        "clock" in (ref.get("mangledName") or ""):
-                    findings.append(Finding(
-                        "densim-unseeded-entropy", rel, line,
-                        "std::chrono clock ::now() reads the wall "
-                        "clock inside engine code; simulation time "
-                        "must come from the event loop"))
-            if kind in ("VarDecl", "FieldDecl", "ParmVarDecl"):
-                if any(t in qt for t in ENTROPY_TYPES):
-                    findings.append(Finding(
-                        "densim-unseeded-entropy", rel, line,
-                        "type {} is banned in engine code; all "
-                        "randomness flows through explicitly seeded "
-                        "densim::Rng streams".format(qt)))
-                if PTR_KEY_RE.search(qt):
-                    findings.append(Finding(
-                        "densim-unseeded-entropy", rel, line,
-                        "pointer key in an ordered container ({}): "
-                        "address order is allocation (ASLR) entropy "
-                        "and varies run to run; key on a stable id "
-                        "instead".format(qt)))
-        if kind in ("VarDecl", "FieldDecl", "ParmVarDecl") and \
-                "densim-hot-layout" in checks:
-            if "vector<bool" in qt.replace(" ", ""):
-                findings.append(Finding(
-                    "densim-hot-layout", rel, line,
-                    "std::vector<bool> is a bit-packed proxy "
-                    "container; hot-path flags use "
-                    "std::vector<std::uint8_t> (DESIGN.md Sec. 12)"))
-            if LIST_TYPE_RE.search(qt):
-                findings.append(Finding(
-                    "densim-hot-layout", rel, line,
-                    "{} is a non-contiguous node container; SoA "
-                    "hot-path state must live in flat arrays"
-                    .format(qt)))
-        if kind == "ParmVarDecl" and \
-                "densim-raw-double-boundary" in checks and \
-                rel.endswith(".hh"):
-            name = node.get("name")
-            if qt == "double" and name and \
-                    name not in densim_lint.DIMENSIONLESS and \
-                    densim_lint.UNIT_NAME_RE.match(name) and \
-                    "{}:{}".format(rel, name) not in allow:
-                findings.append(Finding(
-                    "densim-raw-double-boundary", rel, line,
-                    "raw `double {}` parameter crosses a header API "
-                    "boundary; use a typed quantity from "
-                    "core/units.hh or add '{}:{}' to "
-                    "tools/lint/raw_double_allowlist.txt with a "
-                    "review".format(name, rel, name)))
-        return False
-
-    walk_nodes(root, walker, visit)
-    findings = [f for f in findings if not suppressed(f, nolint)]
-    # Text-based and NOLINT-exempt by design (see run_builtin).
     if "densim-unjustified-suppression" in checks:
         findings += check_unjustified_suppression(text, rel)
     return findings
@@ -997,31 +628,20 @@ def tree_files(repo, check):
     return out
 
 
-def scan(repo, files, checks, frontend, use_cache=True):
+def scan(repo, files, checks, use_cache=True):
     """Run `checks` over `files` [(full, rel)]; return findings."""
     allow = densim_lint.load_allowlist(repo)
-    clang = find_clang() if frontend in ("auto", "clang") else None
-    if frontend == "clang" and clang is None:
-        print("run_densim_tidy: ERROR: --frontend=clang but no clang "
-              "binary on PATH", file=sys.stderr)
-        sys.exit(2)
     per_file_checks = checks - INTERPROCEDURAL_CHECKS
     findings = []
     if per_file_checks:
         for full, rel in files:
-            if clang is not None:
-                findings += run_clang(clang, full, rel, repo,
-                                      per_file_checks, allow)
-            else:
-                findings += run_builtin(full, rel, per_file_checks,
-                                        allow)
+            findings += check_file(full, rel, per_file_checks, allow)
     if "densim-hot-effects" in checks:
-        findings += hot_effects_findings(repo, files, frontend,
-                                         use_cache)
+        findings += hot_effects_findings(repo, files, use_cache)
     return findings
 
 
-def run_tree(repo, checks, frontend, use_cache=True, only_files=None):
+def run_tree(repo, checks, use_cache=True, only_files=None):
     """only_files: optional set of repo-relative paths the per-file
     checks are restricted to (--changed-only). The hot-effects link
     always covers its whole scope — the summary cache keeps that
@@ -1035,18 +655,12 @@ def run_tree(repo, checks, frontend, use_cache=True, only_files=None):
                 continue
             per_file.setdefault((full, rel), set()).add(check)
     allow = densim_lint.load_allowlist(repo)
-    clang = find_clang() if frontend in ("auto", "clang") else None
     findings = []
     for (full, rel), file_checks in sorted(per_file.items()):
-        if clang is not None:
-            findings += run_clang(clang, full, rel, repo, file_checks,
-                                  allow)
-        else:
-            findings += run_builtin(full, rel, file_checks, allow)
+        findings += check_file(full, rel, file_checks, allow)
     if "densim-hot-effects" in checks:
         findings += hot_effects_findings(
-            repo, tree_files(repo, "densim-hot-effects"), frontend,
-            use_cache)
+            repo, tree_files(repo, "densim-hot-effects"), use_cache)
     return findings
 
 
@@ -1147,7 +761,7 @@ HOT_MUTATION_RE = re.compile(
     r"DENSIM_ALLOCATES\s*\(\s*(?:\"[^\"]*\"\s*)+\)")
 
 
-def hot_effects_negative_test(repo, frontend):
+def hot_effects_negative_test(repo):
     """The gate must FAIL when a DENSIM_ALLOCATES sanction is deleted
     from a known allocating path: strip every DENSIM_ALLOCATES from a
     real src file (in memory) and assert the whole-tree link reports
@@ -1165,92 +779,70 @@ def hot_effects_negative_test(repo, frontend):
         if HOT_MUTATION_RE.search(text):
             candidates.append((rel, text))
     if not candidates:
-        print("run_densim_tidy: SELF-TEST FAILED [{}] — no src file "
-              "carries a DENSIM_ALLOCATES sanction to mutate"
-              .format(frontend))
+        print("run_densim_tidy: SELF-TEST FAILED — no src file carries "
+              "a DENSIM_ALLOCATES sanction to mutate")
         return 1
     for rel, text in candidates:
         mutated = HOT_MUTATION_RE.sub("", text)
-        got = hot_effects_findings(repo, files, frontend,
-                                   override={rel: mutated})
+        got = hot_effects_findings(repo, files, override={rel: mutated})
         if got:
-            print("run_densim_tidy: negative self-test passed [{}] — "
+            print("run_densim_tidy: negative self-test passed — "
                   "stripping DENSIM_ALLOCATES from {} produced {} "
-                  "hot-effects finding(s)".format(frontend, rel,
-                                                  len(got)))
+                  "hot-effects finding(s)".format(rel, len(got)))
             return 0
-    print("run_densim_tidy: SELF-TEST FAILED [{}] — stripping every "
+    print("run_densim_tidy: SELF-TEST FAILED — stripping every "
           "DENSIM_ALLOCATES sanction (tried {} file(s)) produced no "
           "findings; the hot-effects gate is not actually gating"
-          .format(frontend, len(candidates)))
+          .format(len(candidates)))
     return 1
 
 
-def self_test(repo, frontend="auto"):
+def self_test(repo):
     fixdir = os.path.join(repo, "tests", "tidy_fixtures")
     if not os.path.isdir(fixdir):
         print("run_densim_tidy: SELF-TEST FAILED — fixture directory "
               "{} is missing".format(fixdir))
         return 1
-    if frontend == "auto":
-        frontends = ["builtin"]
-        if find_clang() is not None:
-            frontends.append("clang")
-    elif frontend == "clang" and find_clang() is None:
-        print("run_densim_tidy: SELF-TEST FAILED — --frontend=clang "
-              "but no clang binary on PATH")
-        return 1
-    else:
-        frontends = [frontend]
     failures = 0
-    for frontend in frontends:
-        for stem, check in sorted(FIXTURE_CHECKS.items()):
-            for flavor in ("bad", "good"):
-                matches = [n for n in sorted(os.listdir(fixdir))
-                           if n.startswith(
-                               "{}_{}".format(stem, flavor))]
-                if not matches:
-                    print("run_densim_tidy: SELF-TEST FAILED — no "
-                          "{}_{} fixture".format(stem, flavor))
+    for stem, check in sorted(FIXTURE_CHECKS.items()):
+        for flavor in ("bad", "good"):
+            matches = [n for n in sorted(os.listdir(fixdir))
+                       if n.startswith("{}_{}".format(stem, flavor))]
+            if not matches:
+                print("run_densim_tidy: SELF-TEST FAILED — no {}_{} "
+                      "fixture".format(stem, flavor))
+                failures += 1
+                continue
+            for name in matches:
+                full = os.path.join(fixdir, name)
+                rel = "tests/tidy_fixtures/" + name
+                got = scan(repo, [(full, rel)], set(ALL_CHECKS))
+                hits = [f for f in got if f.check == check]
+                if flavor == "bad" and not hits:
+                    print("run_densim_tidy: SELF-TEST FAILED — "
+                          "known-bad fixture {} was NOT flagged by {}"
+                          .format(name, check))
                     failures += 1
-                    continue
-                for name in matches:
-                    full = os.path.join(fixdir, name)
-                    rel = "tests/tidy_fixtures/" + name
-                    got = scan(repo, [(full, rel)], set(ALL_CHECKS),
-                               frontend)
-                    hits = [f for f in got if f.check == check]
-                    if flavor == "bad" and not hits:
-                        print("run_densim_tidy: SELF-TEST FAILED "
-                              "[{}] — known-bad fixture {} was NOT "
-                              "flagged by {}".format(frontend, name,
-                                                     check))
-                        failures += 1
-                    elif flavor == "good" and hits:
-                        print("run_densim_tidy: SELF-TEST FAILED "
-                              "[{}] — known-good fixture {} was "
-                              "flagged:".format(frontend, name))
-                        for f in hits:
-                            print("    {}".format(f))
-                        failures += 1
-        if os.path.isfile(os.path.join(repo, "src", "core",
-                                       "effects.hh")):
-            failures += hot_effects_negative_test(repo, frontend)
+                elif flavor == "good" and hits:
+                    print("run_densim_tidy: SELF-TEST FAILED — "
+                          "known-good fixture {} was flagged:"
+                          .format(name))
+                    for f in hits:
+                        print("    {}".format(f))
+                    failures += 1
+    if os.path.isfile(os.path.join(repo, "src", "core", "effects.hh")):
+        failures += hot_effects_negative_test(repo)
     if failures == 0:
         print("run_densim_tidy: self-test passed — every known-bad "
-              "fixture flagged, every known-good fixture clean "
-              "(frontends: {})".format(", ".join(frontends)))
+              "fixture flagged, every known-good fixture clean")
     return 1 if failures else 0
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="densim AST-grounded determinism & lifetime "
-                    "analyzer (portable driver)")
+        description="densim determinism & lifetime analyzer")
     parser.add_argument("--repo", default=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", ".."))
-    parser.add_argument("--frontend", default="auto",
-                        choices=("auto", "clang", "builtin"))
     parser.add_argument("--checks", default=",".join(ALL_CHECKS),
                         help="comma-separated subset of checks")
     parser.add_argument("--list-checks", action="store_true")
@@ -1277,7 +869,7 @@ def main():
 
     repo = os.path.abspath(args.repo)
     if args.self_test:
-        return self_test(repo, args.frontend)
+        return self_test(repo)
 
     checks = set()
     for name in args.checks.split(","):
@@ -1296,7 +888,7 @@ def main():
                   os.path.relpath(os.path.abspath(f), repo).replace(
                       os.sep, "/"))
                  for f in args.files]
-        findings = scan(repo, files, checks, args.frontend, use_cache)
+        findings = scan(repo, files, checks, use_cache)
     else:
         only = None
         if args.changed_only:
@@ -1310,8 +902,7 @@ def main():
                 print("run_densim_tidy: incremental mode — {} changed "
                       "file(s) vs {}".format(len(only),
                                              args.changed_base))
-        findings = run_tree(repo, checks, args.frontend, use_cache,
-                            only_files=only)
+        findings = run_tree(repo, checks, use_cache, only_files=only)
 
     if args.sarif:
         doc = sarif_report(findings, repo)
@@ -1327,10 +918,7 @@ def main():
         print("run_densim_tidy: {} finding(s)".format(len(findings)),
               file=sys.stderr)
         return 1
-    frontend = "clang" if (args.frontend in ("auto", "clang")
-                           and find_clang()) else "builtin"
-    print("run_densim_tidy: clean ({} checks, {} frontend)".format(
-        len(checks), frontend))
+    print("run_densim_tidy: clean ({} checks)".format(len(checks)))
     return 0
 
 
