@@ -880,6 +880,28 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
             badField("restored state",
                      "non-finite temperature on socket " +
                          std::to_string(s));
+    // The next delta flush applies exactly the dirty-listed sockets:
+    // each must be flagged and listed once, and every other socket's
+    // target power must be its power, or its deltas would be dropped.
+    std::size_t flagged = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+        if (sim.powerDirty_[s])
+            ++flagged;
+        else if (sim.targetPowerW_[s] != sim.powerW_[s])
+            badField("restored state",
+                     "socket " + std::to_string(s) +
+                         " changed power without a dirty mark");
+    }
+    for (const std::size_t s : sim.dirtySockets_)
+        if (!sim.powerDirty_[s])
+            badField("restored state",
+                     "socket " + std::to_string(s) +
+                         " is dirty-listed but not flagged");
+    if (flagged != sim.dirtySockets_.size())
+        badField("restored state",
+                 std::to_string(flagged) + " dirty flags vs " +
+                     std::to_string(sim.dirtySockets_.size()) +
+                     " dirty-listed sockets");
 
     // Derived state: the per-row idle counts and the penalty snapshot
     // are pure functions of the restored idle list and socket banks.

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "util/fs.hh"
@@ -121,113 +122,97 @@ struct KeyOps
     std::function<std::string(const SimConfig &)> print;
 };
 
+/** The part of @p c that holds the members of @p Part. */
+template <typename Part, typename Config>
+auto &
+partOf(Config &c)
+{
+    if constexpr (std::is_same_v<Part, SimConfig>)
+        return c;
+    else if constexpr (std::is_same_v<Part, TopologySpec>)
+        return c.topo;
+    else if constexpr (std::is_same_v<Part, CouplingParams>)
+        return c.coupling;
+    else if constexpr (std::is_same_v<Part, FaultConfig>)
+        return c.fault;
+    else {
+        static_assert(std::is_same_v<Part, FleetConfig>);
+        return c.fleet;
+    }
+}
+
+template <typename T>
+T
+parseAs(const std::string &key, const std::string &value)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return parseDouble(key, value);
+    else if constexpr (std::is_same_v<T, int>)
+        return parseInt(key, value);
+    else if constexpr (std::is_same_v<T, bool>)
+        return parseBool(key, value);
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
+        return parseU64(key, value);
+    else {
+        static_assert(std::is_same_v<T, std::string>);
+        return value;
+    }
+}
+
+template <typename T>
+std::string
+printAs(const T &value)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return formatDouble(value);
+    else if constexpr (std::is_same_v<T, bool>)
+        return value ? "true" : "false";
+    else if constexpr (std::is_same_v<T, std::string>)
+        return value;
+    else
+        return std::to_string(value);
+}
+
+/** The key for member @p field of SimConfig or one of its parts. */
+template <typename T, typename Part>
+KeyOps
+member(T Part::*field)
+{
+    return KeyOps{
+        [field](SimConfig &c, const std::string &k,
+                const std::string &v) {
+            partOf<Part>(c).*field = parseAs<T>(k, v);
+        },
+        [field](const SimConfig &c) {
+            return printAs(partOf<Part>(c).*field);
+        },
+    };
+}
+
+/**
+ * member() for an output path. Sinks fail fast at key-apply time:
+ * the files are only written at the end of a run, and a typo'd
+ * directory should not surface minutes into a sweep.
+ */
+template <typename Part>
+KeyOps
+pathMember(std::string Part::*field)
+{
+    KeyOps ops = member(field);
+    ops.apply = [set = ops.apply](SimConfig &c, const std::string &k,
+                                  const std::string &v) {
+        if (!v.empty() && !pathWritable(v)) {
+            fatal("config: key '", k, "' = '", v, "': directory '",
+                  parentDir(v), "' does not exist or is not writable");
+        }
+        set(c, k, v);
+    };
+    return ops;
+}
+
 const std::map<std::string, KeyOps> &
 keyTable()
 {
-    auto dbl = [](double SimConfig::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.*field = parseDouble(k, v);
-            },
-            [field](const SimConfig &c) {
-                return formatDouble(c.*field);
-            },
-        };
-    };
-    auto intf = [](int SimConfig::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) { c.*field = parseInt(k, v); },
-            [field](const SimConfig &c) {
-                return std::to_string(c.*field);
-            },
-        };
-    };
-    auto boolf = [](bool SimConfig::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.*field = parseBool(k, v);
-            },
-            [field](const SimConfig &c) {
-                return c.*field ? "true" : "false";
-            },
-        };
-    };
-    auto topo_int = [](int TopologySpec::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.topo.*field = parseInt(k, v);
-            },
-            [field](const SimConfig &c) {
-                return std::to_string(c.topo.*field);
-            },
-        };
-    };
-    auto topo_dbl = [](double TopologySpec::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.topo.*field = parseDouble(k, v);
-            },
-            [field](const SimConfig &c) {
-                return formatDouble(c.topo.*field);
-            },
-        };
-    };
-    // Output sinks fail fast at key-apply time: the files are only
-    // written at the end of a run, and a typo'd directory should not
-    // surface minutes into a sweep.
-    auto pathf = [](std::string SimConfig::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                if (!v.empty() && !pathWritable(v)) {
-                    fatal("config: key '", k, "' = '", v,
-                          "': directory '", parentDir(v),
-                          "' does not exist or is not writable");
-                }
-                c.*field = v;
-            },
-            [field](const SimConfig &c) { return c.*field; },
-        };
-    };
-    auto fault_dbl = [](double FaultConfig::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.fault.*field = parseDouble(k, v);
-            },
-            [field](const SimConfig &c) {
-                return formatDouble(c.fault.*field);
-            },
-        };
-    };
-    auto fault_int = [](int FaultConfig::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.fault.*field = parseInt(k, v);
-            },
-            [field](const SimConfig &c) {
-                return std::to_string(c.fault.*field);
-            },
-        };
-    };
-    auto coup_dbl = [](double CouplingParams::*field) {
-        return KeyOps{
-            [field](SimConfig &c, const std::string &k,
-                    const std::string &v) {
-                c.coupling.*field = parseDouble(k, v);
-            },
-            [field](const SimConfig &c) {
-                return formatDouble(c.coupling.*field);
-            },
-        };
-    };
-
     static const std::map<std::string, KeyOps> table{
         {"workload",
          {[](SimConfig &c, const std::string &k, const std::string &v) {
@@ -236,79 +221,55 @@ keyTable()
           [](const SimConfig &c) {
               return std::string(workloadSetName(c.workload));
           }}},
-        {"load", dbl(&SimConfig::load)},
-        {"simTimeS", dbl(&SimConfig::simTimeS)},
-        {"warmupS", dbl(&SimConfig::warmupS)},
-        {"drainFactor", dbl(&SimConfig::drainFactor)},
-        {"pmEpochS", dbl(&SimConfig::pmEpochS)},
-        {"chipTauS", dbl(&SimConfig::chipTauS)},
-        {"socketTauS", dbl(&SimConfig::socketTauS)},
-        {"histTauS", dbl(&SimConfig::histTauS)},
-        {"tLimitC", dbl(&SimConfig::tLimitC)},
-        {"rIntCW", dbl(&SimConfig::rIntCW)},
-        {"gatedFracTdp", dbl(&SimConfig::gatedFracTdp)},
-        {"boostRefillRate", dbl(&SimConfig::boostRefillRate)},
-        {"boostBurstS", dbl(&SimConfig::boostBurstS)},
-        {"migrationEnabled", boolf(&SimConfig::migrationEnabled)},
-        {"migrationIntervalS", dbl(&SimConfig::migrationIntervalS)},
-        {"migrationCostS", dbl(&SimConfig::migrationCostS)},
-        {"migrationMinRemainingS",
-         dbl(&SimConfig::migrationMinRemainingS)},
-        {"migrationMaxPerPass", intf(&SimConfig::migrationMaxPerPass)},
-        {"fanPowerW", dbl(&SimConfig::fanPowerW)},
-        {"sensorNoiseC", dbl(&SimConfig::sensorNoiseC)},
-        {"sensorQuantC", dbl(&SimConfig::sensorQuantC)},
-        {"timelineSampleS", dbl(&SimConfig::timelineSampleS)},
-        {"obs.tracePath", pathf(&SimConfig::obsTracePath)},
-        {"obs.timelinePath", pathf(&SimConfig::obsTimelinePath)},
-        {"incrementalThermal", boolf(&SimConfig::incrementalThermal)},
-        {"schedPredictionCache",
-         boolf(&SimConfig::schedPredictionCache)},
-        {"warmStart", boolf(&SimConfig::warmStart)},
-        {"seed",
-         {[](SimConfig &c, const std::string &k, const std::string &v) {
-              c.seed = parseU64(k, v);
-          },
-          [](const SimConfig &c) { return std::to_string(c.seed); }}},
-        {"topo.rows", topo_int(&TopologySpec::rows)},
-        {"topo.cartridgesPerRow",
-         topo_int(&TopologySpec::cartridgesPerRow)},
-        {"topo.zonesPerCartridge",
-         topo_int(&TopologySpec::zonesPerCartridge)},
-        {"topo.socketsPerZone", topo_int(&TopologySpec::socketsPerZone)},
+        {"load", member(&SimConfig::load)},
+        {"simTimeS", member(&SimConfig::simTimeS)},
+        {"warmupS", member(&SimConfig::warmupS)},
+        {"drainFactor", member(&SimConfig::drainFactor)},
+        {"pmEpochS", member(&SimConfig::pmEpochS)},
+        {"chipTauS", member(&SimConfig::chipTauS)},
+        {"socketTauS", member(&SimConfig::socketTauS)},
+        {"histTauS", member(&SimConfig::histTauS)},
+        {"tLimitC", member(&SimConfig::tLimitC)},
+        {"rIntCW", member(&SimConfig::rIntCW)},
+        {"gatedFracTdp", member(&SimConfig::gatedFracTdp)},
+        {"boostRefillRate", member(&SimConfig::boostRefillRate)},
+        {"boostBurstS", member(&SimConfig::boostBurstS)},
+        {"migrationEnabled", member(&SimConfig::migrationEnabled)},
+        {"migrationIntervalS", member(&SimConfig::migrationIntervalS)},
+        {"migrationCostS", member(&SimConfig::migrationCostS)},
+        {"migrationMinRemainingS", member(&SimConfig::migrationMinRemainingS)},
+        {"migrationMaxPerPass", member(&SimConfig::migrationMaxPerPass)},
+        {"fanPowerW", member(&SimConfig::fanPowerW)},
+        {"sensorNoiseC", member(&SimConfig::sensorNoiseC)},
+        {"sensorQuantC", member(&SimConfig::sensorQuantC)},
+        {"timelineSampleS", member(&SimConfig::timelineSampleS)},
+        {"obs.tracePath", pathMember(&SimConfig::obsTracePath)},
+        {"obs.timelinePath", pathMember(&SimConfig::obsTimelinePath)},
+        {"warmStart", member(&SimConfig::warmStart)},
+        {"seed", member(&SimConfig::seed)},
+        {"topo.rows", member(&TopologySpec::rows)},
+        {"topo.cartridgesPerRow", member(&TopologySpec::cartridgesPerRow)},
+        {"topo.zonesPerCartridge", member(&TopologySpec::zonesPerCartridge)},
+        {"topo.socketsPerZone", member(&TopologySpec::socketsPerZone)},
         {"topo.intraZoneSpacingInch",
-         topo_dbl(&TopologySpec::intraZoneSpacingInch)},
+         member(&TopologySpec::intraZoneSpacingInch)},
         {"topo.interCartridgeGapInch",
-         topo_dbl(&TopologySpec::interCartridgeGapInch)},
-        {"topo.perSocketCfm", topo_dbl(&TopologySpec::perSocketCfm)},
-        {"topo.inletC", topo_dbl(&TopologySpec::inletC)},
-        {"fault.seed",
-         {[](SimConfig &c, const std::string &k, const std::string &v) {
-              c.fault.seed = parseU64(k, v);
-          },
-          [](const SimConfig &c) {
-              return std::to_string(c.fault.seed);
-          }}},
-        {"fault.fanFailS", fault_dbl(&FaultConfig::fanFailS)},
-        {"fault.fanRecoverS", fault_dbl(&FaultConfig::fanRecoverS)},
-        {"fault.fanSpeedFrac", fault_dbl(&FaultConfig::fanSpeedFrac)},
-        {"fault.fanCount", fault_int(&FaultConfig::fanCount)},
-        {"fault.sensorStuckCount",
-         fault_int(&FaultConfig::sensorStuckCount)},
-        {"fault.sensorStuckAtS",
-         fault_dbl(&FaultConfig::sensorStuckAtS)},
-        {"fault.sensorNoisyCount",
-         fault_int(&FaultConfig::sensorNoisyCount)},
-        {"fault.sensorNoiseSigmaC",
-         fault_dbl(&FaultConfig::sensorNoiseSigmaC)},
-        {"fault.sensorNoisyAtS",
-         fault_dbl(&FaultConfig::sensorNoisyAtS)},
-        {"fault.sensorDropoutCount",
-         fault_int(&FaultConfig::sensorDropoutCount)},
-        {"fault.sensorDropoutAtS",
-         fault_dbl(&FaultConfig::sensorDropoutAtS)},
-        {"fault.sensorDropoutDurS",
-         fault_dbl(&FaultConfig::sensorDropoutDurS)},
+         member(&TopologySpec::interCartridgeGapInch)},
+        {"topo.perSocketCfm", member(&TopologySpec::perSocketCfm)},
+        {"topo.inletC", member(&TopologySpec::inletC)},
+        {"fault.seed", member(&FaultConfig::seed)},
+        {"fault.fanFailS", member(&FaultConfig::fanFailS)},
+        {"fault.fanRecoverS", member(&FaultConfig::fanRecoverS)},
+        {"fault.fanSpeedFrac", member(&FaultConfig::fanSpeedFrac)},
+        {"fault.fanCount", member(&FaultConfig::fanCount)},
+        {"fault.sensorStuckCount", member(&FaultConfig::sensorStuckCount)},
+        {"fault.sensorStuckAtS", member(&FaultConfig::sensorStuckAtS)},
+        {"fault.sensorNoisyCount", member(&FaultConfig::sensorNoisyCount)},
+        {"fault.sensorNoiseSigmaC", member(&FaultConfig::sensorNoiseSigmaC)},
+        {"fault.sensorNoisyAtS", member(&FaultConfig::sensorNoisyAtS)},
+        {"fault.sensorDropoutCount", member(&FaultConfig::sensorDropoutCount)},
+        {"fault.sensorDropoutAtS", member(&FaultConfig::sensorDropoutAtS)},
+        {"fault.sensorDropoutDurS", member(&FaultConfig::sensorDropoutDurS)},
         {"fault.dropoutPolicy",
          {[](SimConfig &c, const std::string &, const std::string &v) {
               c.fault.dropoutPolicy = parseDropoutPolicy(v);
@@ -317,32 +278,16 @@ keyTable()
               return std::string(
                   dropoutPolicyName(c.fault.dropoutPolicy));
           }}},
-        {"fault.fallbackAmbientC",
-         fault_dbl(&FaultConfig::fallbackAmbientC)},
-        {"fault.socketFailCount",
-         fault_int(&FaultConfig::socketFailCount)},
-        {"fault.socketFailS", fault_dbl(&FaultConfig::socketFailS)},
-        {"fault.socketRecoverS",
-         fault_dbl(&FaultConfig::socketRecoverS)},
-        {"fault.emergencyMarginC",
-         fault_dbl(&FaultConfig::emergencyMarginC)},
-        {"fault.emergencySustainS",
-         fault_dbl(&FaultConfig::emergencySustainS)},
-        {"fault.quarantineSustainS",
-         fault_dbl(&FaultConfig::quarantineSustainS)},
-        {"fault.quarantineExitC",
-         fault_dbl(&FaultConfig::quarantineExitC)},
-        {"fault.abortRunS", fault_dbl(&FaultConfig::abortRunS)},
-        {"fault.logPath",
-         {[](SimConfig &c, const std::string &k, const std::string &v) {
-              if (!v.empty() && !pathWritable(v)) {
-                  fatal("config: key '", k, "' = '", v,
-                        "': directory '", parentDir(v),
-                        "' does not exist or is not writable");
-              }
-              c.fault.logPath = v;
-          },
-          [](const SimConfig &c) { return c.fault.logPath; }}},
+        {"fault.fallbackAmbientC", member(&FaultConfig::fallbackAmbientC)},
+        {"fault.socketFailCount", member(&FaultConfig::socketFailCount)},
+        {"fault.socketFailS", member(&FaultConfig::socketFailS)},
+        {"fault.socketRecoverS", member(&FaultConfig::socketRecoverS)},
+        {"fault.emergencyMarginC", member(&FaultConfig::emergencyMarginC)},
+        {"fault.emergencySustainS", member(&FaultConfig::emergencySustainS)},
+        {"fault.quarantineSustainS", member(&FaultConfig::quarantineSustainS)},
+        {"fault.quarantineExitC", member(&FaultConfig::quarantineExitC)},
+        {"fault.abortRunS", member(&FaultConfig::abortRunS)},
+        {"fault.logPath", pathMember(&FaultConfig::logPath)},
         {"fleet.chassis",
          {[](SimConfig &c, const std::string &k, const std::string &v) {
               const int n = parseInt(k, v);
@@ -354,41 +299,17 @@ keyTable()
           [](const SimConfig &c) {
               return std::to_string(c.fleet.chassis);
           }}},
-        {"fleet.epochS",
-         {[](SimConfig &c, const std::string &k, const std::string &v) {
-              c.fleet.epochS = parseDouble(k, v);
-          },
-          [](const SimConfig &c) {
-              return formatDouble(c.fleet.epochS);
-          }}},
-        {"fleet.dispatcher",
-         {[](SimConfig &c, const std::string &, const std::string &v) {
-              c.fleet.dispatcher = v;
-          },
-          [](const SimConfig &c) { return c.fleet.dispatcher; }}},
-        {"fleet.powerBudgetW",
-         {[](SimConfig &c, const std::string &k, const std::string &v) {
-              c.fleet.powerBudgetW = parseDouble(k, v);
-          },
-          [](const SimConfig &c) {
-              return formatDouble(c.fleet.powerBudgetW);
-          }}},
-        {"fleet.seed",
-         {[](SimConfig &c, const std::string &k, const std::string &v) {
-              c.fleet.seed = parseU64(k, v);
-          },
-          [](const SimConfig &c) {
-              return std::to_string(c.fleet.seed);
-          }}},
-        {"ckpt.path", pathf(&SimConfig::ckptPath)},
-        {"ckpt.everyS", dbl(&SimConfig::ckptEveryS)},
-        {"coupling.mixFactor", coup_dbl(&CouplingParams::mixFactor)},
-        {"coupling.decayLengthInch",
-         coup_dbl(&CouplingParams::decayLengthInch)},
-        {"coupling.wakeFactor", coup_dbl(&CouplingParams::wakeFactor)},
-        {"coupling.kappaLocal", coup_dbl(&CouplingParams::kappaLocal)},
-        {"coupling.verticalLeak",
-         coup_dbl(&CouplingParams::verticalLeak)},
+        {"fleet.epochS", member(&FleetConfig::epochS)},
+        {"fleet.dispatcher", member(&FleetConfig::dispatcher)},
+        {"fleet.powerBudgetW", member(&FleetConfig::powerBudgetW)},
+        {"fleet.seed", member(&FleetConfig::seed)},
+        {"ckpt.path", pathMember(&SimConfig::ckptPath)},
+        {"ckpt.everyS", member(&SimConfig::ckptEveryS)},
+        {"coupling.mixFactor", member(&CouplingParams::mixFactor)},
+        {"coupling.decayLengthInch", member(&CouplingParams::decayLengthInch)},
+        {"coupling.wakeFactor", member(&CouplingParams::wakeFactor)},
+        {"coupling.kappaLocal", member(&CouplingParams::kappaLocal)},
+        {"coupling.verticalLeak", member(&CouplingParams::verticalLeak)},
     };
     return table;
 }

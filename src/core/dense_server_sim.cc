@@ -552,9 +552,8 @@ DenseServerSim::thermalStep(double dt)
     // time constant; the chip's own Eq. (1) rise follows with the
     // 5 ms chip time constant. The target field is the coupling-map
     // steady state of the current powers, maintained by per-socket
-    // deltas (or recomputed in full in the reference mode).
-    if (!config_.incrementalThermal ||
-        ++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs) {
+    // deltas and recomputed in full every kAmbientRefreshEpochs.
+    if (++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs) {
         refreshAmbientTargets();
     } else if (!dirtySockets_.empty()) {
         count_.ambientDeltas->inc(dirtySockets_.size());
@@ -567,6 +566,14 @@ DenseServerSim::thermalStep(double dt)
         dirtySockets_.clear();
     }
     const std::size_t n = topo_.numSockets();
+#if DENSIM_ENABLE_CHECKS
+    // The field now stands for the current powers only if every power
+    // change was marked dirty; an unmarked one never reaches it.
+    for (std::size_t s = 0; s < n; ++s) {
+        DENSIM_CHECK(targetPowerW_[s] == powerW_[s], "socket ", s,
+                     " changed power without a dirty mark");
+    }
+#endif
     const bool measure = tCursor_ >= config_.warmupS;
     const bool pristine = config_.sensorNoiseC <= 0.0 &&
                           config_.sensorQuantC <= 0.0 && !faultsEnabled_;
@@ -643,10 +650,6 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
     // The thresholds stay exact under faults too: fan derates and
     // sensor faults perturb the ambient *input*, never the sink,
     // curve and leakage the thresholds describe.
-    if (!config_.schedPredictionCache)
-        return pm_.chooseAtAmbientCapped(freqCurveFor(set), leak_,
-                                         Celsius(ambient_c),
-                                         *sinkCache_[socket], cap);
     pm_.countSearch();
     return predCache_.feas.decide(socket, set, Celsius(ambient_c), cap);
 }
@@ -813,7 +816,7 @@ DenseServerSim::makeSchedContext() const
     ctx.busy = busyFlag_.data();
     ctx.socketRow = rowCache_.data();
     ctx.rng = const_cast<Rng *>(&policyRng_);
-    ctx.cache = config_.schedPredictionCache ? &predCache_ : nullptr;
+    ctx.cache = &predCache_;
     return ctx;
 }
 

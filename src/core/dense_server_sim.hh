@@ -275,8 +275,7 @@ class DenseServerSim
     /**
      * The DVFS decision for @p socket running @p set under @p cap:
      * chooseAtAmbientCapped's result, read off the feasibility table
-     * (FeasibilityTable::decide; the full search when
-     * schedPredictionCache is off).
+     * (FeasibilityTable::decide).
      */
     DvfsDecision chooseDvfs(std::size_t socket, WorkloadSet set,
                             std::size_t cap);
@@ -414,8 +413,7 @@ class DenseServerSim
     /**
      * Prediction state (sched/prediction.hh): the feasibility
      * thresholds (built at construction) and the per-socket penalty
-     * snapshot kept by setSocketRate. Handed to policies only when
-     * config_.schedPredictionCache is on.
+     * snapshot kept by applyRate. Every SchedContext carries it.
      */
     PredictionCache predCache_;
 

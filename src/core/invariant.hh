@@ -3,21 +3,22 @@
  * Runtime invariant checker for the incremental engine —
  * compiled out by default, loud when enabled.
  *
- * PR 1 replaced densim's recompute-from-scratch reference paths with
- * incremental machinery (delta-maintained coupling field, indexed
- * event heap, cached LU factorization, DVFS memoization) whose
- * correctness rests entirely on invalidation discipline. This header
- * provides the assertion layer that makes a violated invariant abort
- * the run instead of silently drifting the physics:
+ * The engine keeps its state by deltas (the coupling field through a
+ * dirty list, the idle list, the completion list, the integration
+ * sums, the penalty snapshot), and their correctness rests on
+ * update discipline. This header provides the assertion layer that
+ * makes a violated invariant abort the run instead of silently
+ * drifting the physics:
  *
  *  - DENSIM_CHECK(cond, msg...): cheap structural/physical
  *    assertions (finite fields, temperatures above absolute zero,
- *    completion-list consistency). Enabled by the CMake option
- *    `DENSIM_CHECKS=ON` (definition DENSIM_ENABLE_CHECKS).
+ *    completion-list consistency, every power change marked dirty).
+ *    Enabled by the CMake option `DENSIM_CHECKS=ON` (definition
+ *    DENSIM_ENABLE_CHECKS).
  *  - DENSIM_PARANOID(cond, msg...): expensive cross-validation
  *    against the reference computation (fresh field evaluation vs
- *    the incremental one, nodal heat residual of a cached LU solve,
- *    rebuilt integration sums). Enabled by `DENSIM_PARANOID=ON`
+ *    the incremental one, rebuilt integration sums, the nodal heat
+ *    residual of an RC solve). Enabled by `DENSIM_PARANOID=ON`
  *    (definition DENSIM_ENABLE_PARANOID, which implies the cheap
  *    checks).
  *
@@ -28,11 +29,11 @@
  * tests expressible as gtest death tests.
  *
  * Check sites live at epoch boundaries of the engine
- * (DenseServerSim::checkEpochInvariants), inside
- * RCNetwork::steadyState (cache validity / first-law balance) and
- * CompletionList::checkInvariants (ordering + exactly the busy ids
- * due before the horizon). CI runs
- * the paranoid build on the reduced workloads of
+ * (DenseServerSim::checkEpochInvariants), after the coupling-field
+ * flush in DenseServerSim::thermalStep, inside RCNetwork::steadyState
+ * (first-law balance) and CompletionList::checkInvariants (ordering
+ * + exactly the busy ids due before the horizon). CI runs the
+ * paranoid build on the reduced workloads of
  * tests/perf_equivalence_test.cc (see tools/check.sh).
  */
 

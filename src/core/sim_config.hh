@@ -120,32 +120,6 @@ struct SimConfig
      */
     double fanPowerW = 0.0;
 
-    // Engine performance knobs. The completion list and the
-    // incremental idle list are exact and always on; the knobs below
-    // control the remaining hot-path strategies.
-    /**
-     * Maintain the socket ambient-target field by applying per-socket
-     * power deltas through the coupling map (O(changed x downstream)
-     * per epoch) instead of re-evaluating the full field (O(n x
-     * downstream)). Results agree with the full evaluation to
-     * rounding accuracy (~1e-12 C; the field is refreshed
-     * periodically to bound drift). Disable to force the historical
-     * recompute-from-scratch path — the reference for the
-     * differential tests.
-     */
-    bool incrementalThermal = true;
-    /**
-     * Answer DVFS searches from the engine's exact feasibility
-     * thresholds and hand schedulers the prediction state
-     * (sched/prediction.hh): the same thresholds, and the penalty
-     * snapshot that prices most downstream probes in a compare or
-     * two. Decisions are bit-identical either way (pinned by the
-     * perf-equivalence bank); off, every search runs
-     * PowerManager::chooseAtAmbientCapped in full — the reference
-     * the differential tests compare against.
-     */
-    bool schedPredictionCache = true;
-
     /**
      * Fault injection and graceful degradation (src/fault, DESIGN.md
      * Sec. 11), set via the "fault.*" config keys. Disarmed by

@@ -134,14 +134,13 @@ class FeasibilityTable
 };
 
 /**
- * Engine-owned state for the prediction helpers below, handed to
- * policies only when the schedPredictionCache knob is on: the exact
+ * Engine-owned state for the prediction helpers below: the exact
  * feasibility thresholds and the per-socket penalty snapshot. Every
  * DVFS search is answered exactly from `feas`, so the cached path is
- * bit-identical to the full searches — tested by running with the
- * schedPredictionCache knob off (ctx.cache == nullptr, every search
- * through PowerManager::chooseAtAmbientCapped) and comparing
- * SimMetrics with EXPECT_EQ.
+ * bit-identical to the full searches a context without a cache runs
+ * (PowerManager::chooseAtAmbientCapped). tests/perf_equivalence_test.cc
+ * re-prices every candidate of real runs both ways and compares
+ * every field with EXPECT_EQ.
  */
 struct PredictionCache
 {

@@ -92,10 +92,10 @@ struct SchedContext
     /**
      * Engine-kept feasibility thresholds and penalty snapshot for
      * predictPlacement / downstreamPenaltyMhz (see
-     * sched/prediction.hh). Null when the schedPredictionCache knob
-     * is off — the prediction helpers then run every DVFS search in
-     * full, which is the reference behaviour the cached path is
-     * tested bit-identical against.
+     * sched/prediction.hh). The engine always sets it; null in
+     * hand-built contexts, where the prediction helpers run every
+     * DVFS search in full through
+     * PowerManager::chooseAtAmbientCapped.
      */
     const PredictionCache *cache = nullptr;
 };

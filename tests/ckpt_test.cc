@@ -692,7 +692,7 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
         int mutations;
         int rejected;
     };
-    const Split splits[] = {{1, 56, 2529, 619}, {2, 8, 46, 0},
+    const Split splits[] = {{1, 56, 2529, 626}, {2, 8, 46, 0},
                             {3, 8, 129, 6},     {4, 8, 178, 136},
                             {5, 8, 430, 58}};
     const SimConfig config = fastConfig();

@@ -26,7 +26,7 @@
 #include "fault/fault_config.hh"
 #include "fault/fault_log.hh"
 #include "fault/fault_timeline.hh"
-#include "obs/json.hh"
+#include "json_validate.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
 

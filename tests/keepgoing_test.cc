@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
-#include "obs/json.hh"
+#include "json_validate.hh"
 #include "util/logging.hh"
 
 namespace densim {

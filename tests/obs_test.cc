@@ -18,6 +18,7 @@
 
 #include "core/dense_server_sim.hh"
 #include "core/metrics_io.hh"
+#include "json_validate.hh"
 #include "obs/json.hh"
 #include "obs/phase_profiler.hh"
 #include "obs/registry.hh"

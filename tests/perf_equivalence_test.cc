@@ -1,10 +1,10 @@
 /**
  * @file
- * Differential tests for the incremental engine hot paths: the
- * epoch-scoped completion list, the delta-maintained ambient-target
- * field, and the threshold-answered DVFS searches must leave
- * simulation results equivalent to the recompute-from-scratch
- * reference paths.
+ * Exactness tests for the engine hot paths: hex-float goldens that
+ * every exact rewrite must reproduce to the last bit, a shadow policy
+ * that re-prices every scheduler candidate of real runs through the
+ * full DVFS searches, and the epoch-scoped completion list against a
+ * linear scan.
  */
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/completion_list.hh"
 #include "core/dense_server_sim.hh"
 #include "sched/factory.hh"
+#include "sched/prediction.hh"
 #include "workload/benchmark.hh"
 #include "workload/job_generator.hh"
 
@@ -39,39 +41,6 @@ diffConfig()
     config.load = 0.7;
     config.seed = 42;
     return config;
-}
-
-void
-expectNearRel(double a, double b, const char *what)
-{
-    const double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-    EXPECT_NEAR(a, b, 1e-9 * scale) << what;
-}
-
-void
-expectEquivalent(const SimMetrics &a, const SimMetrics &b)
-{
-    EXPECT_EQ(a.jobsArrived, b.jobsArrived);
-    EXPECT_EQ(a.jobsCompleted, b.jobsCompleted);
-    EXPECT_EQ(a.jobsUnfinished, b.jobsUnfinished);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.runtimeExpansion.count(), b.runtimeExpansion.count());
-    expectNearRel(a.runtimeExpansion.mean(), b.runtimeExpansion.mean(),
-                  "runtime expansion");
-    expectNearRel(a.serviceExpansion.mean(), b.serviceExpansion.mean(),
-                  "service expansion");
-    expectNearRel(a.queueDelayS.mean(), b.queueDelayS.mean(),
-                  "queue delay");
-    expectNearRel(a.energyJ, b.energyJ, "energy");
-    expectNearRel(a.makespanS, b.makespanS, "makespan");
-    expectNearRel(a.totalWork, b.totalWork, "total work");
-    expectNearRel(a.totalBusyTime, b.totalBusyTime, "busy time");
-    expectNearRel(a.totalFreqTime, b.totalFreqTime, "freq time");
-    expectNearRel(a.boostTimeS, b.boostTimeS, "boost time");
-    expectNearRel(a.maxChipTempC, b.maxChipTempC, "max chip temp");
-    expectNearRel(a.front.workDone, b.front.workDone, "front work");
-    expectNearRel(a.back.workDone, b.back.workDone, "back work");
-    expectNearRel(a.even.workDone, b.even.workDone, "even work");
 }
 
 /** Every SimMetrics field the goldens pin, EXPECT_EQ on doubles. */
@@ -96,35 +65,6 @@ expectBitIdentical(const SimMetrics &a, const SimMetrics &b)
     EXPECT_EQ(a.front.workDone, b.front.workDone);
     EXPECT_EQ(a.back.workDone, b.back.workDone);
     EXPECT_EQ(a.even.workDone, b.even.workDone);
-}
-
-TEST(PerfEquivalence, IncrementalThermalMatchesReference)
-{
-    for (const char *name : {"CF", "CP", "Predictive"}) {
-        SimConfig fast = diffConfig();
-        fast.incrementalThermal = true;
-        SimConfig ref = diffConfig();
-        ref.incrementalThermal = false;
-
-        DenseServerSim a(fast, makeScheduler(name));
-        DenseServerSim b(ref, makeScheduler(name));
-        const SimMetrics ma = a.run();
-        const SimMetrics mb = b.run();
-        SCOPED_TRACE(name);
-        expectEquivalent(ma, mb);
-    }
-}
-
-TEST(PerfEquivalence, IncrementalThermalMatchesWithMigration)
-{
-    SimConfig fast = diffConfig();
-    fast.migrationEnabled = true;
-    SimConfig ref = fast;
-    ref.incrementalThermal = false;
-
-    DenseServerSim a(fast, makeScheduler("CP"));
-    DenseServerSim b(ref, makeScheduler("CP"));
-    expectEquivalent(a.run(), b.run());
 }
 
 TEST(PerfEquivalence, ObservabilityIsBitIdentical)
@@ -328,28 +268,33 @@ counterValue(const DenseServerSim &sim, const std::string &name)
     return 0;
 }
 
+void
+expectGolden(const SimMetrics &m, const GoldenRow &g)
+{
+    EXPECT_EQ(m.jobsArrived, g.jobsArrived);
+    EXPECT_EQ(m.jobsCompleted, g.jobsCompleted);
+    EXPECT_EQ(m.jobsUnfinished, g.jobsUnfinished);
+    EXPECT_EQ(m.migrations, g.migrations);
+    EXPECT_EQ(m.energyJ, g.energyJ);
+    EXPECT_EQ(m.makespanS, g.makespanS);
+    EXPECT_EQ(m.totalWork, g.totalWork);
+    EXPECT_EQ(m.totalBusyTime, g.totalBusyTime);
+    EXPECT_EQ(m.totalFreqTime, g.totalFreqTime);
+    EXPECT_EQ(m.boostTimeS, g.boostTimeS);
+    EXPECT_EQ(m.maxChipTempC, g.maxChipTempC);
+    EXPECT_EQ(m.runtimeExpansion.mean(), g.runtimeExpansion);
+    EXPECT_EQ(m.serviceExpansion.mean(), g.serviceExpansion);
+    EXPECT_EQ(m.queueDelayS.mean(), g.queueDelayS);
+    EXPECT_EQ(m.chipTempC.mean(), g.chipTempC);
+}
+
 TEST(PerfEquivalence, GoldenMetricsMatchPreRefactorSeed)
 {
     for (const GoldenRow &g : kGoldens) {
         SCOPED_TRACE(g.name);
         DenseServerSim sim(goldenConfig(g.name),
                            makeScheduler(goldenScheduler(g.name)));
-        const SimMetrics m = sim.run();
-        EXPECT_EQ(m.jobsArrived, g.jobsArrived);
-        EXPECT_EQ(m.jobsCompleted, g.jobsCompleted);
-        EXPECT_EQ(m.jobsUnfinished, g.jobsUnfinished);
-        EXPECT_EQ(m.migrations, g.migrations);
-        EXPECT_EQ(m.energyJ, g.energyJ);
-        EXPECT_EQ(m.makespanS, g.makespanS);
-        EXPECT_EQ(m.totalWork, g.totalWork);
-        EXPECT_EQ(m.totalBusyTime, g.totalBusyTime);
-        EXPECT_EQ(m.totalFreqTime, g.totalFreqTime);
-        EXPECT_EQ(m.boostTimeS, g.boostTimeS);
-        EXPECT_EQ(m.maxChipTempC, g.maxChipTempC);
-        EXPECT_EQ(m.runtimeExpansion.mean(), g.runtimeExpansion);
-        EXPECT_EQ(m.serviceExpansion.mean(), g.serviceExpansion);
-        EXPECT_EQ(m.queueDelayS.mean(), g.queueDelayS);
-        EXPECT_EQ(m.chipTempC.mean(), g.chipTempC);
+        expectGolden(sim.run(), g);
     }
 }
 
@@ -373,34 +318,148 @@ TEST(PerfEquivalence, SensorGoldenRowsReachTheirPaths)
     EXPECT_EQ(counterValue(faults, "fault.socketRecoveries"), 2u);
 }
 
-TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
-{
-    // The prediction cache (the feasibility thresholds and the
-    // penalty snapshot) reads every P-state off exact thresholds, so
-    // disabling it — every DVFS search then runs chooseAtAmbientCapped
-    // in full — must change nothing at all: EXPECT_EQ on doubles,
-    // including with faults armed (where the snapshot turns itself
-    // off) and with migration on.
-    for (const GoldenRow &g : kGoldens) {
-        if (std::string(g.name).rfind("CP", 0) != 0)
-            continue; // Only CP exercises the penalty paths.
-        SCOPED_TRACE(g.name);
-        SimConfig cached = goldenConfig(g.name);
-        SimConfig uncached = cached;
-        uncached.schedPredictionCache = false;
+// ------------------------------------------- prediction-state shadow
 
-        DenseServerSim a(cached, makeScheduler("CP"));
-        DenseServerSim b(uncached, makeScheduler("CP"));
-        expectBitIdentical(a.run(), b.run());
+/** What a shadow saw over one run. */
+struct ShadowTally
+{
+    std::size_t picks = 0;
+    std::size_t probes = 0; //!< Idle sockets re-priced.
+    std::size_t predictionMismatches = 0;
+    std::size_t penaltyMismatches = 0;
+    std::size_t pickMismatches = 0;
+};
+
+/** Whether @p a and @p b stand at the same stream position. */
+bool
+sameStream(const Rng &a, const Rng &b)
+{
+    const Rng::Snapshot x = a.snapshot();
+    const Rng::Snapshot y = b.snapshot();
+    return std::equal(std::begin(x.state), std::end(x.state),
+                      std::begin(y.state)) &&
+           x.hasSpare == y.hasSpare && (!x.hasSpare || x.spare == y.spare);
+}
+
+/**
+ * A CP or Predictive policy that checks the engine's prediction state
+ * at every pick of a real run. It builds a bare copy of the context,
+ * without the engine's cache and row counts, so every DVFS search in
+ * it runs PowerManager::chooseAtAmbientCapped in full and CP tallies
+ * the rows itself. For every idle socket, predictPlacement and
+ * downstreamPenaltyMhz must agree exactly on both contexts; then a
+ * second instance of the policy picks on the bare context, from a
+ * copy of the RNG, and must pick the same socket and leave the RNG at
+ * the same position. The engine-context pick is returned, so the run
+ * itself is unchanged. The first mismatch of each kind is reported
+ * field by field; all of them are counted.
+ */
+class PredictionShadow : public Scheduler
+{
+  public:
+    PredictionShadow(const std::string &policy, ShadowTally &tally)
+        : engine_(makeScheduler(policy)), bare_(makeScheduler(policy)),
+          tally_(tally)
+    {
+    }
+
+    const char *name() const override { return engine_->name(); }
+
+    std::size_t
+    pick(const Job &job, const SchedContext &ctx) override
+    {
+        const std::size_t at = tally_.picks++;
+        EXPECT_NE(ctx.cache, nullptr);
+        EXPECT_NE(ctx.idlePerRow, nullptr);
+        Rng rng = *ctx.rng;
+        SchedContext bare = ctx;
+        bare.cache = nullptr;
+        bare.idlePerRow = nullptr;
+        bare.rng = &rng;
+        for (const std::size_t s : *ctx.idle) {
+            ++tally_.probes;
+            const DvfsDecision got = predictPlacement(ctx, s, job.set);
+            const DvfsDecision want = predictPlacement(bare, s, job.set);
+            const bool same = got.pstate == want.pstate &&
+                              got.freqMhz == want.freqMhz &&
+                              got.power.value() == want.power.value() &&
+                              got.predictedPeak.value() ==
+                                  want.predictedPeak.value() &&
+                              got.feasible == want.feasible;
+            if (!same && tally_.predictionMismatches++ == 0) {
+                SCOPED_TRACE(where(at, s));
+                EXPECT_EQ(got.pstate, want.pstate);
+                EXPECT_EQ(got.freqMhz, want.freqMhz);
+                EXPECT_EQ(got.power.value(), want.power.value());
+                EXPECT_EQ(got.predictedPeak.value(),
+                          want.predictedPeak.value());
+                EXPECT_EQ(got.feasible, want.feasible);
+            }
+            const double got_mhz = downstreamPenaltyMhz(ctx, s, got.power);
+            const double want_mhz =
+                downstreamPenaltyMhz(bare, s, want.power);
+            if (got_mhz != want_mhz && tally_.penaltyMismatches++ == 0) {
+                EXPECT_EQ(got_mhz, want_mhz) << where(at, s);
+            }
+        }
+        const std::size_t want = bare_->pick(job, bare);
+        const std::size_t got = engine_->pick(job, ctx);
+        if ((got != want || !sameStream(*ctx.rng, rng)) &&
+            tally_.pickMismatches++ == 0) {
+            SCOPED_TRACE(where(at, got));
+            EXPECT_EQ(got, want);
+            EXPECT_TRUE(sameStream(*ctx.rng, rng));
+        }
+        return got;
+    }
+
+  private:
+    static std::string
+    where(std::size_t pick, std::size_t socket)
+    {
+        return "pick " + std::to_string(pick) + ", socket " +
+               std::to_string(socket);
+    }
+
+    std::unique_ptr<Scheduler> engine_;
+    std::unique_ptr<Scheduler> bare_;
+    ShadowTally &tally_;
+};
+
+void
+expectNoMismatch(const ShadowTally &tally)
+{
+    EXPECT_GT(tally.picks, 0u);
+    EXPECT_GT(tally.probes, tally.picks);
+    EXPECT_EQ(tally.predictionMismatches, 0u);
+    EXPECT_EQ(tally.penaltyMismatches, 0u);
+    EXPECT_EQ(tally.pickMismatches, 0u);
+}
+
+TEST(PerfEquivalence, PredictionStateMatchesFullSearchOnGoldenRows)
+{
+    // With faults armed the engine turns the penalty snapshot off and
+    // every probe walks the feasibility table; the sensor-fault row
+    // also takes sockets out of the idle pool, and the migration row
+    // picks for migrations too. Each row must still match its golden.
+    for (const GoldenRow &g : kGoldens) {
+        const std::string policy = goldenScheduler(g.name);
+        if (policy != "CP" && policy != "Predictive")
+            continue;
+        SCOPED_TRACE(g.name);
+        ShadowTally tally;
+        DenseServerSim sim(goldenConfig(g.name),
+                           std::make_unique<PredictionShadow>(policy,
+                                                              tally));
+        expectGolden(sim.run(), g);
+        expectNoMismatch(tally);
     }
 }
 
-TEST(PerfEquivalence, PredictionCacheIsBitIdenticalOnMixedSets)
+/** A third of diffConfig()'s load from each workload set, merged. */
+std::vector<Job>
+mixedSetJobs()
 {
-    // Every other scenario runs one workload set, so a socket never
-    // switches threshold rows. Interleave all three sets' arrivals
-    // (a third of the load each) so sockets change sets between jobs
-    // under CP, and compare the cached engine with the full searches.
     const SimConfig base = diffConfig();
     const auto sockets = static_cast<int>(
         ServerTopology(base.topo).numSockets());
@@ -419,17 +478,22 @@ TEST(PerfEquivalence, PredictionCacheIsBitIdenticalOnMixedSets)
     }
     for (std::size_t i = 0; i < jobs.size(); ++i)
         jobs[i].id = i;
+    return jobs;
+}
 
+TEST(PerfEquivalence, PredictionStateMatchesFullSearchOnMixedSets)
+{
+    // Every golden row runs one workload set, so a socket never
+    // switches threshold rows. Interleaved sets make sockets change
+    // sets between jobs.
+    const std::vector<Job> jobs = mixedSetJobs();
     for (const char *name : {"CP", "CP+faults", "CP+migration"}) {
         SCOPED_TRACE(name);
-        SimConfig cached = goldenConfig(name);
-        SimConfig uncached = cached;
-        uncached.schedPredictionCache = false;
-        DenseServerSim a(cached, makeScheduler("CP"));
-        DenseServerSim b(uncached, makeScheduler("CP"));
-        const SimMetrics ma = a.run(jobs);
-        EXPECT_GT(ma.jobsCompleted, 0u);
-        expectBitIdentical(ma, b.run(jobs));
+        ShadowTally tally;
+        DenseServerSim sim(goldenConfig(name),
+                           std::make_unique<PredictionShadow>("CP", tally));
+        EXPECT_GT(sim.run(jobs).jobsCompleted, 0u);
+        expectNoMismatch(tally);
     }
 }
 

@@ -306,12 +306,14 @@ TEST_F(PowerManagerTest, FeasibilityLimitIsTheLastFeasibleDouble)
 TEST_F(PowerManagerTest, LimitWalkMatchesCappedSearch)
 {
     // One table over both sinks: socket 0 carries the 18-fin sink,
-    // socket 1 the 30-fin one.
+    // socket 1 the 30-fin one. Every cap the engine's dvfsCap hands
+    // out: the emergency throttle's 0, the sustained and the boost
+    // cap. The engine reads every DVFS decision off this table.
     const std::vector<const HeatSink *> sinks = {&HeatSink::fin18(),
                                                  &HeatSink::fin30()};
     FeasibilityTable table;
     table.build(pm_, leak_, sinks);
-    const std::size_t caps[] = {pm_.pstates().highestSustainedIndex(),
+    const std::size_t caps[] = {0, pm_.pstates().highestSustainedIndex(),
                                 pm_.pstates().size() - 1};
     const double inf = std::numeric_limits<double>::infinity();
     for (std::size_t s = 0; s < sinks.size(); ++s) {

@@ -10,10 +10,7 @@ The pass has the classic two-phase shape:
 
   1. **Per-TU summaries.** Each translation unit is reduced to a map
      `qualified function name -> {direct effects, outgoing calls,
-     annotations}`. Summaries are serialized to a cache keyed by a
-     content hash of the file (plus the summary format version), so an
-     unchanged file is never re-parsed — the link step is what makes
-     the whole-tree gate cheap enough for tier-1 ctest.
+     annotations}`.
 
   2. **Link step.** Summaries are merged into one call graph and
      effects propagate bottom-up from leaves into the hot roots
@@ -65,15 +62,10 @@ documented choices):
     compiled out by default and must not contribute effects).
 """
 
-import hashlib
-import json
-import os
 import re
 
 from cxx_tokens import (is_ident, match_brace, match_paren,
                         skip_template_args, tokenize)
-
-SUMMARY_VERSION = 4
 
 KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "alignof",
@@ -507,7 +499,7 @@ def extract_summary(text, rel):
                 # its head.
                 i = match_brace(toks, i)
         i += 1
-    return {"version": SUMMARY_VERSION, "functions": funcs}
+    return {"functions": funcs}
 
 
 def _class_name(head):
@@ -545,63 +537,6 @@ def _record_annotated_decl(head, funcs, scope, rel):
     words = {t.text for t in head}
     if "virtual" in words or "override" in words or "final" in words:
         entry["virtual"] = True
-
-
-# --------------------------------------------------------------------
-# Summary cache
-
-
-def cache_key(text):
-    h = hashlib.sha256()
-    h.update("densim-hot-effects/v{}\n".format(SUMMARY_VERSION).encode())
-    h.update(text.encode("utf-8", "replace"))
-    return h.hexdigest()
-
-
-def load_summary(cache_dir, key):
-    if not cache_dir:
-        return None
-    path = os.path.join(cache_dir, key + ".json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("version") == SUMMARY_VERSION:
-            return doc
-    except (OSError, ValueError):
-        pass
-    return None
-
-
-def store_summary(cache_dir, key, summary):
-    if not cache_dir:
-        return
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, key + ".json")
-        tmp = path + ".tmp.{}".format(os.getpid())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # Cache is an accelerator, never a correctness input.
-
-
-def summarize_file(path, rel, cache_dir, override_text=None):
-    """Cached per-TU summary of one file."""
-    if override_text is None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = override_text
-    key = cache_key(text)
-    if override_text is None:
-        hit = load_summary(cache_dir, key)
-        if hit is not None:
-            return hit
-    summary = extract_summary(text, rel)
-    if override_text is None:
-        store_summary(cache_dir, key, summary)
-    return summary
 
 
 # --------------------------------------------------------------------
@@ -784,13 +719,16 @@ def link_and_check(summaries):
     return dedup
 
 
-def analyze(files, cache_dir, override=None):
+def analyze(files, override=None):
     """files: [(full, rel)]. override: {rel: text} replaces a file's
     content (the negative self-test strips an annotation in memory).
     Returns [(file, line, message)] findings."""
     override = override or {}
     summaries = []
     for full, rel in files:
-        summaries.append(summarize_file(
-            full, rel, cache_dir, override_text=override.get(rel)))
+        text = override.get(rel)
+        if text is None:
+            with open(full, encoding="utf-8") as fh:
+                text = fh.read()
+        summaries.append(extract_summary(text, rel))
     return link_and_check(summaries)

@@ -45,12 +45,12 @@ checks:
       The interprocedural pass (DESIGN.md Sec. 14, engine in
       tools/tidy/hot_effects.py): per-function summaries over the
       effect lattice {allocates, throws, io, entropy, unordered} are
-      computed per TU (cached by content hash) and merged in a link
-      step; any unsanctioned effect reachable from a DENSIM_HOT root
-      (src/core/effects.hh) is a finding, with the witness call
-      path. Virtual calls resolve to the whole override family;
-      function-pointer calls are findings in themselves unless the
-      caller carries DENSIM_ALLOCATES(reason).
+      computed per TU and merged in a link step; any unsanctioned
+      effect reachable from a DENSIM_HOT root (src/core/effects.hh)
+      is a finding, with the witness call path. Virtual calls
+      resolve to the whole override family; function-pointer calls
+      are findings in themselves unless the caller carries
+      DENSIM_ALLOCATES(reason).
 
   densim-unjustified-suppression
       DESIGN.md Sec. 13's suppression policy, enforced: a
@@ -73,17 +73,12 @@ reviewed decision, same policy as the raw-double allowlist.
 Usage:
     tools/tidy/run_densim_tidy.py [--repo DIR]
                                   [--checks a,b] [--sarif OUT.sarif]
-                                  [--changed-only [--changed-base R]]
                                   [files...]
     tools/tidy/run_densim_tidy.py --self-test
     tools/tidy/run_densim_tidy.py --list-checks
 
 `--sarif` additionally writes the findings as a SARIF 2.1.0 run (for
-GitHub code scanning). `--changed-only` restricts the per-file checks
-to files `git diff --name-only <base>` reports; the interprocedural
-densim-hot-effects link still covers the whole tree (its per-TU
-summaries come from the content-hash cache, so only changed files are
-re-parsed — that is what keeps the CI tidy stage's wall-clock flat).
+GitHub code scanning).
 
 With no file arguments the whole tree is scanned, each check over its
 scope (see CHECK_SCOPES). `--self-test` runs every fixture TU in
@@ -98,7 +93,6 @@ import argparse
 import json
 import os
 import re
-import subprocess
 import sys
 
 sys.path.insert(
@@ -268,17 +262,10 @@ def check_unjustified_suppression(text, rel):
 # --------------------------------------------------------------------
 # densim-hot-effects bridge (engine in hot_effects.py)
 
-def default_cache_dir(repo, use_cache):
-    if not use_cache:
-        return None
-    return os.path.join(repo, ".densim-cache", "effects")
-
-
-def hot_effects_findings(repo, files, use_cache=True, override=None):
+def hot_effects_findings(repo, files, override=None):
     """Run the interprocedural link over `files` [(full, rel)] and
     return NOLINT-filtered Finding objects."""
-    raw = hot_effects.analyze(files, default_cache_dir(repo, use_cache),
-                              override=override)
+    raw = hot_effects.analyze(files, override=override)
     findings = []
     nolint_by_file = {}
     for rel, line, message in raw:
@@ -628,7 +615,7 @@ def tree_files(repo, check):
     return out
 
 
-def scan(repo, files, checks, use_cache=True):
+def scan(repo, files, checks):
     """Run `checks` over `files` [(full, rel)]; return findings."""
     allow = densim_lint.load_allowlist(repo)
     per_file_checks = checks - INTERPROCEDURAL_CHECKS
@@ -637,22 +624,16 @@ def scan(repo, files, checks, use_cache=True):
         for full, rel in files:
             findings += check_file(full, rel, per_file_checks, allow)
     if "densim-hot-effects" in checks:
-        findings += hot_effects_findings(repo, files, use_cache)
+        findings += hot_effects_findings(repo, files)
     return findings
 
 
-def run_tree(repo, checks, use_cache=True, only_files=None):
-    """only_files: optional set of repo-relative paths the per-file
-    checks are restricted to (--changed-only). The hot-effects link
-    always covers its whole scope — the summary cache keeps that
-    cheap."""
+def run_tree(repo, checks):
     per_file = {}
     for check in checks:
         if check in INTERPROCEDURAL_CHECKS:
             continue
         for full, rel in tree_files(repo, check):
-            if only_files is not None and rel not in only_files:
-                continue
             per_file.setdefault((full, rel), set()).add(check)
     allow = densim_lint.load_allowlist(repo)
     findings = []
@@ -660,21 +641,8 @@ def run_tree(repo, checks, use_cache=True, only_files=None):
         findings += check_file(full, rel, file_checks, allow)
     if "densim-hot-effects" in checks:
         findings += hot_effects_findings(
-            repo, tree_files(repo, "densim-hot-effects"), use_cache)
+            repo, tree_files(repo, "densim-hot-effects"))
     return findings
-
-
-def changed_files(repo, base):
-    """Repo-relative paths changed vs `base` (committed and working
-    tree), or None if git cannot answer (full scan then)."""
-    try:
-        proc = subprocess.run(
-            ["git", "-C", repo, "diff", "--name-only", base, "--"],
-            capture_output=True, text=True, check=True)
-        return {line.strip() for line in proc.stdout.splitlines()
-                if line.strip()}
-    except (OSError, subprocess.CalledProcessError):
-        return None
 
 
 # --------------------------------------------------------------------
@@ -849,15 +817,6 @@ def main():
     parser.add_argument("--self-test", action="store_true")
     parser.add_argument("--sarif", metavar="OUT",
                         help="also write findings as SARIF 2.1.0")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="per-file checks scan only files changed "
-                             "vs --changed-base; the hot-effects link "
-                             "still covers the whole tree (cached)")
-    parser.add_argument("--changed-base", default="HEAD",
-                        help="git ref for --changed-only (default "
-                             "HEAD)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the hot-effects summary cache")
     parser.add_argument("files", nargs="*",
                         help="specific files (default: tree scope scan)")
     args = parser.parse_args()
@@ -882,27 +841,14 @@ def main():
             return 2
         checks.add(name)
 
-    use_cache = not args.no_cache
     if args.files:
         files = [(os.path.abspath(f),
                   os.path.relpath(os.path.abspath(f), repo).replace(
                       os.sep, "/"))
                  for f in args.files]
-        findings = scan(repo, files, checks, use_cache)
+        findings = scan(repo, files, checks)
     else:
-        only = None
-        if args.changed_only:
-            only = changed_files(repo, args.changed_base)
-            if only is None:
-                print("run_densim_tidy: NOTE: git could not resolve "
-                      "--changed-base {}; falling back to a full "
-                      "scan".format(args.changed_base),
-                      file=sys.stderr)
-            else:
-                print("run_densim_tidy: incremental mode — {} changed "
-                      "file(s) vs {}".format(len(only),
-                                             args.changed_base))
-        findings = run_tree(repo, checks, use_cache, only_files=only)
+        findings = run_tree(repo, checks)
 
     if args.sarif:
         doc = sarif_report(findings, repo)
