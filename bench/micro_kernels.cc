@@ -293,11 +293,7 @@ BENCHMARK(BM_FleetServerSecond)
     ->UseRealTime();
 
 // --- observability overhead (DESIGN.md Sec. 10) ---------------------
-// Two benches pin the disabled-overhead policy: the always-compiled
-// counter increment must stay a plain u64 add, and the engine's
-// DENSIM_OBS_PHASE hook must cost nothing in a default build (it
-// expands to `static_cast<void>(0)`; in a DENSIM_OBS build this bench
-// instead measures the two steady_clock reads of a real PhaseScope).
+// The always-compiled counter increment must stay a plain u64 add.
 
 void
 BM_ObsCounterIncrement(benchmark::State &state)
@@ -310,16 +306,5 @@ BM_ObsCounterIncrement(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ObsCounterIncrement);
-
-void
-BM_ObsPhaseHook(benchmark::State &state)
-{
-    obs::PhaseProfiler profiler;
-    for (auto _ : state) {
-        DENSIM_OBS_PHASE(profiler, obs::Phase::ThermalStep);
-        benchmark::DoNotOptimize(profiler);
-    }
-}
-BENCHMARK(BM_ObsPhaseHook);
 
 } // namespace

@@ -340,14 +340,8 @@ DenseServerSim::beginRun()
     if (config_.warmStart)
         warmStart();
 
-    if (!config_.obsTracePath.empty()) {
+    if (!config_.obsTracePath.empty())
         enableTrace();
-#if !DENSIM_ENABLE_OBS
-        warn("obs.tracePath is set but this build has no DENSIM_OBS; "
-             "the trace will carry counter tracks only (no phase "
-             "events)");
-#endif
-    }
 
     streamJobs_.clear();
     streamNext_ = 0;
@@ -362,9 +356,6 @@ DenseServerSim::enableTrace()
 {
     trace_.enable(true);
     trace_.setProcessName(std::string("densim:") + policy_->name());
-#if DENSIM_ENABLE_OBS
-    profiler_.setSink(&trace_);
-#endif
 }
 
 void
@@ -440,24 +431,33 @@ DenseServerSim::advanceEpoch()
     const double t0 = streamNowS_;
     const double t1 = t0 + epoch;
 
+    // Only every PhaseProfiler::kStride-th epoch's laps read the clock.
+    profiler_.beginEpoch();
     count_.epochs->inc();
     if (faultsEnabled_)
         applyFaultEvents(t0);
+    profiler_.lap(obs::Phase::Other);
     thermalStep(epoch);
+    profiler_.lap(obs::Phase::ThermalStep);
     sampleTimeline(t0);
     if (faultsEnabled_)
         emergencyResponse(t0);
+    profiler_.lap(obs::Phase::Other);
     powerManage(t0, t1);
+    profiler_.lap(obs::Phase::PowerManage);
     if (config_.migrationEnabled) {
         const auto stride = static_cast<std::size_t>(
             config_.migrationIntervalS / epoch);
         const auto tick = static_cast<std::size_t>(t0 / epoch + 0.5);
         if (stride <= 1 || tick % stride == 0)
             attemptMigrations(t0);
+        profiler_.lap(obs::Phase::Migration);
     }
     processWindow(streamJobs_, streamNext_, t0, t1);
+    profiler_.lap(obs::Phase::ProcessWindow);
     checkEpochInvariants();
     streamNowS_ = t1;
+    profiler_.endEpoch();
 }
 
 SimMetrics
@@ -511,7 +511,6 @@ DenseServerSim::writeObsOutputs()
         }
         trace_.writeFile(config_.obsTracePath);
         trace_.enable(false);
-        profiler_.setSink(nullptr);
     }
     if (!config_.obsTimelinePath.empty()) {
         obs::writeTimelineJsonlFile(config_.obsTimelinePath,
@@ -547,7 +546,6 @@ DenseServerSim::refreshAmbientTargets()
 void
 DenseServerSim::thermalStep(double dt)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::ThermalStep);
     // The ambient field lags the power field with the 30 s socket
     // time constant; the chip's own Eq. (1) rise follows with the
     // 5 ms chip time constant. The target field is the coupling-map
@@ -657,7 +655,6 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
 void
 DenseServerSim::powerManage(double now, double horizon)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::PowerManage);
     // One ascending walk re-decides each busy socket and re-derives
     // the busy sums, the total power and the completion list from
     // scratch, exactly as rebuildScalars would after the decisions:
@@ -687,7 +684,6 @@ void
 DenseServerSim::processWindow(const std::vector<Job> &jobs,
                               std::size_t &next_job, double t0, double t1)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::ProcessWindow);
     (void)t0;
     const double inf = std::numeric_limits<double>::infinity();
     for (;;) {
@@ -939,7 +935,6 @@ DenseServerSim::migrateJob(std::size_t from, std::size_t to, double now)
 void
 DenseServerSim::attemptMigrations(double now)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::Migration);
     // Move long-running, throttled jobs to sockets where the active
     // policy would place them now — if that destination actually runs
     // faster. This is the paper's Sec. VI suggestion of reusing the

@@ -169,9 +169,9 @@ class DenseServerSim
     const obs::Registry &observability() const { return obsRegistry_; }
 
     /**
-     * Wall-clock phase totals of the last run. Only populated in
-     * DENSIM_OBS builds — the default build compiles the hot-loop
-     * timer scopes out entirely.
+     * Wall time per epoch phase over the sampled epochs since the
+     * last beginRun() or restore, in every build (DESIGN.md
+     * Sec. 10.2). Never checkpointed, traced or registered.
      */
     const obs::PhaseProfiler &phaseProfile() const { return profiler_; }
 
@@ -190,8 +190,8 @@ class DenseServerSim
     // --- run phases -------------------------------------------------
     void resetState();
     void warmStart();
-    /** Point the Chrome-trace sink (and, in a DENSIM_OBS build, the
-     *  phase profiler) at a run that writes obs.tracePath. */
+    /** Open the Chrome-trace sink of a run that writes
+     *  obs.tracePath. */
     void enableTrace();
     SimMetrics runJobs(const std::vector<Job> &jobs);
     DENSIM_HOT void thermalStep(double dt);

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "obs/json.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
 
@@ -116,6 +117,24 @@ countersToJson(const obs::Registry &registry)
     }
     out += "}}";
     return out;
+}
+
+std::string
+phasesToJson(const obs::PhaseProfiler &phases)
+{
+    std::string out = "{\"sampledEpochs\":";
+    out += std::to_string(phases.sampledEpochs());
+    out += ",\"stride\":";
+    out += std::to_string(obs::PhaseProfiler::kStride);
+    out += ",\"ns\":{";
+    for (const obs::Phase phase : obs::kPhases) {
+        obs::json::appendString(out, obs::phaseName(phase));
+        out += ':';
+        out += std::to_string(phases.ns(phase));
+        out += ',';
+    }
+    out.back() = '}';
+    return out + "}";
 }
 
 std::string

@@ -15,6 +15,7 @@
 namespace densim {
 
 namespace obs {
+class PhaseProfiler;
 class Registry;
 } // namespace obs
 
@@ -30,6 +31,10 @@ std::string metricsToJson(const SimMetrics &metrics);
  * {"counters":{name:value,...},"gauges":{name:{"value":v,"unit":u}}}.
  */
 std::string countersToJson(const obs::Registry &registry);
+
+/** Serialize sampled phase wall times, phases in epoch order:
+ *  {"sampledEpochs":n,"stride":k,"ns":{phase:ns,...}}. */
+std::string phasesToJson(const obs::PhaseProfiler &phases);
 
 /**
  * The zone-ambient timeline of @p metrics as JSONL (one strict-JSON

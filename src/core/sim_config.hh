@@ -100,9 +100,9 @@ struct SimConfig
     // writes its file when the run finishes. Grids and fleets give
     // each run its own names (perRunSinks).
     /**
-     * Chrome trace_event JSON output path; "" disables. Phase-timer
-     * events require a DENSIM_OBS build — without it the engine
-     * warns and writes a trace containing only counter tracks.
+     * Chrome trace_event JSON output path; "" disables. The trace
+     * holds the run's fault spans and end-of-run counter tracks, all
+     * in simulated time, so a resumed run writes the same bytes.
      */
     std::string obsTracePath;
     /**

@@ -47,6 +47,7 @@
 #include "core/sim_config.hh"
 #include "fleet/fleet_dispatcher.hh"
 #include "fleet/fleet_metrics.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 
 namespace densim {
@@ -130,6 +131,16 @@ class FleetSim
      * instrument storage during the run.
      */
     const obs::Registry &observability() const { return registry_; }
+
+    /** Every shard's sampled phase wall times, summed in shard
+     *  order (DESIGN.md Sec. 10.2). */
+    obs::PhaseProfiler phaseProfile() const
+    {
+        obs::PhaseProfiler sum;
+        for (const auto &shard : shards_)
+            sum.add(shard->phaseProfile());
+        return sum;
+    }
 
   private:
     /**

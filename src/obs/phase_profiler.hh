@@ -1,25 +1,21 @@
 /**
  * @file
- * Phase timers — wall-clock profiling of the engine's per-epoch
- * phases (thermalStep, powerManage, processWindow, migrations).
+ * Sampled phase timers — where an engine epoch's wall time goes.
  *
- * Two layers:
+ * DenseServerSim::advanceEpoch drives one PhaseProfiler in every
+ * build. Every kStride-th epoch it reads std::chrono::steady_clock at
+ * the phase boundaries and books each lap to the phase that just ran;
+ * whatever falls between the phases (fault events, the timeline
+ * sample, the emergency response, the epoch checks) is booked as
+ * Phase::Other. Every other epoch pays a countdown and one
+ * predictable branch per boundary.
  *
- *  - PhaseProfiler / PhaseScope are ordinary, always-compiled
- *    classes: an RAII scope reads std::chrono::steady_clock on entry
- *    and exit and accumulates inclusive call count + nanoseconds per
- *    phase. Scopes nest (a stack tracks the current depth), and when
- *    a TraceSink is attached every scope additionally emits a Chrome
- *    "X" complete event, giving the per-epoch flame view.
- *
- *  - DENSIM_OBS_PHASE(profiler, phase) is what the engine hot loop
- *    uses. It expands to a PhaseScope only when the DENSIM_OBS build
- *    option defined DENSIM_ENABLE_OBS; otherwise it expands to
- *    nothing at all, so a default build has *zero* instructions — no
- *    clock reads, no branches — at the instrumentation points. This
- *    is the disabled-overhead policy the obs benches pin down
- *    (DESIGN.md Sec. 10): simulation results are bit-identical either
- *    way because wall-clock time never feeds back into the model.
+ * The totals are wall-clock time, so they stay out of the model, the
+ * registry, the trace and the checkpoint: every simulated output is
+ * bit-identical whatever the clock reads, and a resumed run's sinks
+ * match byte for byte. This header holds the engine's only clock
+ * reads (the tidy gate's one allowlisted wall-clock reader; DESIGN.md
+ * Sec. 10.2).
  */
 
 #ifndef DENSIM_OBS_PHASE_PROFILER_HH
@@ -27,105 +23,112 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-
-#include "core/effects.hh"
-#include "obs/trace.hh"
 
 namespace densim::obs {
 
-/** The engine phases worth a timer of their own. */
+/** An epoch's phases. */
 enum class Phase : unsigned {
     ThermalStep,
     PowerManage,
-    ProcessWindow,
     Migration,
-    Count //!< Sentinel, not a phase.
+    ProcessWindow,
+    Other, //!< The rest of the epoch.
 };
 
-/** Stable display name ("thermalStep", ...). */
-const char *phaseName(Phase phase);
+/** Every phase, in the order advanceEpoch runs them. */
+inline constexpr Phase kPhases[] = {Phase::ThermalStep, Phase::PowerManage,
+                                    Phase::Migration, Phase::ProcessWindow,
+                                    Phase::Other};
 
-/** Inclusive per-phase wall-clock accumulator with nesting support. */
+/** Stable display name ("thermalStep", ...). */
+inline const char *
+phaseName(Phase phase)
+{
+    constexpr const char *kNames[] = {"thermalStep", "powerManage",
+                                      "migrations", "processWindow",
+                                      "other"};
+    static_assert(std::size(kNames) == std::size(kPhases));
+    return kNames[static_cast<std::size_t>(phase)];
+}
+
+/** Per-phase wall time over the sampled epochs of one run. */
 class PhaseProfiler
 {
   public:
-    struct Totals
-    {
-        std::uint64_t calls = 0;
-        std::uint64_t ns = 0; //!< Inclusive wall time.
-    };
-
     /**
-     * Forward every scope to @p sink as a complete event (timestamps
-     * are microseconds since the last reset()). Null detaches.
+     * Epochs per sample. Odd and coprime with the engine's other
+     * periods (the 1024-epoch ambient refresh, the default 100-epoch
+     * migration stride, the 50-epoch fleet window), so the samples
+     * see each kind of epoch at its real rate; at 64, every 25th
+     * sample would be a migration epoch, four times their rate.
      */
-    void setSink(TraceSink *sink) { sink_ = sink; }
+    static constexpr std::uint64_t kStride = 61;
 
-    /** Zero totals and restart the trace timestamp origin. */
-    void reset();
-
-    Totals totals(Phase phase) const
+    /** Open an epoch; every kStride-th one is timed. */
+    void beginEpoch()
     {
-        return totals_[static_cast<std::size_t>(phase)];
+        if (--untilSample_ != 0)
+            return;
+        untilSample_ = kStride;
+        timing_ = true;
+        mark_ = Clock::now();
     }
 
-    /** Current scope nesting depth (0 outside any scope). */
-    int depth() const { return depth_; }
+    /** In a timed epoch, book the time since the last lap to
+     *  @p phase. */
+    void lap(Phase phase)
+    {
+        if (!timing_)
+            return;
+        const Clock::time_point now = Clock::now();
+        ns_[static_cast<std::size_t>(phase)] += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark_)
+                .count());
+        mark_ = now;
+    }
 
-    /** @name PhaseScope internals */
-    ///@{
-    void begin(Phase phase);
-    /** Cold observability endpoint: timers and the trace sink only
-     *  ever observe the simulation, never feed back (DESIGN.md
-     *  Sec. 10). */
-    DENSIM_COLD void end(Phase phase);
-    ///@}
+    /** Close the epoch, booking its tail to Phase::Other. */
+    void endEpoch()
+    {
+        if (!timing_)
+            return;
+        lap(Phase::Other);
+        timing_ = false;
+        ++sampledEpochs_;
+    }
+
+    /** Zero the totals and restart the stride. */
+    void reset() { *this = PhaseProfiler(); }
+
+    /** Add @p other's totals to these (a fleet sums its shards). */
+    void add(const PhaseProfiler &other)
+    {
+        for (std::size_t i = 0; i < ns_.size(); ++i)
+            ns_[i] += other.ns_[i];
+        sampledEpochs_ += other.sampledEpochs_;
+    }
+
+    /** Epochs timed since the last reset(). */
+    std::uint64_t sampledEpochs() const { return sampledEpochs_; }
+
+    /** Nanoseconds booked to @p phase over the sampled epochs. */
+    std::uint64_t ns(Phase phase) const
+    {
+        return ns_[static_cast<std::size_t>(phase)];
+    }
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    static constexpr int kMaxDepth = 16;
-
-    std::array<Totals, static_cast<std::size_t>(Phase::Count)>
-        totals_{};
-    std::array<Clock::time_point, kMaxDepth> starts_{};
-    int depth_ = 0;
-    Clock::time_point origin_ = Clock::now();
-    TraceSink *sink_ = nullptr;
-};
-
-/** RAII scope timing one phase (see file comment for the macro). */
-class PhaseScope
-{
-  public:
-    PhaseScope(PhaseProfiler &profiler, Phase phase)
-        : profiler_(profiler), phase_(phase)
-    {
-        profiler_.begin(phase_);
-    }
-    ~PhaseScope() { profiler_.end(phase_); }
-
-    PhaseScope(const PhaseScope &) = delete;
-    PhaseScope &operator=(const PhaseScope &) = delete;
-
-  private:
-    PhaseProfiler &profiler_;
-    Phase phase_;
+    std::array<std::uint64_t, std::size(kPhases)> ns_{};
+    std::uint64_t sampledEpochs_ = 0;
+    std::uint64_t untilSample_ = kStride;
+    Clock::time_point mark_{};
+    bool timing_ = false;
 };
 
 } // namespace densim::obs
-
-// The engine-side hook: a real scope only in DENSIM_OBS builds.
-#if DENSIM_ENABLE_OBS
-#define DENSIM_OBS_PHASE_CAT2(a, b) a##b
-#define DENSIM_OBS_PHASE_CAT(a, b) DENSIM_OBS_PHASE_CAT2(a, b)
-#define DENSIM_OBS_PHASE(profiler, phase)                              \
-    ::densim::obs::PhaseScope DENSIM_OBS_PHASE_CAT(densim_obs_scope_,  \
-                                                   __COUNTER__)(       \
-        (profiler), (phase))
-#else
-#define DENSIM_OBS_PHASE(profiler, phase) static_cast<void>(0)
-#endif
 
 #endif // DENSIM_OBS_PHASE_PROFILER_HH

@@ -9,9 +9,10 @@
  * and durations are microseconds, the trace_event convention.
  *
  * The sink is runtime-gated: record() calls on a disabled sink return
- * immediately, and the engine only constructs scopes that feed it
- * when the DENSIM_OBS build option is on (see phase_profiler.hh), so
- * a release build carries no tracing code in the hot loop at all.
+ * immediately. The engine records fault spans and end-of-run counter
+ * tracks, all stamped in simulated time, so a checkpointed buffer
+ * resumes to the same bytes; wall-clock phase time never enters it
+ * (phase_profiler.hh).
  *
  * A soft event cap (default 1M events, ~100 MB of JSON) guards
  * against a paper-length run with tracing left on filling memory:

@@ -726,11 +726,11 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
 TEST(HostileInput, CrcValidTraceMutationsAreRejectedOrRoundTrip)
 {
     // The same property over an obs section that buffers trace
-    // events: the fault spans of a traced run (a DENSIM_OBS build adds
-    // phase spans), each mutation restored into a fresh engine. A
-    // span's tid travels sign-extended in 8 bytes, so a flip in the
-    // high half leaves the int range and must be rejected rather than
-    // truncated.
+    // events: the fault spans of a traced run, the only events a
+    // trace holds before the run ends, each mutation restored into a
+    // fresh engine. A span's tid travels sign-extended in 8 bytes, so
+    // a flip in the high half leaves the int range and must be
+    // rejected rather than truncated.
     SimConfig config = faultedMigrationConfig();
     config.obsTracePath = tempPath("mutated_trace.json");
     const std::string good = faultedMigrationImage(config);

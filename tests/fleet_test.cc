@@ -238,6 +238,22 @@ TEST(FleetSim, FaultLogIsWrittenPerShard)
     }
 }
 
+TEST(FleetSim, PhaseProfileSumsItsShards)
+{
+    FleetSim fleet(fleetConfig(3), "CF");
+    (void)fleet.run(2);
+    obs::Registry counters = fleet.observability();
+    std::uint64_t sampled = 0;
+    for (std::size_t s = 0; s < 3; ++s) {
+        const std::string name =
+            "shard" + std::to_string(s) + "/engine.epochs";
+        sampled += counters.counter(name).value() /
+                   obs::PhaseProfiler::kStride;
+    }
+    EXPECT_GT(sampled, 0u);
+    EXPECT_EQ(fleet.phaseProfile().sampledEpochs(), sampled);
+}
+
 // ------------------------------------------------- degenerate configs
 
 TEST(FleetSim, ZeroChassisConfigIsRejected)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the observability layer (src/obs) and its engine wiring:
- * strict-JSON helpers, the counter/gauge registry, phase timers, the
- * Chrome trace sink, and — the regression the layer grew out of — the
- * fixed-grid timeline sampler that replaced the drifting ad-hoc one.
+ * strict-JSON helpers, the counter/gauge registry, the sampled phase
+ * timers, the Chrome trace sink, and — the regression the layer grew
+ * out of — the fixed-grid timeline sampler that replaced the drifting
+ * ad-hoc one.
  */
 
 #include <cmath>
@@ -179,48 +180,34 @@ TEST(ObsRegistry, TypedGaugeTakesQuantities)
 
 // ------------------------------------------------------ phase timers
 
-TEST(ObsProfiler, ScopesNestAndAccumulate)
+TEST(ObsProfiler, EngineSamplesEveryPhaseAndResetsPerRun)
 {
-    obs::PhaseProfiler profiler;
-    EXPECT_EQ(profiler.depth(), 0);
-    {
-        obs::PhaseScope outer(profiler, obs::Phase::PowerManage);
-        EXPECT_EQ(profiler.depth(), 1);
-        {
-            obs::PhaseScope inner(profiler,
-                                  obs::Phase::ProcessWindow);
-            EXPECT_EQ(profiler.depth(), 2);
-        }
-        EXPECT_EQ(profiler.depth(), 1);
-    }
-    EXPECT_EQ(profiler.depth(), 0);
-    EXPECT_EQ(profiler.totals(obs::Phase::PowerManage).calls, 1u);
-    EXPECT_EQ(profiler.totals(obs::Phase::ProcessWindow).calls, 1u);
-    EXPECT_EQ(profiler.totals(obs::Phase::ThermalStep).calls, 0u);
-    // Inclusive timing: the outer scope contains the inner one.
-    EXPECT_GE(profiler.totals(obs::Phase::PowerManage).ns,
-              profiler.totals(obs::Phase::ProcessWindow).ns);
-
-    profiler.reset();
-    EXPECT_EQ(profiler.totals(obs::Phase::PowerManage).calls, 0u);
-}
-
-TEST(ObsProfiler, EmitsCompleteEventsToAttachedSink)
-{
-    obs::PhaseProfiler profiler;
-    obs::TraceSink sink;
-    sink.enable(true);
-    profiler.setSink(&sink);
-    {
-        obs::PhaseScope scope(profiler, obs::Phase::ThermalStep);
-    }
-    {
-        obs::PhaseScope scope(profiler, obs::Phase::Migration);
-    }
-    EXPECT_EQ(sink.size(), 2u);
+    // Migrations are attempted every epoch, so every timed epoch runs
+    // all four phases.
+    SimConfig config = smallConfig();
+    config.migrationEnabled = true;
+    config.migrationIntervalS = config.pmEpochS;
+    DenseServerSim sim(config, makeScheduler("CP"));
+    sim.run();
+    obs::Registry counters = sim.observability();
+    const obs::PhaseProfiler &phases = sim.phaseProfile();
+    EXPECT_GT(phases.sampledEpochs(), 0u);
+    EXPECT_EQ(phases.sampledEpochs(),
+              counters.counter("engine.epochs").value() /
+                  obs::PhaseProfiler::kStride);
+    for (const obs::Phase p : {obs::Phase::ThermalStep,
+                               obs::Phase::PowerManage,
+                               obs::Phase::Migration,
+                               obs::Phase::ProcessWindow})
+        EXPECT_GT(phases.ns(p), 0u) << obs::phaseName(p);
     std::string error;
-    EXPECT_TRUE(obs::json::validate(sink.toJson(), &error)) << error;
-    EXPECT_NE(sink.toJson().find("thermalStep"), std::string::npos);
+    EXPECT_TRUE(obs::json::validate(phasesToJson(phases), &error))
+        << error;
+
+    sim.beginRun();
+    EXPECT_EQ(sim.phaseProfile().sampledEpochs(), 0u);
+    for (const obs::Phase p : obs::kPhases)
+        EXPECT_EQ(sim.phaseProfile().ns(p), 0u) << obs::phaseName(p);
 }
 
 // -------------------------------------------------------- trace sink
@@ -440,6 +427,8 @@ TEST(ObsEngine, WritesValidTraceAndTimelineFiles)
     config.timelineSampleS = 0.25;
     config.obsTracePath = trace_path;
     config.obsTimelinePath = timeline_path;
+    config.fault.socketFailCount = 2;
+    config.fault.socketFailS = 0.5;
     DenseServerSim sim(config, makeScheduler("CP"));
     const SimMetrics m = sim.run();
 
@@ -447,6 +436,9 @@ TEST(ObsEngine, WritesValidTraceAndTimelineFiles)
     const std::string trace = slurp(trace_path);
     EXPECT_TRUE(obs::json::validate(trace, &error)) << error;
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+    // Simulated-time fault spans, and no wall-clock phase span.
+    EXPECT_NE(trace.find("\"cat\":\"fault\""), std::string::npos);
+    EXPECT_EQ(trace.find("\"cat\":\"engine\""), std::string::npos);
 
     const std::string timeline = slurp(timeline_path);
     EXPECT_EQ(obs::json::validateLines(timeline, &error),

@@ -3,8 +3,8 @@
  * Exactness tests for the engine hot paths: hex-float goldens that
  * every exact rewrite must reproduce to the last bit, a shadow policy
  * that re-prices every scheduler candidate of real runs through the
- * full DVFS searches, and the epoch-scoped completion list against a
- * linear scan.
+ * full DVFS searches, a metamorphic property of the coupling model,
+ * and the epoch-scoped completion list against a linear scan.
  */
 
 #include <algorithm>
@@ -456,9 +456,9 @@ TEST(PerfEquivalence, PredictionStateMatchesFullSearchOnGoldenRows)
     }
 }
 
-/** A third of diffConfig()'s load from each workload set, merged. */
+/** A third of @p load from each workload set, merged. */
 std::vector<Job>
-mixedSetJobs()
+mixedSetJobs(double load)
 {
     const SimConfig base = diffConfig();
     const auto sockets = static_cast<int>(
@@ -466,7 +466,7 @@ mixedSetJobs()
     std::vector<Job> jobs;
     std::uint64_t seed = base.seed;
     for (const WorkloadSet set : allWorkloadSets()) {
-        JobGenerator gen(set, base.load / 3.0, sockets, ++seed);
+        JobGenerator gen(set, load / 3.0, sockets, ++seed);
         std::vector<Job> part = gen.generateUntil(base.simTimeS);
         std::vector<Job> merged;
         std::merge(jobs.begin(), jobs.end(), part.begin(), part.end(),
@@ -485,15 +485,43 @@ TEST(PerfEquivalence, PredictionStateMatchesFullSearchOnMixedSets)
 {
     // Every golden row runs one workload set, so a socket never
     // switches threshold rows. Interleaved sets make sockets change
-    // sets between jobs.
-    const std::vector<Job> jobs = mixedSetJobs();
+    // sets between jobs. At load 0.7 the mixed list never migrates,
+    // so the migration case draws its list at 0.9, where it does.
     for (const char *name : {"CP", "CP+faults", "CP+migration"}) {
         SCOPED_TRACE(name);
+        const bool migration = std::string(name) == "CP+migration";
         ShadowTally tally;
         DenseServerSim sim(goldenConfig(name),
                            std::make_unique<PredictionShadow>("CP", tally));
-        EXPECT_GT(sim.run(jobs).jobsCompleted, 0u);
+        const SimMetrics m =
+            sim.run(mixedSetJobs(migration ? 0.9 : diffConfig().load));
+        EXPECT_GT(m.jobsCompleted, 0u);
+        EXPECT_EQ(m.migrations > 0, migration);
         expectNoMismatch(tally);
+    }
+}
+
+TEST(Metamorphic, CpEqualsNoCouplingOnDegreeOneTopology)
+{
+    // On a degree-1 topology no socket sits downstream of another, so
+    // CP's coupling penalty is zero and CP must pick exactly as
+    // CP-nocoupling does, whatever the load and cross-row leak.
+    SimConfig config = diffConfig();
+    config.topo = {.rows = 15, .cartridgesPerRow = 1,
+                   .zonesPerCartridge = 1, .socketsPerZone = 1};
+    config.simTimeS = 3.0;
+    config.seed = 7;
+    ASSERT_EQ(ServerTopology(config.topo).degreeOfCoupling(), 1);
+    for (const double leak : {0.0, 0.45}) {
+        for (const double load : {0.3, 0.7, 0.95}) {
+            SCOPED_TRACE("verticalLeak " + std::to_string(leak) +
+                         ", load " + std::to_string(load));
+            config.coupling.verticalLeak = leak;
+            config.load = load;
+            DenseServerSim cp(config, makeScheduler("CP"));
+            DenseServerSim flat(config, makeScheduler("CP-nocoupling"));
+            expectBitIdentical(cp.run(), flat.run());
+        }
     }
 }
 

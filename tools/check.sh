@@ -6,7 +6,9 @@
 #   tools/check.sh [stage ...]
 #
 # Stages (default: every stage the local toolchain supports):
-#   plain     RelWithDebInfo build + full ctest, warnings-as-errors
+#   plain     RelWithDebInfo build + full ctest, warnings-as-errors,
+#             then a CLI smoke with every obs sink on (DESIGN.md
+#             Sec. 10)
 #   asan      ASan+UBSan build + full ctest (DENSIM_CHECKS on)
 #   tsan      ThreadSanitizer build + the experiment-runner and
 #             differential tests (the only multithreaded paths)
@@ -25,28 +27,24 @@
 #             goldens and bit-identity tests show that
 #             -ffp-contract=off keeps a*b+c rounding twice; skipped
 #             with a notice on a host that cannot run x86-64-v3 code
-#   obs       DENSIM_OBS=ON build + the obs/equivalence tests, then a
-#             CLI smoke run with tracing and the timeline stream on;
-#             the emitted trace JSON and JSONL are parsed with
-#             python3 -m json.tool / json.loads (DESIGN.md Sec. 10)
-#   fault     ASan+UBSan+DENSIM_CHECKS build + the fault-injection and
-#             keep-going tests, then three CLI smokes: a fan-failure run
-#             whose JSON output and JSONL fault log must parse
+#   fault     the asan tree + the fault-injection and keep-going
+#             tests, then three CLI smokes: a fan-failure run whose
+#             JSON output and JSONL fault log must parse
 #             strictly, a keep-going sweep with a deliberately bad
 #             cell that must finish the rest, exit nonzero, and emit a
 #             strict summary JSON, and a sweep whose CSV must match
 #             byte for byte with and without --summary (DESIGN.md
 #             Sec. 11)
-#   fleet     ASan+UBSan+DENSIM_CHECKS build + the fleet/streaming
-#             determinism and worker-pool tests, then a CLI smoke: a
+#   fleet     the asan tree + the fleet/streaming determinism and
+#             worker-pool tests, then a CLI smoke: a
 #             multi-shard --fleet run whose JSON summary must parse
 #             strictly and whose metrics must be bit-identical across
 #             worker-thread counts, with a checkpoint taken, and
 #             resumed from that checkpoint; and a faulted fleet whose
 #             per-shard fault logs must parse strictly and match each
 #             shard's counters (DESIGN.md Sec. 15)
-#   ckpt      ASan+UBSan+DENSIM_CHECKS build + the checkpoint/restore
-#             bank (bit-identical resume, hostile-input rejection,
+#   ckpt      the asan tree + the checkpoint/restore bank
+#             (bit-identical resume, hostile-input rejection,
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
 #             run mid-flight, resume it, and byte-compare the final
 #             JSON against the uninterrupted run (DESIGN.md Sec. 16)
@@ -67,7 +65,8 @@
 # dimensional-analysis rules still reject ill-formed code.
 #
 # Each stage configures its own build tree (build-<stage>) so stages
-# never contaminate each other. Any failure aborts the whole run.
+# never contaminate each other; asan, fault, fleet and ckpt need the
+# same flags and share build-asan. Any failure aborts the whole run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -103,16 +102,46 @@ run_ctest() { # dir [extra ctest args...]
     (cd "$dir" && ctest --output-on-failure -j "$CTEST_PARALLEL" "$@")
 }
 
+sanitized_tree() {
+    configure build-asan "-DDENSIM_SANITIZE=$SANITIZERS" \
+              -DDENSIM_CHECKS=ON
+    build build-asan
+}
+
 stage_plain() {
     configure build-check
     build build-check
     run_ctest build-check
+    # End-to-end: strict JSON, a timeline on the exact sample grid,
+    # sampled phase times in the run JSON and no engine (wall-clock)
+    # event in the trace.
+    local out="build-check/cli-smoke"
+    mkdir -p "$out"
+    ./build-check/tools/densim run --scheduler CP --load 0.6 \
+        --set simTimeS=2 --set warmupS=0.5 --set timelineSampleS=0.25 \
+        --set obs.tracePath="$out/trace.json" \
+        --set obs.timelinePath="$out/timeline.jsonl" \
+        --json --counters > "$out/run.json"
+    python3 - "$out" <<'EOF'
+import json, sys
+def load(path):
+    def reject(constant):
+        raise ValueError(f"{path}: non-JSON constant {constant}")
+    return json.load(open(f"{sys.argv[1]}/{path}"), parse_constant=reject)
+phases = load("run.json")["phases"]
+assert phases["sampledEpochs"] > 0, phases
+assert all(e.get("cat") != "engine" for e in load("trace.json")["traceEvents"])
+lines = open(f"{sys.argv[1]}/timeline.jsonl").read().splitlines()
+assert lines, "timeline stream is empty"
+for i, line in enumerate(lines):
+    assert json.loads(line)["tS"] == 0.25 * i, f"line {i}: off-grid"
+print(f"cli smoke: {len(lines)} timeline samples on the exact grid, "
+      f"{phases['sampledEpochs']} sampled epochs, no engine event")
+EOF
 }
 
 stage_asan() {
-    configure build-asan "-DDENSIM_SANITIZE=$SANITIZERS" \
-              -DDENSIM_CHECKS=ON
-    build build-asan
+    sanitized_tree
     run_ctest build-asan
 }
 
@@ -128,45 +157,17 @@ stage_paranoid() {
     run_ctest build-paranoid -R "$PARANOID_FILTER"
 }
 
-stage_obs() {
-    configure build-obs -DDENSIM_OBS=ON
-    build build-obs
-    run_ctest build-obs -R 'Obs|PerfEquivalence'
-    # End-to-end: a small sim with every sink on must emit JSON that
-    # strict parsers accept and a timeline on the exact sample grid.
-    local out="build-obs/obs-smoke"
-    mkdir -p "$out"
-    ./build-obs/tools/densim run --scheduler CP --load 0.6 \
-        --set simTimeS=2 --set warmupS=0.5 --set timelineSampleS=0.25 \
-        --set obs.tracePath="$out/trace.json" \
-        --set obs.timelinePath="$out/timeline.jsonl" \
-        --json --counters > "$out/run.json"
-    python3 -m json.tool "$out/trace.json" > /dev/null
-    python3 -m json.tool "$out/run.json" > /dev/null
-    python3 - "$out/timeline.jsonl" <<'EOF'
-import json, sys
-lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert lines, "timeline stream is empty"
-for i, line in enumerate(lines):
-    row = json.loads(line)
-    assert row["tS"] == 0.25 * i, f"line {i}: {row['tS']} off-grid"
-print(f"obs smoke: {len(lines)} timeline samples on the exact grid")
-EOF
-}
-
 stage_fault() {
     # The fault paths mutate coupling maps, requeue jobs, and unwind
     # through exceptions — exactly the code that deserves sanitizers
     # and the runtime invariant bank.
-    configure build-fault "-DDENSIM_SANITIZE=$SANITIZERS" \
-              -DDENSIM_CHECKS=ON
-    build build-fault
-    run_ctest build-fault -R 'Fault|KeepGoing'
-    local out="build-fault/fault-smoke"
+    sanitized_tree
+    run_ctest build-asan -R 'Fault|KeepGoing'
+    local out="build-asan/fault-smoke"
     mkdir -p "$out"
     # A fan-bank failure at t=1s capped to 20% speed: the run must
     # survive to completion and every sink must be strict JSON.
-    ./build-fault/tools/densim run --scheduler CF --load 0.7 \
+    ./build-asan/tools/densim run --scheduler CF --load 0.7 \
         --set topo.rows=2 --set simTimeS=3 --set warmupS=0.5 \
         --set fault.fanFailS=1 --set fault.fanSpeedFrac=0.2 \
         --set fault.logPath="$out/faults.jsonl" \
@@ -183,7 +184,7 @@ EOF
     # Keep-going sweep with one unresolvable cell: the good cells
     # must complete, the exit code must be nonzero, and the summary
     # must be strict JSON that admits the failure.
-    if ./build-fault/tools/densim sweep --schedulers CF,Bogus \
+    if ./build-asan/tools/densim sweep --schedulers CF,Bogus \
         --loads 0.4,0.6 --set topo.rows=2 --set simTimeS=1 \
         --set warmupS=0.2 --keep-going \
         --summary "$out/summary.json" > "$out/sweep.csv"; then
@@ -205,8 +206,8 @@ EOF
     local sweep=(sweep --schedulers CF,CP --loads 0.4,0.6
                  --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2
                  --csv)
-    ./build-fault/tools/densim "${sweep[@]}" > "$out/sweep-plain.csv"
-    ./build-fault/tools/densim "${sweep[@]}" \
+    ./build-asan/tools/densim "${sweep[@]}" > "$out/sweep-plain.csv"
+    ./build-asan/tools/densim "${sweep[@]}" \
         --summary "$out/sweep-summary.json" > "$out/sweep-summary.csv"
     cmp "$out/sweep-plain.csv" "$out/sweep-summary.csv"
     echo "fault smoke: sweep CSV identical with and without --summary"
@@ -217,11 +218,9 @@ stage_fleet() {
     # bit-identical metrics at any thread count — run it under ASan
     # with the invariant bank on, then pin the promise end to end
     # through the CLI.
-    configure build-fleet "-DDENSIM_SANITIZE=$SANITIZERS" \
-              -DDENSIM_CHECKS=ON
-    build build-fleet
-    run_ctest build-fleet -R 'Fleet|Streamed|DomainSeed|Parallel'
-    local out="build-fleet/fleet-smoke"
+    sanitized_tree
+    run_ctest build-asan -R 'Fleet|Streamed|DomainSeed|Parallel'
+    local out="build-asan/fleet-smoke"
     mkdir -p "$out"
     # A 4-chassis fleet at every worker count up to one above the
     # chassis count: every summary must be strict JSON, account for
@@ -230,7 +229,7 @@ stage_fleet() {
                 --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2
                 --json)
     for t in 1 2 3 4 5; do
-        ./build-fleet/tools/densim "${args[@]}" --threads "$t" \
+        ./build-asan/tools/densim "${args[@]}" --threads "$t" \
             > "$out/fleet-t$t.json"
         cmp "$out/fleet-t1.json" "$out/fleet-t$t.json"
     done
@@ -238,11 +237,11 @@ stage_fleet() {
     # (taken in the drain) resumes byte-identically at another worker
     # count.
     rm -f "$out/fleet.ckpt"
-    ./build-fleet/tools/densim "${args[@]}" --threads 3 \
+    ./build-asan/tools/densim "${args[@]}" --threads 3 \
         --checkpoint "$out/fleet.ckpt" --ckpt-every 0.25 \
         > "$out/fleet-ckpt.json"
     cmp "$out/fleet-t1.json" "$out/fleet-ckpt.json"
-    ./build-fleet/tools/densim "${args[@]}" --threads 1 \
+    ./build-asan/tools/densim "${args[@]}" --threads 1 \
         --restore "$out/fleet.ckpt" > "$out/fleet-resumed.json"
     cmp "$out/fleet-t1.json" "$out/fleet-resumed.json"
     python3 - "$out/fleet-t1.json" <<'EOF'
@@ -261,7 +260,7 @@ EOF
     # as many socketFail events as its counter reports, and no shard
     # writes the shared name.
     rm -f "$out"/faults*.jsonl
-    ./build-fleet/tools/densim run --fleet 3 --scheduler CF --load 0.7 \
+    ./build-asan/tools/densim run --fleet 3 --scheduler CF --load 0.7 \
         --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2 \
         --set fault.socketFailCount=2 --set fault.socketFailS=0.3 \
         --set fault.logPath="$out/faults.jsonl" \
@@ -293,21 +292,19 @@ stage_ckpt() {
     # bank under ASan, then the end-to-end promise through the CLI —
     # SIGTERM a run mid-flight, resume from its checkpoint, and the
     # final JSON must match the uninterrupted run byte for byte.
-    configure build-ckpt "-DDENSIM_SANITIZE=$SANITIZERS" \
-              -DDENSIM_CHECKS=ON
-    build build-ckpt
-    run_ctest build-ckpt -R 'Ckpt|BitIdentity|HostileInput|Misuse|Driver|Fork'
-    local out="build-ckpt/ckpt-smoke"
+    sanitized_tree
+    run_ctest build-asan -R 'Ckpt|BitIdentity|HostileInput|Misuse|Driver|Fork'
+    local out="build-asan/ckpt-smoke"
     mkdir -p "$out"
     local args=(run --scheduler CP --load 0.7 --set simTimeS=12
                 --set warmupS=1 --set fault.sensorNoisyCount=2
                 --set fault.sensorNoisyAtS=2 --json)
-    ./build-ckpt/tools/densim "${args[@]}" > "$out/straight.json"
+    ./build-asan/tools/densim "${args[@]}" > "$out/straight.json"
     # Kill mid-flight. ASan builds are slow enough that the signal
     # lands mid-run; if the run wins the race anyway, fall back to
     # resuming the cadence checkpoint it left behind.
     set +e
-    ./build-ckpt/tools/densim "${args[@]}" \
+    ./build-asan/tools/densim "${args[@]}" \
         --checkpoint "$out/run.ckpt" --ckpt-every 1 \
         > "$out/killed.json" &
     local pid=$!
@@ -324,7 +321,7 @@ stage_ckpt() {
         echo "check.sh: ckpt: no checkpoint file written" >&2
         exit 1
     fi
-    ./build-ckpt/tools/densim "${args[@]}" \
+    ./build-asan/tools/densim "${args[@]}" \
         --restore "$out/run.ckpt" > "$out/resumed.json"
     cmp "$out/straight.json" "$out/resumed.json"
     echo "ckpt smoke: SIGTERM at exit $rc, resume byte-identical"
@@ -409,13 +406,13 @@ stage_fma() {
 if [ "$#" -gt 0 ]; then
     stages=("$@")
 else
-    stages=(plain asan tsan paranoid obs fault fleet ckpt perfbench lint
-            tidy fma)
+    stages=(plain asan tsan paranoid fault fleet ckpt perfbench lint tidy
+            fma)
 fi
 
 for stage in "${stages[@]}"; do
     case "$stage" in
-        plain|asan|tsan|paranoid|obs|fault|fleet|ckpt|perfbench|lint|tidy|fma|bench) ;;
+        plain|asan|tsan|paranoid|fault|fleet|ckpt|perfbench|lint|tidy|fma|bench) ;;
         *)
             echo "check.sh: unknown stage '$stage'" >&2
             exit 2

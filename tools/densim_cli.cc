@@ -35,6 +35,7 @@
 #include "core/metrics_io.hh"
 #include "fleet/fleet_metrics.hh"
 #include "fleet/fleet_sim.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
@@ -72,7 +73,7 @@ usage()
         "  --set warmupS=W      unmeasured warmup, s (default\n"
         "                       min(3, simTimeS / 2))\n"
         "  --json / --csv       machine-readable output\n"
-        "  --counters           report observability counters/gauges\n"
+        "  --counters           report counters, gauges, phase times\n"
         "  --trace FILE         trace path for trace-* commands\n"
         "  --jobs N             jobs to capture (trace-capture)\n"
         "  --threads N          sweep/fleet worker threads, the\n"
@@ -128,9 +129,9 @@ usage()
         "\n"
         "observability (DESIGN.md Sec. 10):\n"
         "  --set obs.tracePath=F     write a Chrome trace_event JSON\n"
-        "                            (phase events need a DENSIM_OBS\n"
-        "                            build; load in chrome://tracing\n"
-        "                            or Perfetto)\n"
+        "                            of the fault spans and counter\n"
+        "                            tracks (chrome://tracing or\n"
+        "                            Perfetto)\n"
         "  --set obs.timelinePath=F  write the zone-ambient timeline\n"
         "                            as JSONL; needs --set\n"
         "                            timelineSampleS=X (X > 0)\n";
@@ -192,6 +193,10 @@ parseArgs(int argc, char **argv)
         std::exit(1);
     }
     cli.command = argv[1];
+    if (cli.command == "--help" || cli.command == "-h") {
+        usage();
+        std::exit(0);
+    }
     // Bench-friendly defaults: scaled tau, short horizon. The warmup
     // stays NaN (a given value is always finite) until every flag is
     // read, then follows the horizon: min(3 s, simTimeS / 2).
@@ -310,7 +315,8 @@ printRunTable(const std::string &scheduler, const SimConfig &config,
 }
 
 void
-printCounterTable(const obs::Registry &registry)
+printObsTables(const obs::Registry &registry,
+               const obs::PhaseProfiler &phases)
 {
     TableWriter table({"Counter", "Value"});
     for (const auto &c : registry.counters())
@@ -321,6 +327,15 @@ printCounterTable(const obs::Registry &registry)
     for (const auto &g : registry.gauges())
         gauges.newRow().cell(g.name).cell(g.value, 3).cell(g.unit);
     gauges.print(std::cout);
+    TableWriter timers({"Phase", "Sampled ns"});
+    timers.newRow()
+        .cell("epochs timed (1 in " +
+              std::to_string(obs::PhaseProfiler::kStride) + ")")
+        .cell(static_cast<long long>(phases.sampledEpochs()));
+    for (const obs::Phase phase : obs::kPhases)
+        timers.newRow().cell(obs::phaseName(phase)).cell(
+            static_cast<long long>(phases.ns(phase)));
+    timers.print(std::cout);
 }
 
 void
@@ -334,7 +349,8 @@ report(const Cli &cli, const SimConfig &config,
     if (cli.json) {
         if (cli.counters) {
             out << "{\"metrics\":" << metricsToJson(m) << ",\"obs\":"
-                << countersToJson(sim.observability()) << "}\n";
+                << countersToJson(sim.observability()) << ",\"phases\":"
+                << phasesToJson(sim.phaseProfile()) << "}\n";
         } else {
             out << metricsToJson(m) << "\n";
         }
@@ -343,7 +359,7 @@ report(const Cli &cli, const SimConfig &config,
     }
     printRunTable(cli.scheduler, config, m);
     if (cli.counters)
-        printCounterTable(sim.observability());
+        printObsTables(sim.observability(), sim.phaseProfile());
 }
 
 void
@@ -432,7 +448,9 @@ cmdFleetRun(const Cli &cli)
         if (cli.counters) {
             out << "{\"fleet\":" << fleetMetricsToJson(m)
                 << ",\"obs\":"
-                << countersToJson(fleet.observability()) << "}\n";
+                << countersToJson(fleet.observability())
+                << ",\"phases\":" << phasesToJson(fleet.phaseProfile())
+                << "}\n";
         } else {
             out << fleetMetricsToJson(m) << "\n";
         }
@@ -441,7 +459,7 @@ cmdFleetRun(const Cli &cli)
     }
     printFleetTable(cli, fleet, m);
     if (cli.counters)
-        printCounterTable(fleet.observability());
+        printObsTables(fleet.observability(), fleet.phaseProfile());
     return 0;
 }
 
