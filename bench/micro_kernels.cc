@@ -18,6 +18,7 @@
 #include "sched/prediction.hh"
 #include "server/sut.hh"
 #include "thermal/hotspot_model.hh"
+#include "util/rng.hh"
 #include "workload/curves.hh"
 
 using namespace densim;
@@ -53,26 +54,35 @@ BM_RcNetworkSteadySolve(benchmark::State &state)
 BENCHMARK(BM_RcNetworkSteadySolve)->Arg(4)->Arg(8)->Arg(12);
 
 void
-BM_CouplingPowerDelta(benchmark::State &state)
+BM_CouplingDeltaFlush(benchmark::State &state)
 {
-    // Single-socket power change folded into an existing ambient
-    // field — the per-epoch cost of the incremental thermal path.
+    // One epoch's delta flush over a seeded ascending dirty list that
+    // holds each socket with probability range(0) %: 32 and 79 are the
+    // dirty densities of perfbench's cf_load30 and cp_load70. Every
+    // flush moves each listed socket between two power levels, so no
+    // delta is zero.
     const ServerTopology sut = makeSutTopology();
     const CouplingMap map =
         makeCouplingMap(sut, defaultCouplingParams());
-    const std::vector<double> powers(sut.numSockets(), 13.6);
-    std::vector<double> temps =
-        map.ambientTemps(powers, Celsius(18.0));
-    std::size_t socket = 0;
-    double old_p = 13.6, new_p = 2.2;
+    const std::size_t n = sut.numSockets();
+    Rng rng(0xd1f7u);
+    std::vector<std::size_t> dirty;
+    for (std::size_t s = 0; s < n; ++s)
+        if (rng.uniform(0.0, 100.0) < static_cast<double>(state.range(0)))
+            dirty.push_back(s);
+    const std::vector<double> levels[2] = {std::vector<double>(n, 13.6),
+                                           std::vector<double>(n, 2.2)};
+    std::vector<double> field = levels[0];
+    std::vector<double> temps = map.ambientTemps(field, Celsius(18.0));
+    std::size_t next = 1;
     for (auto _ : state) {
-        map.applyPowerDelta(temps, socket, old_p, new_p);
-        std::swap(old_p, new_p);
-        socket = (socket + 7) % sut.numSockets();
-        benchmark::DoNotOptimize(temps);
+        map.applyPowerDeltas(temps, dirty, field, levels[next]);
+        next ^= 1;
+        benchmark::DoNotOptimize(temps.data());
     }
+    state.counters["dirty"] = static_cast<double>(dirty.size());
 }
-BENCHMARK(BM_CouplingPowerDelta);
+BENCHMARK(BM_CouplingDeltaFlush)->Arg(32)->Arg(79);
 
 void
 BM_DvfsDecision(benchmark::State &state)
@@ -247,6 +257,10 @@ BENCHMARK(BM_SchedulerDecisionBatch)->Arg(0)->Arg(1)->Arg(2);
 void
 BM_SimulatedServerSecond(benchmark::State &state)
 {
+    // One iteration simulates 1 s of arrivals plus the drain, from
+    // construction and a cold start; ms_per_sim_s divides the time by
+    // the simulated seconds, drain included.
+    double simulated_s = 0.0;
     for (auto _ : state) {
         SimConfig config;
         config.load = 0.7;
@@ -255,8 +269,12 @@ BM_SimulatedServerSecond(benchmark::State &state)
         config.socketTauS = 3.0;
         DenseServerSim sim(config, makeScheduler("CP"));
         auto metrics = sim.run();
+        simulated_s += config.warmupS + metrics.measuredS;
         benchmark::DoNotOptimize(metrics);
     }
+    state.counters["ms_per_sim_s"] =
+        benchmark::Counter(simulated_s / 1e3, benchmark::Counter::kIsRate |
+                                                  benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SimulatedServerSecond)->Unit(benchmark::kMillisecond);
 

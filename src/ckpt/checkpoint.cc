@@ -902,6 +902,20 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
                  std::to_string(flagged) + " dirty flags vs " +
                      std::to_string(sim.dirtySockets_.size()) +
                      " dirty-listed sockets");
+    // The ambient-target field must be the coupling field of the
+    // target powers (under the derated map rebuilt above), within the
+    // drift the paranoid epoch check allows: a field that jumps across
+    // the checkpoint would steer every socket toward a wrong target.
+    const std::vector<double> field = sim.coupling_.ambientTemps(
+        sim.targetPowerW_, sim.config_.topo.inlet());
+    for (std::size_t s = 0; s < n; ++s)
+        if (!(std::fabs(sim.ambTargets_[s] - field[s]) <=
+              DenseServerSim::kAmbientDriftBoundC))
+            badField("restored state",
+                     "ambient target " + std::to_string(sim.ambTargets_[s]) +
+                         " C of socket " + std::to_string(s) +
+                         " is not its target powers' field " +
+                         std::to_string(field[s]) + " C");
 
     // Derived state: the per-row idle counts and the penalty snapshot
     // are pure functions of the restored idle list and socket banks.

@@ -437,6 +437,8 @@ DenseServerSim::advanceEpoch()
     if (faultsEnabled_)
         applyFaultEvents(t0);
     profiler_.lap(obs::Phase::Other);
+    flushAmbientTargets();
+    profiler_.lap(obs::Phase::AmbientFlush);
     thermalStep(epoch);
     profiler_.lap(obs::Phase::ThermalStep);
     sampleTimeline(t0);
@@ -544,34 +546,38 @@ DenseServerSim::refreshAmbientTargets()
 }
 
 void
-DenseServerSim::thermalStep(double dt)
+DenseServerSim::flushAmbientTargets()
 {
-    // The ambient field lags the power field with the 30 s socket
-    // time constant; the chip's own Eq. (1) rise follows with the
-    // 5 ms chip time constant. The target field is the coupling-map
-    // steady state of the current powers, maintained by per-socket
-    // deltas and recomputed in full every kAmbientRefreshEpochs.
+    // The target field is the coupling-map steady state of the
+    // current powers, maintained by per-socket deltas and recomputed
+    // in full every kAmbientRefreshEpochs.
     if (++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs) {
         refreshAmbientTargets();
     } else if (!dirtySockets_.empty()) {
         count_.ambientDeltas->inc(dirtySockets_.size());
-        for (std::size_t s : dirtySockets_) {
-            coupling_.applyPowerDelta(ambTargets_, s, targetPowerW_[s],
-                                      powerW_[s]);
-            targetPowerW_[s] = powerW_[s];
+        coupling_.applyPowerDeltas(ambTargets_, dirtySockets_,
+                                   targetPowerW_, powerW_);
+        for (std::size_t s : dirtySockets_)
             powerDirty_[s] = 0;
-        }
         dirtySockets_.clear();
     }
-    const std::size_t n = topo_.numSockets();
 #if DENSIM_ENABLE_CHECKS
     // The field now stands for the current powers only if every power
     // change was marked dirty; an unmarked one never reaches it.
-    for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t s = 0; s < topo_.numSockets(); ++s) {
         DENSIM_CHECK(targetPowerW_[s] == powerW_[s], "socket ", s,
                      " changed power without a dirty mark");
     }
 #endif
+}
+
+void
+DenseServerSim::thermalStep(double dt)
+{
+    // The ambient field lags the power field with the 30 s socket
+    // time constant; the chip's own Eq. (1) rise follows with the
+    // 5 ms chip time constant.
+    const std::size_t n = topo_.numSockets();
     const bool measure = tCursor_ >= config_.warmupS;
     const bool pristine = config_.sensorNoiseC <= 0.0 &&
                           config_.sensorQuantC <= 0.0 && !faultsEnabled_;
@@ -1109,7 +1115,7 @@ DenseServerSim::checkEpochInvariants() const
     const std::vector<double> reference =
         coupling_.ambientTemps(targetPowerW_, config_.topo.inlet());
     invariant::checkFieldsClose("ambient-target field", ambTargets_,
-                                reference, 1e-6);
+                                reference, kAmbientDriftBoundC);
     coupling_.checkAmbientFieldPhysics(
         targetPowerW_, config_.topo.inlet(), ambTargets_);
 #endif

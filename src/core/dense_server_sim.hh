@@ -34,7 +34,7 @@
  * of a per-event socket scan, the idle-socket list and the
  * piecewise-integration sums are maintained by delta updates, the
  * ambient-target field is updated through
- * CouplingMap::applyPowerDelta for the sockets whose power actually
+ * CouplingMap::applyPowerDeltas for the sockets whose power actually
  * changed, and every DVFS decision is read off exact per-(sink,
  * workload set, P-state) feasibility thresholds and two-pass
  * constants computed once at construction.
@@ -194,6 +194,12 @@ class DenseServerSim
      *  obs.tracePath. */
     void enableTrace();
     SimMetrics runJobs(const std::vector<Job> &jobs);
+    /** Bring the ambient-target field up to the current powers: the
+     *  dirty sockets' deltas, or every kAmbientRefreshEpochs-th epoch
+     *  a full refresh. */
+    DENSIM_HOT void flushAmbientTargets();
+    /** Advance every socket's thermal state by @p dt toward the
+     *  flushed field, in one ascending walk. */
     DENSIM_HOT void thermalStep(double dt);
     /** Re-decide every busy socket at @p now and, in the same walk,
      *  re-derive the busy sums and total power and list the
@@ -404,6 +410,13 @@ class DenseServerSim
     std::vector<std::size_t> idleList_; //!< Idle sockets, ascending.
     std::vector<int> rowIdle_; //!< idleList_ entries per row.
 
+    /**
+     * How far, in C, ambTargets_ may sit from a fresh evaluation of
+     * targetPowerW_: the refresh cadence keeps the accumulated delta
+     * rounding far below it. The paranoid epoch check and the restore
+     * audit both hold the field to it.
+     */
+    static constexpr double kAmbientDriftBoundC = 1e-6;
     std::vector<double> ambTargets_; //!< Coupling-map ambient targets.
     std::vector<double> targetPowerW_; //!< Powers ambTargets_ is for.
     std::vector<char> powerDirty_;

@@ -30,7 +30,8 @@
  *
  * Check sites live at epoch boundaries of the engine
  * (DenseServerSim::checkEpochInvariants), after the coupling-field
- * flush in DenseServerSim::thermalStep, inside RCNetwork::steadyState
+ * flush (DenseServerSim::flushAmbientTargets), inside
+ * RCNetwork::steadyState
  * (first-law balance) and CompletionList::checkInvariants (ordering
  * + exactly the busy ids due before the horizon). CI runs the
  * paranoid build on the reduced workloads of

@@ -30,7 +30,8 @@ namespace densim::obs {
 
 /** An epoch's phases. */
 enum class Phase : unsigned {
-    ThermalStep,
+    AmbientFlush, //!< The ambient-target delta flush or full refresh.
+    ThermalStep,  //!< The socket walk after the flush.
     PowerManage,
     Migration,
     ProcessWindow,
@@ -38,17 +39,17 @@ enum class Phase : unsigned {
 };
 
 /** Every phase, in the order advanceEpoch runs them. */
-inline constexpr Phase kPhases[] = {Phase::ThermalStep, Phase::PowerManage,
-                                    Phase::Migration, Phase::ProcessWindow,
-                                    Phase::Other};
+inline constexpr Phase kPhases[] = {
+    Phase::AmbientFlush, Phase::ThermalStep,   Phase::PowerManage,
+    Phase::Migration,    Phase::ProcessWindow, Phase::Other};
 
-/** Stable display name ("thermalStep", ...). */
+/** Stable display name ("ambientFlush", ...). */
 inline const char *
 phaseName(Phase phase)
 {
-    constexpr const char *kNames[] = {"thermalStep", "powerManage",
-                                      "migrations", "processWindow",
-                                      "other"};
+    constexpr const char *kNames[] = {"ambientFlush", "thermalStep",
+                                      "powerManage",  "migrations",
+                                      "processWindow", "other"};
     static_assert(std::size(kNames) == std::size(kPhases));
     return kNames[static_cast<std::size_t>(phase)];
 }

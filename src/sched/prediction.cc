@@ -111,30 +111,23 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
     const bool snapshot = cache != nullptr && cache->snapshot;
 
     double penalty = 0.0;
-    const std::size_t count = ctx.coupling->downstreamCount(socket);
-    const std::size_t *ids = ctx.coupling->downstreamIds(socket);
-    const double *coeffs = ctx.coupling->downstreamAmbCoeffs(socket);
-    for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t d = ids[k];
-        // Table lookup (Sec. IV-C): the placement's extra heat will
-        // raise the downstream socket's ambient by coeff * dP once
-        // the field settles.
-        const double dt = coeffs[k] * extra;
+    // Charge downstream socket d for an ambient rise of dt.
+    const auto charge = [&](std::size_t d, double dt) {
         const double amb_new = ctx.ambientC[d] + dt;
         if (snapshot) {
             // Most probes keep the socket's state or drop it by one;
             // the snapshot prices both exactly (PredictionCache).
             if (amb_new <= cache->keepC[d]) {
                 penalty += dt * cache->keepSlope[d];
-                continue;
+                return;
             }
             if (amb_new <= cache->dropC[d]) {
                 penalty += cache->dropMhz[d];
-                continue;
+                return;
             }
         }
         if (ctx.busy[d] == 0)
-            continue;
+            return;
         const WorkloadSet set = ctx.runningSet[d];
         const std::size_t cap =
             ctx.boostCreditS[d] > 0.0 ? boost_cap : sustained_cap;
@@ -166,6 +159,16 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
                                  : mhzPerCelsius(*ctx.pm, set,
                                                  ctx.topo->sinkOf(d)));
         }
+    };
+    // Table lookup (Sec. IV-C): the placement's extra heat will raise
+    // each downstream socket's ambient by coeff * dP once the field
+    // settles. A run's lanes share one coefficient, so one product
+    // serves both, charged in ascending socket order.
+    for (const CouplingRun &run : ctx.coupling->runs(socket)) {
+        const double dt = run.amb * extra;
+        charge(run.first, dt);
+        if (run.lanes == 2)
+            charge(run.first + 1, dt);
     }
     return penalty;
 }

@@ -3,12 +3,37 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 
 #include "airflow/first_law.hh"
 #include "core/invariant.hh"
 #include "util/logging.hh"
 
 namespace densim {
+
+namespace {
+
+/** The two lanes of a paired run, one vector register (GCC extension). */
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+
+/** Add @p v to every lane of @p run in @p out: one two-lane add for a
+ *  pair, each lane rounding as its own scalar add would. */
+inline void
+addRun(double *out, const CouplingRun &run, double v)
+{
+    double *at = out + run.first;
+    if (run.lanes == 2) {
+        Lanes2 lanes;
+        std::memcpy(&lanes, at, sizeof lanes);
+        lanes += v;
+        std::memcpy(at, &lanes, sizeof lanes);
+    } else {
+        *at += v;
+    }
+}
+
+} // namespace
 
 CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
                          CouplingParams map_params)
@@ -36,8 +61,10 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
     }
 
     const std::size_t n = sites_.size();
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        fatal("CouplingMap: ", n, " sockets exceed 32-bit socket ids");
     impact_.assign(n, 0.0);
-    dsOff_.assign(n + 1, 0);
+    runOff_.assign(n + 1, 0);
 
     // Heat leaking into neighbour ducts comes out of the same-duct
     // share, so the per-source normalization is the sum of leak
@@ -66,6 +93,7 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
     }
 
     for (std::size_t from = 0; from < n; ++from) {
+        const std::size_t row_begin = runs_.size();
         for (std::size_t to = 0; to < n; ++to) {
             if (from == to)
                 continue;
@@ -90,12 +118,22 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
                 params_.mixFactor * decay * vertical;
             const double air = kCelsiusPerWattPerCfm * gamma /
                                sites_[to].ductCfm.value();
-            impact_[from] += air * params_.wakeFactor;
-            dsIdx_.push_back(to);
-            dsAir_.push_back(air);
-            dsAmb_.push_back(air * params_.wakeFactor);
+            const double amb = air * params_.wakeFactor;
+            impact_[from] += amb;
+            // Pair left to right: a single run takes the next socket
+            // as its second lane when their coefficients are equal.
+            if (runs_.size() > row_begin) {
+                CouplingRun &last = runs_.back();
+                if (last.lanes == 1 && last.first + 1 == to &&
+                    runAir_.back() == air) {
+                    last.lanes = 2;
+                    continue;
+                }
+            }
+            runs_.push_back({static_cast<std::uint32_t>(to), 1, amb});
+            runAir_.push_back(air);
         }
-        dsOff_[from + 1] = dsIdx_.size();
+        runOff_[from + 1] = runs_.size();
     }
 }
 
@@ -107,30 +145,36 @@ CouplingMap::checkIndex(std::size_t i) const
               sites_.size(), ")");
 }
 
-double
-CouplingMap::lookup(const std::vector<double> &coeffs, std::size_t from,
-                    std::size_t to) const
+std::size_t
+CouplingMap::findRun(std::size_t from, std::size_t to) const
 {
     checkIndex(from);
     checkIndex(to);
-    const std::size_t *ids = dsIdx_.data();
-    const std::size_t *last = ids + dsOff_[from + 1];
-    const std::size_t *it = std::lower_bound(ids + dsOff_[from], last, to);
-    if (it == last || *it != to)
-        return 0.0;
-    return coeffs[static_cast<std::size_t>(it - ids)];
+    const CouplingRun *begin = runs_.data() + runOff_[from];
+    const CouplingRun *end = runs_.data() + runOff_[from + 1];
+    // The last run that starts at or before `to`.
+    const CouplingRun *it =
+        std::upper_bound(begin, end, to,
+                         [](std::size_t id, const CouplingRun &run) {
+                             return id < run.first;
+                         });
+    if (it == begin || to - (it - 1)->first >= (it - 1)->lanes)
+        return runs_.size();
+    return static_cast<std::size_t>(it - 1 - runs_.data());
 }
 
 KelvinPerWatt
 CouplingMap::coeff(std::size_t from, std::size_t to) const
 {
-    return KelvinPerWatt(lookup(dsAmb_, from, to));
+    const std::size_t k = findRun(from, to);
+    return KelvinPerWatt(k == runs_.size() ? 0.0 : runs_[k].amb);
 }
 
 KelvinPerWatt
 CouplingMap::airCoeff(std::size_t from, std::size_t to) const
 {
-    return KelvinPerWatt(lookup(dsAir_, from, to));
+    const std::size_t k = findRun(from, to);
+    return KelvinPerWatt(k == runs_.size() ? 0.0 : runAir_[k]);
 }
 
 std::vector<double>
@@ -146,8 +190,8 @@ CouplingMap::entryTemps(const std::vector<double> &powers_w,
         const double p = powers_w[j];
         if (p == 0.0)
             continue;
-        for (std::size_t k = dsOff_[j]; k < dsOff_[j + 1]; ++k)
-            temps[dsIdx_[k]] += dsAir_[k] * p;
+        for (std::size_t k = runOff_[j]; k < runOff_[j + 1]; ++k)
+            addRun(temps.data(), runs_[k], runAir_[k] * p);
     }
     return temps;
 }
@@ -176,15 +220,12 @@ CouplingMap::ambientTempsInto(double *out_c, std::size_t n,
     const double inlet_c = inlet.value();
     for (std::size_t i = 0; i < n; ++i)
         out_c[i] = inlet_c;
-    const std::size_t *idx = dsIdx_.data();
-    const double *amb = dsAmb_.data();
     for (std::size_t j = 0; j < n; ++j) {
         const double p = powers_w[j];
         if (p == 0.0)
             continue;
-        const std::size_t end = dsOff_[j + 1];
-        for (std::size_t k = dsOff_[j]; k < end; ++k)
-            out_c[idx[k]] += amb[k] * p;
+        for (const CouplingRun &run : runs(j))
+            addRun(out_c, run, run.amb * p);
     }
     const double kappa = params_.kappaLocal;
     for (std::size_t i = 0; i < n; ++i)
@@ -192,11 +233,39 @@ CouplingMap::ambientTempsInto(double *out_c, std::size_t n,
 }
 
 void
-CouplingMap::badPowerDelta(std::size_t temps, std::size_t socket) const
+CouplingMap::applyPowerDeltas(std::vector<double> &temps,
+                              const std::vector<std::size_t> &sockets,
+                              std::vector<double> &field_w,
+                              const std::vector<double> &power_w) const
+{
+    const std::size_t n = sites_.size();
+    if (temps.size() != n || field_w.size() != n || power_w.size() != n)
+        badPowerDeltas(0, temps.size(), field_w.size(), power_w.size());
+    double *out = temps.data();
+    const double kappa = params_.kappaLocal;
+    const std::size_t count = sockets.size();
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t s = sockets[i];
+        if (s >= n)
+            badPowerDeltas(s, n, n, n);
+        const double dp = power_w[s] - field_w[s];
+        field_w[s] = power_w[s];
+        if (dp == 0.0)
+            continue;
+        for (const CouplingRun &run : runs(s))
+            addRun(out, run, run.amb * dp);
+        out[s] += kappa * dp;
+    }
+}
+
+void
+CouplingMap::badPowerDeltas(std::size_t socket, std::size_t temps,
+                            std::size_t field, std::size_t power) const
 {
     checkIndex(socket);
-    panic("CouplingMap::applyPowerDelta: ", temps, " temps for ",
-          sites_.size(), " sockets");
+    panic("CouplingMap::applyPowerDeltas: ", temps, " temps, ", field,
+          " field powers and ", power, " powers for ", sites_.size(),
+          " sockets");
 }
 
 void

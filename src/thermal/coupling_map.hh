@@ -40,6 +40,8 @@
 #define DENSIM_THERMAL_COUPLING_MAP_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/effects.hh"
@@ -85,6 +87,19 @@ struct CouplingParams
 };
 
 /**
+ * One run of a coupling row: one downstream socket, or the two
+ * adjacent sockets `first` and `first + 1` when their coefficients are
+ * bit-equal. Sockets side by side in a zone share a duct station, so
+ * on the SUT every coupling entry pairs up (DESIGN.md Sec. 12.2).
+ */
+struct CouplingRun
+{
+    std::uint32_t first; //!< Lowest downstream socket id of the run.
+    std::uint32_t lanes; //!< Sockets in the run: 1 or 2.
+    double amb;          //!< coeff(from, first + k) of every lane k.
+};
+
+/**
  * Precomputed socket-to-socket thermal coupling coefficients plus
  * entry/ambient temperature evaluation. Immutable after construction;
  * evaluation is allocation-free for the hot paths.
@@ -102,7 +117,7 @@ class CouplingMap
      * at socket @p from (0 unless @p to is strictly downstream of
      * @p from, in its duct or one the vertical leak reaches).
      * Wake-amplified; this is the scheduling-relevant coefficient.
-     * A binary search of @p from's CSR row.
+     * A binary search of @p from's runs.
      */
     KelvinPerWatt coeff(std::size_t from, std::size_t to) const;
 
@@ -133,39 +148,26 @@ class CouplingMap
 
     /**
      * Allocation-free form of ambientTemps(): evaluate the whole
-     * ambient field in one flat pass over the packed (CSR) coupling
-     * coefficients into caller-owned storage. Bit-identical to
-     * ambientTemps() — same traversal order, same accumulation order —
-     * so the engine's batched refresh path and the legacy vector form
-     * are interchangeable.
+     * ambient field into caller-owned storage, source rows in
+     * ascending order, one two-lane add per paired run. Bit-identical
+     * to ambientTemps().
      */
     void ambientTempsInto(double *out_c, std::size_t n,
                           const double *powers_w, Celsius inlet) const;
 
     /**
-     * Incrementally update an ambientTemps() field for one socket's
-     * power change from @p old_p to @p new_p: adds the delta's
-     * wake-amplified rise to every downstream socket and the
-     * kappaLocal self term. O(downstream) instead of the O(n *
-     * downstream) full evaluation — the hot path when only a few
-     * sockets change power per power-management epoch. Walks the
-     * same packed downstream rows as ambientTempsInto(); agrees with a
-     * fresh ambientTemps() to rounding (not bit-) accuracy.
+     * Fold the power changes of the listed sockets into an
+     * ambientTemps() field, in list order: socket s adds its delta
+     * power_w[s] - field_w[s] through its row plus the kappaLocal self
+     * term, then field_w[s] becomes power_w[s]. A socket whose delta
+     * is 0 adds nothing. O(listed sockets * downstream) instead of
+     * the full evaluation; agrees with a fresh ambientTemps() to
+     * rounding.
      */
-    void
-    applyPowerDelta(std::vector<double> &temps, std::size_t socket,
-                    double old_p, double new_p) const
-    {
-        if (socket >= sites_.size() || temps.size() != sites_.size())
-            badPowerDelta(temps.size(), socket);
-        const double dp = new_p - old_p;
-        if (dp == 0.0)
-            return;
-        const std::size_t end = dsOff_[socket + 1];
-        for (std::size_t k = dsOff_[socket]; k < end; ++k)
-            temps[dsIdx_[k]] += dsAmb_[k] * dp;
-        temps[socket] += params_.kappaLocal * dp;
-    }
+    void applyPowerDeltas(std::vector<double> &temps,
+                          const std::vector<std::size_t> &sockets,
+                          std::vector<double> &field_w,
+                          const std::vector<double> &power_w) const;
 
     /**
      * Total downstream impact of socket @p from: sum of ambient
@@ -174,28 +176,15 @@ class CouplingMap
      */
     KelvinPerWatt downstreamImpact(std::size_t from) const;
 
-    /** Number of sockets strictly downstream of @p from (CSR row). */
-    std::size_t downstreamCount(std::size_t from) const
-    {
-        return dsOff_[from + 1] - dsOff_[from];
-    }
-
     /**
-     * Packed downstream indices of @p from (downstreamCount long),
-     * ascending: exactly the sockets with a nonzero coeff(from, ·).
+     * The runs of @p from, ascending: their lanes are exactly the
+     * sockets with a nonzero coeff(from, ·), and each run's amb is
+     * that coefficient.
      */
-    const std::size_t *downstreamIds(std::size_t from) const
+    std::span<const CouplingRun> runs(std::size_t from) const
     {
-        return dsIdx_.data() + dsOff_[from];
-    }
-
-    /**
-     * Packed ambient coefficients aligned with downstreamIds(from):
-     * downstreamAmbCoeffs(from)[k] == coeff(from, downstreamIds(from)[k]).
-     */
-    const double *downstreamAmbCoeffs(std::size_t from) const
-    {
-        return dsAmb_.data() + dsOff_[from];
+        return {runs_.data() + runOff_[from],
+                runs_.data() + runOff_[from + 1]};
     }
 
     /**
@@ -222,28 +211,28 @@ class CouplingMap
     void checkIndex(std::size_t i) const;
 
     /**
-     * Entry (from, to) of the CSR-aligned @p coeffs (dsAir_ or
-     * dsAmb_): a binary search of row @p from, 0 when @p to is not in
-     * it.
+     * Index into runs_ of the run of row @p from holding @p to, or
+     * runs_.size() when @p to is not downstream of @p from.
      */
-    double lookup(const std::vector<double> &coeffs, std::size_t from,
-                  std::size_t to) const;
+    std::size_t findRun(std::size_t from, std::size_t to) const;
 
-    /** applyPowerDelta's argument failure (cold, out of line). */
-    [[noreturn]] DENSIM_COLD void badPowerDelta(std::size_t temps,
-                                                std::size_t socket) const;
+    /**
+     * applyPowerDeltas' argument failure (cold, out of line): socket
+     * @p socket out of range, else a field of the wrong size.
+     */
+    [[noreturn]] DENSIM_COLD void
+    badPowerDeltas(std::size_t socket, std::size_t temps,
+                   std::size_t field, std::size_t power) const;
 
     std::vector<SocketSite> sites_;
     CouplingParams params_;
     std::vector<double> impact_; //!< downstream impact per socket.
-    // CSR packing of the sparse downstream structure, the map's only
-    // copy of its coefficients: row `from` spans
-    // [dsOff_[from], dsOff_[from+1]), ids ascending; every pair not in
-    // a row has coefficient 0.
-    std::vector<std::size_t> dsOff_;
-    std::vector<std::size_t> dsIdx_;
-    std::vector<double> dsAir_; //!< airCoeff(from, dsIdx_[k]).
-    std::vector<double> dsAmb_; //!< coeff(from, dsIdx_[k]).
+    // The map's only copy of its coefficients: row `from` is the
+    // ascending runs [runOff_[from], runOff_[from+1]); every pair not
+    // in a run has coefficient 0.
+    std::vector<std::size_t> runOff_;
+    std::vector<CouplingRun> runs_;
+    std::vector<double> runAir_; //!< airCoeff of runs_[k]'s lanes.
 };
 
 } // namespace densim

@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -515,6 +516,7 @@ TEST(HostileInput, EmptyAndGarbageFilesAreRejected)
 // Wire section ids (DESIGN.md Sec. 16.1): engine sections 1..5 are
 // core, rng, metrics, obs and fault; a fleet file holds the fleet
 // core plus one section per shard.
+constexpr std::uint32_t kCoreSection = 1;
 constexpr std::uint32_t kObsSection = 4;
 constexpr std::uint32_t kFleetCoreSection = 10;
 
@@ -547,6 +549,16 @@ sectionFrames(const std::string &image)
     return frames;
 }
 
+/** Recompute the stored CRC of section @p f of @p image. */
+void
+resealSection(std::string &image, const SectionFrame &f)
+{
+    std::uint64_t crc = ckpt::sectionCrc(
+        std::string_view(image).substr(f.offset, f.length));
+    for (std::size_t i = 0; i < 8; ++i, crc >>= 8)
+        image[f.offset - 8 + i] = static_cast<char>(crc & 0xff);
+}
+
 /**
  * Call @p visit with every CRC-valid one-bit mutation of section
  * @p id of @p image: in one 8-byte payload word per @p stride bytes,
@@ -572,10 +584,7 @@ forEachMutation(const std::string &image, std::uint32_t id,
                 std::string bad = image;
                 bad[f.offset + at] =
                     static_cast<char>(bad[f.offset + at] ^ bit);
-                std::uint64_t crc = ckpt::sectionCrc(
-                    std::string_view(bad).substr(f.offset, f.length));
-                for (std::size_t i = 0; i < 8; ++i, crc >>= 8)
-                    bad[f.offset - 8 + i] = static_cast<char>(crc & 0xff);
+                resealSection(bad, f);
                 visit(bad, at);
             }
         }
@@ -692,7 +701,7 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
         int mutations;
         int rejected;
     };
-    const Split splits[] = {{1, 56, 2529, 626}, {2, 8, 46, 0},
+    const Split splits[] = {{1, 56, 2529, 637}, {2, 8, 46, 0},
                             {3, 8, 129, 6},     {4, 8, 178, 136},
                             {5, 8, 430, 58}};
     const SimConfig config = fastConfig();
@@ -720,6 +729,76 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
             });
         EXPECT_EQ(mutations, split.mutations) << "section " << split.id;
         EXPECT_EQ(rejected, split.rejected) << "section " << split.id;
+    }
+}
+
+/**
+ * File offset of the ambient-target field in the core section of
+ * @p image: the one block of n doubles that the next block, the
+ * target powers, reproduces as its coupling field under the map of
+ * @p restored, an engine @p image was restored into.
+ */
+std::size_t
+ambientTargetsOffset(const std::string &image,
+                     const DenseServerSim &restored)
+{
+    const CouplingMap &map = restored.coupling();
+    const std::size_t n = map.size();
+    const std::size_t block = 8 + 8 * n;
+    for (const SectionFrame &f : sectionFrames(image)) {
+        if (f.id != kCoreSection)
+            continue;
+        for (std::size_t at = f.offset;
+             at + 2 * block <= f.offset + f.length; ++at) {
+            ckpt::Reader r(std::string_view(image).substr(at, 2 * block));
+            if (r.u64() != n)
+                continue;
+            std::vector<double> targets(n);
+            std::vector<double> powers(n);
+            for (double &t : targets)
+                t = r.f64();
+            if (r.u64() != n)
+                continue;
+            for (double &p : powers)
+                p = r.f64();
+            const std::vector<double> field =
+                map.ambientTemps(powers, restored.config().topo.inlet());
+            bool match = true;
+            for (std::size_t s = 0; s < n && match; ++s)
+                match = std::fabs(field[s] - targets[s]) <= 1e-9;
+            if (match)
+                return at + 8;
+        }
+    }
+    ADD_FAILURE() << "no ambient-target block in the core section";
+    return 0;
+}
+
+TEST(HostileInput, AmbientTargetsOffTheirPowersFieldAreRejected)
+{
+    // A CRC-valid image whose ambient-target field no longer is the
+    // coupling field of its target powers: one socket's target raised
+    // by 1 C, under the pristine map and under a derated fan's.
+    const SimConfig configs[] = {fastConfig(), faultedMigrationConfig()};
+    for (const SimConfig &config : configs) {
+        const bool derated = config.fault.fanFailS > 0.0;
+        const std::string good = derated ? faultedMigrationImage(config)
+                                         : goldenImage(config);
+        DenseServerSim sim(config, makeScheduler("CP"));
+        ckpt::restoreEngine(sim, good);
+        const std::size_t at = ambientTargetsOffset(good, sim) +
+                               8 * (sim.coupling().size() / 2);
+        (void)sim.finishRun();
+        ckpt::Reader r(std::string_view(good).substr(at, 8));
+        ckpt::Writer w;
+        w.f64(r.f64() + 1.0);
+        std::string bad = good;
+        bad.replace(at, 8, w.take());
+        for (const SectionFrame &f : sectionFrames(bad))
+            if (f.id == kCoreSection)
+                resealSection(bad, f);
+        expectRejected(config, good, bad,
+                       derated ? "derated target field" : "target field");
     }
 }
 

@@ -183,7 +183,8 @@ TEST(ObsRegistry, TypedGaugeTakesQuantities)
 TEST(ObsProfiler, EngineSamplesEveryPhaseAndResetsPerRun)
 {
     // Migrations are attempted every epoch, so every timed epoch runs
-    // all four phases.
+    // every phase: the ambient flush, the socket walk and the three
+    // after it.
     SimConfig config = smallConfig();
     config.migrationEnabled = true;
     config.migrationIntervalS = config.pmEpochS;
@@ -195,7 +196,8 @@ TEST(ObsProfiler, EngineSamplesEveryPhaseAndResetsPerRun)
     EXPECT_EQ(phases.sampledEpochs(),
               counters.counter("engine.epochs").value() /
                   obs::PhaseProfiler::kStride);
-    for (const obs::Phase p : {obs::Phase::ThermalStep,
+    for (const obs::Phase p : {obs::Phase::AmbientFlush,
+                               obs::Phase::ThermalStep,
                                obs::Phase::PowerManage,
                                obs::Phase::Migration,
                                obs::Phase::ProcessWindow})

@@ -20,6 +20,8 @@
 #include "util/rng.hh"
 #include "workload/curves.hh"
 
+#include "coupling_reference.hh"
+
 namespace densim {
 namespace {
 
@@ -170,6 +172,15 @@ TEST_P(RandomTopology, ImpactEqualsCoefficientSum)
             sum += map.coeff(from, to).value();
         EXPECT_NEAR(map.downstreamImpact(from).value(), sum, 1e-12);
     }
+}
+
+TEST_P(RandomTopology, RunLayoutMatchesReferences)
+{
+    Rng rng(7000 + GetParam());
+    const ServerTopology topo(randomSpec(rng));
+    const CouplingMap map(topo.sites(), CouplingParams{});
+    coupling_reference::expectRunsMatchReferences(
+        topo, map, 7100 + static_cast<std::uint64_t>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopology, ::testing::Range(0, 8));

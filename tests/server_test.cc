@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -179,13 +180,15 @@ leakyRowsMap()
 }
 
 /**
- * Every CSR row of @p map is its coefficient-matrix row: the ids are
- * exactly the sockets with a nonzero coeff(from, ·), ascending, the
- * packed coefficients are those entries, and the wake factor relates
- * coeff and airCoeff exactly for every pair.
+ * Every run row of @p map is its coefficient-matrix row: the lanes of
+ * its runs are exactly the sockets with a nonzero coeff(from, ·),
+ * ascending; every lane's coeff and airCoeff are its run's; a run has
+ * one or two lanes, paired left to right, so a lone lane never has a
+ * next socket with bit-equal coefficients in the same row; and the
+ * wake factor relates coeff and airCoeff exactly for every pair.
  */
 void
-expectCsrMatchesCoefficients(const CouplingMap &map)
+expectRunsMatchCoefficients(const CouplingMap &map)
 {
     const double wake = map.params().wakeFactor;
     for (std::size_t from = 0; from < map.size(); ++from) {
@@ -197,23 +200,39 @@ expectCsrMatchesCoefficients(const CouplingMap &map)
             if (amb != 0.0)
                 nonzero.push_back(to);
         }
-        const std::size_t *ids = map.downstreamIds(from);
-        const double *amb = map.downstreamAmbCoeffs(from);
-        ASSERT_EQ(std::vector<std::size_t>(
-                      ids, ids + map.downstreamCount(from)),
-                  nonzero)
-            << "socket " << from;
-        for (std::size_t k = 0; k < nonzero.size(); ++k)
-            EXPECT_EQ(amb[k], map.coeff(from, ids[k]).value())
-                << "socket " << from << " -> " << ids[k];
+        const std::span<const CouplingRun> runs = map.runs(from);
+        std::vector<std::size_t> lanes;
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+            const CouplingRun &run = runs[k];
+            ASSERT_TRUE(run.lanes == 1 || run.lanes == 2)
+                << "socket " << from << " run " << k;
+            const double air = map.airCoeff(from, run.first).value();
+            for (std::size_t lane = 0; lane < run.lanes; ++lane) {
+                const std::size_t to = run.first + lane;
+                lanes.push_back(to);
+                EXPECT_EQ(run.amb, map.coeff(from, to).value())
+                    << "socket " << from << " -> " << to;
+                EXPECT_EQ(air, map.airCoeff(from, to).value())
+                    << "socket " << from << " -> " << to;
+            }
+            if (run.lanes == 1 && k + 1 < runs.size() &&
+                runs[k + 1].first == run.first + 1) {
+                EXPECT_FALSE(runs[k + 1].amb == run.amb &&
+                             map.airCoeff(from, run.first + 1).value() ==
+                                 air)
+                    << "socket " << from << ": " << run.first
+                    << " left unpaired";
+            }
+        }
+        ASSERT_EQ(lanes, nonzero) << "socket " << from;
     }
 }
 
 TEST(CouplingMap, CsrRowsMatchCoefficientMatrix)
 {
-    expectCsrMatchesCoefficients(
+    expectRunsMatchCoefficients(
         makeCouplingMap(makeSutTopology(), defaultCouplingParams()));
-    expectCsrMatchesCoefficients(leakyRowsMap());
+    expectRunsMatchCoefficients(leakyRowsMap());
 }
 
 /**

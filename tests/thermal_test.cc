@@ -677,13 +677,13 @@ TEST(CouplingMap, ApplyPowerDeltaMatchesFreshField)
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return lcg >> 33;
     };
+    std::vector<double> field_powers = powers;
     for (int step = 0; step < 500; ++step) {
         const auto s = static_cast<std::size_t>(next_u() % n);
-        const double new_p =
-            2.2 + static_cast<double>(next_u() % 1000) * 0.0134;
-        map.applyPowerDelta(temps, s, powers[s], new_p);
-        powers[s] = new_p;
+        powers[s] = 2.2 + static_cast<double>(next_u() % 1000) * 0.0134;
+        map.applyPowerDeltas(temps, {s}, field_powers, powers);
     }
+    EXPECT_EQ(field_powers, powers);
     const std::vector<double> fresh = map.ambientTemps(powers, Celsius(18.0));
     for (int i = 0; i < n; ++i)
         EXPECT_NEAR(temps[i], fresh[i], 1e-9) << "socket " << i;
@@ -694,9 +694,10 @@ TEST(CouplingMap, ApplyPowerDeltaZeroIsIdentity)
     const int n = 4;
     CouplingMap map(chainSites(n, 1.6, 12.7), CouplingParams{});
     const std::vector<double> powers(n, 10.0);
+    std::vector<double> field_powers = powers;
     std::vector<double> temps = map.ambientTemps(powers, Celsius(18.0));
     const std::vector<double> before = temps;
-    map.applyPowerDelta(temps, 1, 10.0, 10.0);
+    map.applyPowerDeltas(temps, {1, 2}, field_powers, powers);
     for (int i = 0; i < n; ++i)
         EXPECT_DOUBLE_EQ(temps[i], before[i]);
 }

@@ -130,6 +130,7 @@ def load(path):
     return json.load(open(f"{sys.argv[1]}/{path}"), parse_constant=reject)
 phases = load("run.json")["phases"]
 assert phases["sampledEpochs"] > 0, phases
+assert phases["ns"]["ambientFlush"] > 0, phases
 assert all(e.get("cat") != "engine" for e in load("trace.json")["traceEvents"])
 lines = open(f"{sys.argv[1]}/timeline.jsonl").read().splitlines()
 assert lines, "timeline stream is empty"
@@ -351,8 +352,12 @@ rows = doc.get("benchmarks", [])
 assert rows, "micro_kernels emitted no benchmark rows"
 names = {r["name"] for r in rows}
 for required in ("BM_SimulatedServerSecond",
-                 "BM_SchedulerDecisionBatch/2"):
+                 "BM_SchedulerDecisionBatch/2",
+                 "BM_CouplingDeltaFlush/32",
+                 "BM_CouplingDeltaFlush/79"):
     assert required in names, f"{required} missing from {sorted(names)}"
+server = next(r for r in rows if r["name"] == "BM_SimulatedServerSecond")
+assert server.get("ms_per_sim_s", 0) > 0, "no ms_per_sim_s counter"
 print(f"bench smoke: {len(rows)} benchmarks ran and parsed")
 EOF
     # The diff tool itself must keep working: identical inputs never
