@@ -19,6 +19,7 @@
 
 #include "core/config_io.hh"
 #include "core/dense_server_sim.hh"
+#include "fault/fault_log.hh"
 #include "fleet/fleet_sim.hh"
 #include "util/fs.hh"
 #include "util/logging.hh"
@@ -534,34 +535,6 @@ class CkptAccess
     static void finalizeRestore(DenseServerSim &sim);
 };
 
-namespace obs {
-
-/** Friend hook into TraceSink's private event buffer. */
-class TraceCkptAccess
-{
-  public:
-    template <class Ar, class Sink>
-    static void
-    transfer(Ar &ar, Sink &trace)
-    {
-        ar.u64(trace.dropped_);
-        // Minimum wire size of one event: kind + tid + 3 doubles +
-        // two empty strings = 49 bytes.
-        ar.seq(trace.events_, 49, "trace events", [&](auto &e) {
-            ar.u8(e.kind, TraceSink::Kind::CounterSample,
-                  "trace event kind");
-            ar.integer(e.tid, "trace event tid");
-            ar.f64(e.tsUs);
-            ar.f64(e.durUs);
-            ar.f64(e.value);
-            ar.str(e.name);
-            ar.str(e.cat);
-        });
-    }
-};
-
-} // namespace obs
-
 // --- CORE: stream position, backlog, queue, SoA socket banks ----------
 
 template <class Ar, class Sim>
@@ -610,8 +583,17 @@ CkptAccess::core(Ar &ar, Sim &sim)
     ar.sockets(sim.idleList_, n, true, "idleList");
     ar.f64s(sim.ambTargets_, n, "ambTargets");
     ar.f64s(sim.targetPowerW_, n, "targetPowerW");
-    ar.bytes(sim.powerDirty_, n, 1, "powerDirty");
     ar.sockets(sim.dirtySockets_, n, false, "dirtySockets");
+    // The dirty flags are the listed sockets (resetState cleared
+    // them). markPowerDirty lists a socket once, so a list naming one
+    // twice is no state a run reaches.
+    if constexpr (Ar::kLoading) {
+        for (const std::size_t s : sim.dirtySockets_) {
+            ar.require(!sim.powerDirty_[s], "dirtySockets",
+                       "socket listed twice");
+            sim.powerDirty_[s] = 1;
+        }
+    }
     ar.u64(sim.epochsSinceAmbientRefresh_);
 
     ar.finite(sim.tCursor_, "tCursor");
@@ -629,7 +611,6 @@ CkptAccess::core(Ar &ar, Sim &sim)
     ar.count(sim.sums_.busyBack, n, "busyBack");
     ar.count(sim.sums_.busyEven, n, "busyEven");
     ar.count(sim.sums_.busyBoost, n, "busyBoost");
-    ar.u64(sim.decisions_);
 }
 
 // --- RNG: every stochastic stream position ----------------------------
@@ -679,53 +660,37 @@ CkptAccess::metrics(Ar &ar, Sim &sim)
     ar.f64(m.boostTimeS);
 }
 
-// --- OBS: registry values, timeline cursor, trace buffer --------------
+// --- OBS: registry counters, timeline cursor -------------------------
 
 template <class Ar, class Registry>
 void
 CkptAccess::registry(Ar &ar, Registry &registry)
 {
+    // Counters only: the gauges hold end-of-run values that
+    // writeObsOutputs sets, and a restore leaves them zeroed.
     std::vector<obs::CounterSample> counters;
-    std::vector<obs::GaugeSample> gauges;
-    if constexpr (!Ar::kLoading) {
+    if constexpr (!Ar::kLoading)
         counters = registry.counters();
-        gauges = registry.gauges();
-    }
     ar.seq(counters, 16, "counter table", [&](auto &c) {
         ar.str(c.name);
         ar.u64(c.value);
     });
-    ar.seq(gauges, 24, "gauge table", [&](auto &g) {
-        ar.str(g.name);
-        ar.str(g.unit);
-        ar.f64(g.value);
-    });
     if constexpr (Ar::kLoading) {
-        // Registry::counter()/gauge() create on first use; a hostile
-        // file must not be able to inject instruments, so every name
-        // is validated against the already-registered set (identical
+        // Registry::counter() creates on first use; a hostile file
+        // must not be able to inject instruments, so every name is
+        // validated against the already-registered set (identical
         // across save/restore because construction registers them and
         // the digest pins config + policy).
-        std::set<std::string> knownCounters;
+        std::set<std::string> known;
         for (const obs::CounterSample &c : registry.counters())
-            knownCounters.insert(c.name);
-        std::set<std::pair<std::string, std::string>> knownGauges;
-        for (const obs::GaugeSample &g : registry.gauges())
-            knownGauges.emplace(g.name, g.unit);
+            known.insert(c.name);
         for (const obs::CounterSample &c : counters) {
-            if (knownCounters.find(c.name) == knownCounters.end())
+            if (known.find(c.name) == known.end())
                 badField("counter table",
                          "unknown counter '" + c.name + "'");
             obs::Counter &counter = registry.counter(c.name);
             counter.reset();
             counter.inc(c.value);
-        }
-        for (const obs::GaugeSample &g : gauges) {
-            if (knownGauges.find({g.name, g.unit}) == knownGauges.end())
-                badField("gauge table", "no gauge '" + g.name +
-                                            "' registered in unit '" +
-                                            g.unit + "'");
-            registry.gauge(g.name).set(g.value);
         }
     }
 }
@@ -739,7 +704,6 @@ CkptAccess::obs(Ar &ar, Sim &sim)
     ar.u64(grid);
     if constexpr (Ar::kLoading)
         sim.sampler_.resumeAt(grid);
-    obs::TraceCkptAccess::transfer(ar, sim.trace_);
 }
 
 // --- FAULT: timeline cursor, log, sensor/offline/ladder state ---------
@@ -761,8 +725,13 @@ CkptAccess::fault(Ar &ar, Sim &sim)
         ar.u32(e.socket);
         ar.f64(e.value);
     });
+    ar.require(sim.faultLog_.size() <= kFaultLogCap, "fault log",
+               "longer than its cap");
+    ar.u64(sim.faultLogDropped_);
+    ar.require(sim.faultLogDropped_ == 0 ||
+                   sim.faultLog_.size() == kFaultLogCap,
+               "fault log", "drops events below its cap");
     ar.finite(sim.fanPowerW_, "fan power");
-    ar.boolean(sim.couplingDerated_);
     ar.u64(sim.couplingEpoch_);
 
     auto &fs = sim.faultState_;
@@ -772,21 +741,16 @@ CkptAccess::fault(Ar &ar, Sim &sim)
     ar.f64s(fs.noiseSigmaC_, n, "noiseSigmaC");
     ar.f64s(fs.lastGoodAmbientC_, n, "lastGoodAmbientC");
     ar.bytes(fs.offline_, n, 2, "offline");
-    ar.u64(fs.offlineCount_);
-    ar.require(fs.offlineCount_ ==
-                   static_cast<std::size_t>(std::count_if(
-                       fs.offline_.begin(), fs.offline_.end(),
-                       [](std::uint8_t o) { return o != 0; })),
-               "offline count", "disagrees with the sockets marked");
+    if constexpr (Ar::kLoading)
+        fs.offlineCount_ = static_cast<std::size_t>(
+            std::count_if(fs.offline_.begin(), fs.offline_.end(),
+                          [](std::uint8_t o) { return o != 0; }));
     ar.bytes(fs.escStage_, n, 1, "escStage");
     ar.f64s(fs.overTripSinceS_, n, "overTripSinceS");
     ar.f64(fs.flowFrac_);
     ar.require(std::isfinite(fs.flowFrac_) && fs.flowFrac_ > 0.0 &&
                    fs.flowFrac_ <= 1.0,
                "fan flow fraction", "outside (0, 1]");
-    ar.require(sim.couplingDerated_ == (fs.flowFrac_ != 1.0),
-               "fan flow fraction",
-               "disagrees with the coupling-derated flag");
 }
 
 // --- FLEET core: window, dispatcher cursor, committed arrivals --------
@@ -846,7 +810,7 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
     // coupling operator as applyFanFlowFraction does, but without
     // retargeting — ambTargets_ and couplingEpoch_ were restored
     // verbatim.
-    if (sim.couplingDerated_)
+    if (sim.faultState_.flowFrac() != 1.0)
         sim.coupling_ = sim.deratedCoupling(sim.faultState_.flowFrac());
 
     // The completion list stays empty (resetState): at an epoch
@@ -880,28 +844,33 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
             badField("restored state",
                      "non-finite temperature on socket " +
                          std::to_string(s));
-    // The next delta flush applies exactly the dirty-listed sockets:
-    // each must be flagged and listed once, and every other socket's
+    // The next delta flush applies exactly the dirty-listed sockets
+    // (flagged as the core section loaded): every other socket's
     // target power must be its power, or its deltas would be dropped.
-    std::size_t flagged = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-        if (sim.powerDirty_[s])
-            ++flagged;
-        else if (sim.targetPowerW_[s] != sim.powerW_[s])
+    for (std::size_t s = 0; s < n; ++s)
+        if (!sim.powerDirty_[s] && sim.targetPowerW_[s] != sim.powerW_[s])
             badField("restored state",
                      "socket " + std::to_string(s) +
                          " changed power without a dirty mark");
-    }
-    for (const std::size_t s : sim.dirtySockets_)
-        if (!sim.powerDirty_[s])
+    // The totals the integration reads must be the socket banks'
+    // sums, within the rounding the paranoid epoch check allows.
+    DenseServerSim::BusySums fresh;
+    const double power = sim.sumAfresh(fresh);
+    const struct
+    {
+        const char *what;
+        double kept, sum;
+    } totals[] = {
+        {"total power", sim.totalPowerW_, power},
+        {"work rate", sim.sums_.workRateTotal, fresh.workRateTotal},
+        {"rel-freq sum", sim.sums_.relFreqSumTotal,
+         fresh.relFreqSumTotal}};
+    for (const auto &t : totals)
+        if (!DenseServerSim::sumHolds(t.kept, t.sum))
             badField("restored state",
-                     "socket " + std::to_string(s) +
-                         " is dirty-listed but not flagged");
-    if (flagged != sim.dirtySockets_.size())
-        badField("restored state",
-                 std::to_string(flagged) + " dirty flags vs " +
-                     std::to_string(sim.dirtySockets_.size()) +
-                     " dirty-listed sockets");
+                     std::string(t.what) + " " + std::to_string(t.kept) +
+                         " is not its socket banks' sum " +
+                         std::to_string(t.sum));
     // The ambient-target field must be the coupling field of the
     // target powers (under the derated map rebuilt above), within the
     // drift the paranoid epoch check allows: a field that jumps across
@@ -924,9 +893,6 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
         ++sim.rowIdle_[static_cast<std::size_t>(sim.rowCache_[s])];
     for (std::size_t s = 0; s < n; ++s)
         sim.refreshPenaltySnapshot(s);
-
-    if (!sim.config_.obsTracePath.empty())
-        sim.enableTrace();
 
     sim.streamOpen_ = true;
     // Debug-build invariants on top of the audits above.

@@ -6,12 +6,14 @@
  * A checkpoint captures the complete mutable state of an open run at
  * an epoch (or fleet exchange-window) boundary — SoA socket banks,
  * job backlog and queue, every RNG stream position, fault timeline
- * cursor and escalation ladder, obs counters/gauges/trace/timeline
- * cursor, and (for a fleet) the
- * arrival lookahead, dispatcher cursor and every shard — such that
- * resuming reproduces the uninterrupted run *bit for bit*:
- * hex-float-equal SimMetrics/FleetMetrics and byte-identical JSONL
- * sinks (pinned by tests/ckpt_test.cc).
+ * cursor, log and escalation ladder, obs counters and timeline
+ * cursor, and (for a fleet) the arrival lookahead, dispatcher cursor
+ * and every shard — such that resuming reproduces the uninterrupted
+ * run *bit for bit*: hex-float-equal SimMetrics/FleetMetrics and
+ * byte-identical sinks (pinned by tests/ckpt_test.cc). It holds no
+ * state a restore can work out (the dirty flags, offline count,
+ * decision count and derated-map flag), and not the end-of-run
+ * gauges, which only the sink flush sets (a restore zeroes them).
  *
  * File format, little-endian throughout:
  *
@@ -67,7 +69,7 @@ inline constexpr char kMagic[8] = {'D', 'S', 'I', 'M',
                                    'C', 'K', 'P', 'T'};
 
 /** Format version; bumped on any wire-format change. */
-inline constexpr std::uint32_t kVersion = 4;
+inline constexpr std::uint32_t kVersion = 5;
 
 /** What a checkpoint file holds. */
 enum class SnapshotKind : std::uint32_t

@@ -200,12 +200,11 @@ void
 DenseServerSim::resetState()
 {
     const std::size_t n = topo_.numSockets();
-    if (couplingDerated_) {
+    if (faultState_.flowFrac() != 1.0) {
         // A previous run's fan fault left derated coefficients in
         // place; restore the pristine map before any field is derived
         // from it.
         coupling_ = deratedCoupling(1.0);
-        couplingDerated_ = false;
         ++couplingEpoch_;
     }
     fanPowerW_ = config_.fanPowerW;
@@ -214,6 +213,7 @@ DenseServerSim::resetState()
     faultRng_ = Rng(config_.fault.effectiveSeed(config_.seed) ^
                     0x0badcab1efa57f00ULL);
     faultLog_.clear();
+    faultLogDropped_ = 0;
     powerW_.assign(n, pm_.gatedPower(leak_).value());
     freqMhz_.assign(n, 0.0);
     chipTempC_.assign(n, config_.topo.inletC);
@@ -264,16 +264,14 @@ DenseServerSim::resetState()
 
     queue_.clear();
     metrics_ = SimMetrics{};
-    decisions_ = 0;
     tCursor_ = 0.0;
     obsRegistry_.resetValues();
     profiler_.reset();
-    trace_.clear();
     sampler_.reset();
     policy_->reset();
     policyRng_ = Rng(config_.seed ^ 0xdeadbeefcafef00dULL);
     sensorRng_ = Rng(config_.seed ^ 0x5ca1ab1e0ddba11ULL);
-    rebuildScalars();
+    totalPowerW_ = sumAfresh(sums_);
 }
 
 void
@@ -340,22 +338,12 @@ DenseServerSim::beginRun()
     if (config_.warmStart)
         warmStart();
 
-    if (!config_.obsTracePath.empty())
-        enableTrace();
-
     streamJobs_.clear();
     streamNext_ = 0;
     streamNowS_ = 0.0;
     streamHardStopS_ = config_.simTimeS * config_.drainFactor;
     streamOpen_ = true;
     arrivalsClosed_ = false;
-}
-
-void
-DenseServerSim::enableTrace()
-{
-    trace_.enable(true);
-    trace_.setProcessName(std::string("densim:") + policy_->name());
 }
 
 void
@@ -505,14 +493,10 @@ DenseServerSim::writeObsOutputs()
     gaugeMaxChipC_.set(Celsius(metrics_.maxChipTempC));
 
     if (!config_.obsTracePath.empty()) {
-        // End-of-run counter tracks: one sample per counter so the
-        // viewer shows final tallies alongside the phase events.
-        for (const auto &c : obsRegistry_.counters()) {
-            trace_.addCounter(c.name, 0.0,
-                              static_cast<double>(c.value));
-        }
-        trace_.writeFile(config_.obsTracePath);
-        trace_.enable(false);
+        writeChromeTraceFile(config_.obsTracePath, faultLog_,
+                             faultLogDropped_,
+                             std::string("densim:") + policy_->name(),
+                             obsRegistry_.counters());
     }
     if (!config_.obsTimelinePath.empty()) {
         obs::writeTimelineJsonlFile(config_.obsTimelinePath,
@@ -520,7 +504,8 @@ DenseServerSim::writeObsOutputs()
                                     metrics_.zoneAmbientC);
     }
     if (!config_.fault.logPath.empty())
-        writeFaultLogFile(config_.fault.logPath, faultLog_);
+        writeFaultLogFile(config_.fault.logPath, faultLog_,
+                          faultLogDropped_);
 }
 
 void
@@ -663,7 +648,7 @@ DenseServerSim::powerManage(double now, double horizon)
 {
     // One ascending walk re-decides each busy socket and re-derives
     // the busy sums, the total power and the completion list from
-    // scratch, exactly as rebuildScalars would after the decisions:
+    // scratch, exactly as sumAfresh would after the decisions:
     // nothing in the walk reads them, and summing anew pins any
     // incremental drift of the sums to one epoch's worth of updates.
     const std::size_t n = topo_.numSockets();
@@ -851,7 +836,6 @@ DenseServerSim::tryScheduleQueue(double now)
     while (!queue_.empty() && !idleList_.empty()) {
         const Job &job = queue_.front();
         const std::size_t pick = policy_->pickCounted(job, ctx);
-        ++decisions_;
         count_.schedDecisions->inc();
         if (pick >= topo_.numSockets() || busyFlag_[pick])
             panic("policy '", policy_->name(),
@@ -1006,20 +990,19 @@ DenseServerSim::busySumsFold(BusySums &sums, int sign, std::size_t s) const
     }
 }
 
-void
-DenseServerSim::rebuildScalars()
+double
+DenseServerSim::sumAfresh(BusySums &sums) const
 {
-    // Summed in locals in ascending socket order, exactly as a
-    // busySumsFold sequence from empty sums would, and stored once.
+    // Ascending, exactly as a busySumsFold sequence from empty sums.
     double power = 0.0;
-    BusySums sums;
+    BusySums fresh;
     for (std::size_t s = 0; s < topo_.numSockets(); ++s) {
         power += powerW_[s];
         if (busyFlag_[s])
-            busySumsFold(sums, 1, s);
+            busySumsFold(fresh, 1, s);
     }
-    totalPowerW_ = power;
-    sums_ = sums;
+    sums = fresh;
+    return power;
 }
 
 void
@@ -1080,32 +1063,21 @@ DenseServerSim::checkEpochInvariants() const
 #if DENSIM_ENABLE_PARANOID
     // Re-derive the piecewise-integration scalars from scratch; the
     // incremental adds/removes must agree within rounding.
-    double power = 0.0;
-    double work_rate = 0.0;
-    double rel_sum = 0.0;
-    int busy = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-        power += powerW_[s];
-        if (!busyFlag_[s])
-            continue;
-        ++busy;
-        work_rate += progressRate(s);
-        rel_sum += relFreqByPstate_[pstate_[s]];
-    }
-    DENSIM_PARANOID(busy == sums_.busyTotal, "incremental busy count ",
-                    sums_.busyTotal, " vs rebuilt ", busy);
-    DENSIM_PARANOID(std::fabs(power - totalPowerW_) <=
-                        1e-6 * std::max(1.0, power),
+    BusySums fresh;
+    const double power = sumAfresh(fresh);
+    DENSIM_PARANOID(fresh.busyTotal == sums_.busyTotal,
+                    "incremental busy count ", sums_.busyTotal,
+                    " vs rebuilt ", fresh.busyTotal);
+    DENSIM_PARANOID(sumHolds(totalPowerW_, power),
                     "incremental total power ", totalPowerW_,
                     " W vs rebuilt ", power, " W");
-    DENSIM_PARANOID(std::fabs(work_rate - sums_.workRateTotal) <=
-                        1e-6 * std::max(1.0, work_rate),
+    DENSIM_PARANOID(sumHolds(sums_.workRateTotal, fresh.workRateTotal),
                     "incremental work rate ", sums_.workRateTotal,
-                    " vs rebuilt ", work_rate);
-    DENSIM_PARANOID(std::fabs(rel_sum - sums_.relFreqSumTotal) <=
-                        1e-6 * std::max(1.0, rel_sum),
-                    "incremental rel-freq sum ", sums_.relFreqSumTotal,
-                    " vs rebuilt ", rel_sum);
+                    " vs rebuilt ", fresh.workRateTotal);
+    DENSIM_PARANOID(
+        sumHolds(sums_.relFreqSumTotal, fresh.relFreqSumTotal),
+        "incremental rel-freq sum ", sums_.relFreqSumTotal,
+        " vs rebuilt ", fresh.relFreqSumTotal);
 
     // The delta-maintained ambient-target field must match a fresh
     // batched evaluation of the powers it claims to represent —
@@ -1219,7 +1191,6 @@ void
 DenseServerSim::applyFanFlowFraction(double flow_frac)
 {
     coupling_ = deratedCoupling(flow_frac);
-    couplingDerated_ = flow_frac != 1.0;
     ++couplingEpoch_;
     faultState_.setFlowFrac(flow_frac);
     // Retarget the slow ambient field; the trackers then converge to
@@ -1362,25 +1333,18 @@ DenseServerSim::recordFault(FaultKind kind, std::size_t socket,
 {
     // Cap the in-memory log so a pathological throttle/release
     // oscillation cannot grow it without bound.
-    constexpr std::size_t kFaultLogCap = 100000;
-    if (faultLog_.size() < kFaultLogCap) {
-        FaultEvent e;
-        e.timeS = now;
-        e.kind = kind;
-        e.socket = socket >= static_cast<std::size_t>(kFaultNoSocket)
-                       ? kFaultNoSocket
-                       : static_cast<std::uint32_t>(socket);
-        e.value = value;
-        faultLog_.push_back(e);
+    if (faultLog_.size() >= kFaultLogCap) {
+        ++faultLogDropped_;
+        return;
     }
-    if (trace_.enabled()) {
-        trace_.addComplete(faultKindName(kind), "fault", now * 1e6,
-                           0.0,
-                           socket >= static_cast<std::size_t>(
-                                         kFaultNoSocket)
-                               ? -1
-                               : static_cast<int>(socket));
-    }
+    FaultEvent e;
+    e.timeS = now;
+    e.kind = kind;
+    e.socket = socket >= static_cast<std::size_t>(kFaultNoSocket)
+                   ? kFaultNoSocket
+                   : static_cast<std::uint32_t>(socket);
+    e.value = value;
+    faultLog_.push_back(e);
 }
 
 void

@@ -43,6 +43,8 @@
 #ifndef DENSIM_CORE_DENSE_SERVER_SIM_HH
 #define DENSIM_CORE_DENSE_SERVER_SIM_HH
 
+#include <algorithm>
+#include <cmath>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -56,7 +58,6 @@
 #include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "power/power_manager.hh"
 #include "sched/prediction.hh"
 #include "sched/scheduler.hh"
@@ -159,7 +160,10 @@ class DenseServerSim
     const SimConfig &config() const { return config_; }
 
     /** Scheduling decisions made during the last run. */
-    std::size_t decisions() const { return decisions_; }
+    std::size_t decisions() const
+    {
+        return count_.schedDecisions->value();
+    }
 
     /**
      * Counters and gauges of the last run (reset at the start of each
@@ -190,9 +194,6 @@ class DenseServerSim
     // --- run phases -------------------------------------------------
     void resetState();
     void warmStart();
-    /** Open the Chrome-trace sink of a run that writes
-     *  obs.tracePath. */
-    void enableTrace();
     SimMetrics runJobs(const std::vector<Job> &jobs);
     /** Bring the ambient-target field up to the current powers: the
      *  dirty sockets' deltas, or every kAmbientRefreshEpochs-th epoch
@@ -245,9 +246,9 @@ class DenseServerSim
     CouplingMap deratedCoupling(double flow_frac) const;
     /** Boost cap for powerManage/placeJob, honoring the throttle. */
     std::size_t dvfsCap(std::size_t socket) const;
-    /** Record (log + trace + counter hook) one fault event.
-     *  Cold diagnostic endpoint: the capped log and trace sink never
-     *  feed back into the model. */
+    /** Append one fault event to the log, or count it as dropped
+     *  past kFaultLogCap. Cold diagnostic endpoint: the log never
+     *  feeds back into the model. */
     DENSIM_COLD void recordFault(FaultKind kind, std::size_t socket,
                                  double now, double value);
     /** Deliberate harness escape for fault.abortRunS (cold: the one
@@ -272,8 +273,6 @@ class DenseServerSim
                    double power_w, double now);
     void setIdlePower(std::size_t socket);
     void accumulate(double to);
-    /** Re-derive the busy sums and the total power from scratch. */
-    void rebuildScalars();
 
     /** Read-only policy view over the current idle list. */
     SchedContext makeSchedContext() const;
@@ -376,7 +375,6 @@ class DenseServerSim
     // --- observability (src/obs, DESIGN.md Sec. 10) ------------------
     obs::Registry obsRegistry_;
     obs::PhaseProfiler profiler_;
-    obs::TraceSink trace_;
     obs::TimelineSampler sampler_; //!< Fixed k*timelineSampleS grid.
 
     /** Cached registry instruments (stable addresses, registered at
@@ -393,7 +391,8 @@ class DenseServerSim
         obs::Counter *timelineSamples = nullptr;
     };
     EngineCounters count_;
-    obs::TypedGauge<Watts> gaugePowerW_;   //!< Server power at run end.
+    /** Server power and hottest chip, set by writeObsOutputs only. */
+    obs::TypedGauge<Watts> gaugePowerW_;
     obs::TypedGauge<Celsius> gaugeMaxChipC_;
 
     /** Take a timeline sample at grid time @p grid_s if one is due. */
@@ -402,7 +401,9 @@ class DenseServerSim
     /** Register every engine instrument (constructor helper). */
     void registerObs();
 
-    /** Flush trace/timeline sinks configured in SimConfig. */
+    /** Set the end-of-run gauges and write every sink SimConfig
+     *  names (trace, timeline, fault log), each rendered from the
+     *  run's state as it stands. */
     void writeObsOutputs();
 
     // --- incremental engine state ------------------------------------
@@ -419,7 +420,7 @@ class DenseServerSim
     static constexpr double kAmbientDriftBoundC = 1e-6;
     std::vector<double> ambTargets_; //!< Coupling-map ambient targets.
     std::vector<double> targetPowerW_; //!< Powers ambTargets_ is for.
-    std::vector<char> powerDirty_;
+    std::vector<char> powerDirty_; //!< Membership flags of dirtySockets_.
     std::vector<std::size_t> dirtySockets_;
     std::size_t epochsSinceAmbientRefresh_ = 0;
 
@@ -464,6 +465,21 @@ class DenseServerSim
      */
     void busySumsFold(BusySums &sums, int sign, std::size_t s) const;
 
+    /** The total power, returned, and the busy sums, in @p sums,
+     *  summed from scratch in ascending socket order. */
+    double sumAfresh(BusySums &sums) const;
+
+    /**
+     * Whether a total kept by deltas (totalPowerW_, a sums_ total)
+     * lies within 1e-6 relative of @p fresh, its sumAfresh value; the
+     * two differ only in rounding. The paranoid epoch check and the
+     * restore audit both hold the totals to it.
+     */
+    static bool sumHolds(double kept, double fresh)
+    {
+        return std::fabs(kept - fresh) <= 1e-6 * std::max(1.0, fresh);
+    }
+
     // Piecewise integration scalars.
     double tCursor_ = 0.0;
     double totalPowerW_ = 0.0;
@@ -479,8 +495,8 @@ class DenseServerSim
     FaultState faultState_;
     Rng faultRng_; //!< Separate stream: sensor-noise draws.
     std::vector<FaultEvent> faultLog_; //!< Applied + response events.
+    std::uint64_t faultLogDropped_ = 0; //!< Events past kFaultLogCap.
     double fanPowerW_ = 0.0; //!< Effective fan power (cube-law derate).
-    bool couplingDerated_ = false; //!< coupling_ differs from pristine.
     std::uint64_t couplingEpoch_ = 0; //!< Bumped on each rebuild.
 
     struct FaultCounters
@@ -499,7 +515,6 @@ class DenseServerSim
     FaultCounters fcount_; //!< Registered only when faults are armed.
 
     SimMetrics metrics_;
-    std::size_t decisions_ = 0;
 
     // --- streaming-run state (beginRun .. finishRun) ------------------
     std::vector<Job> streamJobs_; //!< Arrival backlog, ascending.

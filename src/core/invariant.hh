@@ -33,9 +33,8 @@
  * flush (DenseServerSim::flushAmbientTargets), inside
  * RCNetwork::steadyState
  * (first-law balance) and CompletionList::checkInvariants (ordering
- * + exactly the busy ids due before the horizon). CI runs the
- * paranoid build on the reduced workloads of
- * tests/perf_equivalence_test.cc (see tools/check.sh).
+ * + exactly the busy ids due before the horizon). CI runs the full
+ * test suite in the paranoid build (tools/check.sh paranoid).
  */
 
 #ifndef DENSIM_CORE_INVARIANT_HH

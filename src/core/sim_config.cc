@@ -1,6 +1,5 @@
 #include "core/sim_config.hh"
 
-#include "obs/trace.hh"
 #include "util/fs.hh"
 #include "util/logging.hh"
 
@@ -85,9 +84,17 @@ SimConfig::validate() const
 SimConfig
 perRunSinks(SimConfig config, std::size_t run)
 {
-    const auto rename = [run](std::string &path) {
-        if (!path.empty())
-            path = obs::perRunPath(path, run);
+    const std::string tag = "-run" + std::to_string(run);
+    const auto rename = [&tag](std::string &path) {
+        if (path.empty())
+            return;
+        const auto slash = path.find_last_of('/');
+        const auto dot = path.find_last_of('.');
+        if (dot == std::string::npos ||
+            (slash != std::string::npos && dot < slash))
+            path += tag;
+        else
+            path.insert(dot, tag);
     };
     rename(config.obsTracePath);
     rename(config.obsTimelinePath);

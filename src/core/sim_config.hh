@@ -101,8 +101,9 @@ struct SimConfig
     // each run its own names (perRunSinks).
     /**
      * Chrome trace_event JSON output path; "" disables. The trace
-     * holds the run's fault spans and end-of-run counter tracks, all
-     * in simulated time, so a resumed run writes the same bytes.
+     * is rendered from the run's fault log and counters when it is
+     * written (fault/fault_log.hh), so a resumed run writes the same
+     * bytes.
      */
     std::string obsTracePath;
     /**
@@ -175,8 +176,9 @@ struct SimConfig
 
 /**
  * @p config with every sink path it sets (obs.tracePath,
- * obs.timelinePath, fault.logPath) renamed for run @p run by
- * obs::perRunPath ("faults.jsonl" -> "faults-run2.jsonl"). The one
+ * obs.timelinePath, fault.logPath) renamed for run @p run, the run
+ * index inserted before the extension ("faults.jsonl" ->
+ * "faults-run2.jsonl", "out/trace" -> "out/trace-run2"). The one
  * rule for runs that share a configuration: the cells of a grid
  * (Experiment) and the shards of a fleet (FleetSim) never write the
  * same file.

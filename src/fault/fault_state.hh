@@ -126,8 +126,9 @@ class FaultState
     double flowFrac() const { return flowFrac_; }
 
   private:
-    // Checkpoints serialize every mutable array plus flowFrac_;
-    // config_/tripC_/limitC_ come back via configure().
+    // Checkpoints serialize every mutable array plus flowFrac_ and
+    // recount offlineCount_ from offline_; config_/tripC_/limitC_
+    // come back via configure().
     friend class CkptAccess;
 
     FaultConfig config_;

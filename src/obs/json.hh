@@ -2,8 +2,8 @@
  * @file
  * Minimal strict-JSON emission helpers for the observability layer.
  *
- * densim's exporters (metrics_io, the trace sink, the timeline
- * stream) hand-roll their JSON for zero dependencies, which
+ * densim's exporters (metrics_io, the Chrome trace and fault log,
+ * the timeline stream) hand-roll their JSON for zero dependencies, which
  * historically produced *invalid* documents: IEEE-754 non-finite
  * values streamed as bare `nan`/`inf`, which no JSON parser accepts.
  * Every number densim emits now goes through appendNumber(), which

@@ -199,14 +199,18 @@ TEST(BitIdentity, NoisySensorsAndRandomPolicyResumeExactly)
 
 TEST(BitIdentity, FaultedRunResumesExactly)
 {
-    // Fan derate + noisy sensor faults: the fault timeline cursor,
-    // per-socket fault ladders, derated coupling and the fault RNG
-    // must all restore to the exact epoch state.
+    // Fan derate, noisy sensor and failed-socket faults: the fault
+    // timeline cursor, per-socket fault ladders, derated coupling,
+    // the offline sockets and the fault RNG must all restore to the
+    // exact epoch state. Two sockets are down at the 0.3 s stop.
     SimConfig config = fastConfig();
     config.fault.fanFailS = 0.15;
     config.fault.fanSpeedFrac = 0.55;
     config.fault.fanRecoverS = 0.45;
     config.fault.sensorNoisyAtS = 0.2;
+    config.fault.socketFailCount = 2;
+    config.fault.socketFailS = 0.25;
+    config.fault.socketRecoverS = 0.5;
     const SimMetrics straight = runStraight(config, "CP");
     for (const double stop_at : {0.1, 0.3, 0.6}) {
         EXPECT_EQ(serializeSimMetrics(straight),
@@ -232,8 +236,8 @@ TEST(BitIdentity, MigrationRunResumesExactly)
 TEST(BitIdentity, JsonlSinksAreByteIdentical)
 {
     // The restored run must append exactly the rows the uninterrupted
-    // run would have written — the timeline grid cursor and the trace
-    // event buffer ride in the checkpoint.
+    // run would have written — the timeline grid cursor and the
+    // fault log the trace is rendered from ride in the checkpoint.
     SimConfig config = fastConfig();
     config.timelineSampleS = 0.01;
     config.obsTimelinePath = tempPath("straight.jsonl");
@@ -253,6 +257,44 @@ TEST(BitIdentity, JsonlSinksAreByteIdentical)
         std::remove(c->obsTimelinePath.c_str());
         std::remove(c->obsTracePath.c_str());
     }
+}
+
+TEST(BitIdentity, MidRunFlushLeavesTheFinalSinksUnchanged)
+{
+    // A flush mid-run (the graceful-stop path) writes the sinks as
+    // they stand; the run then goes on, and its final files must be
+    // those of the same run without the flush. Sockets fail before
+    // the flush and recover after it, so fault spans land on both
+    // sides of it.
+    SimConfig config = fastConfig();
+    config.simTimeS = 1.0;
+    config.fault.socketFailCount = 2;
+    config.fault.socketFailS = 0.3;
+    config.fault.socketRecoverS = 0.7;
+    const auto run = [&](const std::string &tag, bool flush) {
+        SimConfig c = config;
+        c.obsTracePath = tempPath(tag + "_trace.json");
+        c.fault.logPath = tempPath(tag + "_faults.jsonl");
+        DenseServerSim sim(c, makeScheduler("CP"));
+        ckpt::beginEngineRun(sim);
+        while (sim.epochPending() && sim.nowS() < 0.5)
+            sim.advanceEpoch();
+        if (flush)
+            ckpt::flushSinks(sim);
+        while (sim.epochPending())
+            sim.advanceEpoch();
+        (void)sim.finishRun();
+        std::vector<std::string> files;
+        for (const std::string &path : {c.obsTracePath, c.fault.logPath}) {
+            files.push_back(slurp(path));
+            std::remove(path.c_str());
+        }
+        return files;
+    };
+    const std::vector<std::string> straight = run("noflush", false);
+    const std::vector<std::string> flushed = run("flush", true);
+    EXPECT_EQ(straight, flushed);
+    EXPECT_NE(straight[0].find("socketRecover"), std::string::npos);
 }
 
 TEST(BitIdentity, SaveRestoreSaveRoundTripsBytes)
@@ -517,7 +559,7 @@ TEST(HostileInput, EmptyAndGarbageFilesAreRejected)
 // core, rng, metrics, obs and fault; a fleet file holds the fleet
 // core plus one section per shard.
 constexpr std::uint32_t kCoreSection = 1;
-constexpr std::uint32_t kObsSection = 4;
+constexpr std::uint32_t kFaultSection = 5;
 constexpr std::uint32_t kFleetCoreSection = 10;
 
 /** One section as framed in a checkpoint file. */
@@ -666,24 +708,24 @@ TEST(CkptFormat, SectionBytesArePinned)
         }
     };
     expectPins(goldenImage(fastConfig()),
-               {{1, 47187, 0xcf27bce78ce81776ULL},
+               {{1, 47147, 0xd90ac4a895fa45d8ULL},
                 {2, 123, 0x250e39de3beeb8adULL},
                 {3, 344, 0x7792b336c29fd761ULL},
-                {4, 475, 0x72dcef5e062fc96dULL},
-                {5, 1146, 0x01624b3c1982bc42ULL}},
+                {4, 366, 0x23fb55b62c4a4e48ULL},
+                {5, 1145, 0xa51c429a459b0cc4ULL}},
                "engine");
     expectPins(faultedMigrationImage(faultedMigrationConfig()),
-               {{1, 35554, 0x640ba31a32881b09ULL},
+               {{1, 35514, 0xbde962b3c4df9413ULL},
                 {2, 123, 0x50d1dc19052e6798ULL},
                 {3, 344, 0xe89c60914d2f462bULL},
-                {4, 834, 0x4ca2b927ed12bbecULL},
-                {5, 1167, 0x86d6878aae3d2a61ULL}},
+                {4, 725, 0x171d168dac08b187ULL},
+                {5, 1166, 0xf69ab331694126afULL}},
                "faulted");
     expectPins(fleetImage(threeChassisConfig("roundrobin")),
-               {{10, 245, 0x5ac7703c2c3cb646ULL},
-                {100, 6233, 0xc96465524672d526ULL},
-                {101, 6209, 0xe4e8390986587961ULL},
-                {102, 6209, 0x0590decce086e223ULL}},
+               {{10, 237, 0xe44b57f3a8c8c986ULL},
+                {100, 6083, 0xb886c13a15bec14eULL},
+                {101, 6059, 0x11a54c7cac8dc198ULL},
+                {102, 6059, 0xdfbf8a282016a07bULL}},
                "fleet");
 }
 
@@ -701,8 +743,8 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
         int mutations;
         int rejected;
     };
-    const Split splits[] = {{1, 56, 2529, 637}, {2, 8, 46, 0},
-                            {3, 8, 129, 6},     {4, 8, 178, 136},
+    const Split splits[] = {{1, 56, 2526, 639}, {2, 8, 46, 0},
+                            {3, 8, 129, 6},     {4, 8, 137, 104},
                             {5, 8, 430, 58}};
     const SimConfig config = fastConfig();
     const std::string good = goldenImage(config);
@@ -802,20 +844,54 @@ TEST(HostileInput, AmbientTargetsOffTheirPowersFieldAreRejected)
     }
 }
 
+TEST(HostileInput, DirtySocketListedTwiceIsRejected)
+{
+    // The dirty flags are not stored: the loader sets one per listed
+    // socket. A CRC-valid image whose dirty list names a socket twice
+    // describes no state the engine can reach, so it is refused. The
+    // list follows the target powers, which follow the ambient
+    // targets: two blocks of n doubles, the second with its length.
+    // Its first socket is appended once more, the count and section
+    // length raised to match.
+    const SimConfig config = fastConfig();
+    const std::string good = goldenImage(config);
+    DenseServerSim sim(config, makeScheduler("CP"));
+    ckpt::restoreEngine(sim, good);
+    const std::size_t n = sim.coupling().size();
+    const std::size_t list = ambientTargetsOffset(good, sim) + 16 * n + 8;
+    (void)sim.finishRun();
+    ckpt::Reader r(std::string_view(good).substr(list, 8));
+    const std::uint64_t count = r.u64();
+    ASSERT_GE(count, 1u) << "the image needs a dirty socket";
+    std::string bad = good;
+    bad.insert(list + 8 + 8 * count, good.substr(list + 8, 8));
+    ckpt::Writer w;
+    w.u64(count + 1);
+    bad.replace(list, 8, w.take());
+    for (SectionFrame f : sectionFrames(good)) {
+        if (f.id != kCoreSection)
+            continue;
+        f.length += 8;
+        w.u64(f.length);
+        bad.replace(f.offset - 16, 8, w.take());
+        resealSection(bad, f);
+    }
+    expectRejected(config, good, bad, "dirty socket listed twice");
+}
+
 TEST(HostileInput, CrcValidTraceMutationsAreRejectedOrRoundTrip)
 {
-    // The same property over an obs section that buffers trace
-    // events: the fault spans of a traced run, the only events a
-    // trace holds before the run ends, each mutation restored into a
-    // fresh engine. A span's tid travels sign-extended in 8 bytes, so
-    // a flip in the high half leaves the int range and must be
-    // rejected rather than truncated.
+    // The same property over the fault section of a traced run with
+    // a derated fan, whose log of variable-length events is what the
+    // trace is rendered from; each mutation is restored into a fresh
+    // engine. An event's kind travels in one byte and must name a
+    // fault kind.
     SimConfig config = faultedMigrationConfig();
     config.obsTracePath = tempPath("mutated_trace.json");
     const std::string good = faultedMigrationImage(config);
     int rejected = 0;
     forEachMutation(
-        good, kObsSection, 8,
+        good, kFaultSection, 8,
         [&](const std::string &bad, std::size_t at) {
             DenseServerSim sim(config, makeScheduler("CP"));
             try {
@@ -826,7 +902,8 @@ TEST(HostileInput, CrcValidTraceMutationsAreRejectedOrRoundTrip)
                 return;
             }
             EXPECT_TRUE(ckpt::saveEngine(sim) == bad)
-                << "obs byte " << at << " restored to a different state";
+                << "fault byte " << at
+                << " restored to a different state";
         });
     EXPECT_GT(rejected, 0);
     std::remove(config.obsTracePath.c_str());
@@ -839,8 +916,8 @@ TEST(HostileInput, CrcValidFleetCoreMutationsAreRejectedOrRoundTrip)
     // and power keep no cursor, so the three mutations of the cursor
     // word (bytes 17-24) are rejected there instead of re-saved as 0.
     const std::pair<const char *, int> splits[] = {
-        {"roundrobin", 34}, {"headroom", 37}, {"locality", 34},
-        {"power", 37}};
+        {"roundrobin", 31}, {"headroom", 34}, {"locality", 31},
+        {"power", 34}};
     for (const auto &[dispatcher, wantRejected] : splits) {
         const SimConfig config = threeChassisConfig(dispatcher);
         const std::string good = fleetImage(config);
@@ -864,7 +941,7 @@ TEST(HostileInput, CrcValidFleetCoreMutationsAreRejectedOrRoundTrip)
                     << " restored to a different state";
                 (void)fleet.finishRun();
             });
-        EXPECT_EQ(mutations, 92) << dispatcher;
+        EXPECT_EQ(mutations, 89) << dispatcher;
         EXPECT_EQ(rejected, wantRejected) << dispatcher;
     }
 }

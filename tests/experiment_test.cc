@@ -363,6 +363,22 @@ TEST(Experiment, SinksAreRewrittenPerRun)
         EXPECT_FALSE(std::filesystem::exists(dir / file)) << file;
 }
 
+TEST(Experiment, PerRunSinksInsertTheRunIndex)
+{
+    // The index goes before the last extension of the file name, or
+    // after a name without one; a dot in a directory is no extension.
+    SimConfig config;
+    config.obsTracePath = "trace.json";
+    config.obsTimelinePath = "runs/t.x.json";
+    config.fault.logPath = "a.b/faults";
+    const SimConfig third = perRunSinks(config, 3);
+    EXPECT_EQ(third.obsTracePath, "trace-run3.json");
+    EXPECT_EQ(third.obsTimelinePath, "runs/t.x-run3.json");
+    EXPECT_EQ(third.fault.logPath, "a.b/faults-run3");
+    // An unset sink stays unset.
+    EXPECT_EQ(perRunSinks(SimConfig{}, 0).obsTracePath, "");
+}
+
 TEST(Experiment, IndexResultsKeysBySchedulerAndLoad)
 {
     const std::vector<RunSpec> specs = makeGrid(

@@ -2,29 +2,32 @@
  * @file
  * Tests for the observability layer (src/obs) and its engine wiring:
  * strict-JSON helpers, the counter/gauge registry, the sampled phase
- * timers, the Chrome trace sink, and — the regression the layer grew
- * out of — the fixed-grid timeline sampler that replaced the drifting
- * ad-hoc one.
+ * timers, the Chrome trace rendered from the fault log, and — the
+ * regression the layer grew out of — the fixed-grid timeline sampler
+ * that replaced the drifting ad-hoc one.
  */
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dense_server_sim.hh"
 #include "core/metrics_io.hh"
+#include "fault/fault_log.hh"
 #include "json_validate.hh"
 #include "obs/json.hh"
 #include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "sched/factory.hh"
 
 namespace densim {
@@ -212,49 +215,65 @@ TEST(ObsProfiler, EngineSamplesEveryPhaseAndResetsPerRun)
         EXPECT_EQ(sim.phaseProfile().ns(p), 0u) << obs::phaseName(p);
 }
 
-// -------------------------------------------------------- trace sink
+// ------------------------------------------- trace from the fault log
 
 TEST(ObsTrace, JsonIsWellFormed)
 {
-    obs::TraceSink sink;
-    sink.enable(true);
-    sink.setProcessName("unit \"test\"");
-    sink.addComplete("phase\\one", "engine", 1.0, 2.5);
-    sink.addCounter("queueDepth", 3.0, 17.0);
-    const std::string json = sink.toJson();
+    // The exact bytes for a server-wide event (tid -1), a per-socket
+    // event and a counter, under a process name that needs escaping.
+    // to_chars prints the shortest form, so 0.5 s is 5e+05 us.
+    const std::vector<FaultEvent> events = {
+        {0.5, FaultKind::FanDerate, kFaultNoSocket, 0.3},
+        {1.25, FaultKind::SocketFail, 7, 0.0}};
+    const std::string json = faultLogToChromeTrace(
+        events, 0, "unit \"test\"", {{"engine.epochs", 42}});
+    EXPECT_EQ(
+        json,
+        R"({"traceEvents":[)"
+        R"({"ph":"M","pid":0,"tid":0,"name":"process_name",)"
+        R"("args":{"name":"unit \"test\""}},)"
+        R"({"ph":"X","pid":0,"tid":-1,"ts":5e+05,"name":"fanDerate",)"
+        R"("dur":0,"cat":"fault"},)"
+        R"({"ph":"X","pid":0,"tid":7,"ts":1250000,"name":"socketFail",)"
+        R"("dur":0,"cat":"fault"},)"
+        R"({"ph":"C","pid":0,"tid":0,"ts":0,"name":"engine.epochs",)"
+        R"("args":{"value":42}}],"displayTimeUnit":"ms"})");
     std::string error;
     EXPECT_TRUE(obs::json::validate(json, &error)) << error;
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-}
-
-TEST(ObsTrace, DisabledSinkRecordsNothing)
-{
-    obs::TraceSink sink;
-    sink.addComplete("x", "y", 0.0, 1.0);
-    EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST(ObsTrace, CapDropsAndReports)
 {
-    obs::TraceSink sink;
-    sink.enable(true);
-    sink.setEventCap(2);
-    for (int i = 0; i < 5; ++i)
-        sink.addComplete("e", "c", i, 1.0);
-    EXPECT_EQ(sink.size(), 2u);
-    EXPECT_EQ(sink.dropped(), 3u);
-    const std::string json = sink.toJson();
+    // No test run reaches the log's cap, so the drop path is checked
+    // where it is rendered: the trace carries the count, and writing
+    // either file warns.
+    const std::vector<FaultEvent> events = {
+        {0.25, FaultKind::Quarantine, 3, 97.5}};
+    const std::string json = faultLogToChromeTrace(events, 3, "d", {});
+    EXPECT_NE(json.find(R"(],"displayTimeUnit":"ms",)"
+                        R"("metadata":{"densimDroppedEvents":3}})"),
+              std::string::npos)
+        << json;
     EXPECT_TRUE(obs::json::validate(json));
-    EXPECT_NE(json.find("densimDroppedEvents"), std::string::npos);
-}
+    EXPECT_EQ(faultLogToChromeTrace(events, 0, "d", {}).find("metadata"),
+              std::string::npos);
 
-TEST(ObsTrace, PerRunPathInsertsRunIndex)
-{
-    EXPECT_EQ(obs::perRunPath("trace.json", 3), "trace-run3.json");
-    EXPECT_EQ(obs::perRunPath("runs/t.x.json", 0), "runs/t.x-run0.json");
-    EXPECT_EQ(obs::perRunPath("a.b/trace", 7), "a.b/trace-run7");
+    const std::string log_path = testing::TempDir() + "obs_dropped.jsonl";
+    const std::string trace_path = testing::TempDir() + "obs_dropped.json";
+    testing::internal::CaptureStderr();
+    writeFaultLogFile(log_path, events, 3);
+    writeChromeTraceFile(trace_path, events, 3, "d", {});
+    const std::string warned = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warned.find("fault log '" + log_path + "' misses 3 fault "
+                          "events past the 100000-event cap"),
+              std::string::npos)
+        << warned;
+    EXPECT_NE(warned.find("trace '" + trace_path + "' misses 3"),
+              std::string::npos)
+        << warned;
+    EXPECT_EQ(slurp(trace_path), json + "\n");
+    std::remove(log_path.c_str());
+    std::remove(trace_path.c_str());
 }
 
 // -------------------------------------------------- timeline sampler

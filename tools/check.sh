@@ -12,8 +12,8 @@
 #   asan      ASan+UBSan build + full ctest (DENSIM_CHECKS on)
 #   tsan      ThreadSanitizer build + the experiment-runner and
 #             differential tests (the only multithreaded paths)
-#   paranoid  DENSIM_PARANOID build + the reduced-workload invariant
-#             and differential tests (every epoch cross-validated)
+#   paranoid  DENSIM_PARANOID build + full ctest (every epoch
+#             cross-validated against a fresh re-derivation)
 #   lint      densim_lint.py (header self-containment, tools/lint/)
 #             then clang-tidy over every compiled file
 #             (DENSIM_LINT=ON); the clang-tidy half is skipped with a
@@ -29,8 +29,9 @@
 #             with a notice on a host that cannot run x86-64-v3 code
 #   fault     the asan tree + the fault-injection and keep-going
 #             tests, then three CLI smokes: a fan-failure run whose
-#             JSON output and JSONL fault log must parse
-#             strictly, a keep-going sweep with a deliberately bad
+#             JSON output and JSONL fault log must parse strictly and
+#             whose Chrome trace must hold the log's events one for
+#             one, a keep-going sweep with a deliberately bad
 #             cell that must finish the rest, exit nonzero, and emit a
 #             strict summary JSON, and a sweep whose CSV must match
 #             byte for byte with and without --summary (DESIGN.md
@@ -82,10 +83,6 @@ SANITIZERS='address;undefined;float-cast-overflow'
 # Test selection for the TSan stage: the thread pool and everything
 # that runs under it, plus the differential suite it feeds.
 TSAN_FILTER='Parallel|Experiment|PerfEquivalence|Fleet|Streamed'
-# Paranoid stage: the reduced workloads of the differential suite and
-# the invariant tests themselves (full integration workloads would
-# re-derive the reference field every epoch for 180 sockets).
-PARANOID_FILTER='Invariant|PerfEquivalence|CompletionList|Experiment|Parallel'
 
 configure() { # dir, extra cmake args...
     local dir="$1"
@@ -155,7 +152,7 @@ stage_tsan() {
 stage_paranoid() {
     configure build-paranoid -DDENSIM_PARANOID=ON
     build build-paranoid
-    run_ctest build-paranoid -R "$PARANOID_FILTER"
+    run_ctest build-paranoid
 }
 
 stage_fault() {
@@ -167,20 +164,35 @@ stage_fault() {
     local out="build-asan/fault-smoke"
     mkdir -p "$out"
     # A fan-bank failure at t=1s capped to 20% speed: the run must
-    # survive to completion and every sink must be strict JSON.
+    # survive to completion, every sink must be strict JSON, and the
+    # trace, rendered from the fault log, must hold its events in
+    # order, one for one.
     ./build-asan/tools/densim run --scheduler CF --load 0.7 \
         --set topo.rows=2 --set simTimeS=3 --set warmupS=0.5 \
         --set fault.fanFailS=1 --set fault.fanSpeedFrac=0.2 \
         --set fault.logPath="$out/faults.jsonl" \
+        --set obs.tracePath="$out/trace.json" \
         --json --counters > "$out/run.json"
     python3 -m json.tool "$out/run.json" > /dev/null
-    python3 - "$out/faults.jsonl" <<'EOF'
+    python3 - "$out/faults.jsonl" "$out/trace.json" <<'EOF'
 import json, sys
-lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert lines, "fault log is empty"
-kinds = {json.loads(l)["kind"] for l in lines}
+def reject(constant):
+    raise ValueError(f"non-JSON constant {constant}")
+log = [json.loads(l, parse_constant=reject)
+       for l in open(sys.argv[1]) if l.strip()]
+assert log, "fault log is empty"
+kinds = {e["kind"] for e in log}
 assert "fanDerate" in kinds, f"no fanDerate event in {kinds}"
-print(f"fault smoke: {len(lines)} fault events, kinds={sorted(kinds)}")
+trace = json.load(open(sys.argv[2]), parse_constant=reject)
+spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+assert len(spans) == len(log), f"{len(spans)} spans, {len(log)} events"
+for i, (span, event) in enumerate(zip(spans, log)):
+    socket = -1 if event["socket"] is None else event["socket"]
+    assert span["name"] == event["kind"], f"event {i}: {span} vs {event}"
+    assert span["tid"] == socket, f"event {i}: {span} vs {event}"
+    assert span["ts"] == event["tS"] * 1e6, f"event {i}: {span} vs {event}"
+print(f"fault smoke: {len(log)} fault events, each in the trace, "
+      f"kinds={sorted(kinds)}")
 EOF
     # Keep-going sweep with one unresolvable cell: the good cells
     # must complete, the exit code must be nonzero, and the summary

@@ -102,6 +102,10 @@ import densim_lint  # noqa: E402  (UNIT_NAME_RE / DIMENSIONLESS / allowlist)
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import hot_effects  # noqa: E402  (densim-hot-effects engine)
+# One copy of the banned ambient sources and of the write operators:
+# densim-unseeded-entropy flags what densim-hot-effects calls entropy.
+from hot_effects import (ASSIGN_OPS, CLOCK_NAMES,  # noqa: E402
+                         ENTROPY_FUNCS, ENTROPY_TYPES)
 from cxx_tokens import (is_ident, match_brace,  # noqa: E402
                         match_paren, skip_template_args, tokenize)
 
@@ -158,19 +162,10 @@ ENTROPY_ALLOW_PREFIXES = (
     "src/obs/phase_profiler.",
 )
 
-ENTROPY_FUNCS = {"rand", "srand", "time", "clock", "gettimeofday",
-                 "timespec_get"}
-ENTROPY_TYPES = {"random_device", "mt19937", "mt19937_64",
-                 "minstd_rand", "minstd_rand0", "default_random_engine",
-                 "ranlux24", "ranlux48", "knuth_b"}
-CLOCK_NAMES = {"steady_clock", "system_clock", "high_resolution_clock"}
-
 MUTATING_CALLS = {"push_back", "emplace_back", "push_front",
                   "emplace_front", "insert", "emplace", "erase",
                   "clear", "pop_back", "pop_front", "resize", "assign",
                   "add", "inc", "store", "reset"}
-ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-              "<<=", ">>="}
 TYPE_KEYWORDS = {"auto", "int", "long", "unsigned", "signed", "short",
                  "double", "float", "bool", "char", "size_t",
                  "uint8_t", "uint16_t", "uint32_t", "uint64_t",
