@@ -2,15 +2,19 @@
  * @file
  * google-benchmark microbenchmarks for densim's hot kernels: the
  * coupling-map field evaluation (once per 1 ms epoch), the RC-network
- * steady solve (Fig. 9/10 machinery), scheduler decisions, and a full
+ * steady solve (Fig. 9/10 machinery), scheduler decisions, a full
  * simulated server-second — the numbers that determine how long the
- * experiment benches take.
+ * experiment benches take — and the checkpoint round trip with its
+ * section checksum.
  */
 
 #include <limits>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
+#include "ckpt/checkpoint.hh"
+#include "ckpt/run_driver.hh"
 #include "core/dense_server_sim.hh"
 #include "fleet/fleet_sim.hh"
 #include "power/leakage.hh"
@@ -309,6 +313,55 @@ BENCHMARK(BM_FleetServerSecond)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// --- checkpoint round trip (DESIGN.md Sec. 16) -----------------------
+
+void
+BM_SectionChecksum(benchmark::State &state)
+{
+    // The integrity checksum a save computes once per section and a
+    // restore once more: 4 KB is a small section, 64 KB about a
+    // chassis image, 576 KB a 16-chassis fleet's.
+    std::string payload(static_cast<std::size_t>(state.range(0)), '\0');
+    Rng rng(0x5ec7u);
+    for (char &c : payload)
+        c = static_cast<char>(rng.nextU64() & 0xff);
+    for (auto _ : state) {
+        auto crc = ckpt::sectionCrc(payload);
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SectionChecksum)->Arg(4 << 10)->Arg(64 << 10)->Arg(576 << 10);
+
+void
+BM_EngineCheckpointRoundTrip(benchmark::State &state)
+{
+    // saveEngine plus restoreEngine into a second, already-built
+    // engine: a CF engine at load 0.3 stopped at t = 2 s, every
+    // arrival consumed, as perfbench's cf_load30 round trip. Closing
+    // the restored run between iterations is not timed.
+    SimConfig config;
+    config.load = 0.3;
+    config.simTimeS = 2.0;
+    config.warmupS = 1.0;
+    DenseServerSim open(config, makeScheduler("CF"));
+    ckpt::beginEngineRun(open);
+    while (open.epochPending() && open.nowS() < config.simTimeS)
+        open.advanceEpoch();
+    DenseServerSim resumed(config, makeScheduler("CF"));
+    std::size_t image_bytes = 0;
+    for (auto _ : state) {
+        const std::string image = ckpt::saveEngine(open);
+        ckpt::restoreEngine(resumed, image);
+        image_bytes = image.size();
+        state.PauseTiming();
+        (void)resumed.finishRun();
+        state.ResumeTiming();
+    }
+    state.counters["image_kb"] = static_cast<double>(image_bytes) / 1024.0;
+}
+BENCHMARK(BM_EngineCheckpointRoundTrip)->Unit(benchmark::kMicrosecond);
 
 // --- observability overhead (DESIGN.md Sec. 10) ---------------------
 // The always-compiled counter increment must stay a plain u64 add.

@@ -27,10 +27,11 @@
  *                    or re-cadencing the checkpoint itself must not
  *                    invalidate it
  *   u64     section count
- *   then per section: u32 id, u64 payload length, u64 FNV-1a CRC,
+ *   then per section: u32 id, u64 payload length, u64 checksum
+ *   (sectionCrc(): four word lanes folded by SplitMix64's finalizer),
  *   payload bytes.
  *
- * Loaders validate the header, every section length and every CRC
+ * Loaders validate the header, every section length and every checksum
  * into an in-memory section map *before* mutating any engine state,
  * and every load-time field check throws ckpt::CkptError — so a
  * truncated, corrupted or hostile file yields a one-line actionable
@@ -69,7 +70,7 @@ inline constexpr char kMagic[8] = {'D', 'S', 'I', 'M',
                                    'C', 'K', 'P', 'T'};
 
 /** Format version; bumped on any wire-format change. */
-inline constexpr std::uint32_t kVersion = 5;
+inline constexpr std::uint32_t kVersion = 6;
 
 /** What a checkpoint file holds. */
 enum class SnapshotKind : std::uint32_t

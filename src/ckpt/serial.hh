@@ -14,6 +14,7 @@
 #ifndef DENSIM_CKPT_SERIAL_HH
 #define DENSIM_CKPT_SERIAL_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -27,7 +28,7 @@ namespace densim::ckpt {
 
 /**
  * Any structural defect in a checkpoint file: truncation, bad magic,
- * version skew, digest mismatch, CRC failure, oversized section.
+ * version skew, digest mismatch, checksum failure, oversized section.
  * Loaders catch this and surface `.what()` as a one-line actionable
  * error; the engine being restored is never partially mutated
  * (validation completes before any state is applied).
@@ -237,11 +238,65 @@ class Reader
     std::size_t pos_ = 0;
 };
 
-/** Per-section integrity checksum (FNV-1a 64 over the payload). */
+/** The 8 bytes at @p p as a little-endian word, on any host. */
+inline std::uint64_t
+loadLe64(const char *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    if constexpr (std::endian::native == std::endian::big)
+        w = __builtin_bswap64(w);
+    return w;
+}
+
+/**
+ * Per-section integrity checksum, a word at a time (DESIGN.md
+ * Sec. 16.1). The payload's little-endian 64-bit words go round-robin
+ * to four independent lanes, so four multiply chains run side by side
+ * instead of FNV-1a's one serial chain per byte; the tail bytes are
+ * packed into one last word. Each lane step,
+ * `lane = rotl(lane + word * P2, 31) * P1` with odd P1 and P2, is a
+ * bijection in the word it reads and in the lane, so any change
+ * confined to one aligned 8-byte word, every single-bit flip
+ * included, always changes the checksum. The multiply on the word
+ * side keeps a word's top bit from entering its lane linearly, as it
+ * would under `(lane ^ word) * P1`, where any two top-bit flips in
+ * one lane cancel. The length and the four lanes are then folded
+ * through SplitMix64's finalizer.
+ */
 inline std::uint64_t
 sectionCrc(std::string_view payload)
 {
-    return fnv1a64(payload);
+    constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+    constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+    std::uint64_t lane[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                             0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+    const auto step = [](std::uint64_t acc, std::uint64_t word) {
+        return std::rotl(acc + word * kP2, 31) * kP1;
+    };
+    const char *p = payload.data();
+    const std::size_t n = payload.size();
+    std::size_t at = 0;
+    for (; at + 32 <= n; at += 32) {
+        lane[0] = step(lane[0], loadLe64(p + at));
+        lane[1] = step(lane[1], loadLe64(p + at + 8));
+        lane[2] = step(lane[2], loadLe64(p + at + 16));
+        lane[3] = step(lane[3], loadLe64(p + at + 24));
+    }
+    int k = 0;
+    for (; at + 8 <= n; at += 8, ++k)
+        lane[k] = step(lane[k], loadLe64(p + at));
+    if (at < n) {
+        std::uint64_t tail = 0;
+        for (std::size_t i = 0; at + i < n; ++i)
+            tail |= std::uint64_t{static_cast<unsigned char>(p[at + i])}
+                    << (8 * i);
+        lane[k] = step(lane[k], tail);
+    }
+    std::uint64_t h = n;
+    for (const std::uint64_t l : lane)
+        h = mix64(h ^ l);
+    return h;
 }
 
 } // namespace densim::ckpt

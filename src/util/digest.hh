@@ -1,6 +1,8 @@
 /**
  * @file
- * FNV-1a 64-bit hashing for stable run digests.
+ * FNV-1a 64-bit hashing for stable run digests, and the SplitMix64
+ * finalizer that the RNG seeding and the checkpoint section checksum
+ * share.
  *
  * The keep-going experiment harness identifies a grid cell by a
  * digest of (scheduler name, serialized configuration) so a resumed
@@ -32,6 +34,19 @@ fnv1a64(std::string_view data, std::uint64_t h = kFnv1a64Offset)
         h *= kFnv1a64Prime;
     }
     return h;
+}
+
+/**
+ * SplitMix64's finalizer: a bijective full avalanche of one word, so
+ * a change to any input bit flips each output bit with probability
+ * about one half.
+ */
+inline std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
 }
 
 /** @p h as 16 lowercase hex digits. */

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/digest.hh"
 #include "util/logging.hh"
 
 namespace densim {
@@ -13,10 +14,7 @@ std::uint64_t
 splitmix64(std::uint64_t &x)
 {
     x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return mix64(x);
 }
 
 std::uint64_t

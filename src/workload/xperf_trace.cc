@@ -1,5 +1,6 @@
 #include "workload/xperf_trace.hh"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -10,6 +11,19 @@
 namespace densim {
 
 namespace {
+
+/**
+ * One whole record field as a non-negative integer: digits only, as
+ * config values are parsed, so a sign, an exponent or trailing junk
+ * fails instead of being dropped.
+ */
+bool
+parseField(const std::string &token, std::uint64_t &out)
+{
+    const char *end = token.data() + token.size();
+    const auto res = std::from_chars(token.data(), end, out);
+    return res.ec == std::errc() && res.ptr == end;
+}
 
 WorkloadSet
 parseSetName(const std::string &name)
@@ -79,9 +93,9 @@ XperfTrace::load(std::istream &in)
     if (!std::getline(in, line))
         fatal("xperf trace: missing set line");
     std::istringstream set_line(line);
-    std::string keyword, set_name;
+    std::string keyword, set_name, extra;
     set_line >> keyword >> set_name;
-    if (keyword != "set")
+    if (keyword != "set" || set_line >> extra)
         fatal("xperf trace: expected 'set <name>', got '", line, "'");
 
     XperfTrace trace(parseSetName(set_name));
@@ -90,16 +104,23 @@ XperfTrace::load(std::istream &in)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream record(line);
-        long long arrival_us = 0;
-        std::size_t bench = 0;
-        long long duration_us = 0;
-        if (!(record >> arrival_us >> bench >> duration_us))
-            fatal("xperf trace: malformed record '", line, "'");
-        if (duration_us <= 0)
+        std::string fields[3];
+        record >> fields[0] >> fields[1] >> fields[2];
+        std::uint64_t arrival_us = 0;
+        std::uint64_t bench = 0;
+        std::uint64_t duration_us = 0;
+        if (!record || record >> extra ||
+            !parseField(fields[0], arrival_us) ||
+            !parseField(fields[1], bench) ||
+            !parseField(fields[2], duration_us))
+            fatal("xperf trace: malformed record '", line,
+                  "' (want <arrival_us> <benchmark_index> <duration_us>, "
+                  "each a non-negative integer)");
+        if (duration_us == 0)
             fatal("xperf trace: non-positive duration in '", line, "'");
         Job job;
         job.id = id++;
-        job.benchmark = bench;
+        job.benchmark = static_cast<std::size_t>(bench);
         job.set = trace.set();
         job.arrivalS = static_cast<double>(arrival_us) * 1e-6;
         job.nominalS = static_cast<double>(duration_us) * 1e-6;

@@ -14,6 +14,10 @@
  *     densim-xperf 1
  *     set Computation
  *     <arrival_us> <benchmark_index> <duration_us>
+ *
+ * Each record field is a whole non-negative decimal integer, and a
+ * line holds nothing more; anything else is one fatal error that
+ * quotes the line.
  */
 
 #ifndef DENSIM_WORKLOAD_XPERF_TRACE_HH

@@ -36,7 +36,9 @@
 #include "fleet/fleet_metrics.hh"
 #include "fleet/fleet_sim.hh"
 #include "sched/factory.hh"
+#include "util/digest.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "workload/job_generator.hh"
 
 namespace densim {
@@ -681,18 +683,21 @@ fleetImage(const SimConfig &config)
 
 TEST(CkptFormat, SectionBytesArePinned)
 {
-    // The length and FNV-1a CRC of every section of three images: an
-    // engine image, a faulted engine image with a derated fan and
-    // migration on, and a fleet image. Any change to what a section
-    // holds, or in which order, fails here; such a change must bump
-    // ckpt::kVersion and re-pin. The file header is not pinned: its
-    // digest covers the serialized config, which moves with config
-    // keys, not with the section format.
+    // The length and the FNV-1a 64 of every section payload of three
+    // images: an engine image, a faulted engine image with a derated
+    // fan and migration on, and a fleet image. Any change to what a
+    // section holds, or in which order, fails here; such a change
+    // must bump ckpt::kVersion and re-pin. The fingerprint is the
+    // test's own, so a new section checksum leaves these pins alone;
+    // the stored checksum is only required to be sectionCrc() of its
+    // payload. The file header is not pinned: its digest covers the
+    // serialized config, which moves with config keys, not with the
+    // section format.
     struct Pin
     {
         std::uint32_t id;
         std::size_t length;
-        std::uint64_t crc;
+        std::uint64_t fnv;
     };
     const auto expectPins = [](const std::string &image,
                                const std::vector<Pin> &pins,
@@ -700,10 +705,15 @@ TEST(CkptFormat, SectionBytesArePinned)
         const std::vector<SectionFrame> frames = sectionFrames(image);
         ASSERT_EQ(frames.size(), pins.size()) << what;
         for (std::size_t i = 0; i < pins.size(); ++i) {
+            const std::string_view payload =
+                std::string_view(image).substr(frames[i].offset,
+                                               frames[i].length);
             EXPECT_EQ(frames[i].id, pins[i].id) << what;
             EXPECT_EQ(frames[i].length, pins[i].length)
                 << what << " section " << pins[i].id;
-            EXPECT_EQ(frames[i].crc, pins[i].crc)
+            EXPECT_EQ(fnv1a64(payload), pins[i].fnv)
+                << what << " section " << pins[i].id;
+            EXPECT_EQ(frames[i].crc, ckpt::sectionCrc(payload))
                 << what << " section " << pins[i].id;
         }
     };
@@ -727,6 +737,114 @@ TEST(CkptFormat, SectionBytesArePinned)
                 {101, 6059, 0x11a54c7cac8dc198ULL},
                 {102, 6059, 0xdfbf8a282016a07bULL}},
                "fleet");
+}
+
+/** The first @p n bytes of a fixed pattern with a 256-byte period. */
+std::string
+checksumPattern(std::size_t n)
+{
+    std::string out(n, '\0');
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<char>((i * 131 + 7) & 0xff);
+    return out;
+}
+
+TEST(CkptFormat, SectionChecksumIsPinned)
+{
+    // Every length class of the word loop: empty, tail only, one
+    // word with and without a tail, one short of and one past a full
+    // round of four lanes, and a page. Any change to the checksum
+    // fails here and must bump ckpt::kVersion.
+    const std::pair<std::size_t, std::uint64_t> pins[] = {
+        {0, 0x22a61ba7f80f5303ULL},  {1, 0xcb95c404ccbc6533ULL},
+        {7, 0x0208604f42864835ULL},  {8, 0xa986a79b81bde1a4ULL},
+        {9, 0xb339b467e9a8821aULL},  {31, 0x75f737716f13e9deULL},
+        {32, 0x1c8f125bb88b6489ULL}, {33, 0xcd96a005c00cf567ULL},
+        {4096, 0x20217d9dad27596dULL}};
+    for (const auto &[n, crc] : pins)
+        EXPECT_EQ(ckpt::sectionCrc(checksumPattern(n)), crc) << n << " bytes";
+}
+
+/** Flip bit @p bit of @p bytes, bit 0 being the low bit of byte 0. */
+void
+flipBit(std::string &bytes, std::size_t bit)
+{
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+}
+
+/** Every single-bit flip of @p bytes must move its checksum. */
+void
+expectEveryBitFlipSeen(std::string bytes, const std::string &what)
+{
+    const std::uint64_t base = ckpt::sectionCrc(bytes);
+    int missed = 0;
+    for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+        flipBit(bytes, bit);
+        missed += ckpt::sectionCrc(bytes) == base ? 1 : 0;
+        flipBit(bytes, bit);
+    }
+    EXPECT_EQ(missed, 0) << what;
+}
+
+TEST(CkptFormat, SectionChecksumSeesEveryWordChange)
+{
+    // Each lane step is a bijection in the word it reads, so a change
+    // confined to one aligned word always moves the checksum: every
+    // bit flip of a page and of the engine image's four small
+    // sections, and random replacements of core-section words.
+    expectEveryBitFlipSeen(checksumPattern(4096), "4 KB pattern");
+    const std::string image = goldenImage(fastConfig());
+    for (const SectionFrame &f : sectionFrames(image)) {
+        std::string payload = image.substr(f.offset, f.length);
+        if (f.id != kCoreSection) {
+            expectEveryBitFlipSeen(payload, "section " + std::to_string(f.id));
+            continue;
+        }
+        const std::uint64_t base = ckpt::sectionCrc(payload);
+        Rng rng(0xc0deu);
+        int missed = 0;
+        for (int i = 0; i < 10000; ++i) {
+            const std::size_t at = 8 * (rng.nextU64() % (payload.size() / 8));
+            const std::string old = payload.substr(at, 8);
+            ckpt::Writer w;
+            w.u64(rng.nextU64());
+            payload.replace(at, 8, w.take());
+            if (payload.compare(at, 8, old) != 0)
+                missed += ckpt::sectionCrc(payload) == base ? 1 : 0;
+            payload.replace(at, 8, old);
+        }
+        EXPECT_EQ(missed, 0) << "word replacements in the core section";
+    }
+}
+
+TEST(CkptFormat, SectionChecksumSeesEveryTwoBitFlip)
+{
+    // Beyond one word: every pair of bit flips in two rounds of the
+    // four lanes, and every pair of top-bit flips in one lane of a
+    // page. Under a plain `(lane ^ word) * K` step a word's top bit
+    // enters its lane linearly and two such flips cancel.
+    // Every pair of bits a < b, a stepping by `stride` from `first`
+    // and b by `gap` from a.
+    const auto expectPairsSeen = [](std::string bytes, std::size_t first,
+                                    std::size_t stride, std::size_t gap,
+                                    const char *what) {
+        const std::uint64_t base = ckpt::sectionCrc(bytes);
+        const std::size_t bits = 8 * bytes.size();
+        int missed = 0;
+        for (std::size_t a = first; a < bits; a += stride) {
+            flipBit(bytes, a);
+            for (std::size_t b = a + gap; b < bits; b += gap) {
+                flipBit(bytes, b);
+                missed += ckpt::sectionCrc(bytes) == base ? 1 : 0;
+                flipBit(bytes, b);
+            }
+            flipBit(bytes, a);
+        }
+        EXPECT_EQ(missed, 0) << what;
+    };
+    expectPairsSeen(checksumPattern(64), 0, 1, 1, "two-bit flips of 64 bytes");
+    expectPairsSeen(checksumPattern(4096), 63, 64, 4 * 64,
+                    "top-bit pairs within one lane");
 }
 
 TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
@@ -1061,6 +1179,54 @@ TEST(Driver, StopRequestCheckpointsAndReturns)
     ASSERT_TRUE(rest.completed);
     EXPECT_EQ(serializeSimMetrics(runStraight(fastConfig(), "CP")),
               serializeSimMetrics(resumed.finishRun()));
+    std::remove(config.ckptPath.c_str());
+}
+
+TEST(Driver, StopDuringSetUpCheckpointsTheEngineAtItsStart)
+{
+    // A stop that lands while the engine is built and its arrivals
+    // drawn is seen by the first poll: the drive stops at t = 0 with
+    // a checkpoint, and that checkpoint resumes to the straight run.
+    SimConfig config = fastConfig();
+    config.ckptPath = tempPath("setup_stop.ckpt");
+    ckpt::requestStop();
+    DenseServerSim sim(config, makeScheduler("CP"));
+    ckpt::beginEngineRun(sim);
+    const ckpt::DriveOutcome out = ckpt::driveEngine(sim);
+    ckpt::clearStopRequest();
+    EXPECT_FALSE(out.completed);
+    EXPECT_TRUE(out.checkpointed);
+    EXPECT_EQ(out.nowS, 0.0);
+
+    DenseServerSim resumed(config, makeScheduler("CP"));
+    ckpt::restoreEngine(resumed,
+                        ckpt::readCheckpointFile(config.ckptPath));
+    ASSERT_TRUE(ckpt::driveEngine(resumed).completed);
+    EXPECT_EQ(serializeSimMetrics(runStraight(fastConfig(), "CP")),
+              serializeSimMetrics(resumed.finishRun()));
+    std::remove(config.ckptPath.c_str());
+}
+
+TEST(Driver, StopDuringSetUpCheckpointsTheFleetAtItsStart)
+{
+    SimConfig config = threeChassisConfig("roundrobin");
+    FleetSim straight(config, "CP");
+    const std::string expected = serializeFleetMetrics(straight.run(2));
+
+    config.ckptPath = tempPath("setup_stop_fleet.ckpt");
+    ckpt::requestStop();
+    FleetSim fleet(config, "CP");
+    fleet.beginRun();
+    const ckpt::DriveOutcome out = ckpt::driveFleet(fleet, 2);
+    ckpt::clearStopRequest();
+    EXPECT_FALSE(out.completed);
+    EXPECT_TRUE(out.checkpointed);
+    EXPECT_EQ(out.nowS, 0.0);
+
+    FleetSim resumed(config, "CP");
+    ckpt::restoreFleet(resumed, ckpt::readCheckpointFile(config.ckptPath));
+    ASSERT_TRUE(ckpt::driveFleet(resumed, 2).completed);
+    EXPECT_EQ(expected, serializeFleetMetrics(resumed.finishRun()));
     std::remove(config.ckptPath.c_str());
 }
 

@@ -303,6 +303,28 @@ TEST(XperfTrace, OutOfRangeBenchmarkIsFatal)
                 "out of range");
 }
 
+TEST(XperfTrace, MalformedRecordsAreFatalAndQuoted)
+{
+    // Each field is a whole non-negative integer and nothing follows
+    // the third: a trailing token, an exponent, a sign or a negative
+    // benchmark index is one fatal error that quotes the line.
+    for (const char *record :
+         {"20 4 50 junk", "20 4 1e300", "-20 4 50", "20 -1 50"}) {
+        std::stringstream in(std::string("densim-xperf 1\nset Storage\n") +
+                             record + "\n");
+        EXPECT_EXIT(XperfTrace::load(in), ::testing::ExitedWithCode(1),
+                    std::string("malformed record '") + record + "'")
+            << record;
+    }
+}
+
+TEST(XperfTrace, TrailingTokenOnSetLineIsFatal)
+{
+    std::stringstream in("densim-xperf 1\nset Storage GP\n1000 6 100\n");
+    EXPECT_EXIT(XperfTrace::load(in), ::testing::ExitedWithCode(1),
+                "expected 'set <name>', got 'set Storage GP'");
+}
+
 TEST(WorkloadSetNames, RoundTrip)
 {
     EXPECT_STREQ(workloadSetName(WorkloadSet::Computation),

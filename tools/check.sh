@@ -48,7 +48,9 @@
 #             (bit-identical resume, hostile-input rejection,
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
 #             run mid-flight, resume it, and byte-compare the final
-#             JSON against the uninterrupted run (DESIGN.md Sec. 16)
+#             JSON against the uninterrupted run; then the same for a
+#             SIGTERM during set-up, which must checkpoint at t = 0
+#             (DESIGN.md Sec. 16)
 #   perfbench the benchmark (perfbench/, BENCHMARK.json): build it
 #             and run `perfbench/run.py --selftest`, which checks its
 #             metric names against BENCHMARK.json and that every output
@@ -338,6 +340,38 @@ stage_ckpt() {
         --restore "$out/run.ckpt" > "$out/resumed.json"
     cmp "$out/straight.json" "$out/resumed.json"
     echo "ckpt smoke: SIGTERM at exit $rc, resume byte-identical"
+    # A stop during set-up. The handlers are armed before the engine
+    # is built, and drawing this horizon's arrivals keeps set-up
+    # going well past 0.1 s (on a 4-vCPU KVM guest this ASan build
+    # arms them 10-20 ms after launch and ends set-up at 0.51-0.56 s),
+    # so the SIGTERM lands in it. The first poll must checkpoint the
+    # run at t = 0 and exit 3, and that checkpoint must resume to the
+    # straight run.
+    local setup=(run --scheduler CF --load 0.7 --set simTimeS=60
+                 --set warmupS=3 --json)
+    ./build-asan/tools/densim "${setup[@]}" > "$out/setup-straight.json"
+    rm -f "$out/setup.ckpt"
+    set +e
+    ./build-asan/tools/densim "${setup[@]}" \
+        --checkpoint "$out/setup.ckpt" > /dev/null 2> "$out/setup-stop.err" &
+    pid=$!
+    sleep 0.1
+    kill -TERM "$pid" 2> /dev/null
+    wait "$pid"
+    rc=$?
+    set -e
+    if [ "$rc" -ne 3 ] || ! grep -q "stopped at t=0s;" "$out/setup-stop.err"
+    then
+        echo "check.sh: ckpt: SIGTERM during set-up exited $rc:" \
+             "$(cat "$out/setup-stop.err")" >&2
+        exit 1
+    fi
+    ./build-asan/tools/densim "${setup[@]}" \
+        --restore "$out/setup.ckpt" > "$out/setup-resumed.json"
+    cmp "$out/setup-straight.json" "$out/setup-resumed.json"
+    rm -f "$out/setup.ckpt"
+    echo "ckpt smoke: SIGTERM during set-up checkpointed at t=0s," \
+         "resume byte-identical"
 }
 
 stage_perfbench() {
@@ -366,7 +400,9 @@ names = {r["name"] for r in rows}
 for required in ("BM_SimulatedServerSecond",
                  "BM_SchedulerDecisionBatch/2",
                  "BM_CouplingDeltaFlush/32",
-                 "BM_CouplingDeltaFlush/79"):
+                 "BM_CouplingDeltaFlush/79",
+                 "BM_SectionChecksum/65536",
+                 "BM_EngineCheckpointRoundTrip"):
     assert required in names, f"{required} missing from {sorted(names)}"
 server = next(r for r in rows if r["name"] == "BM_SimulatedServerSecond")
 assert server.get("ms_per_sim_s", 0) > 0, "no ms_per_sim_s counter"

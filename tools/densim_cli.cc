@@ -405,7 +405,10 @@ constexpr int kExitCheckpointed = 3;
 /**
  * SIGINT/SIGTERM become a graceful stop (checkpoint, flush, exit 3)
  * only for a run that checkpoints or was restored; any other run
- * keeps the default handlers.
+ * keeps the default handlers. Armed before the engine or fleet is
+ * built: a stop during set-up (arrival generation, a restore) is
+ * seen by the drive loop's first poll, which checkpoints the run at
+ * its start.
  */
 void
 armStopSignals(const Cli &cli)
@@ -431,7 +434,6 @@ cmdFleetRun(const Cli &cli)
         ckpt::restoreFleet(fleet,
                            ckpt::readCheckpointFile(cli.restorePath),
                            restoreMode(cli), cli.forkId);
-    armStopSignals(cli);
     const ckpt::DriveOutcome done = ckpt::driveFleet(fleet, cli.threads);
     if (!done.completed) {
         std::cerr << "densim: stopped at window " << fleet.windowsRun()
@@ -466,6 +468,7 @@ cmdFleetRun(const Cli &cli)
 int
 cmdRun(const Cli &cli)
 {
+    armStopSignals(cli);
     if (cli.config.fleet.enabled())
         return cmdFleetRun(cli);
     DenseServerSim sim(cli.config, makeScheduler(cli.scheduler));
@@ -475,7 +478,6 @@ cmdRun(const Cli &cli)
         ckpt::restoreEngine(sim,
                             ckpt::readCheckpointFile(cli.restorePath),
                             restoreMode(cli), cli.forkId);
-    armStopSignals(cli);
     const ckpt::DriveOutcome done = ckpt::driveEngine(sim);
     if (!done.completed) {
         std::cerr << "densim: stopped at t=" << done.nowS << "s"
