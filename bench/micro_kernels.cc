@@ -346,7 +346,7 @@ BM_EngineCheckpointRoundTrip(benchmark::State &state)
     config.simTimeS = 2.0;
     config.warmupS = 1.0;
     DenseServerSim open(config, makeScheduler("CF"));
-    ckpt::beginEngineRun(open);
+    open.beginGeneratedRun();
     while (open.epochPending() && open.nowS() < config.simTimeS)
         open.advanceEpoch();
     DenseServerSim resumed(config, makeScheduler("CF"));

@@ -501,6 +501,8 @@ class CkptAccess
     static void registry(Ar &ar, Registry &registry);
     template <class Ar, class Fleet>
     static void fleetCore(Ar &ar, Fleet &fleet);
+    template <class Ar, class Gen>
+    static void arrivalStream(Ar &ar, Gen &gen);
 
     template <class Ar, class Sim>
     struct Section
@@ -535,7 +537,7 @@ class CkptAccess
     static void finalizeRestore(DenseServerSim &sim);
 };
 
-// --- CORE: stream position, backlog, queue, SoA socket banks ----------
+// --- CORE: stream position, arrivals, queue, SoA socket banks ---------
 
 template <class Ar, class Sim>
 void
@@ -545,17 +547,42 @@ CkptAccess::core(Ar &ar, Sim &sim)
     const std::size_t np = sim.pm_.pstates().size();
     ar.length(n, "socket count");
     ar.finite(sim.streamNowS_, "stream position");
-    ar.finite(sim.streamHardStopS_, "stream hard stop");
-    ar.boolean(sim.arrivalsClosed_);
+
+    // A generated run stores its generator's position: its future
+    // arrivals, and whether they have closed, follow from it. A run
+    // fed by submitJobs stores whether its arrivals have closed.
+    bool generated = sim.arrivals_.has_value();
+    ar.boolean(generated);
+    if constexpr (Ar::kLoading) {
+        sim.arrivals_.reset();
+        if (generated)
+            sim.arrivals_.emplace(sim.config_.workload, sim.config_.load,
+                                  static_cast<int>(n), sim.config_.seed);
+    }
+    if (generated) {
+        arrivalStream(ar, *sim.arrivals_);
+        ar.require(sim.arrivals_->hasPending_, "arrival stream",
+                   "no buffered next job");
+        if constexpr (Ar::kLoading)
+            sim.arrivalsClosed_ =
+                sim.arrivals_->pending_.arrivalS >= sim.config_.simTimeS;
+    } else {
+        ar.boolean(sim.arrivalsClosed_);
+    }
 
     // Only the unconsumed backlog tail: the consumed prefix can never
     // be read again, and submitJobs' periodic compaction proves the
     // representation is behavior-free. A restored backlog is all tail.
+    // A generated run draws only arrivals before the epoch's end, so
+    // it has none left at a boundary.
     const auto job = [&](auto &j) { ar.job(j, "job"); };
     ar.seq(sim.streamJobs_, 33, "arrival backlog", job,
            sim.streamNext_);
-    if constexpr (Ar::kLoading)
+    if constexpr (Ar::kLoading) {
         sim.streamNext_ = 0;
+        ar.require(!generated || sim.streamJobs_.empty(),
+                   "arrival backlog", "left over in a generated run");
+    }
     ar.seq(sim.queue_, 33, "job queue", job);
 
     ar.f64s(sim.powerW_, n, "powerW");
@@ -771,17 +798,25 @@ CkptAccess::fleetCore(Ar &ar, Fleet &fleet)
     // here rather than vanish from the next save.
     ar.require(fleet.dispatcher_->cursor() == cursor, "dispatcher cursor",
                "this dispatcher keeps no such cursor");
-    auto &arrivals = *fleet.arrivals_;
-    ar.rng(arrivals.rng_, "arrival rng");
-    ar.finite(arrivals.clockS_, "arrival clock");
-    ar.u64(arrivals.nextId_);
-    ar.boolean(arrivals.hasPending_);
-    ar.job(arrivals.pending_, "arrival lookahead");
+    arrivalStream(ar, *fleet.arrivals_);
     ar.u64(fleet.metrics_.jobsArrived);
     ar.u64(fleet.metrics_.jobsDispatched);
     ar.each(fleet.metrics_.dispatchedPerShard, n, "dispatch counts",
             [&](auto &d) { ar.u64(d); });
     registry(ar, fleet.registry_);
+}
+
+// --- ARRIVALS: a JobGenerator's stream position -----------------------
+
+template <class Ar, class Gen>
+void
+CkptAccess::arrivalStream(Ar &ar, Gen &gen)
+{
+    ar.rng(gen.rng_, "arrival rng");
+    ar.finite(gen.clockS_, "arrival clock");
+    ar.u64(gen.nextId_);
+    ar.boolean(gen.hasPending_);
+    ar.job(gen.pending_, "arrival lookahead");
 }
 
 // --- engine save / restore --------------------------------------------
@@ -1035,6 +1070,9 @@ CkptAccess::restoreFleetFile(FleetSim &fleet, std::string_view image,
             payload = shard.str();
         shard.expectEnd("shard");
         loadSections(*fleet.shards_[s], payloads, mode, fork_id);
+        if (fleet.shards_[s]->arrivals_)
+            badField("fleet shard", "claims its own arrival stream; "
+                                    "the dispatcher feeds every shard");
     }
     fleet.fleetOpen_ = true;
 }

@@ -5,15 +5,18 @@
  *
  * A checkpoint captures the complete mutable state of an open run at
  * an epoch (or fleet exchange-window) boundary — SoA socket banks,
- * job backlog and queue, every RNG stream position, fault timeline
- * cursor, log and escalation ladder, obs counters and timeline
- * cursor, and (for a fleet) the arrival lookahead, dispatcher cursor
- * and every shard — such that resuming reproduces the uninterrupted
- * run *bit for bit*: hex-float-equal SimMetrics/FleetMetrics and
- * byte-identical sinks (pinned by tests/ckpt_test.cc). It holds no
- * state a restore can work out (the dirty flags, offline count,
- * decision count and derated-map flag), and not the end-of-run
- * gauges, which only the sink flush sets (a restore zeroes them).
+ * job queue, every RNG stream position (a generated run's arrival
+ * generator included; a submitted run keeps its backlog tail
+ * instead), fault timeline cursor, log and escalation ladder, obs
+ * counters and timeline cursor, and (for a fleet) the arrival
+ * generator, dispatcher cursor and every shard — such that resuming
+ * reproduces the uninterrupted run *bit for bit*: hex-float-equal
+ * SimMetrics/FleetMetrics and byte-identical sinks (pinned by
+ * tests/ckpt_test.cc). It holds no state a restore can work out (a
+ * generated run's future arrivals and whether they have closed, the
+ * hard stop, the dirty flags, offline count, decision count and
+ * derated-map flag), and not the end-of-run gauges, which only the
+ * sink flush sets (a restore zeroes them).
  *
  * File format, little-endian throughout:
  *
@@ -70,7 +73,7 @@ inline constexpr char kMagic[8] = {'D', 'S', 'I', 'M',
                                    'C', 'K', 'P', 'T'};
 
 /** Format version; bumped on any wire-format change. */
-inline constexpr std::uint32_t kVersion = 6;
+inline constexpr std::uint32_t kVersion = 7;
 
 /** What a checkpoint file holds. */
 enum class SnapshotKind : std::uint32_t

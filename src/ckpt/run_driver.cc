@@ -11,7 +11,6 @@
 #include "fleet/fleet_sim.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
-#include "workload/job_generator.hh"
 
 namespace densim::ckpt {
 
@@ -105,18 +104,6 @@ clearStopRequest()
     g_stop = 0;
 }
 
-void
-beginEngineRun(DenseServerSim &sim)
-{
-    const SimConfig &config = sim.config();
-    JobGenerator gen(config.workload, config.load,
-                     static_cast<int>(sim.topology().numSockets()),
-                     config.seed);
-    sim.beginRun();
-    sim.submitJobs(gen.generateUntil(config.simTimeS));
-    sim.closeArrivals();
-}
-
 DriveOutcome
 driveEngine(DenseServerSim &sim)
 {
@@ -166,7 +153,7 @@ runCellCheckpointed(const RunSpec &spec, const std::string &ckpt_dir)
         }
     }
     if (!resumed)
-        beginEngineRun(sim);
+        sim.beginGeneratedRun();
     const DriveOutcome out = driveEngine(sim);
     if (!out.completed) {
         throw CkptError(

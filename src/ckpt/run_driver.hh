@@ -18,7 +18,8 @@
  *    sinks and returning instead of finishing.
  *
  * Checkpointing is read-only with respect to the simulation: a run
- * driven here is bit-identical to sim.run() with the same config.
+ * driven here is bit-identical to sim.run() with the same config (or
+ * sim.run(jobs) with the same job list).
  */
 
 #ifndef DENSIM_CKPT_RUN_DRIVER_HH
@@ -63,18 +64,11 @@ struct DriveOutcome
 };
 
 /**
- * beginRun() + the full arrival stream + closeArrivals(), exactly as
- * DenseServerSim::run() would — the fresh-start half of a
- * checkpointable engine run (the resume half is restoreEngine()).
- * With every arrival submitted up front, a checkpoint taken at any
- * epoch carries the complete backlog.
- */
-void beginEngineRun(DenseServerSim &sim);
-
-/**
  * Drive an open engine run to completion or to a graceful stop.
- * Expects the run already open (beginEngineRun() or restoreEngine());
- * the caller finishes with sim.finishRun() when .completed.
+ * Expects the run already open: beginGeneratedRun() for a generated
+ * run, beginRun() + submitJobs() + closeArrivals() for a job list
+ * (trace replay), or restoreEngine(). The caller finishes with
+ * sim.finishRun() when .completed.
  */
 DriveOutcome driveEngine(DenseServerSim &sim);
 

@@ -302,27 +302,15 @@ DenseServerSim::warmStart()
 SimMetrics
 DenseServerSim::run()
 {
-    JobGenerator gen(config_.workload, config_.load,
-                     static_cast<int>(topo_.numSockets()), config_.seed);
-    return runJobs(gen.generateUntil(config_.simTimeS));
+    beginGeneratedRun();
+    while (epochPending())
+        advanceEpoch();
+    return finishRun();
 }
 
 SimMetrics
 DenseServerSim::run(const std::vector<Job> &jobs)
 {
-    for (std::size_t i = 1; i < jobs.size(); ++i) {
-        if (jobs[i].arrivalS < jobs[i - 1].arrivalS)
-            fatal("DenseServerSim: job arrivals must be sorted");
-    }
-    return runJobs(jobs);
-}
-
-SimMetrics
-DenseServerSim::runJobs(const std::vector<Job> &jobs)
-{
-    // The one-shot run is the streamed run with the full arrival list
-    // submitted up front: same epoch bodies, in the same order, so
-    // the pre-streaming hex-float goldens still pin this path.
     beginRun();
     submitJobs(jobs);
     closeArrivals();
@@ -341,9 +329,18 @@ DenseServerSim::beginRun()
     streamJobs_.clear();
     streamNext_ = 0;
     streamNowS_ = 0.0;
-    streamHardStopS_ = config_.simTimeS * config_.drainFactor;
     streamOpen_ = true;
+    arrivals_.reset();
     arrivalsClosed_ = false;
+}
+
+void
+DenseServerSim::beginGeneratedRun()
+{
+    beginRun();
+    arrivals_.emplace(config_.workload, config_.load,
+                      static_cast<int>(topo_.numSockets()), config_.seed);
+    arrivalsClosed_ = arrivals_->nextArrivalS() >= config_.simTimeS;
 }
 
 void
@@ -351,6 +348,9 @@ DenseServerSim::submitJobs(const std::vector<Job> &jobs)
 {
     if (!streamOpen_)
         fatal("DenseServerSim::submitJobs: no open run (beginRun?)");
+    if (arrivals_)
+        fatal("DenseServerSim::submitJobs: a generated run draws its "
+              "own arrivals");
     if (arrivalsClosed_)
         fatal("DenseServerSim::submitJobs: arrivals already closed");
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -379,13 +379,17 @@ DenseServerSim::closeArrivals()
 {
     if (!streamOpen_)
         fatal("DenseServerSim::closeArrivals: no open run");
+    if (arrivals_)
+        fatal("DenseServerSim::closeArrivals: a generated run closes "
+              "its own arrivals");
     arrivalsClosed_ = true;
 }
 
 bool
 DenseServerSim::epochPending() const
 {
-    if (!streamOpen_ || streamNowS_ >= streamHardStopS_)
+    if (!streamOpen_ ||
+        streamNowS_ >= config_.simTimeS * config_.drainFactor)
         return false;
     // With arrivals still open the shard must keep integrating: a
     // lockstep peer may dispatch work to it at the next barrier.
@@ -442,6 +446,14 @@ DenseServerSim::advanceEpoch()
         if (stride <= 1 || tick % stride == 0)
             attemptMigrations(t0);
         profiler_.lap(obs::Phase::Migration);
+    }
+    if (arrivals_ && !arrivalsClosed_) {
+        // Every drawn arrival lies before the epoch's end, so the
+        // last epoch consumed them all and the buffer is free.
+        arrivals_->nextWindow(std::min(t1, config_.simTimeS),
+                              streamJobs_);
+        streamNext_ = 0;
+        arrivalsClosed_ = arrivals_->nextArrivalS() >= config_.simTimeS;
     }
     processWindow(streamJobs_, streamNext_, t0, t1);
     profiler_.lap(obs::Phase::ProcessWindow);

@@ -47,6 +47,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/effects.hh"
@@ -91,31 +92,42 @@ class DenseServerSim
     SimMetrics run(const std::vector<Job> &jobs);
 
     // --- streaming (epoch-stepped) interface -------------------------
-    // The one-shot run() entry points are implemented on top of these,
-    // in the exact operation order of the historical monolithic loop,
-    // so a streamed run is bit-identical to a one-shot run of the
-    // same arrival sequence (pinned by the fleet suite). FleetSim
-    // drives shards through this interface: submit the dispatcher's
-    // arrivals for the next exchange window, advance epochs to the
-    // barrier, exchange summaries, repeat.
+    // Both run() entry points are a begin, an epoch loop and
+    // finishRun() over these, so a streamed run is bit-identical to a
+    // one-shot run of the same arrivals (pinned by the fleet suite).
+    // beginGeneratedRun() draws the configured workload one epoch at a
+    // time, so it holds no future jobs; beginRun() takes arrivals from
+    // submitJobs(), as FleetSim does for each exchange window (then
+    // advances epochs to the barrier and exchanges summaries) and
+    // trace replay does up front.
 
-    /** Reset and (optionally warm-)start a new streamed run. */
+    /** Reset and (optionally warm-)start a run fed by submitJobs(). */
     void beginRun();
+
+    /**
+     * beginRun(), then draw the configured workload (SimConfig's set,
+     * load and seed) inside advanceEpoch(): each epoch takes the
+     * arrivals before its end, and arrivals close once the next one
+     * lies at or past simTimeS.
+     */
+    void beginGeneratedRun();
 
     /**
      * Append arrivals to the open run. Must ascend within the batch
      * and from batch to batch; may be called any time between
-     * beginRun() and closeArrivals(). The consumed prefix of the
-     * backlog is compacted periodically, so a long-running fleet
-     * shard holds O(outstanding), not O(history), jobs.
+     * beginRun() and closeArrivals(), never in a generated run. The
+     * consumed prefix of the backlog is compacted periodically, so a
+     * long-running fleet shard holds O(outstanding), not O(history),
+     * jobs.
      */
     void submitJobs(const std::vector<Job> &jobs);
 
     /**
-     * Declare that no further submitJobs() calls will follow. Until
-     * arrivals are closed, epochPending() stays true even when the
-     * shard is idle — lockstep shards must keep integrating their
-     * thermal state while peers still produce work.
+     * Declare that no further submitJobs() calls will follow (a
+     * generated run closes its own arrivals). Until arrivals are
+     * closed, epochPending() stays true even when the shard is idle —
+     * lockstep shards must keep integrating their thermal state while
+     * peers still produce work.
      */
     void closeArrivals();
 
@@ -194,7 +206,6 @@ class DenseServerSim
     // --- run phases -------------------------------------------------
     void resetState();
     void warmStart();
-    SimMetrics runJobs(const std::vector<Job> &jobs);
     /** Bring the ambient-target field up to the current powers: the
      *  dirty sockets' deltas, or every kAmbientRefreshEpochs-th epoch
      *  a full refresh. */
@@ -520,9 +531,13 @@ class DenseServerSim
     std::vector<Job> streamJobs_; //!< Arrival backlog, ascending.
     std::size_t streamNext_ = 0;  //!< First unconsumed backlog entry.
     double streamNowS_ = 0.0;     //!< Start time of the next epoch.
-    double streamHardStopS_ = 0.0; //!< simTimeS * drainFactor.
     bool streamOpen_ = false;      //!< beginRun .. finishRun.
-    bool arrivalsClosed_ = false;  //!< closeArrivals() seen.
+    /** A generated run's arrival stream (beginGeneratedRun); each
+     *  epoch refills streamJobs_ from it. */
+    std::optional<JobGenerator> arrivals_;
+    /** closeArrivals() seen, or the stream's next arrival lies at or
+     *  past simTimeS. */
+    bool arrivalsClosed_ = false;
 };
 
 } // namespace densim

@@ -61,36 +61,13 @@ JobGenerator::next()
     return job;
 }
 
-std::vector<Job>
-JobGenerator::generateUntil(double horizon_s)
-{
-    std::vector<Job> jobs;
-    for (;;) {
-        Job job = next();
-        if (job.arrivalS >= horizon_s)
-            return jobs;
-        jobs.push_back(job);
-    }
-}
-
 void
 JobGenerator::nextWindow(double horizon_s, std::vector<Job> &out)
 {
     out.clear();
-    if (hasPending_) {
-        if (pending_.arrivalS >= horizon_s)
-            return;
+    while (nextArrivalS() < horizon_s) {
         out.push_back(pending_);
         hasPending_ = false;
-    }
-    for (;;) {
-        Job job = next();
-        if (job.arrivalS >= horizon_s) {
-            pending_ = job;
-            hasPending_ = true;
-            return;
-        }
-        out.push_back(job);
     }
 }
 
@@ -100,6 +77,16 @@ JobGenerator::nextWindow(double horizon_s)
     std::vector<Job> jobs;
     nextWindow(horizon_s, jobs);
     return jobs;
+}
+
+double
+JobGenerator::nextArrivalS()
+{
+    if (!hasPending_) {
+        pending_ = next();
+        hasPending_ = true;
+    }
+    return pending_.arrivalS;
 }
 
 } // namespace densim

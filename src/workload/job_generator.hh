@@ -54,25 +54,26 @@ class JobGenerator
     /** Produce the next job (arrival times strictly increase). */
     Job next();
 
-    /** Generate all jobs arriving before @p horizon_s. */
-    std::vector<Job> generateUntil(double horizon_s);
-
     /**
-     * Incremental variant of generateUntil(): replaces the contents
-     * of @p out with the jobs arriving in [previous horizon,
-     * @p horizon_s), buffering the first overshooting draw so it is
-     * delivered by the *next* call instead of being discarded.
-     * Calling nextWindow() with an increasing sequence of horizons
-     * yields exactly the stream a single generateUntil() over the
-     * union would have produced — this is what lets FleetSim fan
-     * arrivals out one exchange window at a time without perturbing
-     * the workload stream. @p out keeps its capacity, so a buffer
-     * reused across windows stops allocating once it has grown.
+     * Replace the contents of @p out with the jobs arriving in
+     * [previous horizon, @p horizon_s), buffering the first
+     * overshooting draw so it is delivered by the *next* call instead
+     * of being discarded. Calling nextWindow() with an increasing
+     * sequence of horizons yields exactly the stream of next() calls
+     * up to the last horizon — this is what lets FleetSim fan
+     * arrivals out one exchange window, and DenseServerSim one epoch,
+     * at a time without perturbing the workload stream. @p out keeps
+     * its capacity, so a buffer reused across windows stops
+     * allocating once it has grown.
      */
     void nextWindow(double horizon_s, std::vector<Job> &out);
 
     /** nextWindow() into a new vector. */
     std::vector<Job> nextWindow(double horizon_s);
+
+    /** Arrival of the job the next window starts with, drawn and
+     *  buffered now if none is. */
+    double nextArrivalS();
 
     /** Poisson arrival rate, jobs per second. */
     double arrivalRate() const { return rate_; }

@@ -36,6 +36,7 @@
 #include "fleet/fleet_metrics.hh"
 #include "fleet/fleet_sim.hh"
 #include "sched/factory.hh"
+#include "sim_metrics_hex.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -56,59 +57,6 @@ fastConfig()
     config.load = 0.7;
     config.seed = 11;
     return config;
-}
-
-/** Hexfloat rendering: equal strings iff bit-identical doubles. */
-void
-hex(std::ostringstream &out, double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a ", v);
-    out << buf;
-}
-
-void
-hex(std::ostringstream &out, const RunningStats &s)
-{
-    const RunningStats::Snapshot snap = s.snapshot();
-    out << snap.count << ' ';
-    hex(out, snap.mean);
-    hex(out, snap.m2);
-    hex(out, snap.min);
-    hex(out, snap.max);
-}
-
-/** Every SimMetrics field, hexfloat — EXPECT_EQ means bit-identical. */
-std::string
-serializeSimMetrics(const SimMetrics &m)
-{
-    std::ostringstream out;
-    out << m.jobsArrived << ' ' << m.jobsCompleted << ' '
-        << m.jobsUnfinished << ' ' << m.migrations << ' ';
-    hex(out, m.runtimeExpansion);
-    hex(out, m.serviceExpansion);
-    hex(out, m.queueDelayS);
-    hex(out, m.energyJ);
-    hex(out, m.measuredS);
-    hex(out, m.makespanS);
-    for (const RegionMetrics *r : {&m.front, &m.back, &m.even}) {
-        hex(out, r->busyTimeS);
-        hex(out, r->freqTime);
-        hex(out, r->workDone);
-    }
-    hex(out, m.totalWork);
-    hex(out, m.totalBusyTime);
-    hex(out, m.totalFreqTime);
-    out << m.timelineS.size() << ' ';
-    for (const double t : m.timelineS)
-        hex(out, t);
-    for (const std::vector<double> &row : m.zoneAmbientC)
-        for (const double c : row)
-            hex(out, c);
-    hex(out, m.chipTempC);
-    hex(out, m.maxChipTempC);
-    hex(out, m.boostTimeS);
-    return out.str();
 }
 
 std::string
@@ -147,7 +95,7 @@ runInterrupted(const SimConfig &config, const std::string &policy,
     std::string image;
     {
         DenseServerSim sim(config, makeScheduler(policy));
-        ckpt::beginEngineRun(sim);
+        sim.beginGeneratedRun();
         while (sim.epochPending() && sim.nowS() < stop_at_s)
             sim.advanceEpoch();
         image = ckpt::saveEngine(sim);
@@ -278,7 +226,7 @@ TEST(BitIdentity, MidRunFlushLeavesTheFinalSinksUnchanged)
         c.obsTracePath = tempPath(tag + "_trace.json");
         c.fault.logPath = tempPath(tag + "_faults.jsonl");
         DenseServerSim sim(c, makeScheduler("CP"));
-        ckpt::beginEngineRun(sim);
+        sim.beginGeneratedRun();
         while (sim.epochPending() && sim.nowS() < 0.5)
             sim.advanceEpoch();
         if (flush)
@@ -306,7 +254,7 @@ TEST(BitIdentity, SaveRestoreSaveRoundTripsBytes)
     SimConfig config = fastConfig();
     config.fault.sensorNoisyAtS = 0.2;
     DenseServerSim a(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(a);
+    a.beginGeneratedRun();
     while (a.epochPending() && a.nowS() < 0.3)
         a.advanceEpoch();
     const std::string image = ckpt::saveEngine(a);
@@ -354,7 +302,7 @@ TEST(Fork, ReseedsFutureButKeepsState)
     std::string image;
     {
         DenseServerSim sim(config, makeScheduler("A-Random"));
-        ckpt::beginEngineRun(sim);
+        sim.beginGeneratedRun();
         while (sim.epochPending() && sim.nowS() < 0.3)
             sim.advanceEpoch();
         image = ckpt::saveEngine(sim);
@@ -423,12 +371,26 @@ TEST(Fork, FleetReseedsFutureButKeepsState)
 
 // ------------------------------------------------ hostile input
 
-/** A valid mid-run engine image to corrupt. */
+/**
+ * A valid mid-run engine image to corrupt: a generated run, whose
+ * core section holds its generator's position, or with @p submitted
+ * a run given its whole job list up front, as trace replay is, whose
+ * core section holds the unconsumed tail of that list.
+ */
 std::string
-goldenImage(const SimConfig &config)
+goldenImage(const SimConfig &config, bool submitted = false)
 {
     DenseServerSim sim(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(sim);
+    if (submitted) {
+        JobGenerator gen(config.workload, config.load,
+                         static_cast<int>(sim.topology().numSockets()),
+                         config.seed);
+        sim.beginRun();
+        sim.submitJobs(gen.nextWindow(config.simTimeS));
+        sim.closeArrivals();
+    } else {
+        sim.beginGeneratedRun();
+    }
     while (sim.epochPending() && sim.nowS() < 0.2)
         sim.advanceEpoch();
     return ckpt::saveEngine(sim);
@@ -436,19 +398,24 @@ goldenImage(const SimConfig &config)
 
 /**
  * Every corrupted image must throw CkptError with a non-empty
- * message, leave the engine closed and un-mutated, and leave it
- * fully usable: a subsequent restore of the intact image succeeds.
+ * message, naming @p cause when one is given, leave the engine
+ * closed and un-mutated, and leave it fully usable: a subsequent
+ * restore of the intact image succeeds.
  */
 void
 expectRejected(const SimConfig &config, const std::string &good,
-               const std::string &bad, const std::string &what)
+               const std::string &bad, const std::string &what,
+               const std::string &cause = "")
 {
     DenseServerSim sim(config, makeScheduler("CP"));
     try {
         ckpt::restoreEngine(sim, bad);
         FAIL() << "corrupted image accepted: " << what;
     } catch (const ckpt::CkptError &err) {
-        EXPECT_FALSE(std::string(err.what()).empty()) << what;
+        const std::string message = err.what();
+        EXPECT_FALSE(message.empty()) << what;
+        EXPECT_NE(message.find(cause), std::string::npos)
+            << what << ": " << message;
     }
     // No partial mutation: the engine still restores cleanly.
     ckpt::restoreEngine(sim, good);
@@ -563,6 +530,7 @@ TEST(HostileInput, EmptyAndGarbageFilesAreRejected)
 constexpr std::uint32_t kCoreSection = 1;
 constexpr std::uint32_t kFaultSection = 5;
 constexpr std::uint32_t kFleetCoreSection = 10;
+constexpr std::uint32_t kShardSection = 100;
 
 /** One section as framed in a checkpoint file. */
 struct SectionFrame
@@ -601,6 +569,42 @@ resealSection(std::string &image, const SectionFrame &f)
         std::string_view(image).substr(f.offset, f.length));
     for (std::size_t i = 0; i < 8; ++i, crc >>= 8)
         image[f.offset - 8 + i] = static_cast<char>(crc & 0xff);
+}
+
+/** The payload of section @p id of @p image. */
+std::string
+sectionPayload(const std::string &image, std::uint32_t id)
+{
+    for (const SectionFrame &f : sectionFrames(image))
+        if (f.id == id)
+            return image.substr(f.offset, f.length);
+    ADD_FAILURE() << "no section " << id;
+    return {};
+}
+
+/**
+ * @p image with the payload of section @p id replaced by @p payload,
+ * its length and checksum framed to match.
+ */
+std::string
+withSection(const std::string &image, std::uint32_t id,
+            const std::string &payload)
+{
+    std::string out;
+    std::size_t copied = 0;
+    for (const SectionFrame &f : sectionFrames(image)) {
+        const std::size_t frame = f.offset - 20; // id, length, checksum
+        out += image.substr(copied, frame - copied);
+        const std::string body =
+            f.id == id ? payload : image.substr(f.offset, f.length);
+        ckpt::Writer w;
+        w.u32(f.id);
+        w.u64(body.size());
+        w.u64(ckpt::sectionCrc(body));
+        out += w.take() + body;
+        copied = f.offset + f.length;
+    }
+    return out;
 }
 
 /**
@@ -655,7 +659,7 @@ std::string
 faultedMigrationImage(const SimConfig &config)
 {
     DenseServerSim sim(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(sim);
+    sim.beginGeneratedRun();
     while (sim.epochPending() && sim.nowS() < 0.3)
         sim.advanceEpoch();
     return ckpt::saveEngine(sim);
@@ -718,14 +722,14 @@ TEST(CkptFormat, SectionBytesArePinned)
         }
     };
     expectPins(goldenImage(fastConfig()),
-               {{1, 47147, 0xd90ac4a895fa45d8ULL},
+               {{1, 4132, 0x3e96dbc39fe1980dULL},
                 {2, 123, 0x250e39de3beeb8adULL},
                 {3, 344, 0x7792b336c29fd761ULL},
                 {4, 366, 0x23fb55b62c4a4e48ULL},
                 {5, 1145, 0xa51c429a459b0cc4ULL}},
                "engine");
     expectPins(faultedMigrationImage(faultedMigrationConfig()),
-               {{1, 35514, 0xbde962b3c4df9413ULL},
+               {{1, 4148, 0xe2cfb67eeebc9003ULL},
                 {2, 123, 0x50d1dc19052e6798ULL},
                 {3, 344, 0xe89c60914d2f462bULL},
                 {4, 725, 0x171d168dac08b187ULL},
@@ -733,9 +737,9 @@ TEST(CkptFormat, SectionBytesArePinned)
                "faulted");
     expectPins(fleetImage(threeChassisConfig("roundrobin")),
                {{10, 237, 0xe44b57f3a8c8c986ULL},
-                {100, 6083, 0xb886c13a15bec14eULL},
-                {101, 6059, 0x11a54c7cac8dc198ULL},
-                {102, 6059, 0xdfbf8a282016a07bULL}},
+                {100, 6076, 0x1f6368817865cd44ULL},
+                {101, 6052, 0x9f41a07583d7f77aULL},
+                {102, 6052, 0x075c73aeea9a37d5ULL}},
                "fleet");
 }
 
@@ -854,20 +858,28 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
     // accept it as a state that re-saves to exactly the mutated
     // bytes: nothing it accepts may be dropped or normalized. The
     // per-section split is pinned, so a lost check fails here too.
+    // A generated run's core section holds its generator's position;
+    // the core section of a run given its whole list up front holds
+    // the list's tail, so it covers the job encoding. The other four
+    // sections of the two images are equal.
     struct Split
     {
+        bool submitted;
         std::uint32_t id;
         std::size_t stride;
         int mutations;
         int rejected;
     };
-    const Split splits[] = {{1, 56, 2526, 639}, {2, 8, 46, 0},
-                            {3, 8, 129, 6},     {4, 8, 137, 104},
-                            {5, 8, 430, 58}};
+    const Split splits[] = {
+        {false, 1, 56, 222, 76},   {false, 2, 8, 46, 0},
+        {false, 3, 8, 129, 6},     {false, 4, 8, 137, 104},
+        {false, 5, 8, 430, 58},    {true, 1, 56, 2526, 645}};
     const SimConfig config = fastConfig();
-    const std::string good = goldenImage(config);
+    const std::string images[] = {goldenImage(config),
+                                  goldenImage(config, true)};
     DenseServerSim sim(config, makeScheduler("CP"));
     for (const Split &split : splits) {
+        const std::string &good = images[split.submitted ? 1 : 0];
         int mutations = 0;
         int rejected = 0;
         forEachMutation(
@@ -887,8 +899,11 @@ TEST(HostileInput, CrcValidMutationsAreRejectedOrRoundTrip)
                     << " restored to a different state";
                 (void)sim.finishRun();
             });
-        EXPECT_EQ(mutations, split.mutations) << "section " << split.id;
-        EXPECT_EQ(rejected, split.rejected) << "section " << split.id;
+        const char *run = split.submitted ? "submitted" : "generated";
+        EXPECT_EQ(mutations, split.mutations)
+            << run << " section " << split.id;
+        EXPECT_EQ(rejected, split.rejected)
+            << run << " section " << split.id;
     }
 }
 
@@ -997,6 +1012,87 @@ TEST(HostileInput, DirtySocketListedTwiceIsRejected)
     expectRejected(config, good, bad, "dirty socket listed twice");
 }
 
+// A generated run's core section opens with the socket count, the
+// stream position, the generated flag and the arrival stream: the
+// generator (4 state words, the spare flag and the spare), its
+// clock, the next id, the buffered flag and the buffered job. The
+// backlog count follows. A fleet core section holds the same stream
+// after its chassis count, window, open flag and dispatcher cursor.
+constexpr std::size_t kGeneratedFlagAt = 16;
+constexpr std::size_t kStreamBytes = 41 + 8 + 8 + 1 + 33;
+constexpr std::size_t kBufferedFlagAt = kGeneratedFlagAt + 1 + 41 + 16;
+constexpr std::size_t kBacklogAt = kGeneratedFlagAt + 1 + kStreamBytes;
+constexpr std::size_t kFleetStreamAt = 8 + 8 + 1 + 8;
+
+TEST(HostileInput, GeneratedRunWithABacklogIsRejected)
+{
+    // Every arrival a generated run draws lies before the epoch's
+    // end, so none is left at a boundary. Here the buffered job is
+    // also listed as one backlog job.
+    const SimConfig config = fastConfig();
+    const std::string good = goldenImage(config);
+    std::string core = sectionPayload(good, kCoreSection);
+    ASSERT_EQ(core[kGeneratedFlagAt], 1);
+    ASSERT_EQ(core.substr(kBacklogAt, 8), std::string(8, '\0'));
+    ckpt::Writer w;
+    w.u64(1);
+    core.replace(kBacklogAt, 8,
+                 w.take() + core.substr(kBacklogAt - 33, 33));
+    expectRejected(config, good, withSection(good, kCoreSection, core),
+                   "backlog in a generated run", "arrival backlog");
+}
+
+TEST(HostileInput, GeneratedRunWithoutABufferedJobIsRejected)
+{
+    // A generated run buffers its first arrival when it begins and
+    // keeps one buffered ever after: whether its arrivals have closed
+    // is read off that job.
+    const SimConfig config = fastConfig();
+    const std::string good = goldenImage(config);
+    std::string core = sectionPayload(good, kCoreSection);
+    ASSERT_EQ(core[kBufferedFlagAt], 1);
+    core[kBufferedFlagAt] = 0;
+    expectRejected(config, good, withSection(good, kCoreSection, core),
+                   "no buffered job", "no buffered next job");
+}
+
+TEST(HostileInput, FleetShardWithItsOwnArrivalStreamIsRejected)
+{
+    // The dispatcher feeds every shard. Shard 0's core section is
+    // given the fleet's arrival stream in place of its closed flag.
+    const SimConfig config = threeChassisConfig("roundrobin");
+    const std::string good = fleetImage(config);
+    const std::string stream =
+        sectionPayload(good, kFleetCoreSection).substr(kFleetStreamAt,
+                                                       kStreamBytes);
+    const std::string section = sectionPayload(good, kShardSection);
+    ckpt::Reader shard(section);
+    std::string payloads[5];
+    for (std::string &payload : payloads)
+        payload = shard.str();
+    std::string &core = payloads[0];
+    ASSERT_EQ(core[kGeneratedFlagAt], 0);
+    core.replace(kGeneratedFlagAt, 2, '\x01' + stream);
+    ckpt::Writer w;
+    for (const std::string &payload : payloads)
+        w.str(payload);
+    const std::string bad = withSection(good, kShardSection, w.take());
+
+    FleetSim fleet(config, "CP");
+    try {
+        ckpt::restoreFleet(fleet, bad);
+        FAIL() << "a shard with its own arrival stream was accepted";
+    } catch (const ckpt::CkptError &err) {
+        EXPECT_NE(std::string(err.what()).find("own arrival stream"),
+                  std::string::npos)
+            << err.what();
+    }
+    ckpt::restoreFleet(fleet, good);
+    while (fleet.advanceWindow(2)) {
+    }
+    EXPECT_GT(fleet.finishRun().jobsCompleted, 0u);
+}
+
 TEST(HostileInput, CrcValidTraceMutationsAreRejectedOrRoundTrip)
 {
     // The same property over the fault section of a traced run with
@@ -1071,7 +1167,7 @@ TEST(Misuse, RestoreIntoOpenRunIsFatal)
     const SimConfig config = fastConfig();
     const std::string image = goldenImage(config);
     DenseServerSim sim(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(sim);
+    sim.beginGeneratedRun();
     const ScopedFatalThrows guard;
     EXPECT_THROW(ckpt::restoreEngine(sim, image), FatalError);
 }
@@ -1143,7 +1239,7 @@ TEST(Driver, CadenceCheckpointIsReadOnlyAndResumable)
     config.ckptPath = tempPath("cadence.ckpt");
     config.ckptEveryS = 0.25;
     DenseServerSim sim(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(sim);
+    sim.beginGeneratedRun();
     ckpt::clearStopRequest();
     const ckpt::DriveOutcome out = ckpt::driveEngine(sim);
     ASSERT_TRUE(out.completed);
@@ -1164,7 +1260,7 @@ TEST(Driver, StopRequestCheckpointsAndReturns)
     SimConfig config = fastConfig();
     config.ckptPath = tempPath("stop.ckpt");
     DenseServerSim sim(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(sim);
+    sim.beginGeneratedRun();
     ckpt::requestStop();
     const ckpt::DriveOutcome out = ckpt::driveEngine(sim);
     ckpt::clearStopRequest();
@@ -1191,7 +1287,7 @@ TEST(Driver, StopDuringSetUpCheckpointsTheEngineAtItsStart)
     config.ckptPath = tempPath("setup_stop.ckpt");
     ckpt::requestStop();
     DenseServerSim sim(config, makeScheduler("CP"));
-    ckpt::beginEngineRun(sim);
+    sim.beginGeneratedRun();
     const ckpt::DriveOutcome out = ckpt::driveEngine(sim);
     ckpt::clearStopRequest();
     EXPECT_FALSE(out.completed);

@@ -467,7 +467,7 @@ mixedSetJobs(double load)
     std::uint64_t seed = base.seed;
     for (const WorkloadSet set : allWorkloadSets()) {
         JobGenerator gen(set, load / 3.0, sockets, ++seed);
-        std::vector<Job> part = gen.generateUntil(base.simTimeS);
+        std::vector<Job> part = gen.nextWindow(base.simTimeS);
         std::vector<Job> merged;
         std::merge(jobs.begin(), jobs.end(), part.begin(), part.end(),
                    std::back_inserter(merged),

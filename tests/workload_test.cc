@@ -157,7 +157,7 @@ TEST(JobGenerator, RateScalesWithLoad)
 TEST(JobGenerator, EmpiricalRateMatchesNominal)
 {
     JobGenerator gen(WorkloadSet::GeneralPurpose, 0.6, 180, 77);
-    const auto jobs = gen.generateUntil(5.0);
+    const auto jobs = gen.nextWindow(5.0);
     EXPECT_NEAR(static_cast<double>(jobs.size()) / 5.0,
                 gen.arrivalRate(), 0.05 * gen.arrivalRate());
 }
@@ -165,10 +165,13 @@ TEST(JobGenerator, EmpiricalRateMatchesNominal)
 TEST(JobGenerator, WindowsIntoAReusedBufferReproduceGenerateUntil)
 {
     // Windows drawn into one buffer, some empty, and a copy of the
-    // generator taken mid-stream must both replay generateUntil's
-    // stream exactly: the fleet draws each window on a copy.
+    // generator taken mid-stream must both replay the stream of
+    // next() calls exactly: the fleet draws each window on a copy,
+    // and a generated engine run one window per epoch.
     JobGenerator whole(WorkloadSet::Computation, 0.7, 180, 21);
-    const std::vector<Job> expected = whole.generateUntil(0.2);
+    std::vector<Job> expected;
+    for (Job job = whole.next(); job.arrivalS < 0.2; job = whole.next())
+        expected.push_back(job);
     ASSERT_GT(expected.size(), 100u);
 
     JobGenerator gen(WorkloadSet::Computation, 0.7, 180, 21);

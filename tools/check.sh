@@ -47,9 +47,10 @@
 #   ckpt      the asan tree + the checkpoint/restore bank
 #             (bit-identical resume, hostile-input rejection,
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
-#             run mid-flight, resume it, and byte-compare the final
-#             JSON against the uninterrupted run; then the same for a
-#             SIGTERM during set-up, which must checkpoint at t = 0
+#             run mid-flight, bound its checkpoint below 1 MB, resume
+#             it, and byte-compare the final JSON against the
+#             uninterrupted run; then the same for a SIGTERM during a
+#             trace replay's set-up, which must checkpoint at t = 0
 #             (DESIGN.md Sec. 16)
 #   perfbench the benchmark (perfbench/, BENCHMARK.json): build it
 #             and run `perfbench/run.py --selftest`, which checks its
@@ -336,19 +337,31 @@ stage_ckpt() {
         echo "check.sh: ckpt: no checkpoint file written" >&2
         exit 1
     fi
+    # A generated run checkpoints its generator's position, not the
+    # arrivals still to come, so the image stays small at any horizon.
+    local bytes
+    bytes=$(stat -c %s "$out/run.ckpt")
+    if [ "$bytes" -ge 1000000 ]; then
+        echo "check.sh: ckpt: a $bytes-byte checkpoint (want < 1 MB)" >&2
+        exit 1
+    fi
     ./build-asan/tools/densim "${args[@]}" \
         --restore "$out/run.ckpt" > "$out/resumed.json"
     cmp "$out/straight.json" "$out/resumed.json"
     echo "ckpt smoke: SIGTERM at exit $rc, resume byte-identical"
     # A stop during set-up. The handlers are armed before the engine
-    # is built, and drawing this horizon's arrivals keeps set-up
-    # going well past 0.1 s (on a 4-vCPU KVM guest this ASan build
-    # arms them 10-20 ms after launch and ends set-up at 0.51-0.56 s),
-    # so the SIGTERM lands in it. The first poll must checkpoint the
-    # run at t = 0 and exit 3, and that checkpoint must resume to the
-    # straight run.
-    local setup=(run --scheduler CF --load 0.7 --set simTimeS=60
-                 --set warmupS=3 --json)
+    # is built. A generated run's set-up is little more than building
+    # the engine, but a trace replay first loads its trace, and
+    # loading this 1,000,000-job trace (15.6 MB) keeps set-up going
+    # well past 0.1 s (on a 4-vCPU KVM guest this ASan build spends
+    # 0.77-0.83 s before the first epoch, and 0.87-1.02 s on the
+    # whole replay), so the SIGTERM lands in it. The first poll must checkpoint the replay at t = 0
+    # and exit 3, and that checkpoint, which holds the submitted list,
+    # must resume to the straight replay.
+    ./build-asan/tools/densim trace-capture --load 0.7 --jobs 1000000 \
+        --trace "$out/setup.trace" > /dev/null
+    local setup=(trace-replay --trace "$out/setup.trace" --scheduler CF
+                 --set simTimeS=1 --set warmupS=0.2 --json)
     ./build-asan/tools/densim "${setup[@]}" > "$out/setup-straight.json"
     rm -f "$out/setup.ckpt"
     set +e
@@ -369,9 +382,9 @@ stage_ckpt() {
     ./build-asan/tools/densim "${setup[@]}" \
         --restore "$out/setup.ckpt" > "$out/setup-resumed.json"
     cmp "$out/setup-straight.json" "$out/setup-resumed.json"
-    rm -f "$out/setup.ckpt"
-    echo "ckpt smoke: SIGTERM during set-up checkpointed at t=0s," \
-         "resume byte-identical"
+    rm -f "$out/setup.ckpt" "$out/setup.trace"
+    echo "ckpt smoke: SIGTERM during a replay's set-up checkpointed" \
+         "at t=0s, resume byte-identical"
 }
 
 stage_perfbench() {

@@ -339,8 +339,7 @@ printObsTables(const obs::Registry &registry,
 }
 
 void
-report(const Cli &cli, const SimConfig &config,
-       const DenseServerSim &sim, const SimMetrics &m)
+report(const Cli &cli, const DenseServerSim &sim, const SimMetrics &m)
 {
     // Assemble the full report before emitting a single byte, so a
     // mid-serialization failure can never leave a truncated JSON
@@ -357,7 +356,7 @@ report(const Cli &cli, const SimConfig &config,
         std::cout << out.str();
         return;
     }
-    printRunTable(cli.scheduler, config, m);
+    printRunTable(cli.scheduler, sim.config(), m);
     if (cli.counters)
         printObsTables(sim.observability(), sim.phaseProfile());
 }
@@ -406,9 +405,9 @@ constexpr int kExitCheckpointed = 3;
  * SIGINT/SIGTERM become a graceful stop (checkpoint, flush, exit 3)
  * only for a run that checkpoints or was restored; any other run
  * keeps the default handlers. Armed before the engine or fleet is
- * built: a stop during set-up (arrival generation, a restore) is
- * seen by the drive loop's first poll, which checkpoints the run at
- * its start.
+ * built: a stop during set-up (loading a trace, a restore) is seen
+ * by the drive loop's first poll, which checkpoints the run at its
+ * start.
  */
 void
 armStopSignals(const Cli &cli)
@@ -465,15 +464,16 @@ cmdFleetRun(const Cli &cli)
     return 0;
 }
 
+/**
+ * Open the run of @p sim with @p begin, or restore it from
+ * --restore; drive it to its end or to a stop; report it.
+ */
+template <class Begin>
 int
-cmdRun(const Cli &cli)
+runEngine(const Cli &cli, DenseServerSim &sim, Begin begin)
 {
-    armStopSignals(cli);
-    if (cli.config.fleet.enabled())
-        return cmdFleetRun(cli);
-    DenseServerSim sim(cli.config, makeScheduler(cli.scheduler));
     if (cli.restorePath.empty())
-        ckpt::beginEngineRun(sim);
+        begin();
     else
         ckpt::restoreEngine(sim,
                             ckpt::readCheckpointFile(cli.restorePath),
@@ -487,8 +487,18 @@ cmdRun(const Cli &cli)
                   << "\n";
         return kExitCheckpointed;
     }
-    report(cli, cli.config, sim, sim.finishRun());
+    report(cli, sim, sim.finishRun());
     return 0;
+}
+
+int
+cmdRun(const Cli &cli)
+{
+    armStopSignals(cli);
+    if (cli.config.fleet.enabled())
+        return cmdFleetRun(cli);
+    DenseServerSim sim(cli.config, makeScheduler(cli.scheduler));
+    return runEngine(cli, sim, [&] { sim.beginGeneratedRun(); });
 }
 
 int
@@ -606,18 +616,23 @@ cmdTraceReplay(const Cli &cli)
 {
     if (cli.tracePath.empty())
         fatal("trace-replay needs --trace FILE");
+    armStopSignals(cli);
     const XperfTrace trace = XperfTrace::loadFile(cli.tracePath);
-    std::vector<Job> jobs;
-    for (const Job &job : trace.jobs()) {
-        if (job.arrivalS < cli.config.simTimeS)
-            jobs.push_back(job);
-    }
     SimConfig config = cli.config;
     config.workload = trace.set();
     DenseServerSim sim(config, makeScheduler(cli.scheduler));
-    const SimMetrics m = sim.run(jobs);
-    report(cli, config, sim, m);
-    return 0;
+    return runEngine(cli, sim, [&] {
+        // The whole list goes in up front, and a checkpoint keeps its
+        // unconsumed tail: the trace is input, nothing derives it.
+        std::vector<Job> jobs;
+        for (const Job &job : trace.jobs()) {
+            if (job.arrivalS < config.simTimeS)
+                jobs.push_back(job);
+        }
+        sim.beginRun();
+        sim.submitJobs(jobs);
+        sim.closeArrivals();
+    });
 }
 
 int
