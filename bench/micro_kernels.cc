@@ -44,6 +44,26 @@ BM_CouplingAmbientField(benchmark::State &state)
 BENCHMARK(BM_CouplingAmbientField);
 
 void
+BM_CouplingMapBuild(benchmark::State &state)
+{
+    // The SUT (Arg 2: twin sockets share a site, so half the rows and
+    // coefficients are copies) and the same chassis with one socket
+    // per zone (Arg 1: no two sockets share a site, so only the decay
+    // memo applies).
+    TopologySpec spec;
+    spec.socketsPerZone = static_cast<int>(state.range(0));
+    const std::vector<SocketSite> sites = ServerTopology(spec).sites();
+    for (auto _ : state) {
+        const CouplingMap map(sites, defaultCouplingParams());
+        benchmark::DoNotOptimize(map.downstreamImpact(0));
+    }
+}
+BENCHMARK(BM_CouplingMapBuild)
+    ->Arg(2)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void
 BM_RcNetworkSteadySolve(benchmark::State &state)
 {
     ChipStackParams params;
@@ -297,8 +317,8 @@ BM_FleetServerSecond(benchmark::State &state)
     config.warmupS = 0.2;
     config.socketTauS = 3.0;
     config.fleet.chassis = 16;
-    // Construction (16 topology + coupling-map builds) is one-time
-    // setup; the timed section is the lockstep run itself.
+    // Construction (BM_FleetBuild) is one-time setup; the timed
+    // section is the lockstep run itself.
     FleetSim fleet(config, "CP");
     for (auto _ : state) {
         auto metrics = fleet.run(threads);
@@ -313,6 +333,20 @@ BENCHMARK(BM_FleetServerSecond)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+void
+BM_FleetBuild(benchmark::State &state)
+{
+    // A fleet's set-up: one coupling map for all its chassis, then one
+    // engine per chassis.
+    SimConfig config;
+    config.fleet.chassis = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        FleetSim fleet(config, "CF");
+        benchmark::DoNotOptimize(fleet.chassis());
+    }
+}
+BENCHMARK(BM_FleetBuild)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 // --- checkpoint round trip (DESIGN.md Sec. 16) -----------------------
 

@@ -483,6 +483,17 @@ class CkptAccess
                                  std::uint64_t fork_id);
 
   private:
+    /** stateDigest of @p sim (an engine or a fleet) at its first
+     *  save or restore: config and policy are fixed at construction. */
+    template <class Sim>
+    static std::uint64_t digest(const Sim &sim, const SimConfig &config,
+                                const Scheduler &policy)
+    {
+        if (!sim.ckptDigest_)
+            sim.ckptDigest_ = ckpt::stateDigest(policy.name(), config);
+        return *sim.ckptDigest_;
+    }
+
     // One transfer function per section, over the direction: Sim is
     // const DenseServerSim when saving. Each validates every length
     // and index as it loads; cross-section consistency is audited in
@@ -841,12 +852,10 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
 {
     const std::size_t n = sim.topo_.numSockets();
 
-    // The saved run was under a fan derate: rebuild the derated
-    // coupling operator as applyFanFlowFraction does, but without
-    // retargeting — ambTargets_ and couplingEpoch_ were restored
-    // verbatim.
-    if (sim.faultState_.flowFrac() != 1.0)
-        sim.coupling_ = sim.deratedCoupling(sim.faultState_.flowFrac());
+    // The map in force, as applyFanFlowFraction picks it but without
+    // retargeting (ambTargets_ and couplingEpoch_ were restored
+    // verbatim): only a run saved under a fan derate builds one.
+    sim.coupling_ = sim.deratedCoupling(sim.faultState_.flowFrac());
 
     // The completion list stays empty (resetState): at an epoch
     // boundary it holds nothing, and the next powerManage lists the
@@ -910,7 +919,7 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
     // target powers (under the derated map rebuilt above), within the
     // drift the paranoid epoch check allows: a field that jumps across
     // the checkpoint would steer every socket toward a wrong target.
-    const std::vector<double> field = sim.coupling_.ambientTemps(
+    const std::vector<double> field = sim.coupling_->ambientTemps(
         sim.targetPowerW_, sim.config_.topo.inlet());
     for (std::size_t s = 0; s < n; ++s)
         if (!(std::fabs(sim.ambTargets_[s] - field[s]) <=
@@ -972,7 +981,7 @@ CkptAccess::saveEngineFile(const DenseServerSim &sim)
     for (std::size_t i = 0; i < table.size(); ++i)
         sections.emplace_back(table[i].id, std::move(image[i]));
     return buildFile(SnapshotKind::Engine,
-                     ckpt::stateDigest(sim.policy_->name(), sim.config_),
+                     digest(sim, sim.config_, *sim.policy_),
                      sections);
 }
 
@@ -986,7 +995,7 @@ CkptAccess::restoreEngineFile(DenseServerSim &sim,
               "(double restore?)");
     const auto sections =
         parseFile(image, SnapshotKind::Engine,
-                  ckpt::stateDigest(sim.policy_->name(), sim.config_));
+                  digest(sim, sim.config_, *sim.policy_));
     const auto &table = kEngineSections<Loader, DenseServerSim>;
     if (sections.size() != table.size())
         throw CkptError("checkpoint: engine file has " +
@@ -1020,8 +1029,7 @@ CkptAccess::saveFleetFile(const FleetSim &fleet)
     }
     return buildFile(
         SnapshotKind::Fleet,
-        ckpt::stateDigest(fleet.shards_.front()->policy_->name(),
-                          fleet.base_),
+        digest(fleet, fleet.base_, *fleet.shards_.front()->policy_),
         sections);
 }
 
@@ -1035,8 +1043,7 @@ CkptAccess::restoreFleetFile(FleetSim &fleet, std::string_view image,
     const std::size_t n = fleet.shards_.size();
     const auto sections = parseFile(
         image, SnapshotKind::Fleet,
-        ckpt::stateDigest(fleet.shards_.front()->policy_->name(),
-                          fleet.base_));
+        digest(fleet, fleet.base_, *fleet.shards_.front()->policy_));
     if (sections.size() != n + 1)
         throw CkptError("checkpoint: fleet file has " +
                         std::to_string(sections.size()) +

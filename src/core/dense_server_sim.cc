@@ -63,9 +63,13 @@ fanDerateEffect(double speed_cap, int fan_count, double required_cfm)
 } // namespace
 
 DenseServerSim::DenseServerSim(const SimConfig &sim_config,
-                               std::unique_ptr<Scheduler> sim_policy)
+                               std::unique_ptr<Scheduler> sim_policy,
+                               std::shared_ptr<const CouplingMap> coupling)
     : config_(sim_config), topo_(sim_config.topo),
-      coupling_(topo_.sites(), sim_config.coupling),
+      pristine_(coupling ? std::move(coupling)
+                         : std::make_shared<const CouplingMap>(
+                               topo_.sites(), sim_config.coupling)),
+      coupling_(pristine_),
       peak_(sim_config.rInt()),
       pm_(PStateTable::x2150(), peak_, sim_config.tLimit(),
           sim_config.gatedFracTdp),
@@ -76,6 +80,9 @@ DenseServerSim::DenseServerSim(const SimConfig &sim_config,
     config_.validate();
     if (!policy_)
         fatal("DenseServerSim: no scheduling policy supplied");
+    if (pristine_->sites() != topo_.sites() ||
+        pristine_->params() != config_.coupling)
+        fatal("DenseServerSim: coupling map built for other sites/params");
 
     const std::size_t n = topo_.numSockets();
     isFront_.resize(n);
@@ -201,10 +208,10 @@ DenseServerSim::resetState()
 {
     const std::size_t n = topo_.numSockets();
     if (faultState_.flowFrac() != 1.0) {
-        // A previous run's fan fault left derated coefficients in
-        // place; restore the pristine map before any field is derived
+        // A previous run's fan fault left its derated map in force;
+        // return to the pristine map before any field is derived
         // from it.
-        coupling_ = deratedCoupling(1.0);
+        coupling_ = pristine_;
         ++couplingEpoch_;
     }
     fanPowerW_ = config_.fanPowerW;
@@ -232,7 +239,7 @@ DenseServerSim::resetState()
 
     const Watts gated = pm_.gatedPower(leak_);
     const std::vector<double> amb0 =
-        coupling_.ambientTemps(powerW_, config_.topo.inlet());
+        coupling_->ambientTemps(powerW_, config_.topo.inlet());
     ambientC_ = amb0;
     chipRiseC_.assign(n, 0.0);
     for (std::size_t s = 0; s < n; ++s) {
@@ -289,7 +296,7 @@ DenseServerSim::warmStart()
         config_.load * busy_power + (1.0 - config_.load) * gated;
 
     const std::size_t n = topo_.numSockets();
-    const std::vector<double> amb = coupling_.ambientTemps(
+    const std::vector<double> amb = coupling_->ambientTemps(
         std::vector<double>(n, expected), config_.topo.inlet());
     for (std::size_t s = 0; s < n; ++s) {
         ambientC_[s] = amb[s];
@@ -533,7 +540,7 @@ void
 DenseServerSim::refreshAmbientTargets()
 {
     count_.ambientRefreshes->inc();
-    coupling_.ambientTempsInto(ambTargets_.data(), ambTargets_.size(),
+    coupling_->ambientTempsInto(ambTargets_.data(), ambTargets_.size(),
                                powerW_.data(), config_.topo.inlet());
     targetPowerW_ = powerW_;
     for (std::size_t s : dirtySockets_)
@@ -552,7 +559,7 @@ DenseServerSim::flushAmbientTargets()
         refreshAmbientTargets();
     } else if (!dirtySockets_.empty()) {
         count_.ambientDeltas->inc(dirtySockets_.size());
-        coupling_.applyPowerDeltas(ambTargets_, dirtySockets_,
+        coupling_->applyPowerDeltas(ambTargets_, dirtySockets_,
                                    targetPowerW_, powerW_);
         for (std::size_t s : dirtySockets_)
             powerDirty_[s] = 0;
@@ -797,7 +804,7 @@ DenseServerSim::makeSchedContext() const
 {
     SchedContext ctx;
     ctx.topo = &topo_;
-    ctx.coupling = &coupling_;
+    ctx.coupling = coupling_.get();
     ctx.couplingEpoch = couplingEpoch_;
     ctx.pm = &pm_;
     ctx.leak = &leak_;
@@ -1097,10 +1104,10 @@ DenseServerSim::checkEpochInvariants() const
     // keeps accumulated delta rounding under 1e-6) — and must sit
     // inside the coupling map's first-law envelope.
     const std::vector<double> reference =
-        coupling_.ambientTemps(targetPowerW_, config_.topo.inlet());
+        coupling_->ambientTemps(targetPowerW_, config_.topo.inlet());
     invariant::checkFieldsClose("ambient-target field", ambTargets_,
                                 reference, kAmbientDriftBoundC);
-    coupling_.checkAmbientFieldPhysics(
+    coupling_->checkAmbientFieldPhysics(
         targetPowerW_, config_.topo.inlet(), ambTargets_);
 #endif
 #endif
@@ -1186,9 +1193,11 @@ DenseServerSim::abortRun(double now)
         std::to_string(now) + " s");
 }
 
-CouplingMap
+std::shared_ptr<const CouplingMap>
 DenseServerSim::deratedCoupling(double flow_frac) const
 {
+    if (flow_frac == 1.0)
+        return pristine_;
     std::vector<SocketSite> sites = topo_.sites();
     for (SocketSite &site : sites)
         site.ductCfm = Cfm(site.ductCfm.value() * flow_frac);
@@ -1196,7 +1205,7 @@ DenseServerSim::deratedCoupling(double flow_frac) const
     // The first-law rise per watt scales as 1/CFM; the local
     // recirculation term grows by the same factor.
     params.kappaLocal /= flow_frac;
-    return CouplingMap(std::move(sites), params);
+    return std::make_shared<const CouplingMap>(std::move(sites), params);
 }
 
 void

@@ -77,9 +77,12 @@ class CkptAccess; // Checkpoint serializer (src/ckpt), friend below.
 class DenseServerSim
 {
   public:
-    /** Build the server described by @p config under @p policy. */
+    /** Build the server described by @p config under @p policy, on
+     *  @p coupling if given (fatal unless built from this server's
+     *  sites and config.coupling; a fleet's shards share one). */
     DenseServerSim(const SimConfig &config,
-                   std::unique_ptr<Scheduler> policy);
+                   std::unique_ptr<Scheduler> policy,
+                   std::shared_ptr<const CouplingMap> coupling = nullptr);
 
     ~DenseServerSim();
     DenseServerSim(const DenseServerSim &) = delete;
@@ -167,7 +170,8 @@ class DenseServerSim
     SimMetrics finishRun();
 
     const ServerTopology &topology() const { return topo_; }
-    const CouplingMap &coupling() const { return coupling_; }
+    /** The map in force: the pristine one unless a fan is derated. */
+    const CouplingMap &coupling() const { return *coupling_; }
     const Scheduler &policy() const { return *policy_; }
     const SimConfig &config() const { return config_; }
 
@@ -247,14 +251,15 @@ class DenseServerSim
         "requeue is a rare fault-transition edge; the deque reuses "
         "blocks freed by normal dispatch")
     void requeueJob(std::size_t socket, double now);
-    /** Rebuild coupling_ for the fan bank capped at @p flow_frac.
-     *  Cold by design: a fan fault rebuilds the whole coupling
-     *  operator, deliberately outside the epoch heap contract. */
+    /** Point coupling_ at the map of the fan bank capped at
+     *  @p flow_frac. Cold by design: a fan fault builds a whole
+     *  coupling operator, outside the epoch heap contract. */
     DENSIM_COLD void applyFanFlowFraction(double flow_frac);
-    /** The coupling map with every duct's flow scaled by
-     *  @p flow_frac and the local recirculation by its inverse; at
-     *  1.0 the pristine map (x * 1.0 and x / 1.0 are exact). */
-    CouplingMap deratedCoupling(double flow_frac) const;
+    /** The coupling map with every duct's flow scaled by @p flow_frac
+     *  and the local recirculation by its inverse: this engine's own,
+     *  or pristine_ at 1.0 (x * 1.0 and x / 1.0 are exact). */
+    std::shared_ptr<const CouplingMap>
+    deratedCoupling(double flow_frac) const;
     /** Boost cap for powerManage/placeJob, honoring the throttle. */
     std::size_t dvfsCap(std::size_t socket) const;
     /** Append one fault event to the log, or count it as dropped
@@ -334,7 +339,10 @@ class DenseServerSim
 
     SimConfig config_;
     ServerTopology topo_;
-    CouplingMap coupling_;
+    /** The map of the design airflow, shared by a fleet's shards. */
+    std::shared_ptr<const CouplingMap> pristine_;
+    /** pristine_, or under a fan derate a map of this engine's own. */
+    std::shared_ptr<const CouplingMap> coupling_;
     SimplePeakModel peak_;
     PowerManager pm_;
     const LeakageModel &leak_;
@@ -508,7 +516,8 @@ class DenseServerSim
     std::vector<FaultEvent> faultLog_; //!< Applied + response events.
     std::uint64_t faultLogDropped_ = 0; //!< Events past kFaultLogCap.
     double fanPowerW_ = 0.0; //!< Effective fan power (cube-law derate).
-    std::uint64_t couplingEpoch_ = 0; //!< Bumped on each rebuild.
+    std::uint64_t couplingEpoch_ = 0; //!< Bumped when coupling_ moves.
+    mutable std::optional<std::uint64_t> ckptDigest_; //!< CkptAccess.
 
     struct FaultCounters
     {

@@ -22,6 +22,10 @@ FleetSim::FleetSim(const SimConfig &config,
     config.fleet.validate(config.pmEpochS);
     fleetSeed_ = config.fleet.effectiveSeed(config.seed);
 
+    // Every shard is the same server: one immutable coupling map
+    // serves them all (a derated fan gives its shard a map of its own).
+    const auto coupling = std::make_shared<const CouplingMap>(
+        ServerTopology(config.topo).sites(), config.coupling);
     shards_.reserve(config.fleet.chassis);
     for (std::size_t shard = 0; shard < config.fleet.chassis;
          ++shard) {
@@ -35,7 +39,7 @@ FleetSim::FleetSim(const SimConfig &config,
         shardConfig.seed = domainSeed(fleetSeed_, shard,
                                       fleet_stream::kShardEngine);
         shards_.push_back(std::make_unique<DenseServerSim>(
-            shardConfig, makeScheduler(scheduler)));
+            shardConfig, makeScheduler(scheduler), coupling));
     }
     dispatcher_ = makeFleetDispatcher(config.fleet);
 }

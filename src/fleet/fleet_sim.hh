@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,9 @@ class FleetSim
     /** Shards in the fleet. */
     std::size_t chassis() const { return shards_.size(); }
 
+    /** Shard @p s's engine (read-only). */
+    const DenseServerSim &shard(std::size_t s) const { return *shards_.at(s); }
+
     /** The base configuration every shard was derived from. */
     const SimConfig &config() const { return base_; }
 
@@ -161,6 +165,7 @@ class FleetSim
 
     SimConfig base_;
     std::uint64_t fleetSeed_ = 0;
+    mutable std::optional<std::uint64_t> ckptDigest_; //!< CkptAccess.
     std::vector<std::unique_ptr<DenseServerSim>> shards_;
     std::unique_ptr<FleetDispatcher> dispatcher_;
     obs::Registry registry_;

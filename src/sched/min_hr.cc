@@ -11,8 +11,8 @@ MinHr::pick(const Job &job, const SchedContext &ctx)
     if (cachedFor_ != ctx.coupling ||
         cachedEpoch_ != ctx.couplingEpoch) {
         // The offline profiling pass: one fixed map per server (per
-        // coupling generation — a fan fault rebuilds the map in
-        // place, so the epoch is part of the cache key).
+        // coupling generation — a derated map can reuse a freed
+        // one's address, so the epoch is part of the cache key).
         impact_.resize(ctx.coupling->size());
         for (std::size_t s = 0; s < impact_.size(); ++s)
             impact_[s] = ctx.coupling->downstreamImpact(s).value();

@@ -46,11 +46,12 @@ struct SchedContext
     const CouplingMap *coupling;
     /**
      * Generation counter of *coupling's coefficients. The engine
-     * bumps it whenever the map is rebuilt in place (a fan fault
-     * derating every duct's airflow); policies that cache
-     * coupling-derived state must key their cache on (coupling,
-     * couplingEpoch) — the rebuilt map reuses the same address, so
-     * the pointer alone cannot detect the change.
+     * bumps it whenever it changes the map in force (a fan fault
+     * derating every duct's airflow, the recovery, a new run after
+     * a derate); policies that cache coupling-derived state must key
+     * their cache on (coupling, couplingEpoch) — a new derated map
+     * can reuse a freed one's address, so the pointer alone cannot
+     * detect the change.
      */
     std::uint64_t couplingEpoch = 0;
     const PowerManager *pm;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "airflow/first_law.hh"
 #include "core/invariant.hh"
@@ -51,10 +52,13 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
         fatal("CouplingMap: decay length must be positive");
     if (params_.kappaLocal < 0.0)
         fatal("CouplingMap: kappaLocal must be non-negative");
-    if (params_.verticalLeak < 0.0 || params_.verticalLeak > 1.0)
+    if (!(params_.verticalLeak >= 0.0 && params_.verticalLeak <= 1.0))
         fatal("CouplingMap: vertical leak ", params_.verticalLeak,
               " outside [0, 1]");
     for (const SocketSite &s : sites_) {
+        if (!std::isfinite(s.streamPosInch))
+            fatal("CouplingMap: stream position must be finite, got ",
+                  s.streamPosInch);
         if (s.ductCfm.value() <= 0.0)
             fatal("CouplingMap: duct airflow must be positive, got ",
                   s.ductCfm.value());
@@ -66,59 +70,91 @@ CouplingMap::CouplingMap(std::vector<SocketSite> map_sites,
     impact_.assign(n, 0.0);
     runOff_.assign(n + 1, 0);
 
-    // Heat leaking into neighbour ducts comes out of the same-duct
-    // share, so the per-source normalization is the sum of leak
-    // weights over the rows that actually exist within reach: a
-    // single-cartridge system keeps its full same-duct coupling
-    // (Fig. 2), interior rows of a tall chassis spread theirs.
     int min_row = sites_[0].duct;
     int max_row = sites_[0].duct;
     for (const SocketSite &site : sites_) {
         min_row = std::min(min_row, site.duct);
         max_row = std::max(max_row, site.duct);
     }
-    std::vector<double> row_norm(
-        static_cast<std::size_t>(max_row - min_row) + 1, 0.0);
+    // leak[k] = verticalLeak^k, multiplied out left to right: every
+    // coefficient's bits depend on that order.
+    std::vector<double> leak(
+        static_cast<std::size_t>(max_row - min_row) + 1, 1.0);
+    for (std::size_t k = 1; k < leak.size(); ++k)
+        leak[k] = leak[k - 1] * params_.verticalLeak;
+    // Heat leaking into neighbour ducts comes out of the same-duct
+    // share, so the per-source normalization is the sum of leak
+    // weights over the rows that actually exist within reach: a
+    // single-cartridge system keeps its full same-duct coupling
+    // (Fig. 2), interior rows of a tall chassis spread theirs.
+    std::vector<double> row_norm(leak.size(), 0.0);
     for (int row = min_row; row <= max_row; ++row) {
         double norm = 0.0;
         for (int r = min_row; r <= max_row; ++r) {
-            const int dist = std::abs(r - row);
-            double w = 1.0;
-            for (int k = 0; k < dist; ++k)
-                w *= params_.verticalLeak;
+            const double w =
+                leak[static_cast<std::size_t>(std::abs(r - row))];
             if (w >= 0.05)
                 norm += w;
         }
         row_norm[static_cast<std::size_t>(row - min_row)] = norm;
     }
 
+    // The mixing decay of each distinct streamwise distance, keyed by
+    // the distance itself (==), so each keeps its own exp's bits. A
+    // grid chassis has a handful; arbitrary sites memoize at most 16.
+    std::vector<std::pair<double, double>> decays;
+    const auto decayAt = [&](double d) {
+        for (const auto &[dist, decay] : decays)
+            if (dist == d)
+                return decay;
+        const double decay = std::exp(
+            -(std::max(d, params_.minSpacingInch) -
+              params_.minSpacingInch) /
+            params_.decayLengthInch);
+        if (decays.size() < 16)
+            decays.emplace_back(d, decay);
+        return decay;
+    };
+    // Every coefficient is a function of the two sites alone (the
+    // source's position and duct; the destination's position, duct
+    // and airflow), so a site equal to the previous socket's has that
+    // socket's row, and that socket's coefficient as a destination.
     for (std::size_t from = 0; from < n; ++from) {
         const std::size_t row_begin = runs_.size();
+        if (from > 0 && sites_[from] == sites_[from - 1]) {
+            // Neither socket is strictly downstream of the other, so
+            // both rows drop the same pair and agree everywhere else.
+            for (std::size_t k = runOff_[from - 1]; k < row_begin; ++k) {
+                runs_.push_back(runs_[k]);
+                runAir_.push_back(runAir_[k]);
+            }
+            impact_[from] = impact_[from - 1];
+            runOff_[from + 1] = runs_.size();
+            continue;
+        }
+        const double norm = row_norm[static_cast<std::size_t>(
+            sites_[from].duct - min_row)];
+        bool coupled = false; // Whether `to` is in the row, at:
+        double air = 0.0, amb = 0.0;
         for (std::size_t to = 0; to < n; ++to) {
-            if (from == to)
+            if (to == 0 || sites_[to] != sites_[to - 1]) {
+                const double d = sites_[to].streamPosInch -
+                                 sites_[from].streamPosInch;
+                const std::size_t row_dist = static_cast<std::size_t>(
+                    std::abs(sites_[from].duct - sites_[to].duct));
+                // Only strictly-downstream coupling, within reach.
+                coupled = from != to && d > 0.0 && leak[row_dist] >= 0.05;
+                if (coupled) {
+                    const double vertical = leak[row_dist] / norm;
+                    const double gamma =
+                        params_.mixFactor * decayAt(d) * vertical;
+                    air = kCelsiusPerWattPerCfm * gamma /
+                          sites_[to].ductCfm.value();
+                    amb = air * params_.wakeFactor;
+                }
+            }
+            if (!coupled)
                 continue;
-            const double d = sites_[to].streamPosInch -
-                             sites_[from].streamPosInch;
-            if (d <= 0.0)
-                continue; // Only strictly-downstream coupling.
-            const int row_dist =
-                std::abs(sites_[from].duct - sites_[to].duct);
-            double vertical = 1.0;
-            for (int k = 0; k < row_dist; ++k)
-                vertical *= params_.verticalLeak;
-            if (vertical < 0.05)
-                continue; // Negligible across distant rows.
-            vertical /= row_norm[static_cast<std::size_t>(
-                sites_[from].duct - min_row)];
-            const double decay = std::exp(
-                -(std::max(d, params_.minSpacingInch) -
-                  params_.minSpacingInch) /
-                params_.decayLengthInch);
-            const double gamma =
-                params_.mixFactor * decay * vertical;
-            const double air = kCelsiusPerWattPerCfm * gamma /
-                               sites_[to].ductCfm.value();
-            const double amb = air * params_.wakeFactor;
             impact_[from] += amb;
             // Pair left to right: a single run takes the next socket
             // as its second lane when their coefficients are equal.

@@ -55,6 +55,8 @@ struct SocketSite
     double streamPosInch; //!< Station along the duct (inlet = 0).
     int duct;             //!< Parallel duct (row) index.
     Cfm ductCfm;          //!< Airflow shared at one duct station.
+
+    bool operator==(const SocketSite &) const = default;
 };
 
 /** Tunable physics of the coupling model. */
@@ -84,6 +86,8 @@ struct CouplingParams
      * (dropped below 5% of the same-duct value).
      */
     double verticalLeak = 0.45;
+
+    bool operator==(const CouplingParams &) const = default;
 };
 
 /**

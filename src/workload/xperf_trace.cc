@@ -85,7 +85,7 @@ XperfTrace::saveFile(const std::string &path) const
 }
 
 XperfTrace
-XperfTrace::load(std::istream &in)
+XperfTrace::load(std::istream &in, bool header_only)
 {
     std::string line;
     if (!std::getline(in, line) || line != "densim-xperf 1")
@@ -99,6 +99,8 @@ XperfTrace::load(std::istream &in)
         fatal("xperf trace: expected 'set <name>', got '", line, "'");
 
     XperfTrace trace(parseSetName(set_name));
+    if (header_only)
+        return trace;
     std::uint64_t id = 0;
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#')
@@ -130,12 +132,12 @@ XperfTrace::load(std::istream &in)
 }
 
 XperfTrace
-XperfTrace::loadFile(const std::string &path)
+XperfTrace::loadFile(const std::string &path, bool header_only)
 {
     std::ifstream in(path);
     if (!in)
         fatal("xperf trace: cannot open '", path, "'");
-    return load(in);
+    return load(in, header_only);
 }
 
 } // namespace densim

@@ -41,11 +41,14 @@ class XperfTrace
     /** Capture @p count jobs from a generator. */
     static XperfTrace capture(JobGenerator &gen, std::size_t count);
 
-    /** Parse from a stream; fails on malformed input. */
-    static XperfTrace load(std::istream &in);
+    /** Parse from a stream; fails on malformed input. With
+     *  @p header_only, read only the magic and set lines: an empty
+     *  trace of the set. */
+    static XperfTrace load(std::istream &in, bool header_only = false);
 
-    /** Parse from a file path. */
-    static XperfTrace loadFile(const std::string &path);
+    /** Parse from a file path, as load() does. */
+    static XperfTrace loadFile(const std::string &path,
+                               bool header_only = false);
 
     /** Serialize to a stream. */
     void save(std::ostream &out) const;

@@ -6,6 +6,8 @@
  * the event-driven/1 µs-polling equivalence.
  */
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/dense_server_sim.hh"
@@ -310,6 +312,29 @@ TEST(Engine, InvalidConfigIsFatal)
     config.fleet.epochS = 1e20;
     EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF")),
                 ::testing::ExitedWithCode(1), "fleet.epochS");
+}
+
+TEST(Engine, HandedCouplingMapMustBeThisServers)
+{
+    const SimConfig config = smallConfig();
+    const ServerTopology topo(config.topo);
+    const auto own = std::make_shared<const CouplingMap>(
+        topo.sites(), config.coupling);
+    DenseServerSim sim(config, makeScheduler("CF"), own);
+    EXPECT_EQ(&sim.coupling(), own.get());
+
+    CouplingParams leakier = config.coupling;
+    leakier.verticalLeak = 0.5;
+    SimConfig taller = config;
+    taller.topo.rows = 4;
+    const auto other_params =
+        std::make_shared<const CouplingMap>(topo.sites(), leakier);
+    const auto other_sites = std::make_shared<const CouplingMap>(
+        ServerTopology(taller.topo).sites(), config.coupling);
+    for (const auto &map : {other_params, other_sites})
+        EXPECT_EXIT(DenseServerSim(config, makeScheduler("CF"), map),
+                    ::testing::ExitedWithCode(1),
+                    "coupling map built for other sites/params");
 }
 
 TEST(Engine, MigrationOffByDefault)

@@ -7,7 +7,8 @@
  * compared with a per-entry loop over those rows, bit for bit
  * (EXPECT_EQ on doubles):
  *
- *  - coeff() and airCoeff() with the rows as a coefficient matrix;
+ *  - coeff() and airCoeff() with the rows as a coefficient matrix,
+ *    and downstreamImpact() with each row's ascending sum;
  *  - ambientTempsInto(), ambientTemps() and entryTemps() with sources
  *    ascending, each adding its entries one at a time;
  *  - applyPowerDeltas() with one pass per listed socket, in list
@@ -117,7 +118,8 @@ twins(const CouplingMap &map, std::size_t s)
                       });
 }
 
-/** coeff and airCoeff are the rows' entries, and 0 off them. */
+/** coeff and airCoeff are the rows' entries, and 0 off them; the
+ *  downstream impact is the row's ascending sum. */
 inline void
 expectCoefficients(const CouplingMap &map, const Rows &rows)
 {
@@ -125,10 +127,14 @@ expectCoefficients(const CouplingMap &map, const Rows &rows)
     for (std::size_t from = 0; from < n; ++from) {
         std::vector<double> air(n, 0.0);
         std::vector<double> amb(n, 0.0);
+        double impact = 0.0;
         for (const Entry &e : rows[from]) {
             air[e.to] = e.air;
             amb[e.to] = e.amb;
+            impact += e.amb;
         }
+        ASSERT_EQ(map.downstreamImpact(from).value(), impact)
+            << "socket " << from;
         for (std::size_t to = 0; to < n; ++to) {
             ASSERT_EQ(map.coeff(from, to).value(), amb[to])
                 << "socket " << from << " -> " << to;

@@ -224,16 +224,40 @@ TEST(FaultBitIdentity, FaultCountersOnlyExistWhenArmed)
 
 TEST(FaultBitIdentity, RerunAfterFanFaultRestoresPristineCoupling)
 {
-    // A fan fault rebuilds the coupling map in place; the next run on
-    // the same engine must start from the pristine map and reproduce
-    // the first run bit for bit.
+    // A fan fault puts a derated map of the engine's own in force; the
+    // next run on the same engine must start from the map built at
+    // construction and reproduce the first run bit for bit.
     SimConfig config = baseConfig();
     config.fault.fanFailS = 0.3;
     config.fault.fanSpeedFrac = 0.3;
     DenseServerSim sim(config, makeScheduler("CF"));
+    const CouplingMap *pristine = &sim.coupling();
     const SimMetrics first = sim.run();
-    const SimMetrics second = sim.run();
-    expectMetricsIdentical(first, second);
+    EXPECT_NE(&sim.coupling(), pristine);
+    sim.beginGeneratedRun();
+    EXPECT_EQ(&sim.coupling(), pristine);
+    while (sim.epochPending())
+        sim.advanceEpoch();
+    expectMetricsIdentical(first, sim.finishRun());
+}
+
+TEST(FaultBitIdentity, FanRestoreReturnsToThePristineMap)
+{
+    SimConfig config = baseConfig();
+    config.fault.fanFailS = 0.3;
+    config.fault.fanRecoverS = 0.6;
+    config.fault.fanSpeedFrac = 0.3;
+    DenseServerSim sim(config, makeScheduler("MinHR"));
+    const CouplingMap *pristine = &sim.coupling();
+    sim.beginGeneratedRun();
+    while (sim.nowS() < 0.45)
+        sim.advanceEpoch();
+    EXPECT_NE(&sim.coupling(), pristine);
+    EXPECT_GT(sim.coupling().downstreamImpact(0).value(),
+              pristine->downstreamImpact(0).value());
+    while (sim.nowS() < 0.75)
+        sim.advanceEpoch();
+    EXPECT_EQ(&sim.coupling(), pristine);
 }
 
 // ------------------------------------------------- determinism in sweeps

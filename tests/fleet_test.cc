@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.hh"
 #include "core/dense_server_sim.hh"
 #include "fleet/fleet_dispatcher.hh"
 #include "fleet/fleet_metrics.hh"
@@ -290,6 +291,55 @@ TEST(FleetSim, PhaseProfileSumsItsShards)
     }
     EXPECT_GT(sampled, 0u);
     EXPECT_EQ(fleet.phaseProfile().sampledEpochs(), sampled);
+}
+
+// ------------------------------------------------- one coupling map
+
+TEST(FleetSim, EveryShardOfAPristineFleetReadsOneMap)
+{
+    FleetSim fleet(fleetConfig(4), "CF");
+    const CouplingMap &map = fleet.shard(0).coupling();
+    (void)fleet.run(2);
+    for (std::size_t s = 0; s < fleet.chassis(); ++s)
+        EXPECT_EQ(&fleet.shard(s).coupling(), &map) << "shard " << s;
+}
+
+TEST(FleetSim, FanDeratedFleetBitIdenticalAcrossWorkersAndCheckpoint)
+{
+    // Every shard's fans derate at 0.2 s and recover at 0.4 s: each
+    // shard then holds a derated map of its own next to the shared
+    // pristine one, at any worker count and across a restore.
+    SimConfig config = fleetConfig(4);
+    config.fault.fanFailS = 0.2;
+    config.fault.fanRecoverS = 0.4;
+    config.fault.fanSpeedFrac = 0.3;
+    FleetSim serial(config, "CP");
+    const std::string expected = serializeFleetMetrics(serial.run(1));
+    FleetSim parallel(config, "CP");
+    EXPECT_EQ(expected, serializeFleetMetrics(parallel.run(4)));
+
+    FleetSim open(config, "CP");
+    const CouplingMap *pristine = &open.shard(0).coupling();
+    open.beginRun();
+    while (open.shard(0).nowS() < 0.3)
+        ASSERT_TRUE(open.advanceWindow(4));
+    std::set<const CouplingMap *> maps;
+    for (std::size_t s = 0; s < open.chassis(); ++s)
+        maps.insert(&open.shard(s).coupling());
+    EXPECT_EQ(maps.size(), open.chassis());
+    EXPECT_EQ(maps.count(pristine), 0u);
+    const std::string image = ckpt::saveFleet(open);
+
+    FleetSim resumed(config, "CP");
+    ckpt::restoreFleet(resumed, image);
+    while (resumed.advanceWindow(4)) {
+    }
+    EXPECT_EQ(expected, serializeFleetMetrics(resumed.finishRun()));
+    while (open.advanceWindow(1)) {
+    }
+    EXPECT_EQ(expected, serializeFleetMetrics(open.finishRun()));
+    for (std::size_t s = 0; s < open.chassis(); ++s)
+        EXPECT_EQ(&open.shard(s).coupling(), pristine) << "shard " << s;
 }
 
 // ------------------------------------------------- degenerate configs

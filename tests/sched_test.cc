@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,32 @@ TEST_F(SchedFixture, MinHrRotatesViaCoolestTieBreak)
     const std::size_t pick = policy->pick(job(), ctx);
     EXPECT_EQ(topo_.zoneIdOf(pick), 6);
     EXPECT_NE(pick, zone6[0]);
+}
+
+TEST_F(SchedFixture, MinHrReprofilesOnEachCouplingGeneration)
+{
+    // The engine moves its map between the pristine and a derated
+    // one, and a freed map's address can come back, so MinHR keys its
+    // impact profile on the map and couplingEpoch together.
+    MinHr policy;
+    SchedContext ctx = context();
+    EXPECT_EQ(topo_.zoneIdOf(policy.pick(job(), ctx)), 6);
+
+    // Air blown the other way: zone 1 now recirculates least.
+    std::vector<SocketSite> reversed = topo_.sites();
+    for (SocketSite &site : reversed)
+        site.streamPosInch = -site.streamPosInch;
+    std::optional<CouplingMap> slot;
+    slot.emplace(reversed, defaultCouplingParams());
+    ctx.coupling = &*slot;
+    ctx.couplingEpoch = 1;
+    EXPECT_EQ(topo_.zoneIdOf(policy.pick(job(), ctx)), 1);
+
+    // The pristine map again, at the same address: the new
+    // generation alone tells MinHR to profile it.
+    slot.emplace(topo_.sites(), defaultCouplingParams());
+    ctx.couplingEpoch = 2;
+    EXPECT_EQ(topo_.zoneIdOf(policy.pick(job(), ctx)), 6);
 }
 
 TEST_F(SchedFixture, BalancedLocationsPicksInletZone)

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -592,6 +593,18 @@ TEST(CouplingMap, MixFactorBelowOneIsFatal)
     params.mixFactor = 0.5;
     EXPECT_EXIT(CouplingMap(chainSites(2, 1.6, 12.7), params),
                 ::testing::ExitedWithCode(1), "mixFactor");
+}
+
+TEST(CouplingMap, NonFiniteSiteOrLeakIsFatal)
+{
+    std::vector<SocketSite> sites = chainSites(3, 1.6, 12.7);
+    sites[1].streamPosInch = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(CouplingMap(sites, CouplingParams{}),
+                ::testing::ExitedWithCode(1), "stream position");
+    CouplingParams params;
+    params.verticalLeak = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(CouplingMap(chainSites(2, 1.6, 12.7), params),
+                ::testing::ExitedWithCode(1), "vertical leak");
 }
 
 // ------------------------------------------------------------ entry model

@@ -41,9 +41,11 @@
 #             multi-shard --fleet run whose JSON summary must parse
 #             strictly and whose metrics must be bit-identical across
 #             worker-thread counts, with a checkpoint taken, and
-#             resumed from that checkpoint; and a faulted fleet whose
+#             resumed from that checkpoint; a faulted fleet whose
 #             per-shard fault logs must parse strictly and match each
-#             shard's counters (DESIGN.md Sec. 15)
+#             shard's counters; and a fan-derated fleet, bit-identical
+#             across worker counts and through a checkpoint taken
+#             inside the derate (DESIGN.md Sec. 15)
 #   ckpt      the asan tree + the checkpoint/restore bank
 #             (bit-identical resume, hostile-input rejection,
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
@@ -301,6 +303,40 @@ for shard in range(3):
         f"shard {shard}: {got} socketFail events, counter says {want}"
 print("fleet smoke: one fault log per shard, each matching its counter")
 EOF
+    # A fan-derated fleet: every chassis derates at 0.3 s and recovers
+    # at 0.7 s, so each shard trades the fleet's one pristine coupling
+    # map for a derated map of its own and back. The output must match
+    # byte for byte at 1 and 4 workers and through the cadence
+    # checkpoint at 0.6 s, inside the derate (the only one: the fleet
+    # drains before 1.2 s).
+    local fan=(run --fleet 4 --scheduler CF --load 0.7
+               --set topo.rows=2 --set simTimeS=0.8 --set warmupS=0.2
+               --set fault.fanFailS=0.3 --set fault.fanRecoverS=0.7
+               --set fault.fanSpeedFrac=0.3)
+    ./build-asan/tools/densim "${fan[@]}" --json --threads 1 \
+        > "$out/fan-t1.json"
+    ./build-asan/tools/densim "${fan[@]}" --json --threads 4 \
+        | cmp "$out/fan-t1.json" -
+    rm -f "$out/fan.ckpt"
+    ./build-asan/tools/densim "${fan[@]}" --json --threads 4 \
+        --checkpoint "$out/fan.ckpt" --ckpt-every 0.6 \
+        | cmp "$out/fan-t1.json" -
+    ./build-asan/tools/densim "${fan[@]}" --json --threads 1 \
+        --restore "$out/fan.ckpt" | cmp "$out/fan-t1.json" -
+    ./build-asan/tools/densim "${fan[@]}" --json --counters --threads 4 \
+        > "$out/fan-counters.json"
+    python3 - "$out" <<'EOF'
+import json, os, sys
+out = sys.argv[1]
+doc = json.load(open(os.path.join(out, "fan-t1.json")))
+assert 0.7 < doc["makespanS"] < 1.2, doc["makespanS"]
+counters = json.load(open(os.path.join(out, "fan-counters.json")))[
+    "obs"]["counters"]
+for shard in range(4):
+    assert counters[f"shard{shard}/fault.fanEvents"] == 2, counters
+print("fleet smoke: a fan-derated fleet is bit-identical at 1 and 4 "
+      "workers and through a checkpoint inside the derate")
+EOF
 }
 
 stage_ckpt() {
@@ -415,7 +451,10 @@ for required in ("BM_SimulatedServerSecond",
                  "BM_CouplingDeltaFlush/32",
                  "BM_CouplingDeltaFlush/79",
                  "BM_SectionChecksum/65536",
-                 "BM_EngineCheckpointRoundTrip"):
+                 "BM_EngineCheckpointRoundTrip",
+                 "BM_CouplingMapBuild/2",
+                 "BM_CouplingMapBuild/1",
+                 "BM_FleetBuild/16"):
     assert required in names, f"{required} missing from {sorted(names)}"
 server = next(r for r in rows if r["name"] == "BM_SimulatedServerSecond")
 assert server.get("ms_per_sim_s", 0) > 0, "no ms_per_sim_s counter"

@@ -617,7 +617,10 @@ cmdTraceReplay(const Cli &cli)
     if (cli.tracePath.empty())
         fatal("trace-replay needs --trace FILE");
     armStopSignals(cli);
-    const XperfTrace trace = XperfTrace::loadFile(cli.tracePath);
+    // A restore reads only the header, whose set enters the config
+    // digest: the checkpoint holds every job left to replay.
+    const XperfTrace trace =
+        XperfTrace::loadFile(cli.tracePath, !cli.restorePath.empty());
     SimConfig config = cli.config;
     config.workload = trace.set();
     DenseServerSim sim(config, makeScheduler(cli.scheduler));
